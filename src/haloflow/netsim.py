@@ -1,12 +1,13 @@
 """Deterministic flow-level interconnect simulation.
 
 Transfers are modelled as fluid flows instead of packets.  Within one phase
-every flow follows a fixed path; each link direction splits its capacity
-equally among the flows currently crossing it, and a flow progresses at the
-smallest share it gets along its path.  Rates are recomputed only when a
-flow (or one leg of a staged flow) completes, which keeps the simulation a
-short sequence of exact rational steps: progressive filling rather than a
-full max-min fixed point.
+every flow follows a fixed path; each link direction (and each copy engine)
+gives every flow crossing it an equal share of its capacity, and a flow
+runs at the smallest share it gets along its path.  Rates are recomputed
+only when a flow, or one leg of a staged flow, completes.  A share that a
+flow cannot use because it is held back elsewhere is not handed to the
+other flows on that link, so the rule is neither max-min fair nor
+work-conserving: a link can sit partly idle while flows crossing it wait.
 
 A flow's completion time is its per-message latency (``alpha``) plus the
 fluid transfer time, so a flow alone on its route finishes at exactly
@@ -26,6 +27,11 @@ share capacity.
 Everything is pure float arithmetic over sorted containers, so repeated
 runs are byte-identical and reordering the input flow list changes no
 completion time.
+
+With ``collect_events`` the result carries a trace: one ``FlowInterval``
+per resource of a leg for every maximal run at constant rate of one flow
+on that leg, so a flow that keeps its rate for its whole leg yields one
+interval per resource however many rate changes other flows go through.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import SimulationError
 from .topology import NodeId, NodeKind, RankMap, Topology, device
@@ -90,7 +96,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FlowInterval:
-    """One constant-rate slice of a flow on one resource, for replay checks."""
+    """A maximal constant-rate run of one flow on one resource, for replay checks."""
 
     t0: float
     t1: float
@@ -126,33 +132,108 @@ class TimestepScenario:
 
 # ----------------------------------------------------------------------
 # leg compilation
-
-_LATENCY = 0
-_FLUID = 1
-
-# resource keys: ("link", index, forward) | ("devmem", device) | ("hostmem", bridge)
+#
+# A leg is (remaining, resources): seconds and () for the latency leg, bytes
+# and a non-empty tuple of resource ints for a fluid leg.
 
 
-@dataclass
-class _Leg:
-    kind: int
-    remaining: float          # seconds for latency legs, bytes for fluid legs
-    resources: tuple = ()
+class _Network:
+    """The resources and routes one simulate() call touches, interned to ints.
 
+    Each resource key, ("link", index, forward) | ("devmem", device) |
+    ("hostmem", bridge), is looked up and named once; the event loop then
+    indexes the parallel lists ``cap``, ``name``, ``count``, ``used`` and
+    ``peak``.  Host-staged paths to and from a device's nearest bridge are
+    found once per device.
+    """
 
-class _FlowState:
-    __slots__ = ("flow", "legs", "leg_idx", "remaining", "rate", "dt")
+    def __init__(self, topo: Topology, cfg: SimConfig):
+        self.topo = topo
+        self.cfg = cfg
+        self.index: dict[tuple, int] = {}
+        self.cap: list[float] = []
+        self.name: list[str] = []
+        self.count: list[int] = []       # fluid legs crossing it in the current step
+        self.used: list[float] = []      # scratch for one step's rate sums, kept at 0.0
+        self.peak: list[float] = []      # peak utilization so far
+        self.first_use: list[int] = []   # resources in the order their peak was first set
+        self._bridge_paths: dict[tuple[int, bool], tuple] = {}
 
-    def __init__(self, flow: Flow, legs: list[_Leg]):
-        self.flow = flow
-        self.legs = legs
-        self.leg_idx = 0
-        self.remaining = legs[0].remaining if legs else 0.0
-        self.rate = 0.0
-        self.dt = 0.0
+    def resource(self, key: tuple, capacity: float) -> int:
+        r = self.index.get(key)
+        if r is None:
+            r = self.index[key] = len(self.cap)
+            self.cap.append(capacity)
+            self.name.append(_resource_name(self.topo, key))
+            self.count.append(0)
+            self.used.append(0.0)
+            self.peak.append(0.0)
+        return r
 
-    def current(self) -> _Leg:
-        return self.legs[self.leg_idx]
+    def peak_by_name(self) -> dict[str, float]:
+        # two parallel links between the same nodes share one name
+        out: dict[str, float] = {}
+        for r in self.first_use:
+            name = self.name[r]
+            out[name] = max(out.get(name, 0.0), self.peak[r])
+        return out
+
+    def legs(self, f: Flow, rm: RankMap) -> list[tuple]:
+        """Legs of one flow: an optional latency leg, then its fluid legs."""
+        if f.bytes < 0:
+            raise SimulationError(f"flow {f.id} has negative size")
+        if not math.isfinite(f.bytes):
+            raise SimulationError(f"flow {f.id} has non-finite size {f.bytes!r}")
+        src_dev = rm.device_of(f.src_rank)
+        dst_dev = rm.device_of(f.dst_rank)
+        if not self.topo.has_device(src_dev) or not self.topo.has_device(dst_dev):
+            raise SimulationError(
+                f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
+            )
+        alpha, fluid = self._route(src_dev, dst_dev)
+        legs: list[tuple] = [(alpha, ())] if alpha > 0 else []
+        if f.bytes > 0:
+            nbytes = float(f.bytes)
+            legs.extend((nbytes, res) for res in fluid)
+        return legs
+
+    def _route(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
+        """Latency and fluid-leg resources of any flow from ``src_dev`` to ``dst_dev``."""
+        topo, cfg = self.topo, self.cfg
+        if src_dev == dst_dev:
+            return cfg.alpha_intra, ((self.resource(("devmem", src_dev), topo.device_mem_bw),),)
+        if cfg.staging is Staging.DEVICE_DIRECT:
+            res, inter_node = self._path(device(src_dev), topo.route_hops(src_dev, dst_dev))
+            return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
+
+        # host-staged: up to the source bridge, a host copy there, across to
+        # the destination bridge and a copy there, then down to the device
+        hb_s, up, nic_up = self._bridge_path(src_dev, True)
+        hb_d, down, nic_down = self._bridge_path(dst_dev, False)
+        inter_node = nic_up or nic_down
+        legs = [up, (self.resource(("hostmem", hb_s.index), cfg.host_mem_bw),)]
+        if hb_s != hb_d:
+            across, nic_across = self._path(hb_s, topo.path_hops(hb_s, hb_d))
+            inter_node = inter_node or nic_across
+            legs.append(across)
+            legs.append((self.resource(("hostmem", hb_d.index), cfg.host_mem_bw),))
+        legs.append(down)
+        return (cfg.alpha_inter if inter_node else cfg.alpha_intra), tuple(r for r in legs if r)
+
+    def _bridge_path(self, dev: int, up: bool) -> tuple[NodeId, tuple[int, ...], bool]:
+        """A device's nearest bridge and the path up to it (or down from it)."""
+        got = self._bridge_paths.get((dev, up))
+        if got is None:
+            hb = self.topo.nearest_host_bridge(dev)
+            a, b = (device(dev), hb) if up else (hb, device(dev))
+            got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, self.topo.path_hops(a, b)))
+        return got
+
+    def _path(self, start: NodeId, hops) -> tuple[tuple[int, ...], bool]:
+        """Link resources along ``hops`` and whether the walk enters a NIC."""
+        links = self.topo.links
+        res = tuple(self.resource(("link", li, fwd), links[li].capacity) for li, fwd in hops)
+        return res, _crosses_nic(self.topo, start, hops)
 
 
 def _resource_name(topo: Topology, key: tuple) -> str:
@@ -165,10 +246,6 @@ def _resource_name(topo: Topology, key: tuple) -> str:
     return f"hostmem:hostbridge:{key[1]}"
 
 
-def _link_resources(hops) -> tuple:
-    return tuple(("link", li, fwd) for li, fwd in hops)
-
-
 def _crosses_nic(topo: Topology, start: NodeId, hops) -> bool:
     cur = start
     for li, fwd in hops:
@@ -179,146 +256,122 @@ def _crosses_nic(topo: Topology, start: NodeId, hops) -> bool:
     return False
 
 
-def _compile_flow(topo: Topology, rm: RankMap, f: Flow, cfg: SimConfig,
-                  caps: dict) -> list[_Leg]:
-    if f.bytes < 0:
-        raise SimulationError(f"flow {f.id} has negative size")
-    src_dev = rm.device_of(f.src_rank)
-    dst_dev = rm.device_of(f.dst_rank)
-    if not topo.has_device(src_dev) or not topo.has_device(dst_dev):
-        raise SimulationError(
-            f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
-        )
-
-    legs: list[_Leg] = []
-    inter_node = False
-    nbytes = float(f.bytes)
-
-    if src_dev == dst_dev:
-        if f.bytes > 0:
-            key = ("devmem", src_dev)
-            caps.setdefault(key, topo.device_mem_bw)
-            legs.append(_Leg(_FLUID, nbytes, (key,)))
-    elif cfg.staging is Staging.DEVICE_DIRECT:
-        hops = topo.route_hops(src_dev, dst_dev)
-        inter_node = _crosses_nic(topo, device(src_dev), hops)
-        if f.bytes > 0:
-            res = _link_resources(hops)
-            for key in res:
-                caps.setdefault(key, topo.links[key[1]].capacity)
-            legs.append(_Leg(_FLUID, nbytes, res))
-    else:
-        hb_s = topo.nearest_host_bridge(src_dev)
-        hb_d = topo.nearest_host_bridge(dst_dev)
-        up = topo.path_hops(device(src_dev), hb_s)
-        down = topo.path_hops(hb_d, device(dst_dev))
-        across = topo.path_hops(hb_s, hb_d) if hb_s != hb_d else ()
-        inter_node = (
-            _crosses_nic(topo, device(src_dev), up)
-            or _crosses_nic(topo, hb_s, across)
-            or _crosses_nic(topo, hb_d, down)
-        )
-        if f.bytes > 0:
-            segments: list[tuple] = [_link_resources(up), (("hostmem", hb_s.index),)]
-            if hb_s != hb_d:
-                segments.append(_link_resources(across))
-                segments.append((("hostmem", hb_d.index),))
-            segments.append(_link_resources(down))
-            for res in segments:
-                if not res:
-                    continue
-                for key in res:
-                    caps.setdefault(
-                        key,
-                        cfg.host_mem_bw if key[0] == "hostmem" else topo.links[key[1]].capacity,
-                    )
-                legs.append(_Leg(_FLUID, nbytes, res))
-
-    alpha = cfg.alpha_inter if inter_node else cfg.alpha_intra
-    if alpha > 0:
-        legs.insert(0, _Leg(_LATENCY, alpha))
-    return legs
-
-
 # ----------------------------------------------------------------------
 # event loop
 
 
+class _FlowState:
+    __slots__ = ("id", "legs", "leg_idx", "remaining", "res", "rate", "dt",
+                 "seg_t0", "seg_t1", "seg_rate")
+
+    def __init__(self, flow_id: int, legs: list[tuple]):
+        self.id = flow_id
+        self.legs = legs
+        self.leg_idx = 0
+        self.remaining, self.res = legs[0] if legs else (0.0, ())
+        self.rate = 0.0
+        self.dt = 0.0
+        # open trace segment on the current leg; seg_rate 0.0 means none
+        self.seg_t0 = self.seg_t1 = self.seg_rate = 0.0
+
+
+def _close_segment(st: _FlowState, net: _Network, events: list[FlowInterval],
+                   start: float) -> None:
+    t0, t1 = start + st.seg_t0, start + st.seg_t1
+    for r in st.res:
+        events.append(FlowInterval(t0, t1, st.id, net.name[r], st.seg_rate))
+    st.seg_rate = 0.0
+
+
 def _run_phase(
-    topo: Topology,
     t0: float,
     states: list[_FlowState],
-    caps: dict,
-    peak: dict[str, float],
+    net: _Network,
     events: list[FlowInterval] | None,
+    start: float,
 ) -> tuple[float, dict[int, float]]:
-    """Run one phase to completion; returns (end time, completion per flow id)."""
+    """Run one phase to completion; returns (end time, completion per flow id).
+
+    Each step gives every fluid flow the smallest ``cap / count`` along its
+    leg, advances all flows by the time the first leg needs to finish, and
+    retires the legs that finished.  With ``events`` the trace gets one
+    FlowInterval per resource for each maximal constant-rate run of a flow
+    on one leg, shifted by ``start``.
+    """
+    cap, count, used, peak = net.cap, net.count, net.used, net.peak
     done: dict[int, float] = {}
     active: list[_FlowState] = []
     for st in states:
         if st.legs:
             active.append(st)
+            for r in st.res:
+                count[r] += 1
         else:
-            done[st.flow.id] = t0
+            done[st.id] = t0
 
     t = t0
     while active:
-        counts: dict[tuple, int] = {}
+        dt = math.inf
+        touched: list[int] = []
         for st in active:
-            leg = st.current()
-            if leg.kind == _FLUID:
-                for key in leg.resources:
-                    counts[key] = counts.get(key, 0) + 1
-
-        for st in active:
-            leg = st.current()
-            if leg.kind == _LATENCY:
-                st.rate = 0.0
-                st.dt = st.remaining
+            legres = st.res
+            if legres:
+                rate = min([cap[r] / count[r] for r in legres])
+                st.rate = rate
+                st.dt = d = st.remaining / rate
+                # utilization sums in active-flow order
+                for r in legres:
+                    u = used[r]
+                    if u == 0.0:
+                        touched.append(r)
+                    used[r] = u + rate
             else:
-                st.rate = min(caps[key] / counts[key] for key in leg.resources)
-                st.dt = st.remaining / st.rate
+                st.dt = d = st.remaining
+            if d < dt:
+                dt = d
 
-        dt = min(st.dt for st in active)
+        for r in touched:
+            util = used[r] / cap[r]
+            used[r] = 0.0
+            if util > peak[r]:
+                if peak[r] == 0.0:
+                    net.first_use.append(r)
+                peak[r] = util
 
-        # utilization bookkeeping before advancing
-        used: dict[tuple, float] = {}
-        for st in active:
-            leg = st.current()
-            if leg.kind == _FLUID:
-                for key in leg.resources:
-                    used[key] = used.get(key, 0.0) + st.rate
-        for key, total in used.items():
-            name = _resource_name(topo, key)
-            util = total / caps[key]
-            if util > peak.get(name, 0.0):
-                peak[name] = util
-        if events is not None and dt > 0.0:
-            for st in active:
-                leg = st.current()
-                if leg.kind == _FLUID:
-                    for key in leg.resources:
-                        events.append(
-                            FlowInterval(t, t + dt, st.flow.id, _resource_name(topo, key), st.rate)
-                        )
-
-        t = t + dt
+        t_end = t + dt
+        trace = events is not None and dt > 0.0
         still: list[_FlowState] = []
         for st in active:
+            legres = st.res
+            if trace and legres:
+                if st.seg_rate == st.rate:
+                    st.seg_t1 = t_end
+                else:
+                    if st.seg_rate:
+                        _close_segment(st, net, events, start)
+                    st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
             if st.dt == dt:
                 st.remaining = 0.0
-            elif st.current().kind == _LATENCY:
+            elif not legres:
                 st.remaining -= dt
             else:
                 st.remaining -= st.rate * dt
             if st.remaining <= 0.0:
+                if legres:
+                    if st.seg_rate:
+                        _close_segment(st, net, events, start)
+                    for r in legres:
+                        count[r] -= 1
                 st.leg_idx += 1
                 if st.leg_idx >= len(st.legs):
-                    done[st.flow.id] = t
+                    done[st.id] = t_end
                     continue
-                st.remaining = st.current().remaining
+                st.remaining, st.res = st.legs[st.leg_idx]
+                for r in st.res:
+                    count[r] += 1
             still.append(st)
         active = still
+        t = t_end
     return t, done
 
 
@@ -356,12 +409,21 @@ def simulate(
     least one of its own flows (as source or destination) still in flight;
     the fraction divides by the makespan.
     """
-    cfg = cfg or SimConfig()
     rm = rank_map if isinstance(rank_map, RankMap) else RankMap(rank_map)
+    return _simulate(topo, rm, flows, cfg or SimConfig(), 0.0)
+
+
+def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig,
+              start: float) -> SimResult:
+    """simulate() with every reported instant shifted by ``start``.
+
+    The clock still runs from 0, so each time is ``start +`` the time a
+    standalone run reports, bit for bit.  Busy seconds and fractions
+    describe the communication alone.
+    """
     grouped = _validate_flows(rm, flows)
 
-    caps: dict = {}
-    peak: dict[str, float] = {}
+    net = _Network(topo, cfg)
     events: list[FlowInterval] | None = [] if cfg.collect_events else None
     completion: dict[int, float] = {}
     phase_completion: list[float] = []
@@ -369,9 +431,10 @@ def simulate(
     t = 0.0
     rank_busy = [0.0] * rm.nranks
     for phase_flows in grouped:
-        states = [_FlowState(f, _compile_flow(topo, rm, f, cfg, caps)) for f in phase_flows]
-        t_next, done = _run_phase(topo, t, states, caps, peak, events)
-        completion.update(done)
+        states = [_FlowState(f.id, net.legs(f, rm)) for f in phase_flows]
+        t_next, done = _run_phase(t, states, net, events, start)
+        for fid, end in done.items():
+            completion[fid] = start + end
         # one contiguous busy interval per rank per phase: every flow of the
         # phase starts at the phase start, so the union is just the max end.
         ends: dict[int, float] = {}
@@ -382,18 +445,16 @@ def simulate(
                     ends[r] = end
         for r, end in ends.items():
             rank_busy[r] += end - t
-        phase_completion.append(t_next)
+        phase_completion.append(start + t_next)
         t = t_next
 
-    makespan = t
-    fractions = [b / makespan if makespan > 0 else 0.0 for b in rank_busy]
     return SimResult(
         flow_completion=completion,
         phase_completion=phase_completion,
-        makespan=makespan,
+        makespan=start + t,
         busy_seconds=rank_busy,
-        busy_fraction=fractions,
-        link_peak_utilization=peak,
+        busy_fraction=[b / t if t > 0 else 0.0 for b in rank_busy],
+        link_peak_utilization=net.peak_by_name(),
         events=events if events is not None else [],
     )
 
@@ -424,37 +485,17 @@ def simulate_timestep(
         if c < 0 or not math.isfinite(c):
             raise SimulationError("compute seconds must be non-negative and finite")
 
-    t0 = max(compute, default=0.0)
-    comm = simulate(topo, rm, scenario.flows, cfg)
-
-    completion = {fid: t0 + tc for fid, tc in comm.flow_completion.items()}
-    phase_completion = [t0 + pc for pc in comm.phase_completion]
-    events = [
-        FlowInterval(iv.t0 + t0, iv.t1 + t0, iv.flow_id, iv.resource, iv.rate)
-        for iv in comm.events
-    ]
-    makespan = t0 + comm.makespan
-
+    comm = _simulate(topo, rm, scenario.flows, cfg, max(compute, default=0.0))
+    makespan = comm.makespan
     busy = [compute[r] + comm.busy_seconds[r] for r in range(rm.nranks)]
     if scenario.barrier_at_end:
         fractions = [b / makespan if makespan > 0 else 0.0 for b in busy]
     else:
-        own_end = []
-        for r in range(rm.nranks):
-            end = compute[r]
-            for f in scenario.flows:
-                if r in (f.src_rank, f.dst_rank):
-                    end = max(end, completion[f.id])
-            own_end.append(end)
-        fractions = [
-            busy[r] / own_end[r] if own_end[r] > 0 else 0.0 for r in range(rm.nranks)
-        ]
-    return SimResult(
-        flow_completion=completion,
-        phase_completion=phase_completion,
-        makespan=makespan,
-        busy_seconds=busy,
-        busy_fraction=fractions,
-        link_peak_utilization=dict(comm.link_peak_utilization),
-        events=events,
-    )
+        own_end = list(compute)
+        for f in scenario.flows:
+            end = comm.flow_completion[f.id]
+            for r in (f.src_rank, f.dst_rank):
+                if end > own_end[r]:
+                    own_end[r] = end
+        fractions = [b / e if e > 0 else 0.0 for b, e in zip(busy, own_end)]
+    return replace(comm, busy_seconds=busy, busy_fraction=fractions)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import haloflow
 from haloflow import (
     Flow,
     KernelSample,
@@ -51,6 +52,7 @@ from haloflow.halo import (
     staged_vs_direct_cost,
 )
 from haloflow.scenario import parse_grid
+from trace_replay import check_trace
 
 
 def bundled(name):
@@ -211,36 +213,13 @@ def test_criterion_08_flow_simulation_invariants_hold():
         remap = {p: i for i, p in enumerate(phases)}
         return [Flow(f.id, f.src_rank, f.dst_rank, f.bytes, remap[f.phase]) for f in flows]
 
-    capacity = {}
-    for ln in topo.links:
-        capacity[f"{ln.a}->{ln.b}"] = ln.capacity
-        capacity[f"{ln.b}->{ln.a}"] = ln.capacity
-    for d in topo.devices:
-        capacity[f"devmem:device:{d}"] = topo.device_mem_bw
-
     for trial in range(10):
         flows = random_flows(25)
         res = simulate(topo, RankMap.identity(8), flows, cfg)
 
-        # capacity: at every instant the rates on one resource fit under it
-        by_resource = {}
-        for ev in res.events:
-            by_resource.setdefault(ev.resource, []).append(ev)
-        for name, evs in by_resource.items():
-            cuts = sorted({e.t0 for e in evs} | {e.t1 for e in evs})
-            for lo, hi in zip(cuts, cuts[1:]):
-                mid = (lo + hi) / 2
-                load = sum(e.rate for e in evs if e.t0 <= mid < e.t1)
-                assert load <= capacity[name] * (1 + 1e-9), (trial, name)
-
-        # conservation: each flow pushes exactly its bytes over each leg
-        moved = {}
-        for ev in res.events:
-            key = (ev.flow_id, ev.resource)
-            moved[key] = moved.get(key, 0.0) + ev.rate * (ev.t1 - ev.t0)
-        sizes = {f.id: f.bytes for f in flows}
-        for (fid, _name), total in moved.items():
-            assert total == pytest.approx(sizes[fid], rel=1e-9, abs=1e-6)
+        # replay: capacity respected at every instant, each flow pushes
+        # exactly its bytes over each leg, segments tile every leg
+        check_trace(topo, cfg, flows, res)
 
         # determinism: ten replays bit-identical
         fingerprint = repr(sorted(res.flow_completion.items()))
@@ -284,6 +263,9 @@ def test_criterion_09_pack_reads_exactly_what_it_sends():
 def test_criterion_10_reports_are_reproducible_byte_for_byte(tmp_path):
     """Two same-seed CLI report runs write identical bytes for every artifact."""
     scenario = str(bundled("demo.json"))
+    # the child sees a scrubbed env; it only learns where haloflow lives
+    package_root = str(Path(haloflow.__file__).resolve().parent.parent)
+    env = {"PATH": "/usr/bin:/bin", "HALOFLOW_SEED": "31", "PYTHONPATH": package_root}
     outs = []
     for sub in ("a", "b"):
         outdir = tmp_path / sub
@@ -291,7 +273,7 @@ def test_criterion_10_reports_are_reproducible_byte_for_byte(tmp_path):
             [sys.executable, "-m", "haloflow.cli", "report",
              "--scenario", scenario, "--output", str(outdir), "--seed", "31"],
             capture_output=True, text=True, timeout=120,
-            env={"PATH": "/usr/bin:/bin", "HALOFLOW_SEED": "31"},
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(outdir)

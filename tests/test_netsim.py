@@ -8,16 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from haloflow import (
     Flow,
+    Link,
     RankMap,
+    ScheduleKind,
     SimConfig,
     SimulationError,
     Staging,
     TimestepScenario,
+    Topology,
     TopologyError,
+    build_alltoall,
     preset,
     simulate,
     simulate_timestep,
 )
+from haloflow.topology import device
+from trace_replay import check_trace
 
 ALPHA_INTRA = 1e-6
 ALPHA_INTER = 1e-5
@@ -79,6 +85,23 @@ class TestSharing:
         flows = [Flow(0, 0, 1, 10**8), Flow(1, 0, 1, 10**8)]
         res = simulate(island_topo, RankMap.identity(2), flows)
         assert res.link_peak_utilization["device:0->device:1"] == pytest.approx(1.0)
+
+
+    def test_parallel_links_report_one_peak_per_name(self):
+        # two links join device 0 to device 1; routes use both, and the
+        # report keeps one entry per name holding the larger peak
+        d0, d1, d2 = device(0), device(1), device(2)
+        topo = Topology(
+            [d0, d1, d2],
+            [Link(d0, d1, 10e9), Link(d0, d1, 20e9), Link(d2, d0, 5e9)],
+            device_mem_bw=800e9,
+            routes={(0, 1): [(0, True)], (2, 1): [(2, True), (1, True)], (0, 2): [(2, False)]},
+        )
+        res = simulate(topo, RankMap.identity(3), [Flow(0, 0, 1, 10**8), Flow(1, 2, 1, 10**8)])
+        assert list(res.link_peak_utilization.items()) == [
+            ("device:0->device:1", 1.0),
+            ("device:2->device:0", 1.0),
+        ]
 
 
 class TestPhases:
@@ -189,6 +212,17 @@ class TestDeterminism:
             assert big[fid] == pytest.approx(t * k, rel=1e-12)
 
 
+class TestNonFiniteSizes:
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, island_topo, size):
+        with pytest.raises(SimulationError, match="flow 0"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, size)])
+
+    def test_fractional_finite_size_is_legal(self, island_topo):
+        res = simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 2.5)])
+        assert res.flow_completion[0] == pytest.approx(ALPHA_INTRA + 2.5 / 25e9, rel=1e-12)
+
+
 class TestConservation:
     def test_event_intervals_transfer_exact_bytes(self, island_topo):
         random.seed(5)
@@ -198,14 +232,30 @@ class TestConservation:
         ]
         flows = [f for f in flows if f.src_rank != f.dst_rank]
         res = simulate(island_topo, RankMap.identity(8), flows)
-        moved: dict[tuple[int, str], float] = {}
-        for ev in res.events:
-            key = (ev.flow_id, ev.resource)
-            moved[key] = moved.get(key, 0.0) + ev.rate * (ev.t1 - ev.t0)
-        by_flow: dict[int, set[str]] = {}
-        for (fid, resource), total in moved.items():
-            f = next(fl for fl in flows if fl.id == fid)
-            assert total == pytest.approx(f.bytes, rel=1e-9, abs=1e-6)
-            by_flow.setdefault(fid, set()).add(resource)
+        check_trace(island_topo, SimConfig(), flows, res)
         for f in flows:
-            assert len(by_flow[f.id]) == len(island_topo.route(f.src_rank, f.dst_rank))
+            crossed = {ev.resource for ev in res.events if ev.flow_id == f.id}
+            assert len(crossed) == len(island_topo.route(f.src_rank, f.dst_rank))
+
+
+class TestTraceReplay:
+    @pytest.mark.parametrize("staging", list(Staging))
+    def test_alltoall_trace_replays(self, staging):
+        topo = preset("dgx1v", servers=2)
+        rnd = random.Random(11)
+        sizes = [[rnd.randint(0, 10**6) for _ in range(12)] for _ in range(12)]
+        flows = build_alltoall(ScheduleKind.ROTATED_CONCURRENT, sizes)
+        cfg = SimConfig(staging=staging)
+        check_trace(topo, cfg, flows, simulate(topo, RankMap.identity(12), flows, cfg))
+
+    @pytest.mark.parametrize("barrier", [True, False])
+    def test_timestep_trace_replays_after_compute(self, island_topo, barrier):
+        flows = tuple(
+            Flow(i, i % 8, (i * 3 + 1) % 8, (i + 1) * 10**6, phase=i % 2) for i in range(16)
+        )
+        compute = [1e-3 * (1 + r % 3) for r in range(8)]
+        res = simulate_timestep(
+            island_topo, RankMap.identity(8), TimestepScenario(compute, flows, barrier)
+        )
+        check_trace(island_topo, SimConfig(), flows, res)
+        assert min(ev.t0 for ev in res.events) >= max(compute)
