@@ -35,5 +35,6 @@ class ScenarioError(HaloflowError):
     """A scenario document failed validation. ``path`` names the offending field."""
 
     def __init__(self, message: str, path: str = ""):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)

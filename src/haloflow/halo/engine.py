@@ -228,6 +228,7 @@ class _DegreeGroup:
 
 @dataclass
 class _RankStencil:
+    grid: GlobalGrid                      # the grid this workspace was built for
     groups: list[_DegreeGroup]
     boundary_mask: np.ndarray             # bool over owned elements
     boundary_rows: list[np.ndarray]       # per group: rows whose member is boundary
@@ -235,38 +236,38 @@ class _RankStencil:
 
 
 def _stencil_ws(grid: GlobalGrid, part: Partition, plan: HaloPlan, rank: int) -> _RankStencil:
-    key = ("stencil", id(grid), rank)
+    """The rank's stencil workspace for ``grid``, built once and kept on the plan.
+
+    An entry is reused only for the very grid object it was built from, so a
+    plan stepped with another grid of the same size gets a fresh workspace.
+    """
+    key = ("stencil", rank)
     cached = plan._caches.get(key)
-    if cached is not None:
+    if cached is not None and cached.grid is grid:
         return cached
 
     owned = part.owned[rank]
-    local_of: dict[int, int] = {int(g): i for i, g in enumerate(owned)}
-    base = len(owned)
-    for slot, (gid, _owner) in enumerate(part.ghosts[rank]):
-        local_of[gid] = base + slot
+    ghost_gids = np.array([g for g, _owner in part.ghosts[rank]], dtype=np.int64)
+    local_of = np.full(grid.n, -1, dtype=np.int64)
+    local_of[owned] = np.arange(len(owned))
+    local_of[ghost_gids] = len(owned) + np.arange(len(ghost_gids))
 
-    by_degree: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for loc, g in enumerate(owned):
-        nbrs = grid.adjacency[int(g)]
-        mem, rows = by_degree.setdefault(len(nbrs), ([], []))
-        mem.append(loc)
-        rows.append([local_of[nb] for nb in nbrs])
-    groups = [
-        _DegreeGroup(
-            degree=d,
-            members=np.asarray(mem, dtype=np.int64),
-            neighbours=np.asarray(rows, dtype=np.int64).reshape(len(mem), d),
-        )
-        for d, (mem, rows) in sorted(by_degree.items())
-    ]
+    starts = grid.indptr[owned]
+    degree = grid.indptr[owned + 1] - starts
+    groups = []
+    for d in np.unique(degree).tolist():
+        members = np.flatnonzero(degree == d)
+        nbrs = local_of[grid.indices[starts[members, None] + np.arange(d)]]
+        if (nbrs < 0).any():
+            raise ProtocolError(f"rank {rank} has a neighbour that is neither owned nor a ghost")
+        groups.append(_DegreeGroup(degree=d, members=members, neighbours=nbrs))
 
     boundary_idx = plan.ranks[rank].boundary_locals()
     boundary_mask = np.zeros(len(owned), dtype=bool)
     boundary_mask[boundary_idx] = True
     boundary_rows = [np.flatnonzero(boundary_mask[g.members]) for g in groups]
     interior_rows = [np.flatnonzero(~boundary_mask[g.members]) for g in groups]
-    ws = _RankStencil(groups, boundary_mask, boundary_rows, interior_rows)
+    ws = _RankStencil(grid, groups, boundary_mask, boundary_rows, interior_rows)
     plan._caches[key] = ws
     return ws
 
@@ -379,13 +380,15 @@ def gather_global(fields: Sequence[Field], part: Partition) -> np.ndarray:
 def global_checksum(fields: Sequence[Field], part: Partition) -> float:
     """Sum of all owned values accumulated in global element order.
 
-    Plain left-to-right float accumulation: the fixed order makes the
-    checksum reproducible digit for digit across rank counts.
+    Plain left-to-right float accumulation starting from ``0.0``: the fixed
+    order makes the checksum reproducible digit for digit across rank
+    counts.  ``np.cumsum`` adds strictly in sequence (``ndarray.sum`` adds
+    pairwise and would round differently); its running sum starts from the
+    first value rather than ``0.0``, which differs from the loop only when
+    every value is ``-0.0``, and adding ``0.0`` at the end turns that ``-0.0``
+    into the loop's ``0.0``.
     """
-    total = 0.0
-    for v in gather_global(fields, part):
-        total += float(v)
-    return total
+    return float(np.cumsum(gather_global(fields, part))[-1]) + 0.0
 
 
 # ----------------------------------------------------------------------

@@ -45,20 +45,22 @@ class Partition:
 
 def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
                    nranks: int) -> Partition:
-    ghosts: list[tuple[tuple[int, int], ...]] = []
-    for r in range(nranks):
-        seen: set[int] = set()
-        for g in owned[r]:
-            for nb in grid.adjacency[g]:
-                if owner[nb] != r:
-                    seen.add(nb)
-        ghosts.append(tuple(sorted(((g, int(owner[g])) for g in seen),
-                                   key=lambda t: (t[1], t[0]))))
+    # every adjacency entry whose neighbour lives on another rank than its
+    # row names a ghost of the row's rank; (rank, global) pairs are encoded
+    # as rank * n + global so one np.unique deduplicates them
+    n = grid.n
+    row_rank = np.repeat(owner, np.diff(grid.indptr))
+    remote = row_rank != owner[grid.indices]
+    rank, gid = np.divmod(np.unique(row_rank[remote] * n + grid.indices[remote]), n)
+    gown = owner[gid]
+    order = np.lexsort((gid, gown, rank))
+    rank, gids, owners = rank[order], gid[order].tolist(), gown[order].tolist()
+    bounds = np.searchsorted(rank, np.arange(nranks + 1)).tolist()
     return Partition(
         nranks=nranks,
         owner=owner,
         owned=tuple(owned),
-        ghosts=tuple(ghosts),
+        ghosts=tuple(tuple(zip(gids[a:b], owners[a:b])) for a, b in zip(bounds, bounds[1:])),
     )
 
 

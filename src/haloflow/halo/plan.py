@@ -58,7 +58,7 @@ class RankPlan:
 class HaloPlan:
     nranks: int
     ranks: tuple[RankPlan, ...]
-    # per-grid stencil workspaces attach here lazily; see engine._stencil_ws
+    # per-rank stencil workspaces attach here lazily; see engine._stencil_ws
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def total_sent(self) -> int:

@@ -10,6 +10,7 @@ findable without reading this file.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,7 @@ from typing import Mapping, Sequence
 from .collectives import ScheduleKind
 from .errors import ScenarioError
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
+from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow
 from .perfmodel import MachineModel, KernelSample
 from .energy import PowerModel, fit_power_model
@@ -94,13 +96,8 @@ _GRID_RE = re.compile(
 )
 
 
-def parse_grid(spec: str) -> GlobalGrid:
-    """Build a grid from its shorthand name.
-
-    ``ring8`` is an 8-element cycle, ``quad16x12`` a periodic 16 by 12
-    mesh, and ``random64d6s3`` a 64-element random graph with maximum
-    degree 6 grown from seed 3.
-    """
+def _grid_recipe(spec: str):
+    """``(builder, checker, args)`` for a grid shorthand; builds nothing."""
     m = _GRID_RE.match(spec)
     if m is None:
         raise ScenarioError(
@@ -108,10 +105,22 @@ def parse_grid(spec: str) -> GlobalGrid:
             "grid",
         )
     if m.group("ring_n") is not None:
-        return ring(int(m.group("ring_n")))
+        return ring, check_ring, (int(m.group("ring_n")),)
     if m.group("qx") is not None:
-        return quad_mesh(int(m.group("qx")), int(m.group("qy")))
-    return random_grid(int(m.group("rn")), int(m.group("rd")), int(m.group("rs")))
+        return quad_mesh, check_quad_mesh, (int(m.group("qx")), int(m.group("qy")))
+    return (random_grid, check_random_grid,
+            (int(m.group("rn")), int(m.group("rd")), int(m.group("rs"))))
+
+
+def parse_grid(spec: str) -> GlobalGrid:
+    """Build a grid from its shorthand name.
+
+    ``ring8`` is an 8-element cycle, ``quad16x12`` a periodic 16 by 12
+    mesh, and ``random64d6s3`` a 64-element random graph with maximum
+    degree 6 grown from seed 3.
+    """
+    build, _check, args = _grid_recipe(spec)
+    return build(*args)
 
 
 # --- workload sections ------------------------------------------------------
@@ -125,6 +134,13 @@ class AlltoallJob:
 
 @dataclass(frozen=True)
 class HaloJob:
+    """One halo stencil run; validated on construction, from flags or a scenario.
+
+    A bad value raises :class:`ScenarioError` whose ``path`` is the field
+    name (or a :class:`ConfigurationError` from the grid generator's own
+    argument checks); the grid itself is only built when the job runs.
+    """
+
     grid: str
     ranks: int
     steps: int
@@ -132,6 +148,19 @@ class HaloJob:
     schedule: ScheduleKind
     bytes_per_element: float
     compute_seconds: float
+
+    def __post_init__(self):
+        _build, check_args, args = _grid_recipe(self.grid)
+        check_args(*args)
+        if self.ranks < 1:
+            raise ScenarioError("ranks must be >= 1", "ranks")
+        if self.steps < 0:
+            raise ScenarioError("steps must be >= 0", "steps")
+        if not (math.isfinite(self.bytes_per_element) and self.bytes_per_element > 0):
+            raise ScenarioError("bytes_per_element must be finite and positive",
+                                "bytes_per_element")
+        if not (math.isfinite(self.compute_seconds) and self.compute_seconds >= 0):
+            raise ScenarioError("compute_seconds must be finite and >= 0", "compute_seconds")
 
 
 @dataclass(frozen=True)
@@ -222,13 +251,8 @@ def _parse_workload(doc: Mapping, path: str):
             path,
         )
         grid = _get(doc, "grid", str, path)
-        parse_grid(grid)  # fail fast on bad shorthand
         ranks = _get(doc, "ranks", int, path)
         steps = _get(doc, "steps", int, path)
-        if ranks < 1:
-            raise ScenarioError("ranks must be >= 1", f"{path}.ranks")
-        if steps < 0:
-            raise ScenarioError("steps must be >= 0", f"{path}.steps")
         mode = _enum(_get(doc, "mode", str, path, default=OverlapMode.NONE.value),
                      OverlapMode, f"{path}.mode")
         sched = _enum(
@@ -236,11 +260,10 @@ def _parse_workload(doc: Mapping, path: str):
             ScheduleKind, f"{path}.schedule")
         bpe = _get(doc, "bytes_per_element", float, path, default=8.0)
         comp = _get(doc, "compute_seconds", float, path, default=0.0)
-        if bpe <= 0:
-            raise ScenarioError("bytes_per_element must be positive", f"{path}.bytes_per_element")
-        if comp < 0:
-            raise ScenarioError("compute_seconds must be >= 0", f"{path}.compute_seconds")
-        return HaloJob(grid, ranks, steps, mode, sched, bpe, comp)
+        try:
+            return HaloJob(grid, ranks, steps, mode, sched, bpe, comp)
+        except ScenarioError as exc:
+            raise ScenarioError(exc.message, f"{path}.{exc.path}") from None
     if kind == "timestep":
         _check_keys(doc, ("kind", "compute_seconds", "flows", "barrier"), path)
         comp_raw = _get(doc, "compute_seconds", list, path)

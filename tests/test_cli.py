@@ -200,6 +200,21 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"] in ("NotADirectoryError", "FileExistsError")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "-3"), ("--bytes-per-element", "nan"), ("--compute-seconds", "-inf"),
+        ("--ranks", "0"),
+    ])
+    def test_bad_halo_flag_is_3(self, capsys, monkeypatch, flag, value):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        argv = {"--ranks": "2", "--grid": "ring8", "--steps": "1", flag: value}
+        code, out, err = run_main(capsys, "halo", *[f"{k}={v}" for k, v in argv.items()])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ScenarioError"
+        assert doc["path"] == flag[2:].replace("-", "_")
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:
             main(["alltoall", "--no-such-flag"])

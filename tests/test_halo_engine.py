@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from haloflow import RankMap, ScheduleKind, SimConfig, preset
 from haloflow.errors import ProtocolError
 from haloflow.halo import (
     OverlapMode,
+    Partition,
     Router,
     build_plan,
+    ensure_plan,
     exchange,
     gather_global,
     global_checksum,
@@ -20,6 +23,7 @@ from haloflow.halo import (
     ring,
     run_stencil,
     staged_vs_direct_cost,
+    stencil_step,
     unpack,
 )
 
@@ -191,3 +195,91 @@ class TestGather:
         fields = make_fields(part, init)
         assert np.array_equal(gather_global(fields, part), init)
         assert global_checksum(fields, part) == sum(float(v) for v in init)
+
+
+# Summands that stress a fixed-order float sum: signed zeros, subnormals,
+# values near the overflow threshold, and ordinary magnitudes.
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 1e-16]
+_SUMMAND = st.one_of(
+    st.sampled_from(_EDGE),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@st.composite
+def _summands(draw):
+    """1..5000 values, optionally followed or interleaved by their negations."""
+    base = draw(st.lists(_SUMMAND, min_size=1, max_size=2500))
+    shape = draw(st.sampled_from(["plain", "mirrored", "interleaved"]))
+    if shape == "mirrored":
+        return base + [-v for v in reversed(base)]
+    if shape == "interleaved":
+        return [x for v in base for x in (v, -v)]
+    return base
+
+
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestChecksum:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_summands(), st.integers(1, 4))
+    @example([-0.0], 1)
+    @example([-0.0, -0.0, -0.0], 2)
+    @example([1e308, 1e308, -1e308], 1)
+    @example([1e308, 1e308, -1e308, -1e308], 3)
+    @example([1.0, 1e-16, 1e-16, -1.0], 2)
+    def test_equals_left_to_right_loop(self, values, nranks):
+        n = len(values)
+        nranks = min(nranks, n)
+        block = -(-n // nranks)
+        owner = np.arange(n) // block
+        part = Partition(
+            nranks=nranks,
+            owner=owner,
+            owned=tuple(np.flatnonzero(owner == r) for r in range(nranks)),
+            ghosts=((),) * nranks,
+        )
+        fields = make_fields(part, np.array(values))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the domain
+            got = global_checksum(fields, part)
+        assert type(got) is float
+        assert repr(got) == repr(_loop_sum(values))
+
+
+class TestWorkspaceCache:
+    def test_missing_ghost_is_a_protocol_error(self):
+        part = partition_block(ring(8), 2)
+        # forge rank 0's ghost list without element 7, a neighbour of element 0
+        bad = Partition(nranks=2, owner=part.owner, owned=part.owned,
+                        ghosts=(((4, 1),), part.ghosts[1]))
+        router = Router(2)
+        plan = build_plan(bad, router)
+        fields = make_fields(bad, np.arange(8.0))
+        with pytest.raises(ProtocolError, match="neither owned nor a ghost"):
+            stencil_step(fields, ring(8), bad, plan, router)
+
+
+    def test_one_plan_two_grids_of_equal_size(self):
+        """Each grid gets its own workspace, even when a freed grid's id is reused."""
+        part = partition_block(ring(8), 1)
+        router = Router(1)
+        plan = ensure_plan(part, router)
+        init = np.arange(8.0) ** 2
+
+        def step(make_grid):
+            grid = make_grid()  # dropped on return, so the next grid may reuse its id
+            fields = make_fields(part, init)
+            stencil_step(fields, grid, part, plan, router)
+            return gather_global(fields, part), reference_step(grid, init)
+
+        for make_grid in (lambda: ring(8), lambda: quad_mesh(2, 4), lambda: ring(8),
+                          lambda: quad_mesh(4, 2)):
+            got, want = step(make_grid)
+            assert np.array_equal(got, want)

@@ -7,20 +7,46 @@ from haloflow import ConfigurationError
 from haloflow.halo import GlobalGrid, partition_block, quad_mesh, random_grid, ring
 
 
+def csr(rows):
+    """``GlobalGrid`` from per-element neighbour lists."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return GlobalGrid(indptr, [j for r in rows for j in r])
+
+
 class TestGridValidation:
     def test_rows_must_be_sorted_unique_in_range(self):
-        with pytest.raises(ConfigurationError):
-            GlobalGrid(3, ((1, 2), (0, 0), (0, 1)))
-        with pytest.raises(ConfigurationError):
-            GlobalGrid(3, ((2, 1), (0,), (0,)))
-        with pytest.raises(ConfigurationError):
-            GlobalGrid(3, ((3,), (0,), (1,)))
+        with pytest.raises(ConfigurationError, match="element 1 must be ascending and unique"):
+            csr(((1, 2), (0, 0), (0, 1)))
+        with pytest.raises(ConfigurationError, match="element 0 must be ascending and unique"):
+            csr(((2, 1), (0,), (0,)))
+        with pytest.raises(ConfigurationError, match="element 0 has out-of-range neighbour 3"):
+            csr(((3,), (0,), (1,)))
+        with pytest.raises(ConfigurationError, match="element 1 has out-of-range neighbour -1"):
+            csr(((1,), (-1,)))
 
     def test_no_self_neighbours_or_empty_rows(self):
-        with pytest.raises(ConfigurationError):
-            GlobalGrid(2, ((0,), (0,)))
-        with pytest.raises(ConfigurationError):
-            GlobalGrid(2, ((1,), ()))
+        with pytest.raises(ConfigurationError, match="element 0 lists itself as neighbour"):
+            csr(((0,), (0,)))
+        with pytest.raises(ConfigurationError, match="element 1 has no neighbours"):
+            csr(((1,), ()))
+
+    def test_first_bad_element_and_first_rule_are_reported(self):
+        # element 1 is both unsorted and self-referencing; element 2 is empty
+        with pytest.raises(ConfigurationError, match="element 1 must be ascending and unique"):
+            csr(((1,), (1, 0), ()))
+
+    def test_indptr_must_cover_indices(self):
+        for indptr, indices in (([0], []), ([1, 2], [1, 0]), ([0, 2, 1], [1, 0]),
+                                ([0, 1, 3], [1, 0]), ([[0, 1]], [1])):
+            with pytest.raises(ConfigurationError, match="must list every element"):
+                GlobalGrid(indptr, indices)
+
+    def test_arrays_are_int64_and_read_only(self):
+        g = csr(((1,), (0,)))
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.indices[0] = 0
+        assert g.n == 2 and g.adjacency == ((1,), (0,))
 
 
 class TestBuilders:

@@ -5,7 +5,8 @@ from importlib import resources
 
 import pytest
 
-from haloflow import ScenarioError, load_scenario, parse_grid, parse_scenario
+import haloflow.scenario as scenario_mod
+from haloflow import ConfigurationError, ScenarioError, load_scenario, parse_grid, parse_scenario
 from haloflow.scenario import AlltoallJob, HaloJob, TimestepJob
 
 
@@ -139,6 +140,44 @@ class TestWorkloads:
         scn = parse_scenario(doc)
         assert scn.workload.mode.value == "none"
         assert scn.workload.bytes_per_element == 8.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("ranks", 0), ("steps", -1), ("bytes_per_element", 0.0),
+        ("bytes_per_element", float("nan")), ("bytes_per_element", float("inf")),
+        ("compute_seconds", -1.0), ("compute_seconds", float("nan")),
+        ("grid", "hex9"),
+    ])
+    def test_halo_values_reported_at_field(self, key, value):
+        doc = minimal()
+        doc["workload"] = {"kind": "halo", "grid": "ring8", "ranks": 2, "steps": 3, key: value}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == f"workload.{key}"
+
+    @pytest.mark.parametrize("grid, message", [
+        ("ring1", "ring needs n >= 2"),
+        ("quad1x4", "quad_mesh needs nx >= 2 and ny >= 2"),
+        ("random1d4s0", "random_grid needs n >= 2"),
+        ("random8d1s0", "random_grid needs max_degree >= 2"),
+    ])
+    def test_halo_grid_arguments_checked_like_the_builders(self, grid, message):
+        doc = minimal()
+        doc["workload"] = {"kind": "halo", "grid": grid, "ranks": 1, "steps": 1}
+        with pytest.raises(ConfigurationError, match=message):
+            parse_scenario(doc)
+        with pytest.raises(ConfigurationError, match=message):
+            parse_grid(grid)
+
+    def test_halo_grid_is_not_built_while_parsing(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("grid built during validation")
+
+        for name in ("ring", "quad_mesh", "random_grid"):
+            monkeypatch.setattr(scenario_mod, name, refuse)
+        for grid in ("ring8", "quad160x160", "random300d8s1"):
+            doc = minimal()
+            doc["workload"] = {"kind": "halo", "grid": grid, "ranks": 2, "steps": 3}
+            assert parse_scenario(doc).workload.grid == grid
 
     def test_energy_fit_and_envelope_are_exclusive(self):
         doc = minimal(
