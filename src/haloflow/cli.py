@@ -1,8 +1,18 @@
 """Command-line front end.
 
-Each subcommand runs one job and emits CSV, either to stdout or as fixed
-file names inside ``--output DIR``.  The job functions are plain callables
-returning (header, rows) pairs so they can also be driven from Python.
+Every subcommand is one section of ``report``: ``alltoall`` and ``halo`` run
+the workload, ``sweep``, ``roofline`` and ``energy`` their sections, and
+``report`` every section the scenario has, plus ``summary.json``.  Tables go
+to stdout as CSV (``--format json`` for JSON) or under fixed names into
+``--output DIR``.  The ``*_table`` functions return (header, rows) pairs.
+
+A job comes from ``--scenario FILE`` or, for ``alltoall`` and ``halo``, from
+workload flags, never both (``--seed``, ``--output`` and ``--format`` combine
+with ``--scenario``).  Flags build a one-workload scenario through the same
+constructors and checks as a file.  A scenario is checked whole before any
+work runs: NaN, infinities (also ``1e400``), unknown keys (topology keys
+too) and negative seeds are errors.  Every table is computed before the
+first file is written, so a failing job leaves no artifacts.
 
 Exit codes: 0 success, 2 bad command line, 3 invalid scenario or
 configuration, 4 simulation or protocol failure, 5 output I/O failure.
@@ -13,59 +23,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import topology as topo_mod
 from .collectives import ScheduleKind, build_alltoall, uniform_sizes
 from .energy import energy_vs_time_series
-from .errors import (
-    ConfigurationError,
-    HaloflowError,
-    ProtocolError,
-    ScenarioError,
-    SimulationError,
-    TopologyError,
-)
-from .halo import (
-    OverlapMode,
-    Router,
-    build_plan,
-    partition_block,
-    run_stencil,
-    staged_vs_direct_cost,
-)
+from .errors import ConfigurationError, HaloflowError, ProtocolError, ScenarioError, SimulationError
+from .halo import OverlapMode, run_stencil, staged_vs_direct_cost
 from .netsim import SimConfig, TimestepScenario, simulate, simulate_timestep
-from .perfmodel import roofline_report
+from .perfmodel import KernelPoint, roofline_report
 from .reporting import render_csv, roofline_svg, write_json
-from .scenario import (
-    AlltoallJob,
-    EnergySpec,
-    HaloJob,
-    RooflineSpec,
-    Scenario,
-    SweepSpec,
-    TimestepJob,
-    load_scenario,
-    parse_grid,
-)
+from .scenario import (AlltoallJob, EnergySpec, HaloJob, RooflineSpec, Scenario, SweepSpec,
+                       TimestepJob, load_scenario, parse_grid)
 from .topology import RankMap, Topology
 
-__all__ = [
-    "main",
-    "resolve_seed",
-    "parse_topology_arg",
-    "alltoall_table",
-    "halo_tables",
-    "timestep_table",
-    "sweep_table",
-    "roofline_table",
-    "energy_table",
-]
+__all__ = ["main", "resolve_seed", "parse_topology_arg", "alltoall_table", "halo_tables",
+           "timestep_table", "sweep_table", "roofline_table", "energy_table"]
 
 SEED_ENV = "HALOFLOW_SEED"
 
@@ -74,22 +53,29 @@ EXIT_SCENARIO = 3
 EXIT_SIMULATION = 4
 EXIT_IO = 5
 
+Table = tuple[list[str], list[list[object]]]
+
 
 def resolve_seed(flag_value: int | None, scenario_value: int = 0) -> int:
-    """Seed precedence: environment, then --seed, then the scenario."""
+    """Seed precedence: environment, then --seed, then the scenario.  Seeds are >= 0."""
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigurationError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+        if seed < 0:
+            raise ConfigurationError(f"{SEED_ENV} must be >= 0, got {env!r}")
+        return seed
     if flag_value is not None:
+        if flag_value < 0:
+            raise ScenarioError("seed must be >= 0", "seed")
         return flag_value
     return scenario_value
 
 
-def parse_topology_arg(spec: str) -> Topology:
-    """Build a preset topology from ``name`` or ``name:key=value,...``."""
+def _topology_doc(spec: str) -> dict:
+    """The topology spec of ``name`` or ``name:key=value,...``; values are JSON."""
     name, _, params = spec.partition(":")
     doc: dict = {"preset": name}
     if params:
@@ -103,14 +89,19 @@ def parse_topology_arg(spec: str) -> Topology:
                 raise ConfigurationError(
                     f"bad topology parameter value {value!r} in {spec!r}"
                 ) from None
-    return topo_mod.from_spec(doc)
+    return doc
+
+
+def parse_topology_arg(spec: str) -> Topology:
+    """Build a preset topology from ``name`` or ``name:key=value,...``."""
+    return topo_mod.from_spec(_topology_doc(spec))
 
 
 # --- job tables -------------------------------------------------------------
 
 def alltoall_table(
     topo: Topology, job: AlltoallJob, cfg: SimConfig | None = None
-) -> tuple[list[str], list[list[object]]]:
+) -> Table:
     """Makespan of one uniform all-to-all under each requested schedule."""
     cfg = cfg or SimConfig()
     rank_map = RankMap.identity(job.ranks)
@@ -126,7 +117,7 @@ def alltoall_table(
 
 def halo_tables(
     topo: Topology, job: HaloJob, seed: int, cfg: SimConfig | None = None
-) -> tuple[tuple[list[str], list[list[object]]], tuple[list[str], list[list[object]]]]:
+) -> tuple[Table, Table]:
     """Run a halo stencil job; returns (checksum table, timing table)."""
     cfg = cfg or SimConfig()
     grid = parse_grid(job.grid)
@@ -141,26 +132,13 @@ def halo_tables(
         part, plan, job.bytes_per_element, topo, rank_map, cfg
     )
     comp = job.compute_seconds
-    timing_rows: list[list[object]] = [[
-        job.grid,
-        job.ranks,
-        plan.total_sent(),
-        comp,
-        direct,
-        staged,
-        comp + direct,
-        comp + staged,
-        (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf"),
-    ]]
-    return (
-        (["step", "checksum"], check_rows),
-        (
-            ["grid", "ranks", "halo_elements", "compute_seconds",
-             "direct_comm_seconds", "staged_comm_seconds",
-             "direct_step_seconds", "staged_step_seconds", "staged_over_direct"],
-            timing_rows,
-        ),
-    )
+    ratio = (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf")
+    timing_rows: list[list[object]] = [[job.grid, job.ranks, plan.total_sent(), comp, direct,
+                                        staged, comp + direct, comp + staged, ratio]]
+    timing_header = ["grid", "ranks", "halo_elements", "compute_seconds",
+                     "direct_comm_seconds", "staged_comm_seconds",
+                     "direct_step_seconds", "staged_step_seconds", "staged_over_direct"]
+    return (["step", "checksum"], check_rows), (timing_header, timing_rows)
 
 
 def timestep_table(
@@ -170,26 +148,16 @@ def timestep_table(
     cfg = cfg or SimConfig()
     nranks = len(job.compute_seconds)
     rank_map = RankMap.identity(nranks)
-    scen = TimestepScenario(
-        compute_seconds=tuple(job.compute_seconds),
-        flows=job.flows,
-        barrier_at_end=job.barrier,
-    )
+    scen = TimestepScenario(tuple(job.compute_seconds), job.flows, barrier_at_end=job.barrier)
     res = simulate_timestep(topo, rank_map, scen, cfg)
     rows: list[list[object]] = [
         [r, job.compute_seconds[r], res.busy_seconds[r], res.busy_fraction[r]]
         for r in range(nranks)
     ]
-    return (
-        ["rank", "compute_seconds", "busy_seconds", "busy_fraction"],
-        rows,
-        res.makespan,
-    )
+    return ["rank", "compute_seconds", "busy_seconds", "busy_fraction"], rows, res.makespan
 
 
-def sweep_table(
-    sweep: SweepSpec, cfg: SimConfig | None = None
-) -> tuple[list[str], list[list[object]]]:
+def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
     """Evaluate one strong-scaling sweep.
 
     Each point exchanges ``total_bytes`` of uniform all-to-all traffic
@@ -212,8 +180,10 @@ def sweep_table(
     )
 
 
-def roofline_table(spec: RooflineSpec) -> tuple[list[str], list[list[object]]]:
-    points = roofline_report(spec.machine, spec.kernels)
+def roofline_table(spec: RooflineSpec, points: Sequence[KernelPoint] | None = None) -> Table:
+    """The kernels on the roofline; ``points`` reuses an earlier ``roofline_report``."""
+    if points is None:
+        points = roofline_report(spec.machine, spec.kernels)
     rows: list[list[object]] = [
         [p.name, p.intensity, p.achieved_flops, p.attainable, p.percent, p.seconds, p.time_share]
         for p in points
@@ -225,7 +195,7 @@ def roofline_table(spec: RooflineSpec) -> tuple[list[str], list[list[object]]]:
     )
 
 
-def energy_table(spec: EnergySpec) -> tuple[list[str], list[list[object]]]:
+def energy_table(spec: EnergySpec) -> Table:
     points = energy_vs_time_series(spec.model, spec.configurations)
     rows: list[list[object]] = [
         [p.name, p.step_seconds, p.busy_fraction, p.devices, p.watts, p.joules]
@@ -237,153 +207,141 @@ def energy_table(spec: EnergySpec) -> tuple[list[str], list[list[object]]]:
     )
 
 
-# --- output plumbing --------------------------------------------------------
+# --- sections ---------------------------------------------------------------
+# A section function returns its artifacts as (file name, table or SVG text,
+# summary.json entry) triples; ``svg`` asks the roofline section for its chart.
 
-def _emit(
-    table: tuple[Sequence[str], Sequence[Sequence[object]]],
-    fmt: str,
-    output: Path | None,
-    filename: str,
-) -> None:
-    header, rows = table
-    if output is None:
-        if fmt == "json":
-            doc = {"header": list(header), "rows": [list(r) for r in rows]}
-            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        else:
-            sys.stdout.write(render_csv(header, rows))
-        return
-    output.mkdir(parents=True, exist_ok=True)
-    (output / filename).write_bytes(render_csv(header, rows).encode("utf-8"))
+Artifact = tuple[str, "Table | str", dict]
 
 
-def _scenario_topology(scn: Scenario) -> Topology:
-    return topo_mod.from_spec(scn.topology)
+def _workload_artifacts(scn: Scenario, seed: int, _svg: bool) -> list[Artifact]:
+    topo = topo_mod.from_spec(scn.topology)
+    job = scn.workload
+    if isinstance(job, AlltoallJob):
+        table = alltoall_table(topo, job)
+        return [("alltoall.csv", table, {"makespans": {str(r[0]): r[4] for r in table[1]}})]
+    if isinstance(job, HaloJob):
+        checksums, timing = halo_tables(topo, job, seed)
+        ratio = timing[1][0][-1]
+        # JSON has no infinity: a run with no compute and no traffic records null
+        return [("halo_checksums.csv", checksums, {"steps": len(checksums[1])}),
+                ("halo_timing.csv", timing,
+                 {"staged_over_direct": ratio if math.isfinite(ratio) else None})]
+    header, rows, makespan = timestep_table(topo, job)
+    return [("timestep.csv", (header, rows), {"makespan_seconds": makespan})]
 
 
-# --- subcommand handlers ----------------------------------------------------
+def _sweep_artifacts(scn: Scenario, _seed: int, _svg: bool) -> list[Artifact]:
+    table = sweep_table(scn.sweep)
+    return [("sweep.csv", table, {"step_seconds": {str(r[0]): r[5] for r in table[1]}})]
 
-def _cmd_alltoall(args: argparse.Namespace) -> None:
-    if args.scenario:
-        scn = load_scenario(args.scenario)
-        if not isinstance(scn.workload, AlltoallJob):
-            raise ScenarioError("scenario workload is not an all-to-all job", "workload.kind")
-        job = scn.workload
-        topo = _scenario_topology(scn)
-    else:
-        if args.ranks is None or args.msg_bytes is None:
+
+def _roofline_artifacts(scn: Scenario, _seed: int, svg: bool) -> list[Artifact]:
+    spec = scn.roofline
+    points = roofline_report(spec.machine, spec.kernels)
+    entry = {"kernels": len(points)}
+    artifacts = [("roofline.csv", roofline_table(spec, points), entry)]
+    if svg:
+        artifacts.append(("roofline.svg", roofline_svg(spec.machine, points), entry))
+    return artifacts
+
+
+def _energy_artifacts(scn: Scenario, _seed: int, _svg: bool) -> list[Artifact]:
+    table = energy_table(scn.energy)
+    return [("energy.csv", table, {"joules": {str(r[0]): r[5] for r in table[1]}})]
+
+
+# Scenario section -> its artifacts, in report order.
+SECTIONS: dict[str, Callable[[Scenario, int, bool], list[Artifact]]] = {
+    "workload": _workload_artifacts,
+    "sweep": _sweep_artifacts,
+    "roofline": _roofline_artifacts,
+    "energy": _energy_artifacts,
+}
+
+# Subcommand -> (scenario section, workload class it needs and its name, if any).
+COMMANDS: dict[str, tuple[str, type | None, str]] = {
+    "alltoall": ("workload", AlltoallJob, "an all-to-all job"),
+    "halo": ("workload", HaloJob, "a halo job"),
+    "sweep": ("sweep", None, ""),
+    "roofline": ("roofline", None, ""),
+    "energy": ("energy", None, ""),
+}
+
+# Workload flags and their defaults.  The parser leaves them None, so that a
+# flag given with --scenario can be told apart from one left out.
+WORKLOAD_FLAGS = {
+    "topology": "dgx1v", "ranks": None, "msg_bytes": None, "schedule": None,
+    "grid": "quad160x160", "steps": 5, "mode": OverlapMode.NONE.value,
+    "bytes_per_element": 8.0, "compute_seconds": 0.0,
+}
+
+
+def _flag_scenario(args: argparse.Namespace) -> Scenario:
+    """The one-workload scenario that ``alltoall`` or ``halo`` flags describe."""
+    flag = {k: default if getattr(args, k, None) is None else getattr(args, k)
+            for k, default in WORKLOAD_FLAGS.items()}
+    if args.command == "alltoall":
+        if flag["ranks"] is None or flag["msg_bytes"] is None:
             raise ConfigurationError("need --ranks and --msg-bytes (or --scenario)")
-        schedules = tuple(ScheduleKind) if args.schedule == "all" else (ScheduleKind(args.schedule),)
-        job = AlltoallJob(args.ranks, args.msg_bytes, schedules)
-        topo = parse_topology_arg(args.topology)
-    _emit(alltoall_table(topo, job), args.format, args.output, "alltoall.csv")
-
-
-def _cmd_halo(args: argparse.Namespace) -> None:
-    if args.scenario:
-        scn = load_scenario(args.scenario)
-        if not isinstance(scn.workload, HaloJob):
-            raise ScenarioError("scenario workload is not a halo job", "workload.kind")
-        job = scn.workload
-        topo = _scenario_topology(scn)
-        seed = resolve_seed(args.seed, scn.seed)
+        sched = flag["schedule"] or "all"
+        schedules = tuple(ScheduleKind) if sched == "all" else (ScheduleKind(sched),)
+        job = AlltoallJob(flag["ranks"], flag["msg_bytes"], schedules)
     else:
-        if args.ranks is None:
+        if flag["ranks"] is None:
             raise ConfigurationError("need --ranks (or --scenario)")
-        job = HaloJob(
-            grid=args.grid,
-            ranks=args.ranks,
-            steps=args.steps,
-            mode=OverlapMode(args.mode),
-            schedule=ScheduleKind(args.schedule if args.schedule != "all" else "rotated_concurrent"),
-            bytes_per_element=args.bytes_per_element,
-            compute_seconds=args.compute_seconds,
-        )
-        topo = parse_topology_arg(args.topology)
-        seed = resolve_seed(args.seed)
-    checksums, timing = halo_tables(topo, job, seed)
-    _emit(checksums, args.format, args.output, "halo_checksums.csv")
-    _emit(timing, args.format, args.output, "halo_timing.csv")
+        sched = flag["schedule"] or ScheduleKind.ROTATED_CONCURRENT.value
+        job = HaloJob(flag["grid"], flag["ranks"], flag["steps"], OverlapMode(flag["mode"]),
+                      ScheduleKind(sched), flag["bytes_per_element"], flag["compute_seconds"])
+    return Scenario("flags", 0, _topology_doc(flag["topology"]), job)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _load(args: argparse.Namespace) -> tuple[Scenario, list[str]]:
+    """The scenario a command runs and the sections it runs, checked."""
+    if args.scenario is None:
+        return _flag_scenario(args), ["workload"]
+    given = [k for k in WORKLOAD_FLAGS if getattr(args, k, None) is not None]
+    if given:
+        raise ConfigurationError(f"--{given[0].replace('_', '-')} cannot be combined "
+                                 "with --scenario")
     scn = load_scenario(args.scenario)
-    if scn.sweep is None:
-        raise ScenarioError("scenario has no sweep section", "sweep")
-    _emit(sweep_table(scn.sweep), args.format, args.output, "sweep.csv")
+    if args.command == "report":
+        return scn, [s for s in SECTIONS if getattr(scn, s) is not None]
+    section, kind, kind_name = COMMANDS[args.command]
+    if kind is not None and not isinstance(scn.workload, kind):
+        raise ScenarioError(f"scenario workload is not {kind_name}", "workload.kind")
+    if getattr(scn, section) is None:
+        raise ScenarioError(f"scenario has no {section} section", section)
+    return scn, [section]
 
 
-def _cmd_roofline(args: argparse.Namespace) -> None:
-    scn = load_scenario(args.scenario)
-    if scn.roofline is None:
-        raise ScenarioError("scenario has no roofline section", "roofline")
-    _emit(roofline_table(scn.roofline), args.format, args.output, "roofline.csv")
-    if args.svg:
-        if args.output is None:
-            raise ConfigurationError("--svg needs --output DIR")
-        points = roofline_report(scn.roofline.machine, scn.roofline.kernels)
-        (args.output / "roofline.svg").write_bytes(
-            roofline_svg(scn.roofline.machine, points).encode("utf-8")
-        )
+def _run(args: argparse.Namespace) -> None:
+    report = args.command == "report"
+    scn, sections = _load(args)
+    svg = report or getattr(args, "svg", False)
+    if svg and args.output is None:
+        raise ConfigurationError(f"{'report' if report else '--svg'} needs --output DIR")
+    seed = resolve_seed(args.seed, scn.seed) if "seed" in args else scn.seed
+    artifacts = [a for s in sections for a in SECTIONS[s](scn, seed, svg)]
 
-
-def _cmd_energy(args: argparse.Namespace) -> None:
-    scn = load_scenario(args.scenario)
-    if scn.energy is None:
-        raise ScenarioError("scenario has no energy section", "energy")
-    _emit(energy_table(scn.energy), args.format, args.output, "energy.csv")
-
-
-def _cmd_report(args: argparse.Namespace) -> None:
-    """Run every section of a scenario into one output directory."""
-    scn = load_scenario(args.scenario)
-    seed = resolve_seed(args.seed, scn.seed)
-    out: Path = args.output
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, dict] = {}
-
-    topo = _scenario_topology(scn)
-    if isinstance(scn.workload, AlltoallJob):
-        header, rows = alltoall_table(topo, scn.workload)
-        _emit((header, rows), "csv", out, "alltoall.csv")
-        artifacts["alltoall.csv"] = {
-            "makespans": {str(r[0]): r[4] for r in rows},
-        }
-    elif isinstance(scn.workload, HaloJob):
-        checksums, timing = halo_tables(topo, scn.workload, seed)
-        _emit(checksums, "csv", out, "halo_checksums.csv")
-        _emit(timing, "csv", out, "halo_timing.csv")
-        artifacts["halo_checksums.csv"] = {"steps": len(checksums[1])}
-        artifacts["halo_timing.csv"] = {"staged_over_direct": timing[1][0][-1]}
-    else:
-        header, rows, makespan = timestep_table(topo, scn.workload)
-        _emit((header, rows), "csv", out, "timestep.csv")
-        artifacts["timestep.csv"] = {"makespan_seconds": makespan}
-
-    if scn.sweep is not None:
-        header, rows = sweep_table(scn.sweep)
-        _emit((header, rows), "csv", out, "sweep.csv")
-        artifacts["sweep.csv"] = {
-            "step_seconds": {str(r[0]): r[5] for r in rows},
-        }
-    if scn.roofline is not None:
-        _emit(roofline_table(scn.roofline), "csv", out, "roofline.csv")
-        points = roofline_report(scn.roofline.machine, scn.roofline.kernels)
-        (out / "roofline.svg").write_bytes(
-            roofline_svg(scn.roofline.machine, points).encode("utf-8")
-        )
-        artifacts["roofline.csv"] = {"kernels": len(points)}
-        artifacts["roofline.svg"] = {"kernels": len(points)}
-    if scn.energy is not None:
-        header, rows = energy_table(scn.energy)
-        _emit((header, rows), "csv", out, "energy.csv")
-        artifacts["energy.csv"] = {"joules": {str(r[0]): r[5] for r in rows}}
-
-    write_json(out / "summary.json", {
-        "scenario": scn.name,
-        "seed": seed,
-        "artifacts": artifacts,
-    })
+    if args.output is None:
+        for _name, (header, rows), _entry in artifacts:
+            if args.format == "json":
+                doc = {"header": list(header), "rows": [list(r) for r in rows]}
+                sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            else:
+                sys.stdout.write(render_csv(header, rows))
+        return
+    args.output.mkdir(parents=True, exist_ok=True)
+    for name, payload, _entry in artifacts:
+        text = payload if isinstance(payload, str) else render_csv(*payload)
+        (args.output / name).write_bytes(text.encode("utf-8"))
+    if report:
+        write_json(args.output / "summary.json", {
+            "scenario": scn.name,
+            "seed": seed,
+            "artifacts": {name: entry for name, _payload, entry in artifacts},
+        })
 
 
 # --- parser -----------------------------------------------------------------
@@ -411,45 +369,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alltoall", help="time one all-to-all under each schedule")
     _add_common(p, scenario_required=False)
-    p.add_argument("--topology", default="dgx1v", help="preset name[:key=value,...]")
-    p.add_argument("--ranks", type=int, default=None)
-    p.add_argument("--msg-bytes", type=int, default=None, help="payload per ordered pair")
-    p.add_argument("--schedule", default="all",
-                   choices=("all",) + tuple(k.value for k in ScheduleKind))
-    p.set_defaults(handler=_cmd_alltoall)
+    p.add_argument("--topology", help="preset name[:key=value,...]")
+    p.add_argument("--ranks", type=int)
+    p.add_argument("--msg-bytes", type=int, help="payload per ordered pair")
+    p.add_argument("--schedule", choices=("all",) + tuple(k.value for k in ScheduleKind))
 
     p = sub.add_parser("halo", help="run a halo-exchange stencil and cost its transfers")
     _add_common(p, scenario_required=False)
-    p.add_argument("--topology", default="dgx1v", help="preset name[:key=value,...]")
-    p.add_argument("--grid", default="quad160x160",
-                   help="ring<N>, quad<NX>x<NY> or random<N>d<D>s<S>")
-    p.add_argument("--ranks", type=int, default=None)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--mode", default="none", choices=tuple(m.value for m in OverlapMode))
-    p.add_argument("--schedule", default="rotated_concurrent",
-                   choices=tuple(k.value for k in ScheduleKind))
-    p.add_argument("--bytes-per-element", type=float, default=8.0)
-    p.add_argument("--compute-seconds", type=float, default=0.0)
+    p.add_argument("--topology", help="preset name[:key=value,...]")
+    p.add_argument("--grid", help="ring<N>, quad<NX>x<NY> or random<N>d<D>s<S>")
+    p.add_argument("--ranks", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--mode", choices=tuple(m.value for m in OverlapMode))
+    p.add_argument("--schedule", choices=tuple(k.value for k in ScheduleKind))
+    p.add_argument("--bytes-per-element", type=float)
+    p.add_argument("--compute-seconds", type=float)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_halo)
 
     p = sub.add_parser("sweep", help="evaluate the scenario's strong-scaling sweep")
     _add_common(p, scenario_required=True)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("roofline", help="place the scenario's kernels on the roofline")
     _add_common(p, scenario_required=True)
     p.add_argument("--svg", action="store_true", help="also write roofline.svg")
-    p.set_defaults(handler=_cmd_roofline)
 
     p = sub.add_parser("energy", help="energy bill for the scenario's configurations")
     _add_common(p, scenario_required=True)
-    p.set_defaults(handler=_cmd_energy)
 
     p = sub.add_parser("report", help="run every scenario section into --output")
     _add_common(p, scenario_required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -465,14 +414,8 @@ def _fail(code: int, exc: Exception) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.output is not None and not isinstance(args.output, Path):
-        args.output = Path(args.output)
     try:
-        args.handler(args)
-    except ScenarioError as exc:
-        return _fail(EXIT_SCENARIO, exc)
-    except (ConfigurationError, TopologyError) as exc:
-        return _fail(EXIT_SCENARIO, exc)
+        _run(args)
     except (SimulationError, ProtocolError) as exc:
         return _fail(EXIT_SIMULATION, exc)
     except HaloflowError as exc:

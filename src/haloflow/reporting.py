@@ -93,6 +93,8 @@ def roofline_svg(machine: MachineModel, points: Sequence[KernelPoint]) -> str:
 
     xs = [p.intensity for p in points] + [machine.ridge_intensity]
     ys = [p.achieved_flops for p in points] + [machine.peak_flops]
+    if min(xs) <= 0 or min(ys) <= 0:
+        raise ConfigurationError("a log-log roofline chart needs kernels with nonzero flops")
     x_lo = 10.0 ** math.floor(math.log10(min(xs)) - 0.3)
     x_hi = 10.0 ** math.ceil(math.log10(max(xs)) + 0.3)
     y_lo = 10.0 ** math.floor(math.log10(min(ys)) - 0.3)

@@ -1,10 +1,12 @@
 """Scenario documents: validated JSON descriptions of one experiment.
 
 A scenario bundles a topology, one workload, and optional sweep, roofline
-and energy sections.  Validation is strict: every key is checked against
-the schema by hand, unknown keys are rejected, and every complaint carries
-the dotted path of the offending field so a typo in a nested section is
-findable without reading this file.
+and energy sections.  Validation is strict: unknown keys (topology keys
+too) and a NaN or infinity anywhere are rejected, and every complaint
+carries the dotted path of the offending field.  The parser checks the JSON
+shape and types; the typed sections' constructors check the values, so a
+job built from CLI flags or in Python gets the same checks, and the parser
+prefixes their field paths with the section's path.
 """
 
 from __future__ import annotations
@@ -21,23 +23,13 @@ from .errors import ScenarioError
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow
+from .topology import check_spec
 from .perfmodel import MachineModel, KernelSample
 from .energy import PowerModel, fit_power_model
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "AlltoallJob",
-    "HaloJob",
-    "TimestepJob",
-    "SweepPoint",
-    "SweepSpec",
-    "RooflineSpec",
-    "EnergySpec",
-    "Scenario",
-    "parse_grid",
-    "parse_scenario",
-    "load_scenario",
-]
+__all__ = ["SCHEMA_VERSION", "AlltoallJob", "HaloJob", "TimestepJob", "SweepPoint", "SweepSpec",
+           "RooflineSpec", "EnergySpec", "Scenario", "parse_grid", "parse_scenario",
+           "load_scenario"]
 
 SCHEMA_VERSION = 1
 
@@ -77,6 +69,34 @@ def _get(doc: Mapping, key: str, kind: type | tuple, path: str, default: object 
         kname = kind.__name__ if isinstance(kind, type) else "value"
         raise ScenarioError(f"expected {kname}, got {type(value).__name__}", sub)
     return value
+
+
+def _at(prefix: str, build, *args):
+    """``build(*args)``, with ``prefix`` put before the path of a ScenarioError it raises."""
+    try:
+        return build(*args)
+    except ScenarioError as exc:
+        raise ScenarioError(exc.message, f"{prefix}.{exc.path}" if exc.path else prefix) from None
+
+
+def _check_finite(value: object, path: str) -> None:
+    """Reject NaN and infinities anywhere in a document (``json`` decodes ``1e400`` to inf)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got {value}", path)
+    if isinstance(value, Mapping):
+        for key, sub in value.items():
+            _check_finite(sub, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, sub in enumerate(value):
+            _check_finite(sub, f"{path}[{i}]")
+
+
+def _objects(doc: Mapping, key: str, allowed: Sequence[str], path: str):
+    """``(entry, path)`` per entry of the list ``doc[key]``; entries are objects of ``allowed``."""
+    for i, entry in enumerate(_get(doc, key, list, path)):
+        entry_path = f"{path}.{key}[{i}]"
+        _check_keys(_expect_mapping(entry, entry_path), allowed, entry_path)
+        yield entry, entry_path
 
 
 def _enum(value: str, enum_cls, path: str):
@@ -127,9 +147,22 @@ def parse_grid(spec: str) -> GlobalGrid:
 
 @dataclass(frozen=True)
 class AlltoallJob:
+    """One uniform all-to-all; validated on construction, from flags or a scenario.
+
+    ``msg_bytes`` may be given as an integral float; it is stored as an int.
+    """
+
     ranks: int
     msg_bytes: int
     schedules: tuple[ScheduleKind, ...]
+
+    def __post_init__(self):
+        if self.ranks < 1:
+            raise ScenarioError("ranks must be >= 1", "ranks")
+        msg = self.msg_bytes
+        if isinstance(msg, float) and not (math.isfinite(msg) and msg.is_integer()) or msg < 0:
+            raise ScenarioError("msg_bytes must be a non-negative integer", "msg_bytes")
+        object.__setattr__(self, "msg_bytes", int(msg))
 
 
 @dataclass(frozen=True)
@@ -165,9 +198,26 @@ class HaloJob:
 
 @dataclass(frozen=True)
 class TimestepJob:
+    """Per-rank compute, then phased flows among those ranks; validated on construction."""
+
     compute_seconds: tuple[float, ...]
     flows: tuple[Flow, ...]
     barrier: bool
+
+    def __post_init__(self):
+        if not self.compute_seconds:
+            raise ScenarioError("compute_seconds must not be empty", "compute_seconds")
+        for i, c in enumerate(self.compute_seconds):
+            if not (math.isfinite(c) and c >= 0):
+                raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
+        ranks = len(self.compute_seconds)
+        for i, f in enumerate(self.flows):
+            for key, bad, rule in (("src", not 0 <= f.src_rank < ranks, f"in [0, {ranks})"),
+                                   ("dst", not 0 <= f.dst_rank < ranks, f"in [0, {ranks})"),
+                                   ("bytes", f.bytes < 0, ">= 0"),
+                                   ("phase", f.phase < 0, ">= 0")):
+                if bad:
+                    raise ScenarioError(f"{key} must be {rule}", f"flows[{i}].{key}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +226,13 @@ class SweepPoint:
     topology: Mapping
     ranks: int
     imbalance: float
+
+    def __post_init__(self):
+        if self.ranks < 1:
+            raise ScenarioError("ranks must be >= 1", "ranks")
+        if not self.imbalance >= 1.0:
+            raise ScenarioError("imbalance must be >= 1", "imbalance")
+        _at("topology", check_spec, self.topology)
 
 
 @dataclass(frozen=True)
@@ -192,17 +249,37 @@ class SweepSpec:
     schedule: ScheduleKind
     points: tuple[SweepPoint, ...]
 
+    def __post_init__(self):
+        if not (math.isfinite(self.total_bytes) and self.total_bytes > 0):
+            raise ScenarioError("total_bytes must be finite and positive", "total_bytes")
+        if not self.compute_seconds_total >= 0:
+            raise ScenarioError("compute_seconds_total must be >= 0", "compute_seconds_total")
+        if not self.points:
+            raise ScenarioError("points must not be empty", "points")
+        names = [p.name for p in self.points]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ScenarioError(f"duplicate point name {name!r}", f"points[{i}].name")
+
 
 @dataclass(frozen=True)
 class RooflineSpec:
     machine: MachineModel
     kernels: tuple[KernelSample, ...]
 
+    def __post_init__(self):
+        if not self.kernels:
+            raise ScenarioError("kernels must not be empty", "kernels")
+
 
 @dataclass(frozen=True)
 class EnergySpec:
     model: PowerModel
     configurations: tuple[tuple[str, float, float, int], ...]
+
+    def __post_init__(self):
+        if not self.configurations:
+            raise ScenarioError("configurations must not be empty", "configurations")
 
 
 @dataclass(frozen=True)
@@ -211,9 +288,14 @@ class Scenario:
     seed: int
     topology: Mapping
     workload: AlltoallJob | HaloJob | TimestepJob
-    sweep: SweepSpec | None
-    roofline: RooflineSpec | None
-    energy: EnergySpec | None
+    sweep: SweepSpec | None = None
+    roofline: RooflineSpec | None = None
+    energy: EnergySpec | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0", "seed")
+        _at("topology", check_spec, self.topology)
 
 
 # --- parsers ----------------------------------------------------------------
@@ -236,20 +318,11 @@ def _parse_workload(doc: Mapping, path: str):
     kind = _get(doc, "kind", str, path)
     if kind == "alltoall":
         _check_keys(doc, ("kind", "ranks", "msg_bytes", "schedules"), path)
-        ranks = _get(doc, "ranks", int, path)
-        msg = _get(doc, "msg_bytes", float, path)
-        if ranks < 1:
-            raise ScenarioError("ranks must be >= 1", f"{path}.ranks")
-        if msg < 0 or msg != int(msg):
-            raise ScenarioError("msg_bytes must be a non-negative integer", f"{path}.msg_bytes")
-        return AlltoallJob(ranks, int(msg), _parse_schedule_list(doc, path))
+        return _at(path, AlltoallJob, _get(doc, "ranks", int, path),
+                   _get(doc, "msg_bytes", float, path), _parse_schedule_list(doc, path))
     if kind == "halo":
-        _check_keys(
-            doc,
-            ("kind", "grid", "ranks", "steps", "mode", "schedule",
-             "bytes_per_element", "compute_seconds"),
-            path,
-        )
+        _check_keys(doc, ("kind", "grid", "ranks", "steps", "mode", "schedule",
+                          "bytes_per_element", "compute_seconds"), path)
         grid = _get(doc, "grid", str, path)
         ranks = _get(doc, "ranks", int, path)
         steps = _get(doc, "steps", int, path)
@@ -260,36 +333,22 @@ def _parse_workload(doc: Mapping, path: str):
             ScheduleKind, f"{path}.schedule")
         bpe = _get(doc, "bytes_per_element", float, path, default=8.0)
         comp = _get(doc, "compute_seconds", float, path, default=0.0)
-        try:
-            return HaloJob(grid, ranks, steps, mode, sched, bpe, comp)
-        except ScenarioError as exc:
-            raise ScenarioError(exc.message, f"{path}.{exc.path}") from None
+        return _at(path, HaloJob, grid, ranks, steps, mode, sched, bpe, comp)
     if kind == "timestep":
         _check_keys(doc, ("kind", "compute_seconds", "flows", "barrier"), path)
         comp_raw = _get(doc, "compute_seconds", list, path)
         comp = []
         for i, c in enumerate(comp_raw):
-            if isinstance(c, bool) or not isinstance(c, (int, float)) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise ScenarioError("expected a non-negative number",
                                     f"{path}.compute_seconds[{i}]")
             comp.append(float(c))
-        if not comp:
-            raise ScenarioError("compute_seconds must not be empty", f"{path}.compute_seconds")
-        flows_raw = _get(doc, "flows", list, path)
-        flows = []
-        for i, fd in enumerate(flows_raw):
-            fp = f"{path}.flows[{i}]"
-            fd = _expect_mapping(fd, fp)
-            _check_keys(fd, ("src", "dst", "bytes", "phase"), fp)
-            flows.append(Flow(
-                id=i,
-                src_rank=_get(fd, "src", int, fp),
-                dst_rank=_get(fd, "dst", int, fp),
-                bytes=_get(fd, "bytes", int, fp),
-                phase=_get(fd, "phase", int, fp, default=0),
-            ))
-        return TimestepJob(tuple(comp), tuple(flows),
-                           _get(doc, "barrier", bool, path, default=True))
+        flows = [Flow(i, _get(fd, "src", int, fp), _get(fd, "dst", int, fp),
+                      _get(fd, "bytes", int, fp), _get(fd, "phase", int, fp, default=0))
+                 for i, (fd, fp) in enumerate(
+                     _objects(doc, "flows", ("src", "dst", "bytes", "phase"), path))]
+        return _at(path, TimestepJob, tuple(comp), tuple(flows),
+                   _get(doc, "barrier", bool, path, default=True))
     raise ScenarioError(f"unknown workload kind {kind!r}", f"{path}.kind")
 
 
@@ -297,59 +356,26 @@ def _parse_sweep(doc: Mapping, path: str) -> SweepSpec:
     _check_keys(doc, ("total_bytes", "compute_seconds_total", "schedule", "points"), path)
     total = _get(doc, "total_bytes", float, path)
     comp = _get(doc, "compute_seconds_total", float, path)
-    if total <= 0:
-        raise ScenarioError("total_bytes must be positive", f"{path}.total_bytes")
-    if comp < 0:
-        raise ScenarioError("compute_seconds_total must be >= 0", f"{path}.compute_seconds_total")
     sched = _enum(
         _get(doc, "schedule", str, path, default=ScheduleKind.ROTATED_CONCURRENT.value),
         ScheduleKind, f"{path}.schedule")
-    pts_raw = _get(doc, "points", list, path)
-    if not pts_raw:
-        raise ScenarioError("points must not be empty", f"{path}.points")
-    points = []
-    names = set()
-    for i, pd in enumerate(pts_raw):
-        pp = f"{path}.points[{i}]"
-        pd = _expect_mapping(pd, pp)
-        _check_keys(pd, ("name", "topology", "ranks", "imbalance"), pp)
-        name = _get(pd, "name", str, pp)
-        if name in names:
-            raise ScenarioError(f"duplicate point name {name!r}", f"{pp}.name")
-        names.add(name)
-        ranks = _get(pd, "ranks", int, pp)
-        if ranks < 1:
-            raise ScenarioError("ranks must be >= 1", f"{pp}.ranks")
-        imb = _get(pd, "imbalance", float, pp, default=1.0)
-        if imb < 1.0:
-            raise ScenarioError("imbalance must be >= 1", f"{pp}.imbalance")
-        topo = _expect_mapping(_get(pd, "topology", Mapping, pp), f"{pp}.topology")
-        points.append(SweepPoint(name, topo, ranks, imb))
-    return SweepSpec(total, comp, sched, tuple(points))
+    points = [_at(pp, SweepPoint, _get(pd, "name", str, pp), _get(pd, "topology", Mapping, pp),
+                  _get(pd, "ranks", int, pp), _get(pd, "imbalance", float, pp, default=1.0))
+              for pd, pp in _objects(doc, "points", ("name", "topology", "ranks", "imbalance"),
+                                     path)]
+    return _at(path, SweepSpec, total, comp, sched, tuple(points))
 
 
 def _parse_roofline(doc: Mapping, path: str) -> RooflineSpec:
     _check_keys(doc, ("peak_gflops", "stream_gbps", "kernels"), path)
+    default = MachineModel()
     machine = MachineModel(
-        peak_flops=_get(doc, "peak_gflops", float, path, default=MachineModel().peak_flops / 1e9) * 1e9,
-        stream_bandwidth=_get(doc, "stream_gbps", float, path,
-                              default=MachineModel().stream_bandwidth / 1e9) * 1e9,
-    )
-    kernels_raw = _get(doc, "kernels", list, path)
-    if not kernels_raw:
-        raise ScenarioError("kernels must not be empty", f"{path}.kernels")
-    kernels = []
-    for i, kd in enumerate(kernels_raw):
-        kp = f"{path}.kernels[{i}]"
-        kd = _expect_mapping(kd, kp)
-        _check_keys(kd, ("name", "flops", "bytes", "seconds"), kp)
-        kernels.append(KernelSample(
-            name=_get(kd, "name", str, kp),
-            flops=_get(kd, "flops", float, kp),
-            bytes_moved=_get(kd, "bytes", float, kp),
-            seconds=_get(kd, "seconds", float, kp),
-        ))
-    return RooflineSpec(machine, tuple(kernels))
+        _get(doc, "peak_gflops", float, path, default=default.peak_flops / 1e9) * 1e9,
+        _get(doc, "stream_gbps", float, path, default=default.stream_bandwidth / 1e9) * 1e9)
+    kernels = [KernelSample(_get(kd, "name", str, kp), _get(kd, "flops", float, kp),
+                            _get(kd, "bytes", float, kp), _get(kd, "seconds", float, kp))
+               for kd, kp in _objects(doc, "kernels", ("name", "flops", "bytes", "seconds"), path)]
+    return _at(path, RooflineSpec, machine, tuple(kernels))
 
 
 def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
@@ -372,37 +398,25 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
             p_idle=_get(doc, "p_idle", float, path, default=PowerModel().p_idle),
             p_max=_get(doc, "p_max", float, path, default=PowerModel().p_max),
         )
-    confs_raw = _get(doc, "configurations", list, path)
-    if not confs_raw:
-        raise ScenarioError("configurations must not be empty", f"{path}.configurations")
-    confs = []
-    for i, cd in enumerate(confs_raw):
-        cp = f"{path}.configurations[{i}]"
-        cd = _expect_mapping(cd, cp)
-        _check_keys(cd, ("name", "step_seconds", "busy_fraction", "devices"), cp)
-        confs.append((
-            _get(cd, "name", str, cp),
-            _get(cd, "step_seconds", float, cp),
-            _get(cd, "busy_fraction", float, cp),
-            _get(cd, "devices", int, cp, default=1),
-        ))
-    return EnergySpec(model, tuple(confs))
+    confs = [(_get(cd, "name", str, cp), _get(cd, "step_seconds", float, cp),
+              _get(cd, "busy_fraction", float, cp), _get(cd, "devices", int, cp, default=1))
+             for cd, cp in _objects(doc, "configurations",
+                                    ("name", "step_seconds", "busy_fraction", "devices"), path)]
+    return _at(path, EnergySpec, model, tuple(confs))
 
 
 def parse_scenario(doc: object) -> Scenario:
     """Validate a decoded scenario document and build the typed form."""
+    _check_finite(doc, "")
     doc = _expect_mapping(doc, "")
-    _check_keys(
-        doc,
-        ("schema", "name", "seed", "topology", "workload", "sweep", "roofline", "energy"),
-        "",
-    )
+    _check_keys(doc, ("schema", "name", "seed", "topology", "workload", "sweep", "roofline",
+                      "energy"), "")
     schema = _get(doc, "schema", int, "")
     if schema != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {schema}", "schema")
     name = _get(doc, "name", str, "", default="scenario")
     seed = _get(doc, "seed", int, "", default=0)
-    topology = _expect_mapping(_get(doc, "topology", Mapping, ""), "topology")
+    topology = _get(doc, "topology", Mapping, "")
     workload = _parse_workload(
         _expect_mapping(_get(doc, "workload", Mapping, ""), "workload"), "workload")
     sweep = roofline = energy = None

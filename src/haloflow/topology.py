@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, TopologyError
+from .errors import ConfigurationError, ScenarioError, TopologyError
 
 # Default per-direction capacities, bytes/s.  Overridable per preset call.
 NVLINK_LANE_PASCAL = 20e9
@@ -494,6 +494,18 @@ def _fat_tree_edr(
     return Topology(nodes, links, mem, name=f"fat_tree_edr_{nodes_count}x{devices_per_node}")
 
 
+_PRESETS = ("dgx1p", "dgx1v", "dgx2", "fat_tree_edr")
+
+
+def _preset_key(name: str) -> str:
+    key = name.strip().lower().replace("-", "_")
+    if key not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; expected one of {', '.join(_PRESETS)}"
+        )
+    return key
+
+
 def preset(
     name: str,
     *,
@@ -512,7 +524,7 @@ def preset(
     to ``fat_tree_edr``.  Bandwidth arguments override the per-direction
     defaults; ``None`` keeps the generation default.
     """
-    key = name.strip().lower().replace("-", "_")
+    key = _preset_key(name)
     if key == "dgx1p":
         return _dgx1("p", servers, nvlink_bw, pcie_bw, cpu_interconnect_bw, ib_bw, device_mem_bw)
     if key == "dgx1v":
@@ -521,16 +533,50 @@ def preset(
         if servers != 1:
             raise ConfigurationError("dgx2 preset is a single box; servers must be 1")
         return _dgx2(nvlink_bw, device_mem_bw)
-    if key == "fat_tree_edr":
-        return _fat_tree_edr(nodes, devices_per_node, pcie_bw, ib_bw, device_mem_bw)
-    raise ConfigurationError(
-        f"unknown preset {name!r}; expected one of dgx1p, dgx1v, dgx2, fat_tree_edr"
-    )
+    return _fat_tree_edr(nodes, devices_per_node, pcie_bw, ib_bw, device_mem_bw)
 
 
 def route_bandwidth(t: Topology, src: int, dst: int) -> float:
     """Module-level convenience alias for :meth:`Topology.route_bandwidth`."""
     return t.route_bandwidth(src, dst)
+
+
+# Preset spec key -> (preset() keyword, GB/s scale, or None for an integer count).
+_PRESET_KEYS = {
+    "servers": ("servers", None),
+    "nodes": ("nodes", None),
+    "devices_per_node": ("devices_per_node", None),
+    "nvlink_gbps": ("nvlink_bw", 1e9),
+    "pcie_gbps": ("pcie_bw", 1e9),
+    "cpu_interconnect_gbps": ("cpu_interconnect_bw", 1e9),
+    "ib_gbps": ("ib_bw", 1e9),
+    "device_mem_bw_gbps": ("device_mem_bw", 1e9),
+}
+_INLINE_KEYS = ("nodes", "links", "device_mem_bw_gbps", "routes", "name")
+
+
+def check_spec(doc: Mapping) -> None:
+    """Check a topology spec's keys and preset parameters without building it.
+
+    A bad key or value raises :class:`ScenarioError` whose ``path`` is the
+    key; an unknown preset name raises :class:`ConfigurationError`.
+    """
+    if "preset" not in doc:
+        unknown = sorted(set(doc) - set(_INLINE_KEYS))
+        if unknown:
+            raise ScenarioError(f"unknown key {unknown[0]!r}", unknown[0])
+        return
+    if not isinstance(doc["preset"], str):
+        raise ScenarioError(f"expected a preset name, got {type(doc['preset']).__name__}",
+                            "preset")
+    _preset_key(doc["preset"])
+    for key in sorted(set(doc) - {"preset"}):
+        if key not in _PRESET_KEYS:
+            raise ScenarioError(f"unknown key {key!r}", key)
+        value, scale = doc[key], _PRESET_KEYS[key][1]
+        if isinstance(value, bool) or not isinstance(value, int if scale is None else (int, float)):
+            kind = "an integer" if scale is None else "a number"
+            raise ScenarioError(f"expected {kind}, got {type(value).__name__}", key)
 
 
 def from_spec(doc: Mapping) -> Topology:
@@ -544,22 +590,15 @@ def from_spec(doc: Mapping) -> Topology:
          "routes": [{"src": 0, "dst": 1, "links": [0, 2]}, ...]}   # optional
 
     Inline bandwidth figures are given in GB/s per direction.  When
-    ``routes`` is omitted they are derived by shortest-hop search.
+    ``routes`` is omitted they are derived by shortest-hop search.  The spec
+    is checked by :func:`check_spec` first.
     """
+    check_spec(doc)
     if "preset" in doc:
         kwargs = {}
-        for src_key, dst_key, conv in (
-            ("servers", "servers", int),
-            ("nodes", "nodes", int),
-            ("devices_per_node", "devices_per_node", int),
-            ("nvlink_gbps", "nvlink_bw", lambda v: float(v) * 1e9),
-            ("pcie_gbps", "pcie_bw", lambda v: float(v) * 1e9),
-            ("cpu_interconnect_gbps", "cpu_interconnect_bw", lambda v: float(v) * 1e9),
-            ("ib_gbps", "ib_bw", lambda v: float(v) * 1e9),
-            ("device_mem_bw_gbps", "device_mem_bw", lambda v: float(v) * 1e9),
-        ):
-            if src_key in doc:
-                kwargs[dst_key] = conv(doc[src_key])
+        for key, (keyword, scale) in _PRESET_KEYS.items():
+            if key in doc:
+                kwargs[keyword] = doc[key] if scale is None else float(doc[key]) * scale
         return preset(doc["preset"], **kwargs)
 
     try:

@@ -245,3 +245,189 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("schedule,")
+
+
+def write_scenario(tmp_path, text):
+    path = tmp_path / "scn.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    return str(path)
+
+
+def one_json_line(err):
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
+
+
+ALLTOALL_DOC = {
+    "schema": 1,
+    "topology": {"preset": "dgx1v"},
+    "workload": {"kind": "alltoall", "ranks": 4, "msg_bytes": 1000},
+}
+
+
+class TestRejectedBeforeAnyWork:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_msg_bytes(self, tmp_path, capsys, monkeypatch, literal):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        text = json.dumps(ALLTOALL_DOC).replace('"msg_bytes": 1000', f'"msg_bytes": {literal}')
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, text), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == "workload.msg_bytes"
+        assert not out.exists()
+
+    def test_non_finite_sweep_total_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, sweep={
+            "total_bytes": 12345, "compute_seconds_total": 0.0,
+            "points": [{"name": "p", "topology": {"preset": "dgx2"}, "ranks": 4}]})
+        text = json.dumps(doc).replace("12345", "NaN")
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "report", "--scenario",
+                                write_scenario(tmp_path, text), "--output", str(out))
+        assert code == 3
+        assert one_json_line(err)["path"] == "sweep.total_bytes"
+        assert not out.exists()
+
+    def test_negative_scenario_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, seed=-1)
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "report", "--scenario", write_scenario(tmp_path, doc),
+                                "--output", str(out))
+        assert code == 3
+        assert one_json_line(err)["path"] == "seed"
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        code, out, err = run_main(capsys, "halo", "--grid", "ring8", "--ranks", "2",
+                                  "--seed", "-1")
+        assert code == 3 and out == ""
+        assert one_json_line(err)["path"] == "seed"
+
+    def test_negative_environment_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALOFLOW_SEED", "-3")
+        code, out, err = run_main(capsys, "halo", "--grid", "ring8", "--ranks", "2")
+        assert code == 3 and out == ""
+        assert "HALOFLOW_SEED" in one_json_line(err)["message"]
+
+    @pytest.mark.parametrize("topology, path", [
+        ({"preset": 5}, "topology.preset"),
+        ({"preset": "dgx1v", "srevers": 4}, "topology.srevers"),
+        ({"preset": "dgx1v", "servers": 2.0}, "topology.servers"),
+        ({"preset": "dgx1v", "servers": True}, "topology.servers"),
+        ({"preset": "dgx1v", "nvlink_gbps": "fast"}, "topology.nvlink_gbps"),
+        ({"nodes": [], "links": [], "colour": "red"}, "topology.colour"),
+    ])
+    def test_bad_topology_spec(self, tmp_path, capsys, monkeypatch, topology, path):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, topology=topology)
+        code, out, err = run_main(capsys, "alltoall", "--scenario",
+                                  write_scenario(tmp_path, doc))
+        assert code == 3 and out == ""
+        assert one_json_line(err)["path"] == path
+
+    @pytest.mark.parametrize("spec", ["dgx1v:servers=2.9", "dgx1v:srevers=2",
+                                      "dgx1v:servers=true", "dgx1v:nvlink_gbps=\"x\""])
+    def test_bad_topology_flag(self, capsys, monkeypatch, spec):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        code, out, err = run_main(capsys, "alltoall", "--topology", spec,
+                                  "--ranks", "4", "--msg-bytes", "1")
+        assert code == 3 and out == ""
+        assert one_json_line(err)["path"].startswith("topology.")
+
+    def test_report_needs_output(self, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        code, out, err = run_main(capsys, "report", "--scenario", bundled("demo.json"))
+        assert code == 3 and out == ""
+        assert one_json_line(err)["error"] == "ConfigurationError"
+
+    def test_unchartable_roofline_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, roofline={
+            "kernels": [{"name": "idle", "flops": 0, "bytes": 8, "seconds": 1}]})
+        scn = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "report", "--scenario", scn, "--output", str(out))
+        assert code == 3
+        assert one_json_line(err)["error"] == "ConfigurationError"
+        assert not out.exists()
+        # without --svg the table alone still prints
+        code, stdout, _ = run_main(capsys, "roofline", "--scenario", scn)
+        assert code == 0 and stdout.startswith("kernel,")
+
+
+WORKLOAD_FLAGS = [
+    ("alltoall", "--topology", "dgx2"), ("alltoall", "--ranks", "8"),
+    ("alltoall", "--msg-bytes", "8"), ("alltoall", "--schedule", "pairwise_xor"),
+    ("halo", "--topology", "dgx2"), ("halo", "--ranks", "8"), ("halo", "--grid", "ring8"),
+    ("halo", "--steps", "1"), ("halo", "--mode", "mask_array"),
+    ("halo", "--schedule", "linear_sequential"), ("halo", "--bytes-per-element", "4"),
+    ("halo", "--compute-seconds", "0.5"),
+]
+
+
+class TestFlagsOrScenario:
+    @pytest.mark.parametrize("command, flag, value", WORKLOAD_FLAGS)
+    def test_workload_flag_with_scenario_is_3(self, capsys, monkeypatch, command, flag, value):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        scenario = bundled("demo.json" if command == "alltoall" else "halo.json")
+        code, out, err = run_main(capsys, command, "--scenario", scenario, flag, value)
+        assert code == 3 and out == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ConfigurationError"
+        assert flag in doc["message"]
+
+    def test_seed_output_and_format_combine_with_scenario(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        code, out, _ = run_main(capsys, "alltoall", "--scenario", bundled("demo.json"),
+                                "--format", "json")
+        assert code == 0 and json.loads(out)["header"][0] == "schedule"
+        code, _, err = run_main(capsys, "halo", "--scenario", bundled("halo.json"),
+                                "--seed", "3", "--output", str(tmp_path / "h"))
+        assert code == 0, err
+        assert sorted(p.name for p in (tmp_path / "h").iterdir()) == [
+            "halo_checksums.csv", "halo_timing.csv"]
+
+
+class TestOneCommandPath:
+    def test_report_runs_the_roofline_model_once(self, tmp_path, capsys, monkeypatch):
+        import haloflow.cli as cli
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        calls = []
+        original = cli.roofline_report
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "roofline_report", counting)
+        code, _, err = run_main(capsys, "report", "--scenario", bundled("demo.json"),
+                                "--output", str(tmp_path / "rep"))
+        assert code == 0, err
+        assert len(calls) == 1
+
+    def test_report_sections_match_the_subcommands(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        demo = bundled("demo.json")
+        assert run_main(capsys, "report", "--scenario", demo,
+                        "--output", str(tmp_path / "rep"))[0] == 0
+        for command in ("alltoall", "sweep", "roofline", "energy"):
+            code, out, _ = run_main(capsys, command, "--scenario", demo)
+            assert code == 0
+            assert out == (tmp_path / "rep" / f"{command}.csv").read_text()
+
+    def test_one_rank_halo_report_records_null_ratio(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, workload={"kind": "halo", "grid": "ring8", "ranks": 1,
+                                           "steps": 1})
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "report", "--scenario", write_scenario(tmp_path, doc),
+                                "--output", str(out))
+        assert code == 0, err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["artifacts"]["halo_timing.csv"] == {"staged_over_direct": None}
+        assert (out / "halo_timing.csv").read_text().splitlines()[1].endswith(",inf")

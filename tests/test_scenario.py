@@ -7,7 +7,8 @@ import pytest
 
 import haloflow.scenario as scenario_mod
 from haloflow import ConfigurationError, ScenarioError, load_scenario, parse_grid, parse_scenario
-from haloflow.scenario import AlltoallJob, HaloJob, TimestepJob
+from haloflow.netsim import Flow
+from haloflow.scenario import AlltoallJob, HaloJob, Scenario, SweepPoint, TimestepJob
 
 
 def bundled(name):
@@ -192,6 +193,123 @@ class TestWorkloads:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(doc)
         assert err.value.path == "energy.fit"
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where, path", [
+        (("workload", "msg_bytes"), "workload.msg_bytes"),
+        (("seed",), "seed"),
+        (("topology", "nvlink_gbps"), "topology.nvlink_gbps"),
+        (("unknown_key",), "unknown_key"),
+    ])
+    def test_python_documents_are_checked(self, value, where, path):
+        doc = minimal()
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ScenarioError, match="finite") as err:
+            parse_scenario(doc)
+        assert err.value.path == path
+
+    def test_nested_lists_carry_indices(self):
+        doc = minimal(energy={"fit": [[1.0, 196.0], [0.55, float("inf")]],
+                              "configurations": [{"name": "x", "step_seconds": 0.1,
+                                                  "busy_fraction": 0.5}]})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "energy.fit[1][1]"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_json_literals(self, tmp_path, literal):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(minimal(sweep={
+            "total_bytes": 12345, "compute_seconds_total": 0.0,
+            "points": [{"name": "a", "topology": {"preset": "dgx2"}, "ranks": 4}],
+        })).replace("12345", literal))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.path == "sweep.total_bytes"
+
+
+class TestTopologyAndSeed:
+    def test_negative_seed(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(minimal(seed=-1))
+        assert err.value.path == "seed"
+
+    @pytest.mark.parametrize("topology, path", [
+        ({"preset": 5}, "topology.preset"),
+        ({"preset": "dgx1v", "srevers": 4}, "topology.srevers"),
+        ({"preset": "dgx1v", "servers": 2.9}, "topology.servers"),
+    ])
+    def test_topology_checked_with_dotted_path(self, topology, path):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(minimal(topology=topology))
+        assert err.value.path == path
+
+    def test_sweep_point_topology_checked_with_dotted_path(self):
+        doc = minimal(sweep={
+            "total_bytes": 1.0, "compute_seconds_total": 0.0,
+            "points": [{"name": "a", "topology": {"preset": "dgx2"}, "ranks": 4},
+                       {"name": "b", "topology": {"preset": "dgx2", "servres": 1}, "ranks": 4}],
+        })
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "sweep.points[1].topology.servres"
+
+    def test_unknown_preset_keeps_its_error(self):
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            parse_scenario(minimal(topology={"preset": "warpcore"}))
+
+
+class TestConstructorsValidate:
+    """Jobs built in Python (as the CLI does from flags) get the scenario checks."""
+
+    @pytest.mark.parametrize("ranks, msg, path", [
+        (0, 1, "ranks"), (2, -1, "msg_bytes"), (2, 1.5, "msg_bytes"),
+        (2, float("nan"), "msg_bytes"), (2, float("inf"), "msg_bytes"),
+    ])
+    def test_alltoall(self, ranks, msg, path):
+        with pytest.raises(ScenarioError) as err:
+            AlltoallJob(ranks, msg, ())
+        assert err.value.path == path
+
+    def test_alltoall_integral_float_becomes_int(self):
+        job = AlltoallJob(2, 100.0, ())
+        assert job.msg_bytes == 100 and isinstance(job.msg_bytes, int)
+
+    @pytest.mark.parametrize("comp, flow, path", [
+        ((), None, "compute_seconds"),
+        ((0.0, -1.0), None, "compute_seconds[1]"),
+        ((0.0, float("nan")), None, "compute_seconds[1]"),
+        ((0.0, 0.0), Flow(0, 2, 1, 10), "flows[0].src"),
+        ((0.0, 0.0), Flow(0, 0, -1, 10), "flows[0].dst"),
+        ((0.0, 0.0), Flow(0, 0, 1, -10), "flows[0].bytes"),
+        ((0.0, 0.0), Flow(0, 0, 1, 10, -1), "flows[0].phase"),
+    ])
+    def test_timestep(self, comp, flow, path):
+        with pytest.raises(ScenarioError) as err:
+            TimestepJob(comp, (flow,) if flow else (), True)
+        assert err.value.path == path
+
+    def test_timestep_paths_prefixed_in_documents(self):
+        doc = minimal()
+        doc["workload"] = {"kind": "timestep", "compute_seconds": [0.0, 0.0],
+                           "flows": [{"src": 0, "dst": 1, "bytes": 1},
+                                     {"src": 0, "dst": 5, "bytes": 1}]}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "workload.flows[1].dst"
+
+    def test_sweep_point_and_scenario(self):
+        with pytest.raises(ScenarioError) as err:
+            SweepPoint("a", {"preset": "dgx2", "lanes": 2}, 4, 1.0)
+        assert err.value.path == "topology.lanes"
+        with pytest.raises(ScenarioError) as err:
+            Scenario("s", -2, {"preset": "dgx1v"}, AlltoallJob(2, 1, ()))
+        assert err.value.path == "seed"
 
 
 class TestLoading:

@@ -11,7 +11,9 @@ from haloflow import (
     TopologyError,
     preset,
 )
-from haloflow.topology import device, from_spec, host_bridge, nic, parse_node, switch
+import haloflow.topology as topology_mod
+from haloflow import ScenarioError
+from haloflow.topology import check_spec, device, from_spec, host_bridge, nic, parse_node, switch
 
 
 def crosses_kind(topo, src, dst, kind):
@@ -164,6 +166,43 @@ class TestFromSpec:
         }
         with pytest.raises(TopologyError):
             from_spec(doc)
+
+
+class TestCheckSpec:
+    @pytest.mark.parametrize("doc, path", [
+        ({"preset": 5}, "preset"),
+        ({"preset": None}, "preset"),
+        ({"preset": "dgx1v", "srevers": 4}, "srevers"),
+        ({"preset": "dgx1v", "servers": 2.9}, "servers"),
+        ({"preset": "dgx1v", "servers": 2.0}, "servers"),
+        ({"preset": "dgx1v", "servers": True}, "servers"),
+        ({"preset": "fat_tree_edr", "nodes": "2"}, "nodes"),
+        ({"preset": "fat_tree_edr", "devices_per_node": [2]}, "devices_per_node"),
+        ({"preset": "dgx1v", "ib_gbps": False}, "ib_gbps"),
+        ({"preset": "dgx1v", "pcie_gbps": "16"}, "pcie_gbps"),
+        ({"nodes": ["device:0"], "links": [], "preset_name": "dgx1v"}, "preset_name"),
+    ])
+    def test_rejected_with_key_path(self, doc, path):
+        with pytest.raises(ScenarioError) as err:
+            check_spec(doc)
+        assert err.value.path == path
+        with pytest.raises(ScenarioError):
+            from_spec(doc)
+
+    def test_unknown_preset_keeps_its_error(self):
+        with pytest.raises(ConfigurationError, match="unknown preset 'warpcore'"):
+            check_spec({"preset": "warpcore"})
+
+    def test_accepts_every_preset_parameter_without_building(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("topology built during the check")
+
+        monkeypatch.setattr(topology_mod, "preset", refuse)
+        check_spec({"preset": " DGX1V", "servers": 2, "nvlink_gbps": 20, "pcie_gbps": 12.5,
+                    "cpu_interconnect_gbps": 30, "ib_gbps": 12, "device_mem_bw_gbps": 900})
+        check_spec({"preset": "fat_tree_edr", "nodes": 2, "devices_per_node": 4})
+        check_spec({"nodes": [], "links": [], "device_mem_bw_gbps": 1, "routes": [],
+                    "name": "x"})
 
 
 class TestRankMap:
