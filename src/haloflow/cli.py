@@ -48,7 +48,6 @@ __all__ = ["main", "resolve_seed", "parse_topology_arg", "alltoall_table", "halo
 
 SEED_ENV = "HALOFLOW_SEED"
 
-EXIT_USAGE = 2
 EXIT_SCENARIO = 3
 EXIT_SIMULATION = 4
 EXIT_IO = 5
@@ -86,9 +85,8 @@ def _topology_doc(spec: str) -> dict:
             try:
                 doc[key] = json.loads(value)
             except json.JSONDecodeError:
-                raise ConfigurationError(
-                    f"bad topology parameter value {value!r} in {spec!r}"
-                ) from None
+                msg = f"bad topology parameter value {value!r} in {spec!r}"
+                raise ConfigurationError(msg) from None
     return doc
 
 

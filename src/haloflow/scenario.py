@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -80,9 +81,10 @@ def _at(prefix: str, build, *args):
 
 
 def _check_finite(value: object, path: str) -> None:
-    """Reject NaN and infinities anywhere in a document (``json`` decodes ``1e400`` to inf)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(f"expected a finite number, got {value}", path)
+    """Reject NaN, infinities (``json`` decodes ``1e400`` to inf) and ints beyond float range."""
+    if (isinstance(value, float) and not math.isfinite(value)
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ScenarioError("expected a finite number", path)
     if isinstance(value, Mapping):
         for key, sub in value.items():
             _check_finite(sub, f"{path}.{key}" if path else str(key))
@@ -437,6 +439,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario: {exc}", str(path)) from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON: {exc}", str(path)) from exc
     return parse_scenario(doc)

@@ -100,7 +100,7 @@ def parse_node(text: str) -> NodeId:
         kind_text, index_text = text.split(":")
         kind = NodeKind(kind_text)
         index = int(index_text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, AttributeError) as exc:
         raise TopologyError(f"malformed node name {text!r}") from exc
     if index < 0:
         raise TopologyError(f"negative node index in {text!r}")
@@ -574,7 +574,8 @@ def check_spec(doc: Mapping) -> None:
         if key not in _PRESET_KEYS:
             raise ScenarioError(f"unknown key {key!r}", key)
         value, scale = doc[key], _PRESET_KEYS[key][1]
-        if isinstance(value, bool) or not isinstance(value, int if scale is None else (int, float)):
+        kinds = int if scale is None else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if scale is None else "a number"
             raise ScenarioError(f"expected {kind}, got {type(value).__name__}", key)
 
@@ -601,6 +602,7 @@ def from_spec(doc: Mapping) -> Topology:
                 kwargs[keyword] = doc[key] if scale is None else float(doc[key]) * scale
         return preset(doc["preset"], **kwargs)
 
+    routes = None
     try:
         node_ids = [parse_node(s) for s in doc["nodes"]]
         links = [
@@ -613,26 +615,24 @@ def from_spec(doc: Mapping) -> Topology:
             for ld in doc["links"]
         ]
         mem = float(doc.get("device_mem_bw_gbps", 800.0)) * 1e9
-    except (KeyError, TypeError) as exc:
+        if "routes" in doc:
+            routes = {}
+            for rd in doc["routes"]:
+                hops: list[Hop] = []
+                cur = device(int(rd["src"]))
+                for li in rd["links"]:
+                    ln = links[int(li)]
+                    if ln.a == cur:
+                        hops.append((int(li), True))
+                        cur = ln.b
+                    elif ln.b == cur:
+                        hops.append((int(li), False))
+                        cur = ln.a
+                    else:
+                        raise TopologyError(
+                            f"route {rd['src']}->{rd['dst']} is not a connected walk"
+                        )
+                routes[(int(rd["src"]), int(rd["dst"]))] = tuple(hops)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise TopologyError(f"malformed inline topology: {exc}") from exc
-
-    routes = None
-    if "routes" in doc:
-        routes = {}
-        for rd in doc["routes"]:
-            hops: list[Hop] = []
-            cur = device(int(rd["src"]))
-            for li in rd["links"]:
-                ln = links[int(li)]
-                if ln.a == cur:
-                    hops.append((int(li), True))
-                    cur = ln.b
-                elif ln.b == cur:
-                    hops.append((int(li), False))
-                    cur = ln.a
-                else:
-                    raise TopologyError(
-                        f"route {rd['src']}->{rd['dst']} is not a connected walk"
-                    )
-            routes[(int(rd["src"]), int(rd["dst"]))] = tuple(hops)
     return Topology(node_ids, links, mem, routes=routes, name=str(doc.get("name", "inline")))

@@ -233,6 +233,20 @@ class TestNonFiniteNumbers:
         assert err.value.path == "sweep.total_bytes"
 
 
+    def test_integer_beyond_float_range(self):
+        doc = minimal()
+        doc["workload"]["msg_bytes"] = 10 ** 400
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "workload.msg_bytes"
+
+    def test_deeply_nested_json_is_invalid_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load_scenario(path)
+
+
 class TestTopologyAndSeed:
     def test_negative_seed(self):
         with pytest.raises(ScenarioError) as err:

@@ -159,6 +159,22 @@ class TestFromSpec:
         with pytest.raises(TopologyError):
             from_spec(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"nodes": [5], "links": []},
+        {"nodes": ["device:0", "switch:0"],
+         "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": "x"}]},
+        {"nodes": ["device:0", "switch:0"], "links": [5]},
+        {"nodes": ["device:0", "device:1"],
+         "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
+         "routes": [{"src": 0, "dst": 1, "links": [7]}]},
+        {"nodes": ["device:0", "device:1"],
+         "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
+         "routes": [{"src": "x", "dst": 1, "links": [0]}]},
+    ])
+    def test_malformed_inline_graph_is_a_topology_error(self, doc):
+        with pytest.raises(TopologyError):
+            from_spec(doc)
+
     def test_disconnected_pair_is_an_error(self):
         doc = {
             "nodes": ["device:0", "device:1"],
