@@ -330,9 +330,10 @@ def _run(args: argparse.Namespace) -> None:
             else:
                 sys.stdout.write(render_csv(header, rows))
         return
+    texts = [(name, payload if isinstance(payload, str) else render_csv(*payload))
+             for name, payload, _entry in artifacts]
     args.output.mkdir(parents=True, exist_ok=True)
-    for name, payload, _entry in artifacts:
-        text = payload if isinstance(payload, str) else render_csv(*payload)
+    for name, text in texts:
         (args.output / name).write_bytes(text.encode("utf-8"))
     if report:
         write_json(args.output / "summary.json", {

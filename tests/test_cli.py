@@ -358,6 +358,18 @@ class TestRejectedBeforeAnyWork:
         code, stdout, _ = run_main(capsys, "roofline", "--scenario", scn)
         assert code == 0 and stdout.startswith("kernel,")
 
+    def test_unrenderable_csv_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, energy={
+            "p_idle": 50.0, "p_max": 200.0,
+            "configurations": [{"name": "a,b", "step_seconds": 0.1, "busy_fraction": 0.5}]})
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "report", "--scenario", write_scenario(tmp_path, doc),
+                                "--output", str(out))
+        assert code == 3
+        assert "quoting" in one_json_line(err)["message"]
+        assert not out.exists()
+
 
 WORKLOAD_FLAGS = [
     ("alltoall", "--topology", "dgx2"), ("alltoall", "--ranks", "8"),
