@@ -9,7 +9,7 @@ to stdout as CSV (``--format json`` for JSON) or under fixed names into
 A job comes from ``--scenario FILE`` or, for ``alltoall`` and ``halo``, from
 workload flags, never both (``--seed``, ``--output`` and ``--format`` combine
 with ``--scenario``).  Flags build a one-workload scenario through the same
-constructors and checks as a file.  A scenario is checked whole before any
+job and topology checks as a file.  A scenario is checked whole before any
 work runs: NaN, infinities (also ``1e400``), unknown keys (topology keys
 too) and negative seeds are errors.  Every table is computed before the
 first file is written, so a failing job leaves no artifacts.
@@ -22,6 +22,8 @@ Failures print a single JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,17 +36,40 @@ import numpy as np
 from . import topology as topo_mod
 from .collectives import ScheduleKind, build_alltoall, uniform_sizes
 from .energy import energy_vs_time_series
-from .errors import ConfigurationError, HaloflowError, ProtocolError, ScenarioError, SimulationError
+from .errors import (
+    ConfigurationError,
+    HaloflowError,
+    ProtocolError,
+    ScenarioError,
+    SimulationError,
+)
 from .halo import OverlapMode, run_stencil, staged_vs_direct_cost
 from .netsim import SimConfig, TimestepScenario, simulate, simulate_timestep
 from .perfmodel import KernelPoint, roofline_report
 from .reporting import render_csv, roofline_svg, write_json
-from .scenario import (AlltoallJob, EnergySpec, HaloJob, RooflineSpec, Scenario, SweepSpec,
-                       TimestepJob, load_scenario, parse_grid)
+from .scenario import (
+    AlltoallJob,
+    EnergySpec,
+    HaloJob,
+    Scenario,
+    SweepSpec,
+    TimestepJob,
+    load_scenario,
+    parse_grid,
+)
 from .topology import RankMap, Topology
 
-__all__ = ["main", "resolve_seed", "parse_topology_arg", "alltoall_table", "halo_tables",
-           "timestep_table", "sweep_table", "roofline_table", "energy_table"]
+__all__ = [
+    "main",
+    "resolve_seed",
+    "parse_topology_arg",
+    "alltoall_table",
+    "halo_tables",
+    "timestep_table",
+    "sweep_table",
+    "roofline_table",
+    "energy_table",
+]
 
 SEED_ENV = "HALOFLOW_SEED"
 
@@ -130,13 +155,26 @@ def halo_tables(
         part, plan, job.bytes_per_element, topo, rank_map, cfg
     )
     comp = job.compute_seconds
-    ratio = (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf")
-    timing_rows: list[list[object]] = [[job.grid, job.ranks, plan.total_sent(), comp, direct,
-                                        staged, comp + direct, comp + staged, ratio]]
-    timing_header = ["grid", "ranks", "halo_elements", "compute_seconds",
-                     "direct_comm_seconds", "staged_comm_seconds",
-                     "direct_step_seconds", "staged_step_seconds", "staged_over_direct"]
-    return (["step", "checksum"], check_rows), (timing_header, timing_rows)
+    timing_rows: list[list[object]] = [[
+        job.grid,
+        job.ranks,
+        plan.total_sent(),
+        comp,
+        direct,
+        staged,
+        comp + direct,
+        comp + staged,
+        (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf"),
+    ]]
+    return (
+        (["step", "checksum"], check_rows),
+        (
+            ["grid", "ranks", "halo_elements", "compute_seconds",
+             "direct_comm_seconds", "staged_comm_seconds",
+             "direct_step_seconds", "staged_step_seconds", "staged_over_direct"],
+            timing_rows,
+        ),
+    )
 
 
 def timestep_table(
@@ -146,13 +184,21 @@ def timestep_table(
     cfg = cfg or SimConfig()
     nranks = len(job.compute_seconds)
     rank_map = RankMap.identity(nranks)
-    scen = TimestepScenario(tuple(job.compute_seconds), job.flows, barrier_at_end=job.barrier)
+    scen = TimestepScenario(
+        compute_seconds=tuple(job.compute_seconds),
+        flows=job.flows,
+        barrier_at_end=job.barrier,
+    )
     res = simulate_timestep(topo, rank_map, scen, cfg)
     rows: list[list[object]] = [
         [r, job.compute_seconds[r], res.busy_seconds[r], res.busy_fraction[r]]
         for r in range(nranks)
     ]
-    return ["rank", "compute_seconds", "busy_seconds", "busy_fraction"], rows, res.makespan
+    return (
+        ["rank", "compute_seconds", "busy_seconds", "busy_fraction"],
+        rows,
+        res.makespan,
+    )
 
 
 def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
@@ -178,10 +224,8 @@ def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
     )
 
 
-def roofline_table(spec: RooflineSpec, points: Sequence[KernelPoint] | None = None) -> Table:
-    """The kernels on the roofline; ``points`` reuses an earlier ``roofline_report``."""
-    if points is None:
-        points = roofline_report(spec.machine, spec.kernels)
+def roofline_table(points: Sequence[KernelPoint]) -> Table:
+    """The kernels of one ``roofline_report`` as a table."""
     rows: list[list[object]] = [
         [p.name, p.intensity, p.achieved_flops, p.attainable, p.percent, p.seconds, p.time_share]
         for p in points
@@ -207,19 +251,19 @@ def energy_table(spec: EnergySpec) -> Table:
 
 # --- sections ---------------------------------------------------------------
 # A section function returns its artifacts as (file name, table or SVG text,
-# summary.json entry) triples; ``svg`` asks the roofline section for its chart.
+# summary.json entry) triples.
 
 Artifact = tuple[str, "Table | str", dict]
 
 
-def _workload_artifacts(scn: Scenario, seed: int, _svg: bool) -> list[Artifact]:
+def _workload_artifacts(scn: Scenario) -> list[Artifact]:
     topo = topo_mod.from_spec(scn.topology)
     job = scn.workload
     if isinstance(job, AlltoallJob):
         table = alltoall_table(topo, job)
         return [("alltoall.csv", table, {"makespans": {str(r[0]): r[4] for r in table[1]}})]
     if isinstance(job, HaloJob):
-        checksums, timing = halo_tables(topo, job, seed)
+        checksums, timing = halo_tables(topo, job, scn.seed)
         ratio = timing[1][0][-1]
         # JSON has no infinity: a run with no compute and no traffic records null
         return [("halo_checksums.csv", checksums, {"steps": len(checksums[1])}),
@@ -229,28 +273,29 @@ def _workload_artifacts(scn: Scenario, seed: int, _svg: bool) -> list[Artifact]:
     return [("timestep.csv", (header, rows), {"makespan_seconds": makespan})]
 
 
-def _sweep_artifacts(scn: Scenario, _seed: int, _svg: bool) -> list[Artifact]:
+def _sweep_artifacts(scn: Scenario) -> list[Artifact]:
     table = sweep_table(scn.sweep)
     return [("sweep.csv", table, {"step_seconds": {str(r[0]): r[5] for r in table[1]}})]
 
 
-def _roofline_artifacts(scn: Scenario, _seed: int, svg: bool) -> list[Artifact]:
+def _roofline_artifacts(scn: Scenario, svg: bool = False) -> list[Artifact]:
+    """The roofline table and, with ``svg``, its chart."""
     spec = scn.roofline
     points = roofline_report(spec.machine, spec.kernels)
     entry = {"kernels": len(points)}
-    artifacts = [("roofline.csv", roofline_table(spec, points), entry)]
+    artifacts = [("roofline.csv", roofline_table(points), entry)]
     if svg:
         artifacts.append(("roofline.svg", roofline_svg(spec.machine, points), entry))
     return artifacts
 
 
-def _energy_artifacts(scn: Scenario, _seed: int, _svg: bool) -> list[Artifact]:
+def _energy_artifacts(scn: Scenario) -> list[Artifact]:
     table = energy_table(scn.energy)
     return [("energy.csv", table, {"joules": {str(r[0]): r[5] for r in table[1]}})]
 
 
 # Scenario section -> its artifacts, in report order.
-SECTIONS: dict[str, Callable[[Scenario, int, bool], list[Artifact]]] = {
+SECTIONS: dict[str, Callable[[Scenario], list[Artifact]]] = {
     "workload": _workload_artifacts,
     "sweep": _sweep_artifacts,
     "roofline": _roofline_artifacts,
@@ -319,8 +364,10 @@ def _run(args: argparse.Namespace) -> None:
     svg = report or getattr(args, "svg", False)
     if svg and args.output is None:
         raise ConfigurationError(f"{'report' if report else '--svg'} needs --output DIR")
-    seed = resolve_seed(args.seed, scn.seed) if "seed" in args else scn.seed
-    artifacts = [a for s in sections for a in SECTIONS[s](scn, seed, svg)]
+    if "seed" in args:
+        scn = dataclasses.replace(scn, seed=resolve_seed(args.seed, scn.seed))
+    run = dict(SECTIONS, roofline=functools.partial(_roofline_artifacts, svg=svg))
+    artifacts = [a for s in sections for a in run[s](scn)]
 
     if args.output is None:
         for _name, (header, rows), _entry in artifacts:
@@ -338,7 +385,7 @@ def _run(args: argparse.Namespace) -> None:
     if report:
         write_json(args.output / "summary.json", {
             "scenario": scn.name,
-            "seed": seed,
+            "seed": scn.seed,
             "artifacts": {name: entry for name, _payload, entry in artifacts},
         })
 

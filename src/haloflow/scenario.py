@@ -28,9 +28,20 @@ from .topology import check_spec
 from .perfmodel import MachineModel, KernelSample
 from .energy import PowerModel, fit_power_model
 
-__all__ = ["SCHEMA_VERSION", "AlltoallJob", "HaloJob", "TimestepJob", "SweepPoint", "SweepSpec",
-           "RooflineSpec", "EnergySpec", "Scenario", "parse_grid", "parse_scenario",
-           "load_scenario"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "AlltoallJob",
+    "HaloJob",
+    "TimestepJob",
+    "SweepPoint",
+    "SweepSpec",
+    "RooflineSpec",
+    "EnergySpec",
+    "Scenario",
+    "parse_grid",
+    "parse_scenario",
+    "load_scenario",
+]
 
 SCHEMA_VERSION = 1
 
@@ -80,17 +91,26 @@ def _at(prefix: str, build, *args):
         raise ScenarioError(exc.message, f"{prefix}.{exc.path}" if exc.path else prefix) from None
 
 
-def _check_finite(value: object, path: str) -> None:
-    """Reject NaN, infinities (``json`` decodes ``1e400`` to inf) and ints beyond float range."""
-    if (isinstance(value, float) and not math.isfinite(value)
-            or isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ScenarioError("expected a finite number", path)
-    if isinstance(value, Mapping):
-        for key, sub in value.items():
-            _check_finite(sub, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, sub in enumerate(value):
-            _check_finite(sub, f"{path}[{i}]")
+def _check_finite(doc: object) -> None:
+    """Reject NaN, infinities (``json`` decodes ``1e400`` to inf) and ints beyond float range.
+
+    The walk keeps its own stack, so no nesting depth that ``json`` decodes
+    can exhaust Python's recursion limit; the first bad value in document
+    order is reported.
+    """
+    stack = [(doc, "")]
+    while stack:
+        value, path = stack.pop()
+        if (isinstance(value, float) and not math.isfinite(value)
+                or isinstance(value, int) and abs(value) > sys.float_info.max):
+            raise ScenarioError("expected a finite number", path)
+        if isinstance(value, Mapping):
+            subs = [(sub, f"{path}.{key}" if path else str(key)) for key, sub in value.items()]
+        elif isinstance(value, (list, tuple)):
+            subs = [(sub, f"{path}[{i}]") for i, sub in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(subs))
 
 
 def _objects(doc: Mapping, key: str, allowed: Sequence[str], path: str):
@@ -164,6 +184,8 @@ class AlltoallJob:
         msg = self.msg_bytes
         if isinstance(msg, float) and not (math.isfinite(msg) and msg.is_integer()) or msg < 0:
             raise ScenarioError("msg_bytes must be a non-negative integer", "msg_bytes")
+        if msg > sys.float_info.max:
+            raise ScenarioError("expected a finite number", "msg_bytes")
         object.__setattr__(self, "msg_bytes", int(msg))
 
 
@@ -409,7 +431,7 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
 
 def parse_scenario(doc: object) -> Scenario:
     """Validate a decoded scenario document and build the typed form."""
-    _check_finite(doc, "")
+    _check_finite(doc)
     doc = _expect_mapping(doc, "")
     _check_keys(doc, ("schema", "name", "seed", "topology", "workload", "sweep", "roofline",
                       "energy"), "")

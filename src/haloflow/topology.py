@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -96,11 +97,13 @@ def nic(i: int) -> NodeId:
 
 def parse_node(text: str) -> NodeId:
     """Parse ``"device:0"`` style node names used in scenario documents."""
+    if not isinstance(text, str):
+        raise TopologyError(f"node name must be a string, got {type(text).__name__}")
     try:
         kind_text, index_text = text.split(":")
         kind = NodeKind(kind_text)
         index = int(index_text)
-    except (ValueError, KeyError, AttributeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise TopologyError(f"malformed node name {text!r}") from exc
     if index < 0:
         raise TopologyError(f"negative node index in {text!r}")
@@ -565,6 +568,8 @@ def check_spec(doc: Mapping) -> None:
         unknown = sorted(set(doc) - set(_INLINE_KEYS))
         if unknown:
             raise ScenarioError(f"unknown key {unknown[0]!r}", unknown[0])
+        if not isinstance(doc.get("name", ""), str):
+            raise ScenarioError(f"expected a name, got {type(doc['name']).__name__}", "name")
         return
     if not isinstance(doc["preset"], str):
         raise ScenarioError(f"expected a preset name, got {type(doc['preset']).__name__}",
@@ -578,6 +583,9 @@ def check_spec(doc: Mapping) -> None:
         if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if scale is None else "a number"
             raise ScenarioError(f"expected {kind}, got {type(value).__name__}", key)
+        # NaN, infinities and ints a double cannot hold, as a scenario file rejects them
+        if not abs(value) <= sys.float_info.max:
+            raise ScenarioError("expected a finite number", key)
 
 
 def from_spec(doc: Mapping) -> Topology:
@@ -618,21 +626,20 @@ def from_spec(doc: Mapping) -> Topology:
         if "routes" in doc:
             routes = {}
             for rd in doc["routes"]:
+                src, dst = int(rd["src"]), int(rd["dst"])
                 hops: list[Hop] = []
-                cur = device(int(rd["src"]))
-                for li in rd["links"]:
-                    ln = links[int(li)]
+                cur = device(src)
+                for li in map(int, rd["links"]):
+                    ln = links[li]
                     if ln.a == cur:
-                        hops.append((int(li), True))
+                        hops.append((li, True))
                         cur = ln.b
                     elif ln.b == cur:
-                        hops.append((int(li), False))
+                        hops.append((li, False))
                         cur = ln.a
                     else:
-                        raise TopologyError(
-                            f"route {rd['src']}->{rd['dst']} is not a connected walk"
-                        )
-                routes[(int(rd["src"]), int(rd["dst"]))] = tuple(hops)
+                        raise TopologyError(f"route {src}->{dst} is not a connected walk")
+                routes[(src, dst)] = tuple(hops)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise TopologyError(f"malformed inline topology: {exc}") from exc
     return Topology(node_ids, links, mem, routes=routes, name=str(doc.get("name", "inline")))

@@ -300,6 +300,13 @@ class TestRejectedBeforeAnyWork:
         assert one_json_line(err)["path"] == "seed"
         assert not out.exists()
 
+    def test_msg_bytes_flag_beyond_float_range(self, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        code, out, err = run_main(capsys, "alltoall", "--ranks", "2",
+                                  "--msg-bytes", "1" + "0" * 400)
+        assert code == 3 and out == ""
+        assert one_json_line(err)["path"] == "msg_bytes"
+
     def test_negative_seed_flag(self, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         code, out, err = run_main(capsys, "halo", "--grid", "ring8", "--ranks", "2",
@@ -330,7 +337,8 @@ class TestRejectedBeforeAnyWork:
         assert one_json_line(err)["path"] == path
 
     @pytest.mark.parametrize("spec", ["dgx1v:servers=2.9", "dgx1v:srevers=2",
-                                      "dgx1v:servers=true", "dgx1v:nvlink_gbps=\"x\""])
+                                      "dgx1v:servers=true", "dgx1v:nvlink_gbps=\"x\"",
+                                      "dgx1v:nvlink_gbps=NaN", "dgx1v:ib_gbps=1" + "0" * 400])
     def test_bad_topology_flag(self, capsys, monkeypatch, spec):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         code, out, err = run_main(capsys, "alltoall", "--topology", spec,

@@ -98,9 +98,13 @@ FLAG_BASES = {
              "--mode", "mask_array", "--schedule", "rotated_concurrent",
              "--bytes-per-element", "8", "--compute-seconds", "0.001", "--seed", "1"],
 }
+# An integer beyond float range, only for flags that do not set how much work runs.
+HUGE = "1" + "0" * 400
 FLAG_VALUES = ("NaN", "Infinity", "1e400", "-1", "0", "1.5", "true", "x", "", "null", "[]",
                "{}", "dgx1v:servers=1.5", "dgx1v:servers=-1", "dgx1v:srevers=1", "dgx2:x",
-               "dgx1v:servers=NaN", "dgx1v:nvlink_gbps=0", "dgx1v:servers=true")
+               "dgx1v:servers=NaN", "dgx1v:nvlink_gbps=0", "dgx1v:servers=true",
+               "dgx1v:nvlink_gbps=NaN", "dgx1v:nvlink_gbps=" + HUGE)
+HUGE_FLAGS = ("--msg-bytes", "--bytes-per-element", "--compute-seconds", "--seed")
 
 
 def _run(argv, env_seed=None):
@@ -159,7 +163,8 @@ def test_mutated_flags_keep_the_contract(command, data):
     if action in ("replace", "drop"):
         i = 2 * data.draw(st.integers(0, len(argv) // 2 - 1))
         if action == "replace":
-            argv[i + 1] = data.draw(st.sampled_from(FLAG_VALUES))
+            values = FLAG_VALUES + (HUGE,) if argv[i] in HUGE_FLAGS else FLAG_VALUES
+            argv[i + 1] = data.draw(st.sampled_from(values))
         else:
             del argv[i:i + 2]
     elif action == "add_scenario":
@@ -168,7 +173,7 @@ def test_mutated_flags_keep_the_contract(command, data):
     elif action == "add_unknown":
         argv += ["--bogus", "1"]
     else:
-        env_seed = data.draw(st.sampled_from(FLAG_VALUES))
+        env_seed = data.draw(st.sampled_from(FLAG_VALUES + (HUGE,)))
     code, _stdout, err = _run([command] + argv, env_seed)
     _check_contract(code, err)
 

@@ -246,6 +246,28 @@ class TestNonFiniteNumbers:
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("where, path", [
+        (("workload", "msg_bytes"), "workload.msg_bytes"),
+        (("topology", "name"), "topology.name"),
+        (("unknown_key",), "unknown_key"),
+    ])
+    def test_nesting_deeper_than_the_recursion_limit(self, where, path):
+        # json's C decoder may accept more levels than Python's recursion
+        # limit; checks of such a document must not recurse per level.
+        deep = 1
+        for _ in range(1200):
+            deep = [deep]
+        doc = minimal()
+        if where[0] == "topology":
+            doc["topology"] = {"nodes": ["device:0"], "links": []}
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = deep
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == path
+
 
 class TestTopologyAndSeed:
     def test_negative_seed(self):

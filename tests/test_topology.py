@@ -31,6 +31,11 @@ class TestNodes:
         with pytest.raises(TopologyError):
             parse_node("device:x")
 
+    @pytest.mark.parametrize("value", [5, None, ["device:0"], {"device": 0}])
+    def test_parse_rejects_non_strings_by_type(self, value):
+        with pytest.raises(TopologyError, match=f"got {type(value).__name__}$"):
+            parse_node(value)
+
     def test_helpers_build_kinds(self):
         assert device(2).kind == NodeKind.DEVICE
         assert host_bridge(0).kind == NodeKind.HOST_BRIDGE
@@ -196,7 +201,11 @@ class TestCheckSpec:
         ({"preset": "fat_tree_edr", "devices_per_node": [2]}, "devices_per_node"),
         ({"preset": "dgx1v", "ib_gbps": False}, "ib_gbps"),
         ({"preset": "dgx1v", "pcie_gbps": "16"}, "pcie_gbps"),
+        ({"preset": "dgx1v", "nvlink_gbps": float("nan")}, "nvlink_gbps"),
+        ({"preset": "dgx1v", "ib_gbps": float("inf")}, "ib_gbps"),
+        ({"preset": "dgx1v", "pcie_gbps": 10 ** 400}, "pcie_gbps"),
         ({"nodes": ["device:0"], "links": [], "preset_name": "dgx1v"}, "preset_name"),
+        ({"nodes": ["device:0"], "links": [], "name": ["inline"]}, "name"),
     ])
     def test_rejected_with_key_path(self, doc, path):
         with pytest.raises(ScenarioError) as err:
