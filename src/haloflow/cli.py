@@ -122,11 +122,19 @@ def parse_topology_arg(spec: str) -> Topology:
 
 # --- job tables -------------------------------------------------------------
 
+def _check_ranks(ranks: int, topo: Topology) -> None:
+    """Refuse more ranks than ``topo`` has devices, before an n x n size matrix is built."""
+    if ranks > topo.n_devices:
+        raise ConfigurationError(
+            f"{ranks} ranks exceed the {topo.n_devices} devices of topology {topo.name!r}")
+
+
 def alltoall_table(
     topo: Topology, job: AlltoallJob, cfg: SimConfig | None = None
 ) -> Table:
     """Makespan of one uniform all-to-all under each requested schedule."""
     cfg = cfg or SimConfig()
+    _check_ranks(job.ranks, topo)
     rank_map = RankMap.identity(job.ranks)
     sizes = uniform_sizes(job.ranks, job.msg_bytes)
     rows: list[list[object]] = []
@@ -212,6 +220,7 @@ def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
     rows: list[list[object]] = []
     for pt in sweep.points:
         topo = topo_mod.from_spec(pt.topology)
+        _check_ranks(pt.ranks, topo)
         rank_map = RankMap.identity(pt.ranks)
         pair_bytes = int(round(sweep.total_bytes / (pt.ranks * pt.ranks)))
         flows = build_alltoall(sweep.schedule, uniform_sizes(pt.ranks, pair_bytes))

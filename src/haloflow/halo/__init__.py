@@ -10,7 +10,7 @@ bit-identical to a single-rank execution.
 from .grid import GlobalGrid, quad_mesh, random_grid, ring
 from .partition import Partition, partition_block
 from .router import Router
-from .plan import HaloPlan, RankPlan, build_plan, ensure_plan
+from .plan import HaloPlan, RankPlan, build_plan
 from .engine import (
     Field,
     OverlapMode,
@@ -36,7 +36,6 @@ __all__ = [
     "HaloPlan",
     "RankPlan",
     "build_plan",
-    "ensure_plan",
     "Field",
     "OverlapMode",
     "make_fields",

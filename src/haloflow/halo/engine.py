@@ -18,8 +18,14 @@ Overlap modes mirror the two standard ways of hiding the exchange:
     boundary values, update the interior with the mask inverted, finish
     the exchange.
 ``INDIRECTION_ARRAY``
-    Same dance, but boundary/interior membership comes from precomputed
-    index lists instead of a mask.
+    Same dance, but boundary/interior membership comes from the index
+    lists the plan records instead of a mask.
+
+A step reads only the partition and its plan: the partition holds each
+rank's stencil rows, built when it is constructed, and the plan holds each
+rank's send lists and boundary split, built when it is negotiated.  The
+exchange rounds are the phases of the matching all-to-all schedule in
+:mod:`haloflow.collectives`, without self copies.
 
 The overlap modes send the *new* boundary values, so they leave ghosts
 valid for the next step; ``NONE`` refreshes at the top of each step
@@ -41,12 +47,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError, TopologyError
-from ..collectives import ScheduleKind
+from ..collectives import ScheduleKind, _pair_phases
 from ..netsim import Flow, SimConfig, Staging, simulate
 from ..topology import RankMap, Topology, device
+from . import partition
 from .grid import GlobalGrid
-from .partition import Partition
-from .plan import HaloPlan, ensure_plan
+from .partition import DegreeGroup, Partition
+from .plan import HaloPlan, build_plan
 from .router import Router
 
 __all__ = [
@@ -143,35 +150,31 @@ def unpack(f: Field, plan: HaloPlan, src: int, buffer: np.ndarray) -> None:
 # exchange rounds
 
 
-def _round_targets(schedule: ScheduleKind, rank: int, nranks: int) -> list[list[int]]:
-    """Per-round ordered target lists for one rank (self never appears)."""
-    p = nranks
-    if schedule is ScheduleKind.ROTATED_CONCURRENT:
-        return [[(k + rank) % p for k in range(p) if (k + rank) % p != rank]]
-    if schedule is ScheduleKind.STAGE_SERIALIZED:
-        return [[(rank + k + 1) % p] for k in range(p - 1)]
-    if schedule is ScheduleKind.PAIRWISE_XOR:
-        if p & (p - 1) != 0:
-            raise ConfigurationError(f"pairwise_xor needs a power-of-two rank count, got {p}")
-        return [[rank ^ k] for k in range(1, p)]
-    if schedule is ScheduleKind.LINEAR_SEQUENTIAL:
-        rounds = []
-        for i in range(p):
-            for j in range(p):
-                rounds.append([j] if (i == rank and j != rank) else [])
-        return rounds
-    raise ConfigurationError(f"unknown schedule kind {schedule!r}")
+def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> list[list[list[int]]]:
+    """Per round, every rank's ordered targets: the schedule's all-to-all phases.
+
+    Self copies are left out, and so is a phase that holds nothing else;
+    each rank sends to its destinations in the schedule's issue order.
+    """
+    rounds = []
+    for pairs in _pair_phases(schedule, nranks):
+        targets: list[list[int]] = [[] for _ in range(nranks)]
+        for src, dst in pairs:
+            if src != dst:
+                targets[src].append(dst)
+        if any(targets):
+            rounds.append(targets)
+    return rounds
 
 
 def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Field,
-                      plan: HaloPlan, schedule: ScheduleKind):
-    """Generator: pack from ``source``, run the schedule's rounds, scatter into ``target``."""
+                      plan: HaloPlan, rounds: list[list[list[int]]]):
+    """Generator: pack from ``source``, run the exchange ``rounds``, scatter into ``target``."""
     rp = plan.ranks[rank]
-    nranks = plan.nranks
     received: set[int] = set()
-    for targets in _round_targets(schedule, rank, nranks):
+    for targets in rounds:
         outbox = {}
-        for dst in targets:
+        for dst in targets[rank]:
             idx = rp.send_index.get(dst)
             if idx is not None:
                 outbox[dst] = _gather(source, idx, f)
@@ -205,10 +208,11 @@ def exchange(
     The schedule only fixes the round structure and issue order; all
     schedules move the same data and end in the same state.
     """
+    rounds = _exchange_rounds(schedule, plan.nranks)
 
     def program(rank: int):
         f = fields[rank]
-        yield from _exchange_program(rank, f.values, f.values, f, plan, schedule)
+        yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
         f.ghosts_fresh = True
         return None
 
@@ -219,61 +223,8 @@ def exchange(
 # ----------------------------------------------------------------------
 # stencil
 
-@dataclass
-class _DegreeGroup:
-    degree: int
-    members: np.ndarray      # owned local indices, ascending
-    neighbours: np.ndarray   # (len(members), degree) local indices, ascending-global per row
-
-
-@dataclass
-class _RankStencil:
-    grid: GlobalGrid                      # the grid this workspace was built for
-    groups: list[_DegreeGroup]
-    boundary_mask: np.ndarray             # bool over owned elements
-    boundary_rows: list[np.ndarray]       # per group: rows whose member is boundary
-    interior_rows: list[np.ndarray]
-
-
-def _stencil_ws(grid: GlobalGrid, part: Partition, plan: HaloPlan, rank: int) -> _RankStencil:
-    """The rank's stencil workspace for ``grid``, built once and kept on the plan.
-
-    An entry is reused only for the very grid object it was built from, so a
-    plan stepped with another grid of the same size gets a fresh workspace.
-    """
-    key = ("stencil", rank)
-    cached = plan._caches.get(key)
-    if cached is not None and cached.grid is grid:
-        return cached
-
-    owned = part.owned[rank]
-    ghost_gids = np.array([g for g, _owner in part.ghosts[rank]], dtype=np.int64)
-    local_of = np.full(grid.n, -1, dtype=np.int64)
-    local_of[owned] = np.arange(len(owned))
-    local_of[ghost_gids] = len(owned) + np.arange(len(ghost_gids))
-
-    starts = grid.indptr[owned]
-    degree = grid.indptr[owned + 1] - starts
-    groups = []
-    for d in np.unique(degree).tolist():
-        members = np.flatnonzero(degree == d)
-        nbrs = local_of[grid.indices[starts[members, None] + np.arange(d)]]
-        if (nbrs < 0).any():
-            raise ProtocolError(f"rank {rank} has a neighbour that is neither owned nor a ghost")
-        groups.append(_DegreeGroup(degree=d, members=members, neighbours=nbrs))
-
-    boundary_idx = plan.ranks[rank].boundary_locals()
-    boundary_mask = np.zeros(len(owned), dtype=bool)
-    boundary_mask[boundary_idx] = True
-    boundary_rows = [np.flatnonzero(boundary_mask[g.members]) for g in groups]
-    interior_rows = [np.flatnonzero(~boundary_mask[g.members]) for g in groups]
-    ws = _RankStencil(grid, groups, boundary_mask, boundary_rows, interior_rows)
-    plan._caches[key] = ws
-    return ws
-
-
-def _mean_into(groups: list[_DegreeGroup], values: np.ndarray, out: np.ndarray,
-               rows_per_group: list[np.ndarray] | None) -> None:
+def _mean_into(groups: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarray,
+               rows_per_group: Sequence[np.ndarray] | None) -> None:
     """out[m] = mean of values[neighbours of m] for the selected members.
 
     The accumulation is column by column, i.e. per element strictly in
@@ -294,56 +245,57 @@ def _mean_into(groups: list[_DegreeGroup], values: np.ndarray, out: np.ndarray,
         out[members] = acc / grp.degree
 
 
-def _rows_from_mask(groups: list[_DegreeGroup], mask: np.ndarray) -> list[np.ndarray]:
-    """Row selections derived from a boolean element mask, one array per group."""
-    return [np.flatnonzero(mask[g.members]) for g in groups]
-
-
 def stencil_step(
     fields: Sequence[Field],
-    grid: GlobalGrid,
     part: Partition,
     plan: HaloPlan,
     router: Router,
     mode: OverlapMode = OverlapMode.NONE,
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
 ) -> Sequence[Field]:
-    """Advance every rank's owned values by one neighbourhood-mean step."""
+    """Advance every rank's owned values by one neighbourhood-mean step.
+
+    The stencil rows come from ``part`` and the boundary split from
+    ``plan``, which must have been negotiated for ``part``.
+    """
 
     fresh = {f.ghosts_fresh for f in fields}
     if len(fresh) > 1:
         raise ProtocolError("fields disagree about ghost freshness")
     ghosts_were_fresh = fresh.pop() if fresh else True
+    rounds = _exchange_rounds(schedule, plan.nranks)
 
     def program(rank: int):
         f = fields[rank]
-        ws = _stencil_ws(grid, part, plan, rank)
+        groups, rp = part.stencil[rank], plan.ranks[rank]
         if mode is OverlapMode.NONE:
-            yield from _exchange_program(rank, f.values, f.values, f, plan, schedule)
+            yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
             new_owned = np.empty(f.n_owned, dtype=np.float64)
-            _mean_into(ws.groups, f.values, new_owned, None)
+            _mean_into(groups, f.values, new_owned, None)
             f.values[: f.n_owned] = new_owned
             f.ghosts_fresh = False
             return None
 
         if not ghosts_were_fresh:
-            yield from _exchange_program(rank, f.values, f.values, f, plan, schedule)
+            yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
+        if mode is OverlapMode.MASK_ARRAY:  # rows selected by the mask, every step
+            boundary, interior = ([np.flatnonzero(mask[g.members]) for g in groups]
+                                  for mask in (rp.boundary_mask, ~rp.boundary_mask))
+        else:
+            boundary, interior = rp.boundary_rows, rp.interior_rows
         new_values = np.empty_like(f.values)
-        if mode is OverlapMode.MASK_ARRAY:
-            _mean_into(ws.groups, f.values, new_values, _rows_from_mask(ws.groups, ws.boundary_mask))
-        else:
-            _mean_into(ws.groups, f.values, new_values, ws.boundary_rows)
-        yield from _exchange_program(rank, new_values, new_values, f, plan, schedule)
-        if mode is OverlapMode.MASK_ARRAY:
-            _mean_into(ws.groups, f.values, new_values, _rows_from_mask(ws.groups, ~ws.boundary_mask))
-        else:
-            _mean_into(ws.groups, f.values, new_values, ws.interior_rows)
+        _mean_into(groups, f.values, new_values, boundary)
+        yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
+        _mean_into(groups, f.values, new_values, interior)
         f.values = new_values
         f.ghosts_fresh = True
         return None
 
     router.run(program)
     return fields
+
+
+ensure_plan = build_plan  # run_stencil's plan build, by a name a profiler can wrap alone
 
 
 def run_stencil(
@@ -356,15 +308,13 @@ def run_stencil(
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
 ) -> tuple[list[Field], Partition, HaloPlan, list[float]]:
     """Partition, plan, run ``steps`` stencil steps; returns per-step checksums."""
-    from .partition import partition_block
-
     router = router or Router(nranks)
-    part = partition_block(grid, nranks)
+    part = partition.partition_block(grid, nranks)
     plan = ensure_plan(part, router)
     fields = make_fields(part, init)
     checksums = []
     for _ in range(steps):
-        stencil_step(fields, grid, part, plan, router, mode, schedule)
+        stencil_step(fields, part, plan, router, mode, schedule)
         checksums.append(global_checksum(fields, part))
     return fields, part, plan, checksums
 
@@ -421,13 +371,9 @@ def staged_vs_direct_cost(
     if bytes_per_element <= 0:
         raise ConfigurationError("bytes_per_element must be positive")
 
-    flows = []
-    fid = 0
-    for r in range(part.nranks):
-        for peer, idx in sorted(plan.ranks[r].send_index.items()):
-            if len(idx):
-                flows.append(Flow(fid, r, peer, int(len(idx)) * bytes_per_element))
-                fid += 1
+    pairs = [(r, peer, len(idx)) for r in range(part.nranks)
+             for peer, idx in sorted(plan.ranks[r].send_index.items()) if len(idx)]
+    flows = [Flow(fid, r, peer, n * bytes_per_element) for fid, (r, peer, n) in enumerate(pairs)]
 
     direct = simulate(topo, rm, flows, replace(cfg, staging=Staging.DEVICE_DIRECT)).makespan
     staged_exchange = simulate(topo, rm, flows, replace(cfg, staging=Staging.HOST_STAGED)).makespan

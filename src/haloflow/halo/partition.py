@@ -1,34 +1,73 @@
-"""Grid partitioning and the owned/ghost local index layout.
+"""Grid partitioning, the owned/ghost local index layout and each rank's stencil rows.
 
 Each rank's local value array is laid out as its owned elements in
 ascending global order followed by one slot per ghost (a remote element
 some owned element touches), ghosts sorted by (owner rank, global index).
-That layout is what the exchange plan's indices point into.
+That layout is what the exchange plan's indices and the stencil rows point
+into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ProtocolError
 from .grid import GlobalGrid
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class DegreeGroup:
+    """A rank's owned elements of one degree, with their neighbours as local indices."""
+
+    degree: int
+    members: np.ndarray      # owned local indices, ascending
+    neighbours: np.ndarray   # (len(members), degree) local indices, ascending-global per row
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Ownership of grid elements plus the per-rank ghost layout.
+    """Ownership of the elements of ``grid`` plus the per-rank local layout.
 
     ``owner[g]`` is the owning rank of global element ``g`` (total).
     ``owned[r]`` lists rank r's globals ascending; ``ghosts[r]`` is a tuple
     of ``(global_index, owner_rank)`` sorted by (owner, global).
+    ``stencil[r]`` holds rank r's stencil rows, built on construction: one
+    :class:`DegreeGroup` per distinct degree among its owned elements.  A
+    neighbour that is neither owned nor a ghost raises ``ProtocolError``.
     """
 
+    grid: GlobalGrid
     nranks: int
     owner: np.ndarray
     owned: tuple[np.ndarray, ...]
     ghosts: tuple[tuple[tuple[int, int], ...], ...]
+    stencil: tuple[tuple[DegreeGroup, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stencil",
+                           tuple(self._stencil_rows(r) for r in range(self.nranks)))
+
+    def _stencil_rows(self, rank: int) -> tuple[DegreeGroup, ...]:
+        grid = self.grid
+        owned = self.owned[rank]
+        ghost_gids = np.array([g for g, _owner in self.ghosts[rank]], dtype=np.int64)
+        local_of = np.full(grid.n, -1, dtype=np.int64)
+        local_of[owned] = np.arange(len(owned))
+        local_of[ghost_gids] = len(owned) + np.arange(len(ghost_gids))
+
+        starts = grid.indptr[owned]
+        degree = grid.indptr[owned + 1] - starts
+        groups = []
+        for d in np.unique(degree).tolist():
+            members = np.flatnonzero(degree == d)
+            nbrs = local_of[grid.indices[starts[members, None] + np.arange(d)]]
+            if (nbrs < 0).any():
+                raise ProtocolError(
+                    f"rank {rank} has a neighbour that is neither owned nor a ghost")
+            groups.append(DegreeGroup(degree=d, members=members, neighbours=nbrs))
+        return tuple(groups)
 
     def n_owned(self, rank: int) -> int:
         return len(self.owned[rank])
@@ -38,9 +77,6 @@ class Partition:
 
     def local_size(self, rank: int) -> int:
         return self.n_owned(rank) + self.n_ghosts(rank)
-
-    def ghost_globals(self, rank: int) -> tuple[int, ...]:
-        return tuple(g for g, _o in self.ghosts[rank])
 
 
 def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
@@ -57,6 +93,7 @@ def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
     rank, gids, owners = rank[order], gid[order].tolist(), gown[order].tolist()
     bounds = np.searchsorted(rank, np.arange(nranks + 1)).tolist()
     return Partition(
+        grid=grid,
         nranks=nranks,
         owner=owner,
         owned=tuple(owned),

@@ -16,11 +16,16 @@ slots are stored in the same order, so packed buffers line up end to end
 without any per-element tags.  ``send_counts``/``recv_counts`` plus their
 prefix-sum displacement arrays give the flattened variable-size collective
 view of the same plan.
+
+Each rank also records its boundary split, because it depends on the
+negotiated send lists: the owned elements packed for at least one peer,
+and, per degree group of the partition's stencil rows, which rows are
+boundary and which interior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +41,9 @@ class RankPlan:
     ``send_index[peer]`` holds local indices (into the owned region) to
     gather for that peer; ``recv_slot[peer]`` holds the local ghost slots
     the matching incoming buffer scatters into.  Peers never include the
-    rank itself.
+    rank itself.  ``boundary_mask`` marks the owned elements sent to at
+    least one peer; ``boundary_rows[i]`` and ``interior_rows[i]`` split the
+    rows of the rank's i-th stencil degree group by that mask.
     """
 
     rank: int
@@ -46,20 +53,19 @@ class RankPlan:
     recv_counts: np.ndarray
     send_displs: np.ndarray
     recv_displs: np.ndarray
+    boundary_mask: np.ndarray
+    boundary_rows: tuple[np.ndarray, ...]
+    interior_rows: tuple[np.ndarray, ...]
 
     def boundary_locals(self) -> np.ndarray:
         """Ascending local indices of owned elements sent to at least one peer."""
-        if not self.send_index:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(list(self.send_index.values())))
+        return np.flatnonzero(self.boundary_mask)
 
 
 @dataclass
 class HaloPlan:
     nranks: int
     ranks: tuple[RankPlan, ...]
-    # per-rank stencil workspaces attach here lazily; see engine._stencil_ws
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def total_sent(self) -> int:
         return int(sum(rp.send_counts.sum() for rp in self.ranks))
@@ -106,30 +112,23 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             if not wanted:
                 continue
             wanted_arr = np.asarray(wanted, dtype=np.int64)
-            if len(owned) == 0:
-                raise ProtocolError(
-                    f"corrupt partition: rank {src} asked rank {rank} (which owns nothing) "
-                    f"for element {int(wanted_arr[0])}"
-                )
-            locs = np.searchsorted(owned, wanted_arr)
-            bad = (locs >= len(owned)) | (owned[np.minimum(locs, len(owned) - 1)] != wanted_arr)
+            bad = ~np.isin(wanted_arr, owned)
             if bad.any():
-                missing = int(wanted_arr[bad][0])
                 raise ProtocolError(
                     f"corrupt partition: rank {src} asked rank {rank} "
-                    f"for element {missing} it does not own"
+                    f"for element {int(wanted_arr[bad][0])} it does not own"
                 )
-            send_index[src] = locs.astype(np.int64)
+            send_index[src] = np.searchsorted(owned, wanted_arr).astype(np.int64)
 
-        recv_slot = {
-            p: np.asarray(sl, dtype=np.int64) for p, sl in slots.items()
-        }
+        recv_slot = {p: np.asarray(sl, dtype=np.int64) for p, sl in slots.items()}
         send_counts = np.zeros(nranks, dtype=np.int64)
-        for p, idx in send_index.items():
-            send_counts[p] = len(idx)
+        send_counts[list(send_index)] = [len(idx) for idx in send_index.values()]
         recv_counts = np.zeros(nranks, dtype=np.int64)
-        for p, sl in recv_slot.items():
-            recv_counts[p] = len(sl)
+        recv_counts[list(recv_slot)] = [len(sl) for sl in recv_slot.values()]
+        boundary = np.zeros(len(owned), dtype=bool)
+        for idx in send_index.values():
+            boundary[idx] = True
+        groups = part.stencil[rank]
         return RankPlan(
             rank=rank,
             send_index=send_index,
@@ -138,21 +137,10 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             recv_counts=recv_counts,
             send_displs=_displs(send_counts),
             recv_displs=_displs(recv_counts),
+            boundary_mask=boundary,
+            boundary_rows=tuple(np.flatnonzero(boundary[g.members]) for g in groups),
+            interior_rows=tuple(np.flatnonzero(~boundary[g.members]) for g in groups),
         )
 
     plans = router.run(program)
     return HaloPlan(nranks=nranks, ranks=tuple(plans))
-
-
-def ensure_plan(part: Partition, router: Router) -> HaloPlan:
-    """Plan for ``part``, negotiated once and cached on the partition object.
-
-    The cache key is the partition's identity: repartitioning produces a new
-    object and therefore a fresh negotiation, while repeated steps on the
-    same partition reuse the plan without extra protocol rounds.
-    """
-    cached = getattr(part, "_plan_cache", None)
-    if cached is None:
-        cached = build_plan(part, router)
-        part._plan_cache = cached  # type: ignore[attr-defined]
-    return cached

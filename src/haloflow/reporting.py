@@ -85,8 +85,8 @@ def roofline_svg(machine: MachineModel, points: Sequence[KernelPoint]) -> str:
     """Log-log roofline chart as a standalone SVG string.
 
     Two ceiling segments (memory slope, compute plateau) plus one labelled
-    dot per kernel.  Purely arithmetic string building, so equal inputs
-    yield identical bytes.
+    dot per kernel; kernel names are XML-escaped.  Purely arithmetic string
+    building, so equal inputs yield identical bytes.
     """
     if not points:
         raise ConfigurationError("no kernel points to chart")
@@ -160,7 +160,9 @@ def roofline_svg(machine: MachineModel, points: Sequence[KernelPoint]) -> str:
     for p in points:
         px, py = _fmt(sx(p.intensity)), _fmt(sy(p.achieved_flops))
         out.append(f'<circle cx="{px}" cy="{py}" r="4" fill="#1f6fb2"/>')
-        out.append(f'<text x="{px}" y="{_fmt(sy(p.achieved_flops) - 8)}" text-anchor="middle">{p.name}</text>')
+        name = p.name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'<text x="{px}" y="{_fmt(sy(p.achieved_flops) - 8)}" '
+                   f'text-anchor="middle">{name}</text>')
 
     out.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" text-anchor="middle">'

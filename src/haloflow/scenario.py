@@ -20,13 +20,13 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .collectives import ScheduleKind
-from .errors import ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow
 from .topology import check_spec
 from .perfmodel import MachineModel, KernelSample
-from .energy import PowerModel, fit_power_model
+from .energy import PowerModel, energy_per_step, fit_power_model
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -89,6 +89,14 @@ def _at(prefix: str, build, *args):
         return build(*args)
     except ScenarioError as exc:
         raise ScenarioError(exc.message, f"{prefix}.{exc.path}" if exc.path else prefix) from None
+
+
+def _checked(path: str, build, *args):
+    """``build(*args)``, re-raising its ConfigurationError as a ScenarioError at ``path``."""
+    try:
+        return build(*args)
+    except ConfigurationError as exc:
+        raise ScenarioError(str(exc), path) from None
 
 
 def _check_finite(doc: object) -> None:
@@ -298,12 +306,21 @@ class RooflineSpec:
 
 @dataclass(frozen=True)
 class EnergySpec:
+    """A power model and the (name, step_seconds, busy_fraction, devices) it bills.
+
+    Each configuration is billed once here, so the model's checks fail at its path.
+    """
+
     model: PowerModel
     configurations: tuple[tuple[str, float, float, int], ...]
 
     def __post_init__(self):
         if not self.configurations:
             raise ScenarioError("configurations must not be empty", "configurations")
+        for i, (_name, step_seconds, busy_fraction, devices) in enumerate(self.configurations):
+            at = f"configurations[{i}]"
+            watts = _checked(at, self.model.predict, busy_fraction)
+            _checked(at, energy_per_step, watts, step_seconds, devices)
 
 
 @dataclass(frozen=True)
@@ -393,11 +410,12 @@ def _parse_sweep(doc: Mapping, path: str) -> SweepSpec:
 def _parse_roofline(doc: Mapping, path: str) -> RooflineSpec:
     _check_keys(doc, ("peak_gflops", "stream_gbps", "kernels"), path)
     default = MachineModel()
-    machine = MachineModel(
+    machine = _checked(
+        path, MachineModel,
         _get(doc, "peak_gflops", float, path, default=default.peak_flops / 1e9) * 1e9,
         _get(doc, "stream_gbps", float, path, default=default.stream_bandwidth / 1e9) * 1e9)
-    kernels = [KernelSample(_get(kd, "name", str, kp), _get(kd, "flops", float, kp),
-                            _get(kd, "bytes", float, kp), _get(kd, "seconds", float, kp))
+    kernels = [_checked(kp, KernelSample, _get(kd, "name", str, kp), _get(kd, "flops", float, kp),
+                        _get(kd, "bytes", float, kp), _get(kd, "seconds", float, kp))
                for kd, kp in _objects(doc, "kernels", ("name", "flops", "bytes", "seconds"), path)]
     return _at(path, RooflineSpec, machine, tuple(kernels))
 
@@ -416,12 +434,11 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
                     or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
                 raise ScenarioError("expected [busy_fraction, watts]", fp)
             pts.append((float(pair[0]), float(pair[1])))
-        model = fit_power_model(pts)
+        model = _checked(f"{path}.fit", fit_power_model, pts)
     else:
-        model = PowerModel(
-            p_idle=_get(doc, "p_idle", float, path, default=PowerModel().p_idle),
-            p_max=_get(doc, "p_max", float, path, default=PowerModel().p_max),
-        )
+        model = _checked(path, PowerModel,
+                         _get(doc, "p_idle", float, path, default=PowerModel().p_idle),
+                         _get(doc, "p_max", float, path, default=PowerModel().p_max))
     confs = [(_get(cd, "name", str, cp), _get(cd, "step_seconds", float, cp),
               _get(cd, "busy_fraction", float, cp), _get(cd, "devices", int, cp, default=1))
              for cd, cp in _objects(doc, "configurations",

@@ -128,6 +128,19 @@ class TestOutputDirectory:
         svg = (out / "roofline.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
+    def test_svg_escapes_kernel_names(self, tmp_path, capsys, monkeypatch):
+        from xml.dom import minidom
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, roofline={"kernels": [
+            {"name": "a<b&c", "flops": 1e9, "bytes": 1e8, "seconds": 0.01}]})
+        out = tmp_path / "roof"
+        code, _, err = run_main(capsys, "roofline", "--scenario", write_scenario(tmp_path, doc),
+                                "--output", str(out), "--svg")
+        assert code == 0, err
+        labels = minidom.parse(str(out / "roofline.svg")).getElementsByTagName("text")
+        assert "a<b&c" in [t.firstChild.data for t in labels]
+
     def test_svg_needs_output(self, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         code, _, err = run_main(
@@ -365,6 +378,56 @@ class TestRejectedBeforeAnyWork:
         # without --svg the table alone still prints
         code, stdout, _ = run_main(capsys, "roofline", "--scenario", scn)
         assert code == 0 and stdout.startswith("kernel,")
+
+    @pytest.mark.parametrize("section, entry, path", [
+        ("roofline", {"kernels": [{"name": "k", "flops": 1, "bytes": 1, "seconds": 0}]},
+         "roofline.kernels[0]"),
+        ("energy", {"configurations": [{"name": "c", "step_seconds": 1, "busy_fraction": 1.5}]},
+         "energy.configurations[0]"),
+    ])
+    def test_model_values_fail_with_a_path(self, tmp_path, capsys, monkeypatch,
+                                           section, entry, path):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        scn = write_scenario(tmp_path, dict(ALLTOALL_DOC, **{section: entry}))
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario", scn, "--output", str(out))
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ScenarioError" and doc["path"] == path
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("alltoall", "--ranks", "100000000", "--msg-bytes", "1"),
+        ("alltoall", "--ranks", "9", "--msg-bytes", "1"),
+    ])
+    def test_ranks_beyond_the_devices_fail_before_the_size_matrix(self, capsys, monkeypatch,
+                                                                   argv):
+        import haloflow.cli as cli
+
+        def refuse(*_args):
+            raise AssertionError("size matrix built for more ranks than devices")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "uniform_sizes", refuse)
+        code, stdout, err = run_main(capsys, *argv)
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ConfigurationError" and "8 devices" in doc["message"]
+
+    def test_sweep_point_ranks_beyond_its_devices(self, tmp_path, capsys, monkeypatch):
+        import haloflow.cli as cli
+
+        def refuse(*_args):
+            raise AssertionError("size matrix built for more ranks than devices")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "uniform_sizes", refuse)
+        doc = dict(ALLTOALL_DOC, sweep={"total_bytes": 1e6, "compute_seconds_total": 0.01,
+                                        "points": [{"name": "big", "topology": {"preset": "dgx2"},
+                                                    "ranks": 17}]})
+        code, stdout, err = run_main(capsys, "sweep", "--scenario", write_scenario(tmp_path, doc))
+        assert code == 3 and stdout == ""
+        assert "16 devices" in one_json_line(err)["message"]
 
     def test_unrenderable_csv_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)

@@ -1,17 +1,18 @@
 """Field exchange and stencil execution: values, counters, cost model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from haloflow import RankMap, ScheduleKind, SimConfig, preset
-from haloflow.errors import ProtocolError
+from haloflow.errors import ConfigurationError, ProtocolError
 from haloflow.halo import (
     OverlapMode,
     Partition,
     Router,
     build_plan,
-    ensure_plan,
     exchange,
     gather_global,
     global_checksum,
@@ -26,6 +27,7 @@ from haloflow.halo import (
     stencil_step,
     unpack,
 )
+from haloflow.halo.engine import _exchange_rounds
 
 
 def reference_step(grid, values):
@@ -102,6 +104,39 @@ class TestExchange:
         assert not fields[0].ghosts_fresh
         exchange(fields, plan, router)
         assert all(f.ghosts_fresh for f in fields)
+
+
+def _reference_round_targets(schedule, rank, p):
+    """One rank's per-round ordered targets, written out per schedule: the reference table."""
+    if schedule is ScheduleKind.ROTATED_CONCURRENT:
+        return [[(k + rank) % p for k in range(p) if (k + rank) % p != rank]]
+    if schedule is ScheduleKind.STAGE_SERIALIZED:
+        return [[(rank + k + 1) % p] for k in range(p - 1)]
+    if schedule is ScheduleKind.PAIRWISE_XOR:
+        return [[rank ^ k] for k in range(1, p)]
+    return [[j] if (i == rank and j != rank) else [] for i in range(p) for j in range(p)]
+
+
+class TestExchangeRounds:
+    @pytest.mark.parametrize("schedule, p", [
+        (kind, p) for kind in ScheduleKind for p in range(1, 17)
+        if kind is not ScheduleKind.PAIRWISE_XOR or p & (p - 1) == 0])
+    def test_rounds_are_the_reference_table_without_empty_rounds(self, schedule, p):
+        table = [_reference_round_targets(schedule, r, p) for r in range(p)]
+        busy = [k for k in range(len(table[0])) if any(table[r][k] for r in range(p))]
+        rounds = _exchange_rounds(schedule, p)
+        assert [[t[r] for t in rounds] for r in range(p)] == [
+            [table[r][k] for k in busy] for r in range(p)]
+
+    def test_only_empty_rounds_are_dropped(self):
+        assert len(_exchange_rounds(ScheduleKind.LINEAR_SEQUENTIAL, 5)) == 5 * 5 - 5
+        assert _exchange_rounds(ScheduleKind.ROTATED_CONCURRENT, 1) == []
+        assert len(_exchange_rounds(ScheduleKind.STAGE_SERIALIZED, 5)) == 4
+        assert len(_exchange_rounds(ScheduleKind.PAIRWISE_XOR, 8)) == 7
+
+    def test_pairwise_xor_needs_a_power_of_two(self):
+        with pytest.raises(ConfigurationError, match="power-of-two"):
+            _exchange_rounds(ScheduleKind.PAIRWISE_XOR, 6)
 
 
 class TestStencilValues:
@@ -240,7 +275,12 @@ class TestChecksum:
         nranks = min(nranks, n)
         block = -(-n // nranks)
         owner = np.arange(n) // block
+        # the checksum reads owned values only; an edgeless grid (which
+        # GlobalGrid rejects) keeps one-element sums in the domain
+        edgeless = SimpleNamespace(n=n, indptr=np.zeros(n + 1, dtype=np.int64),
+                                   indices=np.empty(0, dtype=np.int64))
         part = Partition(
+            grid=edgeless,
             nranks=nranks,
             owner=owner,
             owned=tuple(np.flatnonzero(owner == r) for r in range(nranks)),
@@ -253,33 +293,21 @@ class TestChecksum:
         assert repr(got) == repr(_loop_sum(values))
 
 
-class TestWorkspaceCache:
+class TestStencilRows:
     def test_missing_ghost_is_a_protocol_error(self):
-        part = partition_block(ring(8), 2)
+        grid = ring(8)
+        part = partition_block(grid, 2)
         # forge rank 0's ghost list without element 7, a neighbour of element 0
-        bad = Partition(nranks=2, owner=part.owner, owned=part.owned,
-                        ghosts=(((4, 1),), part.ghosts[1]))
-        router = Router(2)
-        plan = build_plan(bad, router)
-        fields = make_fields(bad, np.arange(8.0))
         with pytest.raises(ProtocolError, match="neither owned nor a ghost"):
-            stencil_step(fields, ring(8), bad, plan, router)
+            Partition(grid=grid, nranks=2, owner=part.owner, owned=part.owned,
+                      ghosts=(((4, 1),), part.ghosts[1]))
 
-
-    def test_one_plan_two_grids_of_equal_size(self):
-        """Each grid gets its own workspace, even when a freed grid's id is reused."""
-        part = partition_block(ring(8), 1)
-        router = Router(1)
-        plan = ensure_plan(part, router)
+    def test_two_grids_of_equal_size_get_their_own_partitions(self):
         init = np.arange(8.0) ** 2
-
-        def step(make_grid):
-            grid = make_grid()  # dropped on return, so the next grid may reuse its id
+        for grid in (ring(8), quad_mesh(2, 4), ring(8), quad_mesh(4, 2)):
+            part = partition_block(grid, 1)
+            router = Router(1)
+            plan = build_plan(part, router)
             fields = make_fields(part, init)
-            stencil_step(fields, grid, part, plan, router)
-            return gather_global(fields, part), reference_step(grid, init)
-
-        for make_grid in (lambda: ring(8), lambda: quad_mesh(2, 4), lambda: ring(8),
-                          lambda: quad_mesh(4, 2)):
-            got, want = step(make_grid)
-            assert np.array_equal(got, want)
+            stencil_step(fields, part, plan, router)
+            assert np.array_equal(gather_global(fields, part), reference_step(grid, init))

@@ -9,7 +9,6 @@ from haloflow.halo import (
     Partition,
     Router,
     build_plan,
-    ensure_plan,
     partition_block,
     quad_mesh,
     random_grid,
@@ -127,13 +126,6 @@ class TestPlanOracles:
         plan = build_plan(part, Router(5))
         assert plan.total_sent() == sum(part.n_ghosts(r) for r in range(5))
 
-    def test_plan_cached_per_partition(self):
-        part = partition_block(ring(12), 3)
-        router = Router(3)
-        first = ensure_plan(part, router)
-        second = ensure_plan(part, router)
-        assert first is second
-
     def test_boundary_locals_are_senders(self):
         part = partition_block(ring(12), 3)
         plan = build_plan(part, Router(3))
@@ -148,6 +140,7 @@ class TestProtocolHardening:
         part = partition_block(ring(8), 2)
         # forge rank 0's ghost list to request element 3 (its own) from rank 1
         bad = Partition(
+            grid=part.grid,
             nranks=2,
             owner=part.owner,
             owned=part.owned,
@@ -161,7 +154,8 @@ class TestProtocolHardening:
         bad_ghosts = list(part.ghosts)
         bad_ghosts[0] = bad_ghosts[0] + ((8, 7),)  # rank 7 owns nothing
         bad = Partition(
-            nranks=8, owner=part.owner, owned=part.owned, ghosts=tuple(bad_ghosts)
+            grid=part.grid, nranks=8, owner=part.owner, owned=part.owned,
+            ghosts=tuple(bad_ghosts),
         )
         with pytest.raises(ProtocolError):
             build_plan(bad, Router(8))

@@ -8,7 +8,9 @@ import pytest
 import haloflow.scenario as scenario_mod
 from haloflow import ConfigurationError, ScenarioError, load_scenario, parse_grid, parse_scenario
 from haloflow.netsim import Flow
-from haloflow.scenario import AlltoallJob, HaloJob, Scenario, SweepPoint, TimestepJob
+from haloflow.energy import PowerModel
+from haloflow.scenario import (AlltoallJob, EnergySpec, HaloJob, Scenario, SweepPoint,
+                                TimestepJob)
 
 
 def bundled(name):
@@ -346,6 +348,57 @@ class TestConstructorsValidate:
         with pytest.raises(ScenarioError) as err:
             Scenario("s", -2, {"preset": "dgx1v"}, AlltoallJob(2, 1, ()))
         assert err.value.path == "seed"
+
+
+KERNEL = {"name": "k", "flops": 1e9, "bytes": 1e8, "seconds": 0.01}
+CONFIG = {"name": "c", "step_seconds": 0.01, "busy_fraction": 0.5, "devices": 2}
+
+
+class TestModelChecksCarryPaths:
+    """Roofline and energy values fail at parse time, through the models' own checks."""
+
+    @pytest.mark.parametrize("roofline, path, message", [
+        ({"kernels": [KERNEL, dict(KERNEL, seconds=0)]}, "roofline.kernels[1]",
+         "seconds must be positive"),
+        ({"kernels": [dict(KERNEL, flops=-1)]}, "roofline.kernels[0]", "flops must be >= 0"),
+        ({"kernels": [dict(KERNEL, bytes=-1)]}, "roofline.kernels[0]",
+         "bytes_moved must be >= 0"),
+        ({"peak_gflops": 0, "kernels": [KERNEL]}, "roofline", "peak_flops must be positive"),
+        ({"stream_gbps": -1, "kernels": [KERNEL]}, "roofline",
+         "stream_bandwidth must be positive"),
+    ])
+    def test_roofline(self, roofline, path, message):
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(minimal(roofline=roofline))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("energy, path, message", [
+        ({"configurations": [CONFIG, dict(CONFIG, busy_fraction=1.5)]},
+         "energy.configurations[1]", "busy_fraction must be in"),
+        ({"configurations": [dict(CONFIG, busy_fraction=-0.5)]}, "energy.configurations[0]",
+         "busy_fraction must be in"),
+        ({"configurations": [dict(CONFIG, step_seconds=-1)]}, "energy.configurations[0]",
+         "step_seconds must be >= 0"),
+        ({"configurations": [dict(CONFIG, devices=0)]}, "energy.configurations[0]",
+         "devices must be >= 1"),
+        ({"p_idle": -1, "configurations": [CONFIG]}, "energy", "p_idle must be >= 0"),
+        ({"p_idle": 100, "p_max": 50, "configurations": [CONFIG]}, "energy",
+         "must be >= p_idle"),
+        ({"fit": [[0.5, 100]], "configurations": [CONFIG]}, "energy.fit", "at least two"),
+        ({"fit": [[0.5, 100], [0.5, 120]], "configurations": [CONFIG]}, "energy.fit",
+         "slope is undefined"),
+        ({"fit": [[0.5, 100], [1.5, 120]], "configurations": [CONFIG]}, "energy.fit",
+         "busy_fraction must be in"),
+    ])
+    def test_energy(self, energy, path, message):
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(minimal(energy=energy))
+        assert err.value.path == path
+
+    def test_energy_spec_built_in_python(self):
+        with pytest.raises(ScenarioError) as err:
+            EnergySpec(PowerModel(), (("a", 0.1, 0.5, 1), ("b", 0.1, 2.0, 1)))
+        assert err.value.path == "configurations[1]"
 
 
 class TestLoading:
