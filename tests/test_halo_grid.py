@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haloflow import ConfigurationError
 from haloflow.halo import GlobalGrid, partition_block, quad_mesh, random_grid, ring
+
+from oracles import reference_random_grid
 
 
 def csr(rows):
@@ -116,6 +119,17 @@ class TestRandomGrid:
         for i, row in enumerate(g.adjacency):
             for j in row:
                 assert i in g.adjacency[j]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 400), st.integers(2, 9), st.integers())
+    def test_equals_the_loop_reference(self, n, max_degree, seed):
+        got = random_grid(n, max_degree, seed)
+        want = reference_random_grid(n, max_degree, seed)
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+
+    def test_large_grid_equals_the_loop_reference(self):
+        assert random_grid(1000, 8, 1).adjacency == reference_random_grid(1000, 8, 1).adjacency
 
 
 class TestPartition:

@@ -1,6 +1,7 @@
 """Machine graphs, presets, and route derivation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haloflow import (
     ConfigurationError,
@@ -13,7 +14,18 @@ from haloflow import (
 )
 import haloflow.topology as topology_mod
 from haloflow import ScenarioError
-from haloflow.topology import check_spec, device, from_spec, host_bridge, nic, parse_node, switch
+from haloflow.topology import (
+    NodeId,
+    check_spec,
+    device,
+    from_spec,
+    host_bridge,
+    nic,
+    parse_node,
+    switch,
+)
+
+from oracles import reference_host_bridge, reference_path, reference_routes
 
 
 def crosses_kind(topo, src, dst, kind):
@@ -246,3 +258,68 @@ class TestRankMap:
             rm.device_of(2)
         with pytest.raises(ConfigurationError):
             RankMap([])
+
+
+@st.composite
+def inline_topologies(draw):
+    """Small multigraphs: every kind of node, gaps in the indices, parallel links.
+
+    Most are connected (each node after the first links to an earlier one);
+    some leave a node out of that chain.  Few nodes and many links make
+    equal-length paths, so the tie-breaks decide the routes.
+    """
+    nodes = [device(i) for i in draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))]
+    for make in (host_bridge, switch, nic):
+        nodes += [make(i) for i in draw(st.sets(st.integers(0, 4), max_size=3))]
+    nodes = draw(st.permutations(nodes))
+    links = []
+    for k in range(1, len(nodes)):
+        if draw(st.integers(0, 15)):
+            a, b = nodes[k], nodes[draw(st.integers(0, k - 1))]
+            links.append(Link(*((a, b) if draw(st.booleans()) else (b, a)), 1e9))
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda t: t[0] != t[1])
+    for a, b in draw(st.lists(pair, max_size=10)):
+        links.append(Link(a, b, 1e9))
+    links = draw(st.permutations(links))
+    return nodes, links
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the text of the TopologyError it raises."""
+    try:
+        return call(*args)
+    except TopologyError as exc:
+        return f"TopologyError: {exc}"
+
+
+class TestRoutesMatchReference:
+    """Derived routes, ``path_hops`` and host bridges equal the per-pair search's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inline_topologies())
+    def test_inline_topologies(self, graph):
+        nodes, links = graph
+        topo = _outcome(Topology, nodes, links, 1e9)
+        want = _outcome(reference_routes, nodes, links)
+        if isinstance(topo, str):
+            assert topo == want
+            return
+        assert {(i, j): topo.route_hops(i, j) for i in topo.devices for j in topo.devices} == want
+        for a in nodes:
+            for b in nodes:
+                hops = reference_path(nodes, links, a, b)
+                assert _outcome(topo.path_hops, a, b) == (
+                    f"TopologyError: no path between {a} and {b}" if hops is None else hops)
+        for d in topo.devices:
+            hb = reference_host_bridge(nodes, links, d)
+            assert _outcome(topo.nearest_host_bridge, d) == (
+                f"TopologyError: device:{d} has no host bridge on its topology"
+                if hb is None else hb)
+
+    def test_presets(self):
+        for topo in (preset("dgx1v", servers=4), preset("fat_tree_edr", nodes=3,
+                                                        devices_per_node=2), preset("dgx2")):
+            assert topo._routes == reference_routes(topo.nodes, topo.links)
+            for a in topo.nodes:
+                for b in sorted(topo.nodes, key=NodeId.sort_key)[:12]:
+                    assert topo.path_hops(a, b) == reference_path(topo.nodes, topo.links, a, b)
