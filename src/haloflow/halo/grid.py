@@ -156,45 +156,85 @@ def random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:
     guarantees connectivity), then the shortest remaining candidate edges
     are added while both endpoints stay under ``max_degree``.  Everything
     is driven by one seeded generator, so equal arguments give equal grids.
+
+    Ties go to the lower index in both steps: attachment takes the first
+    nearest predecessor, and candidate edges ``(i, j)``, ``i < j``, are
+    taken in ``(distance, i, j)`` order.  Squared distances are
+    ``dx*dx + dy*dy`` in float64.
+
+    Cost: O(n^2) time and memory in array operations for the distance
+    matrix; only the shortest candidate edges are sorted and visited one by
+    one.  ``random_grid(1000)`` takes under 0.1 s on one 2020s server core.
     """
     check_random_grid(n, max_degree, seed)
     rng = random.Random(seed)
-    pos = [(rng.random(), rng.random()) for _ in range(n)]
+    x, y = np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2).T
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    dist = dx * dx + dy * dy  # exactly symmetric: x[j] - x[i] == -(x[i] - x[j])
+    dist[np.tri(n, dtype=bool)] = np.inf  # keep the pairs (i, j) with i < j
 
-    def dist2(i: int, j: int) -> float:
-        dx = pos[i][0] - pos[j][0]
-        dy = pos[i][1] - pos[j][1]
-        return dx * dx + dy * dy
-
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-
-    def connect(i: int, j: int) -> None:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-
-    # spanning attachment: node i joins its nearest predecessor with room
-    for i in range(1, n):
-        candidates = [j for j in range(i) if len(nbrs[j]) < max_degree]
-        # degree budget: i predecessors hold at most 2*(i-1) edge endpoints,
-        # so someone always has room while max_degree >= 2
-        j = min(candidates, key=lambda j: (dist2(i, j), j))
-        connect(i, j)
+    # spanning attachment: element j joins its nearest predecessor i with
+    # room; j predecessors hold at most 2*(j-1) edge endpoints, so someone
+    # always has room while max_degree >= 2
+    nearest = np.argmin(dist, axis=0).tolist()
+    parent = np.zeros(n, dtype=np.int64)
+    degree = np.zeros(n, dtype=np.int64)
+    for j in range(1, n):
+        i = nearest[j]
+        if degree[i] >= max_degree:  # the first minimum among predecessors with room
+            i = int(np.argmin(np.where(degree[:j] < max_degree, dist[:j, j], np.inf)))
+        parent[j] = i
+        degree[i] += 1
+        degree[j] += 1
 
     # densify with the shortest remaining edges, degree-capped
-    edges = sorted(
-        ((dist2(i, j), i, j) for i in range(n) for j in range(i + 1, n) if j not in nbrs[i]),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    budget = 2 * n  # extra edges beyond the tree; keeps the graph sparse
-    added = 0
-    for _d, i, j in edges:
-        if added >= budget:
-            break
-        if len(nbrs[i]) < max_degree and len(nbrs[j]) < max_degree:
-            connect(i, j)
-            added += 1
+    child = np.arange(1, n)
+    dist[parent[1:], child] = np.inf  # tree edges are taken already
+    a, b = _densify(dist, degree.tolist(), max_degree, budget=2 * n)
+
+    src = np.concatenate([child, parent[1:], a, b])
+    dst = np.concatenate([parent[1:], child, b, a])
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in nbrs], out=indptr[1:])
-    indices = np.fromiter((j for s in nbrs for j in sorted(s)), dtype=np.int64,
-                          count=int(indptr[-1]))
-    return GlobalGrid(indptr, indices)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return GlobalGrid(indptr, dst[np.argsort(src * n + dst)])
+
+
+def _densify(length: np.ndarray, degree: list[int], max_degree: int,
+             budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add candidate edges greedily in ``(length[i, j], i, j)`` order; return their ends.
+
+    ``length[i, j]`` is finite exactly for the candidates, each with
+    ``i < j``.  A candidate is added while both ends have room under
+    ``max_degree``, until ``budget`` are added; ``degree`` is updated in
+    place.  Candidates are visited in blocks of ascending length.  A block
+    holds every remaining candidate up to a threshold length, ties
+    included, so the blocks, each sorted stably from ``(i, j)`` order, are
+    exactly the full sorted sequence, and candidates past the last block
+    needed are never sorted.  Each block looks only at the elements that
+    still have room, since a full element stays full.
+    """
+    added_i: list[int] = []
+    added_j: list[int] = []
+    low = -np.inf
+    size = budget
+    while len(added_i) < budget:
+        room = np.flatnonzero(np.array(degree) < max_degree)
+        sub = (length if len(room) == len(degree) else length[np.ix_(room, room)]).ravel()
+        live = np.flatnonzero((sub > low) & (sub < np.inf))
+        if not len(live):
+            break
+        k = min(size, len(live))
+        low = np.partition(sub[live], k - 1)[k - 1]
+        block = live[sub[live] <= low]
+        block = block[np.argsort(sub[block], kind="stable")]
+        size *= 2
+        for i, j in zip(room[block // len(room)].tolist(), room[block % len(room)].tolist()):
+            if degree[i] < max_degree and degree[j] < max_degree:
+                degree[i] += 1
+                degree[j] += 1
+                added_i.append(i)
+                added_j.append(j)
+                if len(added_i) == budget:
+                    break
+    return np.array(added_i, dtype=np.int64), np.array(added_j, dtype=np.int64)

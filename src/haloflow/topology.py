@@ -11,6 +11,8 @@ automatically by shortest-hop search with a deterministic tie-break (the
 lexicographically smallest node sequence, lowest link index first) from
 the lower-numbered endpoint, and the opposite direction is the exact
 reversal, so ``route(i, j)`` and ``route(j, i)`` always mirror each other.
+One breadth-first search per source device yields its routes to every
+higher-numbered device.
 
 Presets
 -------
@@ -140,6 +142,11 @@ class Link:
 Hop = tuple[int, bool]
 
 
+def _reverse(hops: Sequence[Hop]) -> tuple[Hop, ...]:
+    """The same walk in the opposite direction."""
+    return tuple((li, not fwd) for li, fwd in reversed(hops))
+
+
 class RankMap:
     """Mapping from simulation rank to device index.
 
@@ -209,62 +216,70 @@ class Topology:
         if not self._devices:
             raise TopologyError("topology needs at least one device node")
 
-        # adjacency sorted by (neighbour sort key, link index): BFS below then
-        # discovers nodes in lexicographic path order, which makes the chosen
-        # shortest path deterministic.
-        adj: dict[NodeId, list[tuple[NodeId, int, bool]]] = {n: [] for n in self.nodes}
+        # nodes interned as ints in sort-key order (devices first, by index);
+        # adjacency sorted by (neighbour, link index), so a breadth-first
+        # search discovers nodes in lexicographic path order, which makes the
+        # chosen shortest path deterministic
+        self._node_list = sorted(self.nodes, key=NodeId.sort_key)
+        self._node_ids = {n: k for k, n in enumerate(self._node_list)}
+        adj: list[list[tuple[int, int, Hop]]] = [[] for _ in self._node_list]
         for li, ln in enumerate(self.links):
-            adj[ln.a].append((ln.b, li, True))
-            adj[ln.b].append((ln.a, li, False))
-        for n in adj:
-            adj[n].sort(key=lambda t: (t[0].sort_key(), t[1]))
-        self._adj = adj
+            a, b = self._node_ids[ln.a], self._node_ids[ln.b]
+            adj[a].append((b, li, (li, True)))
+            adj[b].append((a, li, (li, False)))
+        self._adj = [[(v, hop) for v, _li, hop in sorted(row)] for row in adj]
+        self._trees: dict[int, list[tuple[Hop, ...] | None]] = {}
 
         if routes is None:
             self._routes = self._derive_routes()
         else:
             self._routes = self._check_routes(routes)
-        self._path_cache: dict[tuple[NodeId, NodeId], tuple[Hop, ...] | None] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _bfs_hops(self, src: NodeId, dst: NodeId) -> tuple[Hop, ...] | None:
-        """Lexicographically smallest shortest-hop path, or None if unreachable."""
-        if src == dst:
-            return ()
-        parent: dict[NodeId, tuple[NodeId, int, bool] | None] = {src: None}
-        frontier = [src]
-        while frontier and dst not in parent:
-            nxt: list[NodeId] = []
-            for u in frontier:
-                for v, li, fwd in self._adj[u]:
-                    if v not in parent:
-                        parent[v] = (u, li, fwd)
-                        nxt.append(v)
-            frontier = nxt
-        if dst not in parent:
-            return None
-        hops: list[Hop] = []
-        cur = dst
-        while parent[cur] is not None:
-            u, li, fwd = parent[cur]  # type: ignore[misc]
-            hops.append((li, fwd))
-            cur = u
-        hops.reverse()
-        return tuple(hops)
+    def _paths_from(self, src: int) -> list[tuple[Hop, ...] | None]:
+        """Shortest-hop path from node ``src`` to every node (None where unreachable).
+
+        One breadth-first search over the sorted adjacency: each path is the
+        lexicographically smallest shortest one, lowest link index first.
+        A search for one target that stops after the level where the target
+        appears assigns the same parents, so every path equals its own.
+        """
+        paths: list[tuple[Hop, ...] | None] = [None] * len(self._adj)
+        paths[src] = ()
+        queue = [src]
+        for u in queue:
+            to_u = paths[u]
+            for v, hop in self._adj[u]:
+                if paths[v] is None:
+                    paths[v] = to_u + (hop,)
+                    queue.append(v)
+        return paths
+
+    def _tree(self, src: NodeId) -> list[tuple[Hop, ...] | None]:
+        """``_paths_from`` of node ``src``, searched once per source and kept."""
+        k = self._node_ids[src]
+        paths = self._trees.get(k)
+        if paths is None:
+            paths = self._trees[k] = self._paths_from(k)
+        return paths
 
     def _derive_routes(self) -> dict[tuple[int, int], tuple[Hop, ...]]:
+        """Routes from each device's search tree to the higher-numbered devices.
+
+        Device ``devs[k]`` is node ``k``, since devices sort first.
+        """
         routes: dict[tuple[int, int], tuple[Hop, ...]] = {}
         devs = self._devices
-        for ai in range(len(devs)):
+        for ai, i in enumerate(devs[:-1]):
+            paths = self._paths_from(ai)
             for bi in range(ai + 1, len(devs)):
-                i, j = devs[ai], devs[bi]
-                hops = self._bfs_hops(device(i), device(j))
+                j, hops = devs[bi], paths[bi]
                 if hops is None:
                     raise TopologyError(f"no path between device:{i} and device:{j}")
                 routes[(i, j)] = hops
-                routes[(j, i)] = tuple((li, not fwd) for li, fwd in reversed(hops))
+                routes[(j, i)] = _reverse(hops)
         for i in devs:
             routes[(i, i)] = ()
         return routes
@@ -278,9 +293,9 @@ class Topology:
                 if (i, j) not in routes and (j, i) not in routes:
                     raise TopologyError(f"route missing for device pair ({i}, {j})")
                 if (i, j) in routes and (j, i) not in routes:
-                    routes[(j, i)] = tuple((li, not f) for li, f in reversed(routes[(i, j)]))
+                    routes[(j, i)] = _reverse(routes[(i, j)])
                 if (j, i) in routes and (i, j) not in routes:
-                    routes[(i, j)] = tuple((li, not f) for li, f in reversed(routes[(j, i)]))
+                    routes[(i, j)] = _reverse(routes[(j, i)])
         for (i, j), hops in routes.items():
             self._validate_walk(device(i), device(j), hops)
         return routes
@@ -352,12 +367,13 @@ class Topology:
         """Deterministic shortest-hop path between two arbitrary nodes.
 
         Used for staged transfers whose segments start or end at non-device
-        nodes; unlike device routes these are derived on demand.
+        nodes; unlike device routes these are read, on demand, from ``a``'s
+        search tree, which is built once and kept.
         """
-        key = (a, b)
-        if key not in self._path_cache:
-            self._path_cache[key] = self._bfs_hops(a, b)
-        hops = self._path_cache[key]
+        for n in (a, b):
+            if n not in self._node_ids:
+                raise TopologyError(f"unknown node {n}")
+        hops = self._tree(a)[self._node_ids[b]]
         if hops is None:
             raise TopologyError(f"no path between {a} and {b}")
         return hops
@@ -366,23 +382,12 @@ class Topology:
         """Closest host bridge to a device (fewest hops, lowest index on ties)."""
         if not self.has_device(dev):
             raise TopologyError(f"unknown device {dev}")
-        seen = {device(dev)}
-        frontier = [device(dev)]
-        while frontier:
-            found = sorted(
-                (n for n in frontier if n.kind is NodeKind.HOST_BRIDGE),
-                key=NodeId.sort_key,
-            )
-            if found:
-                return found[0]
-            nxt = []
-            for u in frontier:
-                for v, _li, _fwd in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        raise TopologyError(f"device:{dev} has no host bridge on its topology")
+        paths = self._tree(device(dev))
+        reachable = [(len(paths[k]), k) for k, n in enumerate(self._node_list)
+                     if n.kind is NodeKind.HOST_BRIDGE and paths[k] is not None]
+        if not reachable:
+            raise TopologyError(f"device:{dev} has no host bridge on its topology")
+        return self._node_list[min(reachable)[1]]
 
     def __eq__(self, other) -> bool:
         return (
