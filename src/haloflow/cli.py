@@ -123,7 +123,7 @@ def parse_topology_arg(spec: str) -> Topology:
 # --- job tables -------------------------------------------------------------
 
 def _check_ranks(ranks: int, topo: Topology) -> None:
-    """Refuse more ranks than ``topo`` has devices, before an n x n size matrix is built."""
+    """Refuse more ranks than ``topo`` has devices, before a size matrix or a stencil is built."""
     if ranks > topo.n_devices:
         raise ConfigurationError(
             f"{ranks} ranks exceed the {topo.n_devices} devices of topology {topo.name!r}")
@@ -151,6 +151,7 @@ def halo_tables(
 ) -> tuple[Table, Table]:
     """Run a halo stencil job; returns (checksum table, timing table)."""
     cfg = cfg or SimConfig()
+    _check_ranks(job.ranks, topo)
     grid = parse_grid(job.grid)
     rng = np.random.default_rng(seed)
     init = rng.standard_normal(grid.n)

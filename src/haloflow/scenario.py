@@ -20,12 +20,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .collectives import ScheduleKind
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError, UndefinedIntensityError
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow
 from .topology import check_spec
-from .perfmodel import MachineModel, KernelSample
+from .perfmodel import MachineModel, KernelSample, arithmetic_intensity
 from .energy import PowerModel, energy_per_step, fit_power_model
 
 __all__ = [
@@ -92,11 +92,18 @@ def _at(prefix: str, build, *args):
 
 
 def _checked(path: str, build, *args):
-    """``build(*args)``, re-raising its ConfigurationError as a ScenarioError at ``path``."""
+    """``build(*args)``, re-raising a model check's error as a ScenarioError at ``path``."""
     try:
         return build(*args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, UndefinedIntensityError) as exc:
         raise ScenarioError(str(exc), path) from None
+
+
+def _kernel(name: str, flops: float, bytes_moved: float, seconds: float) -> KernelSample:
+    """A kernel sample that has a place on the roofline: it moves bytes."""
+    kernel = KernelSample(name, flops, bytes_moved, seconds)
+    arithmetic_intensity(kernel.flops, kernel.bytes_moved)
+    return kernel
 
 
 def _check_finite(doc: object) -> None:
@@ -414,7 +421,7 @@ def _parse_roofline(doc: Mapping, path: str) -> RooflineSpec:
         path, MachineModel,
         _get(doc, "peak_gflops", float, path, default=default.peak_flops / 1e9) * 1e9,
         _get(doc, "stream_gbps", float, path, default=default.stream_bandwidth / 1e9) * 1e9)
-    kernels = [_checked(kp, KernelSample, _get(kd, "name", str, kp), _get(kd, "flops", float, kp),
+    kernels = [_checked(kp, _kernel, _get(kd, "name", str, kp), _get(kd, "flops", float, kp),
                         _get(kd, "bytes", float, kp), _get(kd, "seconds", float, kp))
                for kd, kp in _objects(doc, "kernels", ("name", "flops", "bytes", "seconds"), path)]
     return _at(path, RooflineSpec, machine, tuple(kernels))

@@ -561,13 +561,17 @@ _PRESET_KEYS = {
     "device_mem_bw_gbps": ("device_mem_bw", 1e9),
 }
 _INLINE_KEYS = ("nodes", "links", "device_mem_bw_gbps", "routes", "name")
+# Most devices a preset spec may imply; a spec is checked against it before
+# anything is built.  512 devices (dgx1v with 64 servers) build in about 1 s.
+MAX_PRESET_DEVICES = 512
 
 
 def check_spec(doc: Mapping) -> None:
     """Check a topology spec's keys and preset parameters without building it.
 
     A bad key or value raises :class:`ScenarioError` whose ``path`` is the
-    key; an unknown preset name raises :class:`ConfigurationError`.
+    key; so does a preset with more than ``MAX_PRESET_DEVICES`` devices.
+    An unknown preset name raises :class:`ConfigurationError`.
     """
     if "preset" not in doc:
         unknown = sorted(set(doc) - set(_INLINE_KEYS))
@@ -579,7 +583,7 @@ def check_spec(doc: Mapping) -> None:
     if not isinstance(doc["preset"], str):
         raise ScenarioError(f"expected a preset name, got {type(doc['preset']).__name__}",
                             "preset")
-    _preset_key(doc["preset"])
+    preset_key = _preset_key(doc["preset"])
     for key in sorted(set(doc) - {"preset"}):
         if key not in _PRESET_KEYS:
             raise ScenarioError(f"unknown key {key!r}", key)
@@ -591,6 +595,14 @@ def check_spec(doc: Mapping) -> None:
         # NaN, infinities and ints a double cannot hold, as a scenario file rejects them
         if not abs(value) <= sys.float_info.max:
             raise ScenarioError("expected a finite number", key)
+    if preset_key in ("dgx1p", "dgx1v") and doc.get("servers", 1) > MAX_PRESET_DEVICES // 8:
+        raise ScenarioError(f"servers must be <= {MAX_PRESET_DEVICES // 8} "
+                            f"(8 devices each, {MAX_PRESET_DEVICES} at most)", "servers")
+    if preset_key == "fat_tree_edr":
+        nodes, per_node = doc.get("nodes", 1), doc.get("devices_per_node", 1)
+        if min(nodes, per_node) >= 1 and nodes * per_node > MAX_PRESET_DEVICES:
+            raise ScenarioError(f"nodes x devices_per_node must be <= {MAX_PRESET_DEVICES}",
+                                "devices_per_node" if per_node > MAX_PRESET_DEVICES else "nodes")
 
 
 def from_spec(doc: Mapping) -> Topology:

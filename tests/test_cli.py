@@ -414,6 +414,53 @@ class TestRejectedBeforeAnyWork:
         doc = one_json_line(err)
         assert doc["error"] == "ConfigurationError" and "8 devices" in doc["message"]
 
+    def test_halo_ranks_beyond_the_devices_fail_before_the_stencil(self, capsys, monkeypatch):
+        import haloflow.cli as cli
+
+        calls = []
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "run_stencil", lambda *args, **kwargs: calls.append(args))
+        code, stdout, err = run_main(capsys, "halo", "--ranks", "9", "--grid", "ring16",
+                                     "--steps", "1", "--topology", "dgx1v")
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ConfigurationError"
+        assert doc["message"] == "9 ranks exceed the 8 devices of topology 'dgx1v'"
+        assert calls == []
+
+    def test_zero_byte_kernel_fails_at_parse_time(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = json.loads(resources.files("haloflow").joinpath("scenarios", "demo.json")
+                         .read_text(encoding="utf-8"))
+        doc["roofline"]["kernels"][0]["bytes"] = 0
+        code, stdout, err = run_main(capsys, "roofline", "--scenario",
+                                     write_scenario(tmp_path, doc))
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ScenarioError" and doc["path"] == "roofline.kernels[0]"
+
+    @pytest.mark.parametrize("spec, path", [
+        ("dgx1v:servers=65", "topology.servers"),
+        ("dgx1p:servers=1" + "0" * 30, "topology.servers"),
+        ("fat_tree_edr:nodes=100000", "topology.nodes"),
+        ("fat_tree_edr:nodes=65,devices_per_node=8", "topology.nodes"),
+        ("fat_tree_edr:nodes=2,devices_per_node=513", "topology.devices_per_node"),
+    ])
+    def test_preset_too_large_fails_before_it_is_built(self, capsys, monkeypatch, spec, path):
+        import haloflow.topology as topology
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("topology built beyond the preset size limit")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(topology, "preset", refuse)
+        code, stdout, err = run_main(capsys, "alltoall", "--topology", spec,
+                                     "--ranks", "2", "--msg-bytes", "1")
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ScenarioError" and doc["path"] == path
+        assert "512" in doc["message"]
+
     def test_sweep_point_ranks_beyond_its_devices(self, tmp_path, capsys, monkeypatch):
         import haloflow.cli as cli
 

@@ -103,7 +103,8 @@ HUGE = "1" + "0" * 400
 FLAG_VALUES = ("NaN", "Infinity", "1e400", "-1", "0", "1.5", "true", "x", "", "null", "[]",
                "{}", "dgx1v:servers=1.5", "dgx1v:servers=-1", "dgx1v:srevers=1", "dgx2:x",
                "dgx1v:servers=NaN", "dgx1v:nvlink_gbps=0", "dgx1v:servers=true",
-               "dgx1v:nvlink_gbps=NaN", "dgx1v:nvlink_gbps=" + HUGE)
+               "dgx1v:nvlink_gbps=NaN", "dgx1v:nvlink_gbps=" + HUGE,
+               "dgx1v:servers=1" + "0" * 30, "fat_tree_edr:nodes=100000")
 HUGE_FLAGS = ("--msg-bytes", "--bytes-per-element", "--compute-seconds", "--seed")
 
 

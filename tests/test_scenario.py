@@ -363,6 +363,8 @@ class TestModelChecksCarryPaths:
         ({"kernels": [dict(KERNEL, flops=-1)]}, "roofline.kernels[0]", "flops must be >= 0"),
         ({"kernels": [dict(KERNEL, bytes=-1)]}, "roofline.kernels[0]",
          "bytes_moved must be >= 0"),
+        ({"kernels": [KERNEL, dict(KERNEL, bytes=0)]}, "roofline.kernels[1]",
+         "intensity undefined"),
         ({"peak_gflops": 0, "kernels": [KERNEL]}, "roofline", "peak_flops must be positive"),
         ({"stream_gbps": -1, "kernels": [KERNEL]}, "roofline",
          "stream_bandwidth must be positive"),

@@ -145,6 +145,11 @@ class TestPresets:
         assert str(topo.nearest_host_bridge(0)) == "hostbridge:0"
         assert str(topo.nearest_host_bridge(5)) == "hostbridge:1"
 
+    def test_largest_dgx1v_has_the_size_limit_and_routes(self):
+        topo = preset("dgx1v", servers=64)
+        assert topo.n_devices == topology_mod.MAX_PRESET_DEVICES
+        assert len(topo.route_hops(0, 511)) == 6
+
 
 class TestFromSpec:
     def test_preset_with_unit_conversion(self):
@@ -225,6 +230,16 @@ class TestCheckSpec:
         assert err.value.path == path
         with pytest.raises(ScenarioError):
             from_spec(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"preset": "dgx1v", "servers": 64},
+        {"preset": "dgx1p", "servers": 64},
+        {"preset": "fat_tree_edr", "nodes": 64, "devices_per_node": 8},
+        {"preset": "fat_tree_edr", "devices_per_node": 512},
+        {"preset": "dgx1v", "nodes": 10 ** 30},  # not a dgx1v parameter: ignored
+    ])
+    def test_preset_size_limit_is_inclusive(self, doc):
+        check_spec(doc)
 
     def test_unknown_preset_keeps_its_error(self):
         with pytest.raises(ConfigurationError, match="unknown preset 'warpcore'"):
