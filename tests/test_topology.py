@@ -15,7 +15,6 @@ from haloflow import (
 import haloflow.topology as topology_mod
 from haloflow import ScenarioError
 from haloflow.topology import (
-    NodeId,
     check_spec,
     device,
     from_spec,
@@ -330,11 +329,3 @@ class TestRoutesMatchReference:
             assert _outcome(topo.nearest_host_bridge, d) == (
                 f"TopologyError: device:{d} has no host bridge on its topology"
                 if hb is None else hb)
-
-    def test_presets(self):
-        for topo in (preset("dgx1v", servers=4), preset("fat_tree_edr", nodes=3,
-                                                        devices_per_node=2), preset("dgx2")):
-            assert topo._routes == reference_routes(topo.nodes, topo.links)
-            for a in topo.nodes:
-                for b in sorted(topo.nodes, key=NodeId.sort_key)[:12]:
-                    assert topo.path_hops(a, b) == reference_path(topo.nodes, topo.links, a, b)
