@@ -60,7 +60,7 @@ def reference_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalG
     return GlobalGrid(indptr, indices)
 
 
-def _adjacency(nodes, links) -> dict[NodeId, list[tuple[NodeId, int, bool]]]:
+def adjacency(nodes, links) -> dict[NodeId, list[tuple[NodeId, int, bool]]]:
     """Neighbours of each node sorted by (neighbour sort key, link index)."""
     adj: dict[NodeId, list[tuple[NodeId, int, bool]]] = {n: [] for n in nodes}
     for li, ln in enumerate(links):
@@ -75,12 +75,12 @@ def reference_path(nodes, links, src: NodeId, dst: NodeId, adj=None):
     """Shortest-hop path from ``src`` to ``dst`` by a search that stops at ``dst``'s level.
 
     Returns the hops ``(link index, forward?)``, or None if ``dst`` is
-    unreachable.  ``adj`` is ``_adjacency(nodes, links)``, built here if
+    unreachable.  ``adj`` is ``adjacency(nodes, links)``, built here if
     not given.
     """
     if src == dst:
         return ()
-    adj = _adjacency(nodes, links) if adj is None else adj
+    adj = adjacency(nodes, links) if adj is None else adj
     parent: dict[NodeId, tuple[NodeId, int, bool] | None] = {src: None}
     frontier = [src]
     while frontier and dst not in parent:
@@ -108,7 +108,7 @@ def reference_routes(nodes, links) -> dict[tuple[int, int], tuple]:
 
     Raises the derivation's TopologyError for the first unconnected pair.
     """
-    adj = _adjacency(nodes, links)
+    adj = adjacency(nodes, links)
     routes = {}
     devs = sorted(n.index for n in set(nodes) if n.kind is NodeKind.DEVICE)
     for ai, i in enumerate(devs):
@@ -122,9 +122,9 @@ def reference_routes(nodes, links) -> dict[tuple[int, int], tuple]:
     return routes
 
 
-def reference_host_bridge(nodes, links, dev: int) -> NodeId | None:
+def reference_host_bridge(nodes, links, dev: int, adj=None) -> NodeId | None:
     """Host bridge fewest hops from ``device(dev)``, lowest index on ties; None if none is reachable."""
-    adj = _adjacency(nodes, links)
+    adj = adjacency(nodes, links) if adj is None else adj
     seen = {device(dev)}
     frontier = [device(dev)]
     while frontier:

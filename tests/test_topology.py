@@ -24,7 +24,7 @@ from haloflow.topology import (
     switch,
 )
 
-from oracles import reference_host_bridge, reference_path, reference_routes
+from oracles import adjacency, reference_host_bridge, reference_path, reference_routes
 
 
 def crosses_kind(topo, src, dst, kind):
@@ -319,13 +319,14 @@ class TestRoutesMatchReference:
             assert topo == want
             return
         assert {(i, j): topo.route_hops(i, j) for i in topo.devices for j in topo.devices} == want
+        adj = adjacency(nodes, links)
         for a in nodes:
             for b in nodes:
-                hops = reference_path(nodes, links, a, b)
+                hops = reference_path(nodes, links, a, b, adj)
                 assert _outcome(topo.path_hops, a, b) == (
                     f"TopologyError: no path between {a} and {b}" if hops is None else hops)
         for d in topo.devices:
-            hb = reference_host_bridge(nodes, links, d)
+            hb = reference_host_bridge(nodes, links, d, adj)
             assert _outcome(topo.nearest_host_bridge, d) == (
                 f"TopologyError: device:{d} has no host bridge on its topology"
                 if hb is None else hb)
