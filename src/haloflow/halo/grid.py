@@ -197,6 +197,7 @@ def random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:
     # densify with the shortest remaining edges, degree-capped
     child = np.arange(1, n)
     dist[parent[1:], child] = np.inf  # tree edges are taken already
+    # 2n extra edges beyond the tree at most keep the graph sparse
     a, b = _densify(dist, degree.tolist(), max_degree, budget=2 * n)
 
     src = np.concatenate([child, parent[1:], a, b])

@@ -1,7 +1,7 @@
 """The 100 random grids and initial fields of acceptance criterion 01.
 
 Built once per test session, since both criterion 01 and the halo golden
-gate walk these inputs; the 100 grids take about 0.6 s to build.
+gate walk these inputs.
 """
 
 import functools

@@ -3,8 +3,9 @@
 These are the implementations the array versions in ``haloflow`` replaced,
 kept word for word in their arithmetic and tie-breaks so the tests can
 require ``==`` between the two.  The route searches take a topology's
-``nodes`` and ``links``, so they also run on graphs ``Topology`` refuses.  They are quadratic (the grid) and search
-once per node pair (the routes), so use them only on small inputs.
+``nodes`` and ``links``, so they also run on graphs ``Topology`` refuses.
+They are quadratic (the grid) and search once per node pair (the routes),
+so use them only on small inputs.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def reference_routes(nodes, links) -> dict[tuple[int, int], tuple]:
 
 
 def reference_host_bridge(nodes, links, dev: int, adj=None) -> NodeId | None:
-    """Host bridge fewest hops from ``device(dev)``, lowest index on ties; None if none is reachable."""
+    """Host bridge fewest hops from ``device(dev)``, lowest index on ties, or None."""
     adj = adjacency(nodes, links) if adj is None else adj
     seen = {device(dev)}
     frontier = [device(dev)]

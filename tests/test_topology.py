@@ -14,15 +14,7 @@ from haloflow import (
 )
 import haloflow.topology as topology_mod
 from haloflow import ScenarioError
-from haloflow.topology import (
-    check_spec,
-    device,
-    from_spec,
-    host_bridge,
-    nic,
-    parse_node,
-    switch,
-)
+from haloflow.topology import check_spec, device, from_spec, host_bridge, nic, parse_node, switch
 
 from oracles import adjacency, reference_host_bridge, reference_path, reference_routes
 
