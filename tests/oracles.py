@@ -1,21 +1,24 @@
-"""Reference builders: the direct loop versions of ``random_grid`` and route search.
+"""Reference implementations: ``random_grid``, route search and the simulator.
 
-These are the implementations the array versions in ``haloflow`` replaced,
+These are the implementations the faster versions in ``haloflow`` replaced,
 kept word for word in their arithmetic and tie-breaks so the tests can
 require ``==`` between the two.  The route searches take a topology's
 ``nodes`` and ``links``, so they also run on graphs ``Topology`` refuses.
-They are quadratic (the grid) and search once per node pair (the routes),
+They are quadratic (the grid), search once per node pair (the routes) and
+re-evaluate every rate and utilisation sum on every step (the simulator),
 so use them only on small inputs.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
 from haloflow.halo import GlobalGrid
 from haloflow.errors import TopologyError
+from haloflow.netsim import FlowInterval, SimResult, Staging
 from haloflow.topology import NodeId, NodeKind, device
 
 
@@ -141,3 +144,235 @@ def reference_host_bridge(nodes, links, dev: int, adj=None) -> NodeId | None:
                     nxt.append(v)
         frontier = nxt
     return None
+
+
+# ----------------------------------------------------------------------
+# the simulator that re-evaluates everything on every step
+
+
+class _ReferenceNetwork:
+    """Resources interned to ints; routes compiled to legs of resource tuples."""
+
+    def __init__(self, topo, cfg):
+        self.topo = topo
+        self.cfg = cfg
+        self.index: dict[tuple, int] = {}
+        self.cap: list[float] = []
+        self.name: list[str] = []
+        self.count: list[int] = []
+        self.used: list[float] = []
+        self.peak: list[float] = []
+        self.first_use: list[int] = []
+        self._bridge_paths: dict[tuple[int, bool], tuple] = {}
+
+    def resource(self, key: tuple, capacity: float) -> int:
+        r = self.index.get(key)
+        if r is None:
+            r = self.index[key] = len(self.cap)
+            self.cap.append(capacity)
+            self.name.append(_reference_resource_name(self.topo, key))
+            self.count.append(0)
+            self.used.append(0.0)
+            self.peak.append(0.0)
+        return r
+
+    def peak_by_name(self) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for r in self.first_use:
+            name = self.name[r]
+            out[name] = max(out.get(name, 0.0), self.peak[r])
+        return out
+
+    def legs(self, f, rm) -> list[tuple]:
+        src_dev = rm.device_of(f.src_rank)
+        dst_dev = rm.device_of(f.dst_rank)
+        alpha, fluid = self._route(src_dev, dst_dev)
+        legs: list[tuple] = [(alpha, ())] if alpha > 0 else []
+        if f.bytes > 0:
+            nbytes = float(f.bytes)
+            legs.extend((nbytes, res) for res in fluid)
+        return legs
+
+    def _route(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
+        topo, cfg = self.topo, self.cfg
+        if src_dev == dst_dev:
+            return cfg.alpha_intra, ((self.resource(("devmem", src_dev), topo.device_mem_bw),),)
+        if cfg.staging is Staging.DEVICE_DIRECT:
+            res, inter_node = self._path(device(src_dev), topo.route_hops(src_dev, dst_dev))
+            return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
+        hb_s, up, nic_up = self._bridge_path(src_dev, True)
+        hb_d, down, nic_down = self._bridge_path(dst_dev, False)
+        inter_node = nic_up or nic_down
+        legs = [up, (self.resource(("hostmem", hb_s.index), cfg.host_mem_bw),)]
+        if hb_s != hb_d:
+            across, nic_across = self._path(hb_s, topo.path_hops(hb_s, hb_d))
+            inter_node = inter_node or nic_across
+            legs.append(across)
+            legs.append((self.resource(("hostmem", hb_d.index), cfg.host_mem_bw),))
+        legs.append(down)
+        return (cfg.alpha_inter if inter_node else cfg.alpha_intra), tuple(r for r in legs if r)
+
+    def _bridge_path(self, dev: int, up: bool):
+        got = self._bridge_paths.get((dev, up))
+        if got is None:
+            hb = self.topo.nearest_host_bridge(dev)
+            a, b = (device(dev), hb) if up else (hb, device(dev))
+            got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, self.topo.path_hops(a, b)))
+        return got
+
+    def _path(self, start: NodeId, hops):
+        links = self.topo.links
+        res = tuple(self.resource(("link", li, fwd), links[li].capacity) for li, fwd in hops)
+        cur, nic = start, False
+        for li, fwd in hops:
+            cur = links[li].b if fwd else links[li].a
+            if cur.kind is NodeKind.NIC:
+                nic = True
+                break
+        return res, nic
+
+
+def _reference_resource_name(topo, key: tuple) -> str:
+    if key[0] == "link":
+        ln = topo.links[key[1]]
+        a, b = (ln.a, ln.b) if key[2] else (ln.b, ln.a)
+        return f"{a}->{b}"
+    if key[0] == "devmem":
+        return f"devmem:device:{key[1]}"
+    return f"hostmem:hostbridge:{key[1]}"
+
+
+class _ReferenceFlowState:
+    def __init__(self, flow_id: int, legs: list[tuple]):
+        self.id = flow_id
+        self.legs = legs
+        self.leg_idx = 0
+        self.remaining, self.res = legs[0] if legs else (0.0, ())
+        self.rate = 0.0
+        self.dt = 0.0
+        self.seg_t0 = self.seg_t1 = self.seg_rate = 0.0
+
+
+def _reference_close_segment(st, net, events, start) -> None:
+    t0, t1 = start + st.seg_t0, start + st.seg_t1
+    for r in st.res:
+        events.append(FlowInterval(t0, t1, st.id, net.name[r], st.seg_rate))
+    st.seg_rate = 0.0
+
+
+def _reference_run_phase(t0, states, net, events, start):
+    """One phase; every step re-evaluates every rate, sum and peak."""
+    cap, count, used, peak = net.cap, net.count, net.used, net.peak
+    done: dict[int, float] = {}
+    active = []
+    for st in states:
+        if st.legs:
+            active.append(st)
+            for r in st.res:
+                count[r] += 1
+        else:
+            done[st.id] = t0
+
+    t = t0
+    while active:
+        dt = math.inf
+        touched: list[int] = []
+        for st in active:
+            legres = st.res
+            if legres:
+                rate = min([cap[r] / count[r] for r in legres])
+                st.rate = rate
+                st.dt = d = st.remaining / rate
+                for r in legres:
+                    u = used[r]
+                    if u == 0.0:
+                        touched.append(r)
+                    used[r] = u + rate
+            else:
+                st.dt = d = st.remaining
+            if d < dt:
+                dt = d
+
+        for r in touched:
+            util = used[r] / cap[r]
+            used[r] = 0.0
+            if util > peak[r]:
+                if peak[r] == 0.0:
+                    net.first_use.append(r)
+                peak[r] = util
+
+        t_end = t + dt
+        trace = events is not None and dt > 0.0
+        still = []
+        for st in active:
+            legres = st.res
+            if trace and legres:
+                if st.seg_rate == st.rate:
+                    st.seg_t1 = t_end
+                else:
+                    if st.seg_rate:
+                        _reference_close_segment(st, net, events, start)
+                    st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
+            if st.dt == dt:
+                st.remaining = 0.0
+            elif not legres:
+                st.remaining -= dt
+            else:
+                st.remaining -= st.rate * dt
+            if st.remaining <= 0.0:
+                if legres:
+                    if st.seg_rate:
+                        _reference_close_segment(st, net, events, start)
+                    for r in legres:
+                        count[r] -= 1
+                st.leg_idx += 1
+                if st.leg_idx >= len(st.legs):
+                    done[st.id] = t_end
+                    continue
+                st.remaining, st.res = st.legs[st.leg_idx]
+                for r in st.res:
+                    count[r] += 1
+            still.append(st)
+        active = still
+        t = t_end
+    return t, done
+
+
+def reference_simulate(topo, rm, flows, cfg, start: float = 0.0) -> SimResult:
+    """``simulate`` (``start == 0``) or the communication part of ``simulate_timestep``.
+
+    ``rm`` is a ``RankMap``; the flows must be valid, since nothing is checked.
+    """
+    nphases = 1 + max((f.phase for f in flows), default=-1)
+    grouped = [sorted((f for f in flows if f.phase == p), key=lambda f: f.id)
+               for p in range(nphases)]
+    net = _ReferenceNetwork(topo, cfg)
+    events: list[FlowInterval] | None = [] if cfg.collect_events else None
+    completion: dict[int, float] = {}
+    phase_completion: list[float] = []
+    t = 0.0
+    rank_busy = [0.0] * rm.nranks
+    for phase_flows in grouped:
+        states = [_ReferenceFlowState(f.id, net.legs(f, rm)) for f in phase_flows]
+        t_next, done = _reference_run_phase(t, states, net, events, start)
+        for fid, end in done.items():
+            completion[fid] = start + end
+        ends: dict[int, float] = {}
+        for f in phase_flows:
+            end = done[f.id]
+            for r in (f.src_rank, f.dst_rank):
+                if end > ends.get(r, t):
+                    ends[r] = end
+        for r, end in ends.items():
+            rank_busy[r] += end - t
+        phase_completion.append(start + t_next)
+        t = t_next
+    return SimResult(
+        flow_completion=completion,
+        phase_completion=phase_completion,
+        makespan=start + t,
+        busy_seconds=rank_busy,
+        busy_fraction=[b / t if t > 0 else 0.0 for b in rank_busy],
+        link_peak_utilization=net.peak_by_name(),
+        events=events if events is not None else [],
+    )
