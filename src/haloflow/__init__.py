@@ -23,7 +23,7 @@ from .errors import (
     TopologyError,
     UndefinedIntensityError,
 )
-from .topology import Link, NodeId, NodeKind, RankMap, Topology, preset, route_bandwidth
+from .topology import Link, NodeId, NodeKind, RankMap, Topology, preset
 from .netsim import (
     Flow,
     SimConfig,
@@ -72,7 +72,6 @@ __all__ = [
     "RankMap",
     "Topology",
     "preset",
-    "route_bandwidth",
     "Flow",
     "Staging",
     "SimConfig",

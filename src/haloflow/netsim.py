@@ -28,27 +28,41 @@ Everything is pure float arithmetic over sorted containers, so repeated
 runs are byte-identical and reordering the input flow list changes no
 completion time.
 
+Each step of the event loop recomputes only what can have changed: the
+rate of a flow whose leg just started or that crosses a resource whose
+flow count changed, and the utilization sum and peak of a resource whose
+flows or their rates changed.  A sum is still taken over the resource's
+flows in phase order, so it has the bits a full pass would give.  Every
+active flow's time to finish and progress are updated on every step.
+
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow
 on that leg, so a flow that keeps its rate for its whole leg yields one
 interval per resource however many rate changes other flows go through.
+The run records one row per such run (times, flow, the leg's resources,
+rate); ``SimResult.events`` is a read-only sequence over those rows that
+builds the ``FlowInterval`` list the first time it is iterated or indexed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
+from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from operator import attrgetter
 
 from .errors import SimulationError
-from .topology import NodeId, NodeKind, RankMap, Topology, device
+from .topology import NodeKind, RankMap, Topology, device, host_bridge
 
 __all__ = [
     "Flow",
     "Staging",
     "SimConfig",
     "FlowInterval",
+    "Trace",
     "SimResult",
     "TimestepScenario",
     "simulate",
@@ -105,6 +119,57 @@ class FlowInterval:
     rate: float
 
 
+class Trace(Sequence):
+    """A run's ``FlowInterval``s, kept as one record per closed segment.
+
+    A segment is a maximal constant-rate run of one flow on one leg: its
+    start, end, flow id, the leg's resources and its rate, in the order the
+    segments closed.  ``len`` is counted as segments close; iterating or
+    indexing builds the interval list (one per resource of each segment)
+    once, and a trace compares equal to that list.
+    """
+
+    def __init__(self, names: Sequence[str] = ()):
+        self._names = names  # resource int -> name
+        self._t0 = array("d")
+        self._t1 = array("d")
+        self._flow: list[int] = []
+        self._res: list[tuple[int, ...]] = []
+        self._rate = array("d")
+        self._len = 0
+        self._intervals: list[FlowInterval] | None = None
+
+    def _built(self) -> list[FlowInterval]:
+        if self._intervals is None:
+            names = self._names
+            self._intervals = [
+                FlowInterval(t0, t1, fid, names[r], rate)
+                for t0, t1, fid, res, rate in zip(self._t0, self._t1, self._flow, self._res,
+                                                  self._rate)
+                for r in res
+            ]
+        return self._intervals
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            other = other._built()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._built() == other
+
+    def __repr__(self) -> str:
+        return f"<Trace of {self._len} intervals>"
+
+
 @dataclass
 class SimResult:
     flow_completion: dict[int, float]
@@ -113,7 +178,7 @@ class SimResult:
     busy_seconds: list[float]
     busy_fraction: list[float]
     link_peak_utilization: dict[str, float]
-    events: list[FlowInterval] = field(default_factory=list)
+    events: Trace = field(default_factory=Trace)
 
 
 @dataclass(frozen=True)
@@ -140,34 +205,42 @@ class TimestepScenario:
 class _Network:
     """The resources and routes one simulate() call touches, interned to ints.
 
-    Each resource key, ("link", index, forward) | ("devmem", device) |
-    ("hostmem", bridge), is looked up and named once; the event loop then
-    indexes the parallel lists ``cap``, ``name``, ``count``, ``used`` and
-    ``peak``.  Host-staged paths to and from a device's nearest bridge are
-    found once per device.
+    A resource is a link direction, a device's memory engine or a bridge's
+    host-memory engine.  Link directions are found in a flat table indexed
+    ``2 * link + forward``, memory engines by key, and each is named once;
+    the event loop then indexes the parallel lists ``cap``, ``name``,
+    ``members`` and ``peak``.  Host-staged paths are found once per device
+    (to and from its nearest bridge) and once per pair of bridges.
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
         self.topo = topo
         self.cfg = cfg
-        self.index: dict[tuple, int] = {}
         self.cap: list[float] = []
         self.name: list[str] = []
-        self.count: list[int] = []       # fluid legs crossing it in the current step
-        self.used: list[float] = []      # scratch for one step's rate sums, kept at 0.0
-        self.peak: list[float] = []      # peak utilization so far
-        self.first_use: list[int] = []   # resources in the order their peak was first set
+        self.enters_nic: list[bool] = []  # a link direction whose head is a NIC
+        # the fluid legs crossing it now, in active-flow (flow id) order
+        self.members: list[list[_FlowState]] = []
+        self.peak: list[float] = []       # peak utilization so far
+        self.first_use: list[int] = []    # resources in the order their peak was first set
+        self._link_res = [-1] * (2 * len(topo.links))
+        self._engines: dict[tuple[str, int], int] = {}
         self._bridge_paths: dict[tuple[int, bool], tuple] = {}
+        self._across: dict[tuple[int, int], tuple] = {}
 
-    def resource(self, key: tuple, capacity: float) -> int:
-        r = self.index.get(key)
+    def _resource(self, capacity: float, name: str, enters_nic: bool = False) -> int:
+        self.cap.append(capacity)
+        self.name.append(name)
+        self.enters_nic.append(enters_nic)
+        self.members.append([])
+        self.peak.append(0.0)
+        return len(self.cap) - 1
+
+    def _engine(self, prefix: str, index: int, capacity: float) -> int:
+        """The memory engine named ``prefix`` + ``index``."""
+        r = self._engines.get((prefix, index))
         if r is None:
-            r = self.index[key] = len(self.cap)
-            self.cap.append(capacity)
-            self.name.append(_resource_name(self.topo, key))
-            self.count.append(0)
-            self.used.append(0.0)
-            self.peak.append(0.0)
+            r = self._engines[(prefix, index)] = self._resource(capacity, f"{prefix}{index}")
         return r
 
     def peak_by_name(self) -> dict[str, float]:
@@ -201,9 +274,10 @@ class _Network:
         """Latency and fluid-leg resources of any flow from ``src_dev`` to ``dst_dev``."""
         topo, cfg = self.topo, self.cfg
         if src_dev == dst_dev:
-            return cfg.alpha_intra, ((self.resource(("devmem", src_dev), topo.device_mem_bw),),)
+            return cfg.alpha_intra, ((self._engine("devmem:device:", src_dev,
+                                                   topo.device_mem_bw),),)
         if cfg.staging is Staging.DEVICE_DIRECT:
-            res, inter_node = self._path(device(src_dev), topo.route_hops(src_dev, dst_dev))
+            res, inter_node = self._path(topo.route_hops(src_dev, dst_dev))
             return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
 
         # host-staged: up to the source bridge, a host copy there, across to
@@ -211,49 +285,48 @@ class _Network:
         hb_s, up, nic_up = self._bridge_path(src_dev, True)
         hb_d, down, nic_down = self._bridge_path(dst_dev, False)
         inter_node = nic_up or nic_down
-        legs = [up, (self.resource(("hostmem", hb_s.index), cfg.host_mem_bw),)]
+        legs = [up, (self._engine("hostmem:hostbridge:", hb_s, cfg.host_mem_bw),)]
         if hb_s != hb_d:
-            across, nic_across = self._path(hb_s, topo.path_hops(hb_s, hb_d))
+            across, nic_across = self._across_path(hb_s, hb_d)
             inter_node = inter_node or nic_across
             legs.append(across)
-            legs.append((self.resource(("hostmem", hb_d.index), cfg.host_mem_bw),))
+            legs.append((self._engine("hostmem:hostbridge:", hb_d, cfg.host_mem_bw),))
         legs.append(down)
         return (cfg.alpha_inter if inter_node else cfg.alpha_intra), tuple(r for r in legs if r)
 
-    def _bridge_path(self, dev: int, up: bool) -> tuple[NodeId, tuple[int, ...], bool]:
-        """A device's nearest bridge and the path up to it (or down from it)."""
+    def _bridge_path(self, dev: int, up: bool) -> tuple[int, tuple[int, ...], bool]:
+        """A device's nearest bridge index and the path up to it (or down from it)."""
         got = self._bridge_paths.get((dev, up))
         if got is None:
             hb = self.topo.nearest_host_bridge(dev)
             a, b = (device(dev), hb) if up else (hb, device(dev))
-            got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, self.topo.path_hops(a, b)))
+            got = self._bridge_paths[(dev, up)] = (hb.index,
+                                                   *self._path(self.topo.path_hops(a, b)))
         return got
 
-    def _path(self, start: NodeId, hops) -> tuple[tuple[int, ...], bool]:
+    def _across_path(self, hb_s: int, hb_d: int) -> tuple[tuple[int, ...], bool]:
+        """The path from one host bridge to another."""
+        got = self._across.get((hb_s, hb_d))
+        if got is None:
+            hops = self.topo.path_hops(host_bridge(hb_s), host_bridge(hb_d))
+            got = self._across[(hb_s, hb_d)] = self._path(hops)
+        return got
+
+    def _path(self, hops) -> tuple[tuple[int, ...], bool]:
         """Link resources along ``hops`` and whether the walk enters a NIC."""
-        links = self.topo.links
-        res = tuple(self.resource(("link", li, fwd), links[li].capacity) for li, fwd in hops)
-        return res, _crosses_nic(self.topo, start, hops)
-
-
-def _resource_name(topo: Topology, key: tuple) -> str:
-    if key[0] == "link":
-        ln = topo.links[key[1]]
-        a, b = (ln.a, ln.b) if key[2] else (ln.b, ln.a)
-        return f"{a}->{b}"
-    if key[0] == "devmem":
-        return f"devmem:device:{key[1]}"
-    return f"hostmem:hostbridge:{key[1]}"
-
-
-def _crosses_nic(topo: Topology, start: NodeId, hops) -> bool:
-    cur = start
-    for li, fwd in hops:
-        ln = topo.links[li]
-        cur = ln.b if fwd else ln.a
-        if cur.kind is NodeKind.NIC:
-            return True
-    return False
+        table, enters_nic = self._link_res, self.enters_nic
+        res = []
+        nic = False
+        for li, fwd in hops:
+            k = 2 * li + fwd
+            r = table[k]
+            if r < 0:
+                ln = self.topo.links[li]
+                a, b = (ln.a, ln.b) if fwd else (ln.b, ln.a)
+                r = table[k] = self._resource(ln.capacity, f"{a}->{b}", b.kind is NodeKind.NIC)
+            res.append(r)
+            nic = nic or enters_nic[r]
+        return tuple(res), nic
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +348,16 @@ class _FlowState:
         self.seg_t0 = self.seg_t1 = self.seg_rate = 0.0
 
 
-def _close_segment(st: _FlowState, net: _Network, events: list[FlowInterval],
-                   start: float) -> None:
-    t0, t1 = start + st.seg_t0, start + st.seg_t1
-    for r in st.res:
-        events.append(FlowInterval(t0, t1, st.id, net.name[r], st.seg_rate))
+_FLOW_ID = attrgetter("id")
+
+
+def _close_segment(st: _FlowState, trace: Trace, start: float) -> None:
+    trace._t0.append(start + st.seg_t0)
+    trace._t1.append(start + st.seg_t1)
+    trace._flow.append(st.id)
+    trace._res.append(st.res)
+    trace._rate.append(st.seg_rate)
+    trace._len += len(st.res)
     st.seg_rate = 0.0
 
 
@@ -287,68 +365,82 @@ def _run_phase(
     t0: float,
     states: list[_FlowState],
     net: _Network,
-    events: list[FlowInterval] | None,
+    trace: Trace | None,
     start: float,
 ) -> tuple[float, dict[int, float]]:
     """Run one phase to completion; returns (end time, completion per flow id).
 
     Each step gives every fluid flow the smallest ``cap / count`` along its
     leg, advances all flows by the time the first leg needs to finish, and
-    retires the legs that finished.  With ``events`` the trace gets one
-    FlowInterval per resource for each maximal constant-rate run of a flow
-    on one leg, shifted by ``start``.
+    retires the legs that finished.  A rate is recomputed only for a flow
+    whose leg started or crosses a resource whose member count changed, and
+    a utilization sum and peak only for a resource whose members or their
+    rates changed; the rest keep their bits.  With ``trace`` each maximal
+    constant-rate run of a flow on one leg is recorded, shifted by ``start``.
     """
-    cap, count, used, peak = net.cap, net.count, net.used, net.peak
+    cap, members, peak = net.cap, net.members, net.peak
     done: dict[int, float] = {}
     active: list[_FlowState] = []
+    # resources whose members changed since the last step (then also those
+    # whose members' rates changed), newly used ones in first-crossed order
+    dirty: dict[int, None] = {}
+    stale: dict[_FlowState, None] = {}
     for st in states:
         if st.legs:
             active.append(st)
             for r in st.res:
-                count[r] += 1
+                members[r].append(st)
+                dirty[r] = None
         else:
             done[st.id] = t0
 
     t = t0
     while active:
-        dt = math.inf
-        touched: list[int] = []
-        for st in active:
-            legres = st.res
-            if legres:
-                rate = min([cap[r] / count[r] for r in legres])
+        for r in dirty:
+            for st in members[r]:
+                stale[st] = None
+        for st in stale:
+            rate = min([cap[r] / len(members[r]) for r in st.res])
+            if rate != st.rate:
                 st.rate = rate
-                st.dt = d = st.remaining / rate
-                # utilization sums in active-flow order
-                for r in legres:
-                    u = used[r]
-                    if u == 0.0:
-                        touched.append(r)
-                    used[r] = u + rate
+                for r in st.res:
+                    dirty[r] = None
+        stale.clear()
+        for r in dirty:
+            legs = members[r]
+            if legs:
+                # members are kept in flow-id order, the order a full pass over
+                # the active flows would sum them in
+                used = 0.0
+                for st in legs:
+                    used += st.rate
+                util = used / cap[r]
+                if util > peak[r]:
+                    if peak[r] == 0.0:
+                        net.first_use.append(r)
+                    peak[r] = util
+        dirty.clear()
+
+        dt = math.inf
+        for st in active:
+            if st.res:
+                st.dt = d = st.remaining / st.rate
             else:
                 st.dt = d = st.remaining
             if d < dt:
                 dt = d
 
-        for r in touched:
-            util = used[r] / cap[r]
-            used[r] = 0.0
-            if util > peak[r]:
-                if peak[r] == 0.0:
-                    net.first_use.append(r)
-                peak[r] = util
-
         t_end = t + dt
-        trace = events is not None and dt > 0.0
-        still: list[_FlowState] = []
+        tracing = trace is not None and dt > 0.0
+        finished = False
         for st in active:
             legres = st.res
-            if trace and legres:
+            if tracing and legres:
                 if st.seg_rate == st.rate:
                     st.seg_t1 = t_end
                 else:
                     if st.seg_rate:
-                        _close_segment(st, net, events, start)
+                        _close_segment(st, trace, start)
                     st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
             if st.dt == dt:
                 st.remaining = 0.0
@@ -359,18 +451,21 @@ def _run_phase(
             if st.remaining <= 0.0:
                 if legres:
                     if st.seg_rate:
-                        _close_segment(st, net, events, start)
+                        _close_segment(st, trace, start)
                     for r in legres:
-                        count[r] -= 1
+                        members[r].remove(st)
+                        dirty[r] = None
                 st.leg_idx += 1
                 if st.leg_idx >= len(st.legs):
                     done[st.id] = t_end
+                    finished = True
                     continue
                 st.remaining, st.res = st.legs[st.leg_idx]
                 for r in st.res:
-                    count[r] += 1
-            still.append(st)
-        active = still
+                    insort(members[r], st, key=_FLOW_ID)
+                    dirty[r] = None
+        if finished:
+            active = [st for st in active if st.leg_idx < len(st.legs)]
         t = t_end
     return t, done
 
@@ -424,7 +519,8 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
     grouped = _validate_flows(rm, flows)
 
     net = _Network(topo, cfg)
-    events: list[FlowInterval] | None = [] if cfg.collect_events else None
+    trace = Trace(net.name)
+    record = trace if cfg.collect_events else None
     completion: dict[int, float] = {}
     phase_completion: list[float] = []
 
@@ -432,7 +528,7 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
     rank_busy = [0.0] * rm.nranks
     for phase_flows in grouped:
         states = [_FlowState(f.id, net.legs(f, rm)) for f in phase_flows]
-        t_next, done = _run_phase(t, states, net, events, start)
+        t_next, done = _run_phase(t, states, net, record, start)
         for fid, end in done.items():
             completion[fid] = start + end
         # one contiguous busy interval per rank per phase: every flow of the
@@ -455,7 +551,7 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
         busy_seconds=rank_busy,
         busy_fraction=[b / t if t > 0 else 0.0 for b in rank_busy],
         link_peak_utilization=net.peak_by_name(),
-        events=events if events is not None else [],
+        events=trace,
     )
 
 

@@ -215,6 +215,7 @@ class Topology:
         self._devices = tuple(sorted((n.index for n in self.nodes if n.kind is NodeKind.DEVICE)))
         if not self._devices:
             raise TopologyError("topology needs at least one device node")
+        self._device_set = frozenset(self._devices)
 
         # nodes interned as ints in sort-key order (devices first, by index);
         # adjacency sorted by (neighbour, link index), so a breadth-first
@@ -325,7 +326,7 @@ class Topology:
         return len(self._devices)
 
     def has_device(self, i: int) -> bool:
-        return device(i) in self.nodes
+        return i in self._device_set
 
     def route_hops(self, src: int, dst: int) -> tuple[Hop, ...]:
         try:
@@ -542,11 +543,6 @@ def preset(
             raise ConfigurationError("dgx2 preset is a single box; servers must be 1")
         return _dgx2(nvlink_bw, device_mem_bw)
     return _fat_tree_edr(nodes, devices_per_node, pcie_bw, ib_bw, device_mem_bw)
-
-
-def route_bandwidth(t: Topology, src: int, dst: int) -> float:
-    """Module-level convenience alias for :meth:`Topology.route_bandwidth`."""
-    return t.route_bandwidth(src, dst)
 
 
 # Preset spec key -> (preset() keyword, GB/s scale, or None for an integer count).
