@@ -129,11 +129,16 @@ def _check_ranks(ranks: int, topo: Topology) -> None:
             f"{ranks} ranks exceed the {topo.n_devices} devices of topology {topo.name!r}")
 
 
+def _untraced(cfg: SimConfig | None) -> SimConfig:
+    """``cfg`` (by default ``SimConfig()``) with no trace: no table reads one."""
+    return dataclasses.replace(cfg or SimConfig(), collect_events=False)
+
+
 def alltoall_table(
     topo: Topology, job: AlltoallJob, cfg: SimConfig | None = None
 ) -> Table:
     """Makespan of one uniform all-to-all under each requested schedule."""
-    cfg = cfg or SimConfig()
+    cfg = _untraced(cfg)
     _check_ranks(job.ranks, topo)
     rank_map = RankMap.identity(job.ranks)
     sizes = uniform_sizes(job.ranks, job.msg_bytes)
@@ -190,7 +195,7 @@ def timestep_table(
     topo: Topology, job: TimestepJob, cfg: SimConfig | None = None
 ) -> tuple[list[str], list[list[object]], float]:
     """Per-rank busy time for one compute+exchange timestep; returns makespan too."""
-    cfg = cfg or SimConfig()
+    cfg = _untraced(cfg)
     nranks = len(job.compute_seconds)
     rank_map = RankMap.identity(nranks)
     scen = TimestepScenario(
@@ -217,7 +222,7 @@ def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
     (``total_bytes / ranks**2`` per ordered pair) after an imbalanced
     compute phase of ``imbalance * compute_seconds_total / ranks``.
     """
-    cfg = cfg or SimConfig()
+    cfg = _untraced(cfg)
     rows: list[list[object]] = []
     for pt in sweep.points:
         topo = topo_mod.from_spec(pt.topology)

@@ -375,8 +375,10 @@ def staged_vs_direct_cost(
              for peer, idx in sorted(plan.ranks[r].send_index.items()) if len(idx)]
     flows = [Flow(fid, r, peer, n * bytes_per_element) for fid, (r, peer, n) in enumerate(pairs)]
 
-    direct = simulate(topo, rm, flows, replace(cfg, staging=Staging.DEVICE_DIRECT)).makespan
-    staged_exchange = simulate(topo, rm, flows, replace(cfg, staging=Staging.HOST_STAGED)).makespan
+    direct = simulate(topo, rm, flows, replace(cfg, staging=Staging.DEVICE_DIRECT,
+                                               collect_events=False)).makespan
+    staged_exchange = simulate(topo, rm, flows, replace(cfg, staging=Staging.HOST_STAGED,
+                                                        collect_events=False)).makespan
 
     copy_wall = 0.0
     for r in range(part.nranks):

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ScenarioError
+
+# Most elements a random grid may have.  Building one holds two n x n
+# float64 arrays: about 0.5 GB of peak memory at this bound.
+MAX_RANDOM_GRID_ELEMENTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +145,16 @@ def quad_mesh(nx: int, ny: int) -> GlobalGrid:
 
 
 def check_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> None:
-    """Raise what :func:`random_grid` raises for its arguments, without building anything."""
+    """Raise what :func:`random_grid` raises for its arguments, without building anything.
+
+    An ``n`` above ``MAX_RANDOM_GRID_ELEMENTS`` raises :class:`ScenarioError`
+    at path ``grid``, before anything is allocated.
+    """
     if n < 2:
         raise ConfigurationError("random_grid needs n >= 2")
+    if n > MAX_RANDOM_GRID_ELEMENTS:
+        raise ScenarioError(f"random grids hold at most {MAX_RANDOM_GRID_ELEMENTS} elements, "
+                            f"got {n}", "grid")
     if max_degree < 2:
         raise ConfigurationError("random_grid needs max_degree >= 2")
 
@@ -165,7 +176,8 @@ def random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:
     Cost: O(n^2) time and memory (two n x n float64 arrays) in array
     operations for the distance matrix; only the shortest candidate edges
     are sorted and visited one by one.  ``random_grid(1000)`` takes about
-    0.06 s on one core of a 2-core Xeon virtual machine.
+    0.06 s on one core of a 2-core Xeon virtual machine.  ``n`` is capped at
+    ``MAX_RANDOM_GRID_ELEMENTS``.
     """
     check_random_grid(n, max_degree, seed)
     rng = random.Random(seed)

@@ -461,6 +461,30 @@ class TestRejectedBeforeAnyWork:
         assert doc["error"] == "ScenarioError" and doc["path"] == path
         assert "512" in doc["message"]
 
+    @pytest.mark.parametrize("source, path", [("flag", "grid"), ("scenario", "workload.grid")])
+    def test_random_grid_beyond_its_bound_fails_before_it_is_built(self, tmp_path, capsys,
+                                                                   monkeypatch, source, path):
+        import haloflow.scenario as scenario
+
+        def refuse(*_args):
+            raise AssertionError("random grid built beyond its size bound")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(scenario, "random_grid", refuse)
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ("halo", "--grid", "random4097d8s1", "--ranks", "2", "--steps", "1")
+        else:
+            doc = dict(ALLTOALL_DOC, workload={"kind": "halo", "grid": "random20000d8s1",
+                                               "ranks": 2, "steps": 1})
+            argv = ("report", "--scenario", write_scenario(tmp_path, doc), "--output", str(out))
+        code, stdout, err = run_main(capsys, *argv)
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ScenarioError" and doc["path"] == path
+        assert "4096" in doc["message"]
+        assert not out.exists()
+
     def test_sweep_point_ranks_beyond_its_devices(self, tmp_path, capsys, monkeypatch):
         import haloflow.cli as cli
 
@@ -549,6 +573,33 @@ class TestOneCommandPath:
             code, out, _ = run_main(capsys, command, "--scenario", demo)
             assert code == 0
             assert out == (tmp_path / "rep" / f"{command}.csv").read_text()
+
+    def test_tables_simulate_without_a_trace(self, tmp_path, capsys, monkeypatch):
+        import haloflow.cli as cli
+        import haloflow.halo.engine as engine
+
+        configs = []
+
+        def recording(simulate):
+            def run(topo, rank_map, flows, cfg):
+                configs.append(cfg)
+                return simulate(topo, rank_map, flows, cfg)
+            return run
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "simulate", recording(module.simulate))
+        monkeypatch.setattr(cli, "simulate_timestep", recording(cli.simulate_timestep))
+        timestep = dict(ALLTOALL_DOC, workload={
+            "kind": "timestep", "compute_seconds": [0.001, 0.002],
+            "flows": [{"src": 0, "dst": 1, "bytes": 1000}]})
+        for name, scenario in (("demo", bundled("demo.json")), ("halo", bundled("halo.json")),
+                               ("timestep", write_scenario(tmp_path, timestep))):
+            code, _, err = run_main(capsys, "report", "--scenario", scenario,
+                                    "--output", str(tmp_path / name))
+            assert code == 0, err
+        assert len(configs) > 5
+        assert not any(cfg.collect_events for cfg in configs)
 
     def test_one_rank_halo_report_records_null_ratio(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
