@@ -2,11 +2,12 @@
 
 A scenario bundles a topology, one workload, and optional sweep, roofline
 and energy sections.  Validation is strict: unknown keys (topology keys
-too) and a NaN or infinity anywhere are rejected, and every complaint
-carries the dotted path of the offending field.  The parser checks the JSON
-shape and types; the typed sections' constructors check the values, so a
-job built from CLI flags or in Python gets the same checks, and the parser
-prefixes their field paths with the section's path.
+too), a NaN or infinity anywhere, a string UTF-8 cannot encode and a name
+XML cannot carry are rejected, and every complaint carries the dotted path
+of the offending field.  The parser checks the JSON shape and types; the
+typed sections' constructors check the values, so a job built from CLI
+flags or in Python gets the same checks, and the parser prefixes their
+field paths with the section's path.
 """
 
 from __future__ import annotations
@@ -106,12 +107,21 @@ def _kernel(name: str, flops: float, bytes_moved: float, seconds: float) -> Kern
     return kernel
 
 
-def _check_finite(doc: object) -> None:
-    """Reject NaN, infinities (``json`` decodes ``1e400`` to inf) and ints beyond float range.
+# UTF-8 cannot encode a lone surrogate, which ``json`` decodes from "\ud800"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# characters outside XML 1.0's Char production, surrogates aside; names are
+# written into SVG
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
-    The walk keeps its own stack, so no nesting depth that ``json`` decodes
-    can exhaust Python's recursion limit; the first bad value in document
-    order is reported.
+
+def _check_values(doc: object) -> None:
+    """Reject values no section may hold, wherever they are.
+
+    These are NaN, infinities (``json`` decodes ``1e400`` to inf), ints
+    beyond float range, strings UTF-8 cannot encode, and a ``name`` holding
+    a character XML 1.0 cannot carry.  The walk keeps its own stack, so no
+    nesting depth that ``json`` decodes can exhaust Python's recursion
+    limit; the first bad value in document order is reported.
     """
     stack = [(doc, "")]
     while stack:
@@ -119,6 +129,14 @@ def _check_finite(doc: object) -> None:
         if (isinstance(value, float) and not math.isfinite(value)
                 or isinstance(value, int) and abs(value) > sys.float_info.max):
             raise ScenarioError("expected a finite number", path)
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                raise ScenarioError("expected text UTF-8 can encode, got a lone surrogate", path)
+            bad = (path == "name" or path.endswith(".name")) and _NOT_XML.search(value)
+            if bad:
+                raise ScenarioError(f"a name may not hold U+{ord(bad.group()):04X}, "
+                                    "which XML 1.0 cannot carry", path)
+            continue
         if isinstance(value, Mapping):
             subs = [(sub, f"{path}.{key}" if path else str(key)) for key, sub in value.items()]
         elif isinstance(value, (list, tuple)):
@@ -455,7 +473,7 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
 
 def parse_scenario(doc: object) -> Scenario:
     """Validate a decoded scenario document and build the typed form."""
-    _check_finite(doc)
+    _check_values(doc)
     doc = _expect_mapping(doc, "")
     _check_keys(doc, ("schema", "name", "seed", "topology", "workload", "sweep", "roofline",
                       "energy"), "")

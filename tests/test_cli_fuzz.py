@@ -5,7 +5,10 @@ every exit 3, 4 or 5 writes exactly one JSON line on stderr; a failing
 ``report`` leaves no output directory; no other exception escapes.
 
 Scenario mutations replace one leaf with a raw JSON literal (so it goes
-through ``load_scenario``), delete one key, or insert an unknown key.  Flag
+through ``load_scenario``), delete one key, or insert an unknown key.  Some
+literals are text no output file can carry: a lone surrogate, or in a name
+a character XML 1.0 cannot hold; after exit 0 every file written must be
+UTF-8 and every SVG well-formed XML.  Flag
 mutations replace, drop or add one flag, or set the seed environment
 variable.  No mutation makes a job larger than its base.
 """
@@ -17,6 +20,7 @@ import os
 import tempfile
 from importlib import resources
 from pathlib import Path
+from xml.dom import minidom
 
 from hypothesis import given, settings, strategies as st
 
@@ -46,7 +50,11 @@ BASES = {
     "roofline_energy": (_doc(TINY_A2A, roofline=DEMO["roofline"], energy=DEMO["energy"]),
                         ("report", "roofline", "energy")),
 }
-LITERALS = ("NaN", "Infinity", "1e400", "-1", "0", "1.5", "true", '"x"', "null", "[]", "{}")
+# Text no output file can carry, as JSON: lone surrogates (UTF-8 cannot
+# encode them) and characters XML 1.0 cannot hold, which matter in names.
+BAD_TEXT = ('"a\\ud800b"', '"\\udfff"', '"a\\u0001b"', '"x\\ufffe"')
+LITERALS = ("NaN", "Infinity", "1e400", "-1", "0", "1.5", "true", '"x"', "null", "[]",
+            "{}") + BAD_TEXT
 SENTINEL = "\x00mutation\x00"
 
 
@@ -128,13 +136,19 @@ def _run(argv, env_seed=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_contract(code, err):
+def _check_contract(code, err, out=None):
+    """The exit code and error line; after exit 0, ``out``'s files are UTF-8 and SVG is XML."""
     assert code == "argparse" or code in (0, 3, 4, 5), code
     if code in (3, 4, 5):
         lines = err.splitlines()
         assert len(lines) == 1, err
         doc = json.loads(lines[0])
         assert set(doc) <= {"error", "message", "path"} and doc["error"] and doc["message"]
+    elif code == 0 and out is not None and out.exists():
+        for f in out.iterdir():
+            f.read_bytes().decode("utf-8")
+            if f.suffix == ".svg":
+                minidom.parse(str(f))
 
 
 @settings(max_examples=160, derandomize=True, deadline=None)
@@ -149,9 +163,40 @@ def test_mutated_scenarios_keep_the_contract(mutation):
         if command == "report":
             argv += ["--output", str(out)]
         code, _stdout, err = _run(argv)
-        _check_contract(code, err)
+        _check_contract(code, err, out)
         if command == "report" and code != 0:
             assert not out.exists(), "a failing report left an output directory"
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# (base, command, path) of every string in the base documents
+STRING_LEAVES = [(base, command, path) for base, (doc, commands) in BASES.items()
+                 for path, _ in _paths(doc) if isinstance(_leaf(doc, path), str)
+                 for command in commands]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(STRING_LEAVES), st.sampled_from(BAD_TEXT))
+def test_text_no_output_can_carry_is_refused_at_its_path(leaf, literal):
+    """A lone surrogate anywhere, or a name XML cannot carry, exits 3 at its dotted path."""
+    base, command, path = leaf
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "scn.json"
+        scn.write_text(_mutated_text(base, "replace", path, literal), encoding="utf-8")
+        out = Path(tmp) / "out"
+        argv = [command, "--scenario", str(scn), "--output", str(out)]
+        if command == "roofline":
+            argv.append("--svg")
+        code, _stdout, err = _run(argv)
+        _check_contract(code, err, out)
+        if "\\ud" in literal or path[-1] == "name":
+            dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+            assert code == 3 and json.loads(err)["path"] == dotted, err
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

@@ -1,6 +1,7 @@
 """Scenario document validation and the bundled examples."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -269,6 +270,45 @@ class TestNonFiniteNumbers:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(doc)
         assert err.value.path == path
+
+
+class TestStringsOutputsCanCarry:
+    """Strings reach CSV, JSON and SVG files: UTF-8 must encode them, XML carry names."""
+
+    DEMO_PATHS = [
+        ("name",), ("workload", "kind"), ("topology", "preset"),
+        ("sweep", "points", 0, "name"), ("roofline", "kernels", 2, "name"),
+        ("energy", "configurations", 1, "name"),
+    ]
+
+    @staticmethod
+    def demo_with(where, value):
+        doc = json.loads(bundled("demo.json").read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        return doc
+
+    @staticmethod
+    def dotted(where):
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)[1:]
+
+    @pytest.mark.parametrize("where", DEMO_PATHS)
+    @pytest.mark.parametrize("text", ["a\ud800b", "\udfff"])
+    def test_lone_surrogate_anywhere(self, where, text):
+        with pytest.raises(ScenarioError, match="UTF-8") as err:
+            parse_scenario(self.demo_with(where, text))
+        assert err.value.path == self.dotted(where)
+
+    @pytest.mark.parametrize("where", [w for w in DEMO_PATHS if w[-1] == "name"])
+    @pytest.mark.parametrize("text, code", [("a\u0001b", "U+0001"), ("x\ufffe", "U+FFFE"),
+                                            ("\x7f\x1f", "U+001F")])
+    def test_name_xml_cannot_carry(self, where, text, code):
+        parse_scenario(self.demo_with(where, "tab\there, \x7f, é, \U0001f600 <&>"))
+        with pytest.raises(ScenarioError, match=re.escape(code)) as err:
+            parse_scenario(self.demo_with(where, text))
+        assert err.value.path == self.dotted(where)
 
 
 class TestTopologyAndSeed:
