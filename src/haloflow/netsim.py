@@ -209,7 +209,7 @@ class _Network:
     host-memory engine.  Link directions are found in a flat table indexed
     ``2 * link + forward``, memory engines by key, and each is named once;
     the event loop then indexes the parallel lists ``cap``, ``name``,
-    ``members`` and ``peak``.  Host-staged paths are found once per device
+    ``members``, ``share`` and ``peak``.  Host-staged paths are found once per device
     (to and from its nearest bridge) and once per pair of bridges.
     """
 
@@ -221,6 +221,7 @@ class _Network:
         self.enters_nic: list[bool] = []  # a link direction whose head is a NIC
         # the fluid legs crossing it now, in active-flow (flow id) order
         self.members: list[list[_FlowState]] = []
+        self.share: list[float] = []      # cap / len(members), set when members change
         self.peak: list[float] = []       # peak utilization so far
         self.first_use: list[int] = []    # resources in the order their peak was first set
         self._link_res = [-1] * (2 * len(topo.links))
@@ -233,6 +234,7 @@ class _Network:
         self.name.append(name)
         self.enters_nic.append(enters_nic)
         self.members.append([])
+        self.share.append(0.0)
         self.peak.append(0.0)
         return len(self.cap) - 1
 
@@ -378,7 +380,7 @@ def _run_phase(
     rates changed; the rest keep their bits.  With ``trace`` each maximal
     constant-rate run of a flow on one leg is recorded, shifted by ``start``.
     """
-    cap, members, peak = net.cap, net.members, net.peak
+    cap, members, share, peak = net.cap, net.members, net.share, net.peak
     done: dict[int, float] = {}
     active: list[_FlowState] = []
     # resources whose members changed since the last step (then also those
@@ -397,10 +399,12 @@ def _run_phase(
     t = t0
     while active:
         for r in dirty:
-            for st in members[r]:
-                stale[st] = None
+            if members[r]:
+                share[r] = cap[r] / len(members[r])
+                for st in members[r]:
+                    stale[st] = None
         for st in stale:
-            rate = min([cap[r] / len(members[r]) for r in st.res])
+            rate = min([share[r] for r in st.res])
             if rate != st.rate:
                 st.rate = rate
                 for r in st.res:
@@ -432,7 +436,7 @@ def _run_phase(
 
         t_end = t + dt
         tracing = trace is not None and dt > 0.0
-        finished = False
+        finished: list[_FlowState] = []
         for st in active:
             legres = st.res
             if tracing and legres:
@@ -458,14 +462,14 @@ def _run_phase(
                 st.leg_idx += 1
                 if st.leg_idx >= len(st.legs):
                     done[st.id] = t_end
-                    finished = True
+                    finished.append(st)
                     continue
                 st.remaining, st.res = st.legs[st.leg_idx]
                 for r in st.res:
                     insort(members[r], st, key=_FLOW_ID)
                     dirty[r] = None
-        if finished:
-            active = [st for st in active if st.leg_idx < len(st.legs)]
+        for st in finished:
+            active.remove(st)
         t = t_end
     return t, done
 
