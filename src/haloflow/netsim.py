@@ -32,8 +32,8 @@ Each step of the event loop recomputes only what can have changed: the
 rate of a flow whose leg just started or that crosses a resource whose
 flow count changed, and the utilization sum and peak of a resource whose
 flows or their rates changed.  A sum is still taken over the resource's
-flows in phase order, so it has the bits a full pass would give.  Every
-active flow's time to finish and progress are updated on every step.
+flows in flow-id order, the order of a full pass, so it keeps its bits.
+Every active flow's time to finish and progress are updated on every step.
 
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow

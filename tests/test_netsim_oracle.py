@@ -1,15 +1,15 @@
 """The simulator against the loop that re-evaluates every rate, sum and peak each step.
 
 ``reference_simulate`` (``oracles.py``) is the event loop and leg
-compilation as they were before the loop learned to update only what
+compilation as they were before the loop was made to update only what
 changed.  Every reported number, the key order of the dicts and the full
 trace must be equal with ``==``.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from haloflow import Flow, RankMap, SimConfig, Staging, TimestepScenario, preset, simulate
-from haloflow import simulate_timestep
+from haloflow import (Flow, RankMap, SimConfig, Staging, TimestepScenario, preset, simulate,
+                      simulate_timestep)
 from oracles import reference_simulate
 from trace_replay import check_trace
 
@@ -25,7 +25,7 @@ SIZES = st.one_of(
     st.sampled_from([1, 1000, 10**6, 4 * 10**6]),
     st.integers(1, 10**7),
 )
-ALLTOALL_SIZES = [1, 1000, 10**6, 4 * 10**6, None]  # None: a random size
+ALLTOALL_SIZES = [1, 1000, 10**6, 4 * 10**6, None]  # None: a random size, 0 included
 
 
 @st.composite
