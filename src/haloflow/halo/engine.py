@@ -8,24 +8,37 @@ elements are grouped; that is what makes the distributed result
 bit-identical to a single-rank run and the three overlap modes
 bit-identical to each other.
 
+Stencil rows are column-major (ELLPACK) blocks, one per degree: a block of
+``m`` rows of degree ``d`` is one ``values.take(columns)`` gather into a
+``(d, m)`` array, ``d - 1`` in-place adds of its contiguous rows and one
+in-place divide, i.e. ``((v0 + v1) + v2) + ...) / d`` per element.
+
 Overlap modes mirror the two standard ways of hiding the exchange:
 
 ``NONE``
-    Refresh all ghosts, then update every owned element.
+    Refresh all ghosts, then update every owned element from the
+    partition's stencil rows.
 ``MASK_ARRAY``
-    Update boundary elements (those packed for at least one peer) selected
-    by a boolean mask, start the exchange with the freshly computed
-    boundary values, update the interior with the mask inverted, finish
-    the exchange.
+    Evaluate every owned element from the partition's stencil rows in one
+    pass over the old snapshot, like a mask kernel that visits every
+    element; write the results that ``boundary_mask`` selects, start the
+    exchange with those fresh boundary values, then write the rest through
+    the inverted mask.  The mask is read on every step.
 ``INDIRECTION_ARRAY``
-    Same dance, but boundary/interior membership comes from the index
-    lists the plan records instead of a mask.
+    Update the plan's ``boundary`` row blocks, exchange, then update its
+    ``interior`` row blocks: the split is materialised once, when the plan
+    is negotiated.
+
+The overlap modes give the same bits however they order the work, because
+every evaluation reads the old snapshot ``f.values`` and the exchange
+writes only to the new array.
 
 A step reads only the partition and its plan: the partition holds each
 rank's stencil rows, built when it is constructed, and the plan holds each
 rank's send lists and boundary split, built when it is negotiated.  The
 exchange rounds are the phases of the matching all-to-all schedule in
-:mod:`haloflow.collectives`, without self copies.
+:mod:`haloflow.collectives`, without self copies, derived once per
+``(schedule, nranks)``.
 
 The overlap modes send the *new* boundary values, so they leave ghosts
 valid for the next step; ``NONE`` refreshes at the top of each step
@@ -41,6 +54,7 @@ packed element count so tests can audit that no mode rescans the field.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -150,11 +164,16 @@ def unpack(f: Field, plan: HaloPlan, src: int, buffer: np.ndarray) -> None:
 # exchange rounds
 
 
-def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> list[list[list[int]]]:
+Rounds = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@functools.cache
+def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> Rounds:
     """Per round, every rank's ordered targets: the schedule's all-to-all phases.
 
     Self copies are left out, and so is a phase that holds nothing else;
     each rank sends to its destinations in the schedule's issue order.
+    Cached, so the value is shared and built of tuples.
     """
     rounds = []
     for pairs in _pair_phases(schedule, nranks):
@@ -163,12 +182,12 @@ def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> list[list[list[int]
             if src != dst:
                 targets[src].append(dst)
         if any(targets):
-            rounds.append(targets)
-    return rounds
+            rounds.append(tuple(map(tuple, targets)))
+    return tuple(rounds)
 
 
 def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Field,
-                      plan: HaloPlan, rounds: list[list[list[int]]]):
+                      plan: HaloPlan, rounds: Rounds):
     """Generator: pack from ``source``, run the exchange ``rounds``, scatter into ``target``."""
     rp = plan.ranks[rank]
     received: set[int] = set()
@@ -223,26 +242,21 @@ def exchange(
 # ----------------------------------------------------------------------
 # stencil
 
-def _mean_into(groups: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarray,
-               rows_per_group: Sequence[np.ndarray] | None) -> None:
-    """out[m] = mean of values[neighbours of m] for the selected members.
+def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarray) -> None:
+    """out[m] = mean of values[neighbours of m] for the members of ``blocks``.
 
-    The accumulation is column by column, i.e. per element strictly in
-    ascending global order of its neighbours, so the float result for an
-    element never depends on which other elements share the batch.
+    One gather per block, then the accumulation row by row, i.e. per element
+    strictly in ascending global order of its neighbours, so the float
+    result for an element never depends on which other elements share the
+    block.
     """
-    for gi, grp in enumerate(groups):
-        members, nbrs = grp.members, grp.neighbours
-        if rows_per_group is not None:
-            rows = rows_per_group[gi]
-            if len(rows) == 0:
-                continue
-            members = members[rows]
-            nbrs = nbrs[rows]
-        acc = values[nbrs[:, 0]].copy()
-        for col in range(1, grp.degree):
-            acc += values[nbrs[:, col]]
-        out[members] = acc / grp.degree
+    for blk in blocks:
+        acc = values.take(blk.columns)
+        head = acc[0]
+        for row in acc[1:]:
+            head += row
+        head /= blk.degree
+        out[blk.members] = head
 
 
 def stencil_step(
@@ -271,22 +285,25 @@ def stencil_step(
         if mode is OverlapMode.NONE:
             yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
             new_owned = np.empty(f.n_owned, dtype=np.float64)
-            _mean_into(groups, f.values, new_owned, None)
+            _mean_into(groups, f.values, new_owned)
             f.values[: f.n_owned] = new_owned
             f.ghosts_fresh = False
             return None
 
         if not ghosts_were_fresh:
             yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
-        if mode is OverlapMode.MASK_ARRAY:  # rows selected by the mask, every step
-            boundary, interior = ([np.flatnonzero(mask[g.members]) for g in groups]
-                                  for mask in (rp.boundary_mask, ~rp.boundary_mask))
-        else:
-            boundary, interior = rp.boundary_rows, rp.interior_rows
         new_values = np.empty_like(f.values)
-        _mean_into(groups, f.values, new_values, boundary)
-        yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
-        _mean_into(groups, f.values, new_values, interior)
+        if mode is OverlapMode.MASK_ARRAY:  # every element evaluated, the mask picks writes
+            mask, new_owned = rp.boundary_mask, new_values[: f.n_owned]
+            means = np.empty(f.n_owned, dtype=np.float64)
+            _mean_into(groups, f.values, means)
+            np.copyto(new_owned, means, where=mask)
+            yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
+            np.copyto(new_owned, means, where=~mask)
+        else:
+            _mean_into(rp.boundary, f.values, new_values)
+            yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
+            _mean_into(rp.interior, f.values, new_values)
         f.values = new_values
         f.ghosts_fresh = True
         return None

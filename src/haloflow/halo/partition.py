@@ -19,11 +19,22 @@ from .grid import GlobalGrid
 
 @dataclass(frozen=True, eq=False)
 class DegreeGroup:
-    """A rank's owned elements of one degree, with their neighbours as local indices."""
+    """Owned elements of one degree, with their neighbours in column-major form.
 
-    degree: int
-    members: np.ndarray      # owned local indices, ascending
-    neighbours: np.ndarray   # (len(members), degree) local indices, ascending-global per row
+    ``members`` holds owned local indices, ascending.  ``columns`` is a
+    C-contiguous ``(degree, len(members))`` table of local indices:
+    ``columns[k, i]`` is the k-th neighbour, in ascending global order, of
+    ``members[i]``.  The k-th neighbours of all members thus sit in one
+    contiguous row (the ELLPACK layout of sparse mat-vec), so a stencil pass
+    is one gather followed by adds of contiguous rows.
+    """
+
+    members: np.ndarray
+    columns: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return len(self.columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +45,9 @@ class Partition:
     ``owned[r]`` lists rank r's globals ascending; ``ghosts[r]`` is a tuple
     of ``(global_index, owner_rank)`` sorted by (owner, global).
     ``stencil[r]`` holds rank r's stencil rows, built on construction: one
-    :class:`DegreeGroup` per distinct degree among its owned elements.  A
-    neighbour that is neither owned nor a ghost raises ``ProtocolError``.
+    column-major :class:`DegreeGroup` per distinct degree among its owned
+    elements, in ascending degree.  A neighbour that is neither owned nor a
+    ghost raises ``ProtocolError``.
     """
 
     grid: GlobalGrid
@@ -62,11 +74,11 @@ class Partition:
         groups = []
         for d in np.unique(degree).tolist():
             members = np.flatnonzero(degree == d)
-            nbrs = local_of[grid.indices[starts[members, None] + np.arange(d)]]
-            if (nbrs < 0).any():
+            columns = local_of[grid.indices[np.arange(d)[:, None] + starts[members]]]
+            if (columns < 0).any():
                 raise ProtocolError(
                     f"rank {rank} has a neighbour that is neither owned nor a ghost")
-            groups.append(DegreeGroup(degree=d, members=members, neighbours=nbrs))
+            groups.append(DegreeGroup(members=members, columns=columns))
         return tuple(groups)
 
     def n_owned(self, rank: int) -> int:

@@ -18,9 +18,11 @@ prefix-sum displacement arrays give the flattened variable-size collective
 view of the same plan.
 
 Each rank also records its boundary split, because it depends on the
-negotiated send lists: the owned elements packed for at least one peer,
-and, per degree group of the partition's stencil rows, which rows are
-boundary and which interior.
+negotiated send lists: ``boundary_mask`` marks the owned elements packed for
+at least one peer, and the partition's stencil rows are split by that mask
+into two tuples of column-major row blocks, ``boundary`` and ``interior``.
+The blocks are materialised once, here, so a step that computes from them
+gathers through contiguous rows and derives nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ProtocolError
-from .partition import Partition
+from .partition import DegreeGroup, Partition
 from .router import Router
 
 
@@ -42,8 +44,11 @@ class RankPlan:
     gather for that peer; ``recv_slot[peer]`` holds the local ghost slots
     the matching incoming buffer scatters into.  Peers never include the
     rank itself.  ``boundary_mask`` marks the owned elements sent to at
-    least one peer; ``boundary_rows[i]`` and ``interior_rows[i]`` split the
-    rows of the rank's i-th stencil degree group by that mask.
+    least one peer.  ``boundary`` and ``interior`` split the rank's stencil
+    rows by that mask: per degree group of the partition, the block of its
+    masked (unmasked) rows, as a :class:`DegreeGroup` whose members and
+    columns are the group's for those rows, in the group's order.  Empty
+    blocks are left out.
     """
 
     rank: int
@@ -54,8 +59,8 @@ class RankPlan:
     send_displs: np.ndarray
     recv_displs: np.ndarray
     boundary_mask: np.ndarray
-    boundary_rows: tuple[np.ndarray, ...]
-    interior_rows: tuple[np.ndarray, ...]
+    boundary: tuple[DegreeGroup, ...]
+    interior: tuple[DegreeGroup, ...]
 
     def boundary_locals(self) -> np.ndarray:
         """Ascending local indices of owned elements sent to at least one peer."""
@@ -76,6 +81,17 @@ def _displs(counts: np.ndarray) -> np.ndarray:
     if len(counts) > 1:
         np.cumsum(counts[:-1], out=out[1:])
     return out
+
+
+def _blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple[DegreeGroup, ...]:
+    """The rows of each group that ``mask`` selects, one non-empty block per group."""
+    blocks = []
+    for grp in groups:
+        rows = np.flatnonzero(mask[grp.members])
+        if len(rows):
+            blocks.append(DegreeGroup(members=grp.members[rows],
+                                      columns=grp.columns.take(rows, axis=1)))
+    return tuple(blocks)
 
 
 def build_plan(part: Partition, router: Router) -> HaloPlan:
@@ -138,8 +154,8 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             send_displs=_displs(send_counts),
             recv_displs=_displs(recv_counts),
             boundary_mask=boundary,
-            boundary_rows=tuple(np.flatnonzero(boundary[g.members]) for g in groups),
-            interior_rows=tuple(np.flatnonzero(~boundary[g.members]) for g in groups),
+            boundary=_blocks(groups, boundary),
+            interior=_blocks(groups, ~boundary),
         )
 
     plans = router.run(program)

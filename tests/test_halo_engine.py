@@ -125,12 +125,19 @@ class TestExchangeRounds:
         table = [_reference_round_targets(schedule, r, p) for r in range(p)]
         busy = [k for k in range(len(table[0])) if any(table[r][k] for r in range(p))]
         rounds = _exchange_rounds(schedule, p)
-        assert [[t[r] for t in rounds] for r in range(p)] == [
-            [table[r][k] for k in busy] for r in range(p)]
+        assert rounds == tuple(tuple(tuple(table[r][k]) for r in range(p)) for k in busy)
+
+    @pytest.mark.parametrize("schedule", list(ScheduleKind))
+    def test_the_cached_value_is_a_tuple_of_tuples(self, schedule):
+        rounds = _exchange_rounds(schedule, 4)
+        assert _exchange_rounds(schedule, 4) is rounds
+        assert type(rounds) is tuple
+        assert all(type(targets) is tuple for targets in rounds)
+        assert all(type(t) is tuple for targets in rounds for t in targets)
 
     def test_only_empty_rounds_are_dropped(self):
         assert len(_exchange_rounds(ScheduleKind.LINEAR_SEQUENTIAL, 5)) == 5 * 5 - 5
-        assert _exchange_rounds(ScheduleKind.ROTATED_CONCURRENT, 1) == []
+        assert _exchange_rounds(ScheduleKind.ROTATED_CONCURRENT, 1) == ()
         assert len(_exchange_rounds(ScheduleKind.STAGE_SERIALIZED, 5)) == 4
         assert len(_exchange_rounds(ScheduleKind.PAIRWISE_XOR, 8)) == 7
 
@@ -186,6 +193,89 @@ class TestStencilValues:
             total += float(v)
         assert sums[-1] == total
         assert len(sums) == 1
+
+
+@st.composite
+def _decompositions(draw):
+    """A ring, quad or random grid of at most 121 elements, 1..9 ranks, 1..3 steps."""
+    kind = draw(st.sampled_from(["ring", "quad", "random"]))
+    if kind == "ring":
+        grid = ring(draw(st.integers(2, 120)))
+    elif kind == "quad":
+        grid = quad_mesh(draw(st.integers(2, 11)), draw(st.integers(2, 11)))
+    else:
+        grid = random_grid(draw(st.integers(2, 120)), draw(st.integers(2, 8)),
+                           seed=draw(st.integers(0, 2**16)))
+    return grid, draw(st.integers(1, min(9, grid.n))), draw(st.integers(1, 3))
+
+
+def assert_blocks_split_groups(part, plan):
+    """Each rank's ``boundary`` and ``interior`` blocks split its degree groups exactly."""
+    for r in range(part.nranks):
+        rp = plan.ranks[r]
+        owned = part.owned[r]
+        local_to_global = np.concatenate(
+            [owned, np.array([g for g, _owner in part.ghosts[r]], dtype=np.int64)])
+        blocks = {}
+        for name in ("boundary", "interior"):
+            degrees = [blk.degree for blk in getattr(rp, name)]
+            assert degrees == sorted(set(degrees)), (r, name)  # one block per group, in order
+            blocks[name] = {blk.degree: blk for blk in getattr(rp, name)}
+        assert set(blocks["boundary"]) | set(blocks["interior"]) == {
+            g.degree for g in part.stencil[r]}
+        for grp in part.stencil[r]:
+            assert grp.columns.shape == (grp.degree, len(grp.members))
+            assert grp.columns.flags.c_contiguous
+            assert [list(row) for row in local_to_global[grp.columns].T] == [
+                list(part.grid.adjacency[g]) for g in owned[grp.members]]
+            on = rp.boundary_mask[grp.members]
+            for name, rows in (("boundary", np.flatnonzero(on)),
+                               ("interior", np.flatnonzero(~on))):
+                blk = blocks[name].get(grp.degree)
+                if blk is None:  # empty blocks are left out
+                    assert len(rows) == 0, (r, name)
+                    continue
+                assert len(blk.members) and (np.diff(blk.members) > 0).all()
+                assert blk.members.tolist() == grp.members[rows].tolist()
+                assert blk.columns.flags.c_contiguous
+                assert np.array_equal(blk.columns, grp.columns[:, rows])
+            b, i = blocks["boundary"].get(grp.degree), blocks["interior"].get(grp.degree)
+            if b is not None and i is not None:
+                assert not np.intersect1d(b.members, i.members).size
+        assert sorted(m for blk in rp.boundary for m in blk.members.tolist()) == (
+            np.flatnonzero(rp.boundary_mask).tolist())
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("grid, nranks", [
+        (ring(9), 8),             # trailing ranks own nothing, none has interior rows
+        (quad_mesh(6, 6), 1),     # one rank: no boundary rows
+        (quad_mesh(8, 8), 4),
+        (random_grid(60, 6, seed=4), 5),
+    ])
+    def test_boundary_and_interior_split_each_degree_group(self, grid, nranks):
+        part = partition_block(grid, nranks)
+        assert_blocks_split_groups(part, build_plan(part, Router(nranks)))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_decompositions())
+    @example((ring(9), 8, 2))
+    @example((quad_mesh(4, 4), 1, 1))
+    @example((quad_mesh(2, 5), 9, 3))
+    def test_every_mode_and_schedule_equals_the_one_rank_run(self, case):
+        grid, nranks, steps = case
+        init = np.sin(np.arange(grid.n) * 0.7) + 0.1
+        ref_fields, ref_part, _plan, ref_sums = run_stencil(grid, 1, steps, init)
+        ref = gather_global(ref_fields, ref_part).tobytes()
+        for mode in OverlapMode:
+            for schedule in ScheduleKind:
+                if schedule is ScheduleKind.PAIRWISE_XOR and nranks & (nranks - 1):
+                    continue
+                fields, part, plan, sums = run_stencil(grid, nranks, steps, init,
+                                                       mode=mode, schedule=schedule)
+                assert gather_global(fields, part).tobytes() == ref, (mode, schedule)
+                assert sums == ref_sums, (mode, schedule)
+        assert_blocks_split_groups(part, plan)
 
 
 class TestReadCounter:

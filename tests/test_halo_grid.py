@@ -120,7 +120,7 @@ class TestRandomGrid:
             for j in row:
                 assert i in g.adjacency[j]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.integers(2, 400), st.integers(2, 9), st.integers())
     def test_equals_the_loop_reference(self, n, max_degree, seed):
         got = random_grid(n, max_degree, seed)

@@ -92,6 +92,4 @@ def test_simulate_matches_reference(case):
         assert_same(res, ref)
         assert res.busy_seconds == [c + b for c, b in zip(compute, ref.busy_seconds)]
     if cfg.collect_events:
-        # trace times are absolute: each boundary of a nanosecond-long segment
-        # late in a run is rounded by about 1e-18 s, which can be 1e-9 of it
-        check_trace(topo, cfg, flows, res, rel=1e-5)
+        check_trace(topo, cfg, flows, res)
