@@ -28,12 +28,16 @@ Everything is pure float arithmetic over sorted containers, so repeated
 runs are byte-identical and reordering the input flow list changes no
 completion time.
 
-Each step of the event loop recomputes only what can have changed: the
-rate of a flow whose leg just started or that crosses a resource whose
-flow count changed, and the utilization sum and peak of a resource whose
-flows or their rates changed.  A sum is still taken over the resource's
-flows in flow-id order, the order of a full pass, so it keeps its bits.
-Every active flow's time to finish and progress are updated on every step.
+A phase of several flows runs as an event loop.  Each step recomputes
+only what can have changed: the rate of a flow whose leg just started or
+that crosses a resource whose flow count changed, and the utilization sum
+and peak of a resource whose flows or their rates changed.  A sum is still
+taken over the resource's flows in flow-id order, the order of a full pass,
+so it keeps its bits.  Every active flow's time to finish and progress are
+updated on every step.  A phase of one flow shares nothing, so each step
+of that loop would end exactly one leg; its legs are walked in order
+instead, with the loop's float operations in the loop's order, so the
+numbers and the trace are the same bits.
 
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow
@@ -52,7 +56,7 @@ from array import array
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import SimulationError
 from .topology import NodeKind, RankMap, Topology, device, host_bridge
@@ -139,6 +143,16 @@ class Trace(Sequence):
         self._len = 0
         self._intervals: list[FlowInterval] | None = None
 
+    def _add(self, t0: float, t1: float, flow_id: int, res: tuple[int, ...],
+             rate: float) -> None:
+        """Record one closed segment."""
+        self._t0.append(t0)
+        self._t1.append(t1)
+        self._flow.append(flow_id)
+        self._res.append(res)
+        self._rate.append(rate)
+        self._len += len(res)
+
     def _built(self) -> list[FlowInterval]:
         if self._intervals is None:
             names = self._names
@@ -210,7 +224,9 @@ class _Network:
     ``2 * link + forward``, memory engines by key, and each is named once;
     the event loop then indexes the parallel lists ``cap``, ``name``,
     ``members``, ``share`` and ``peak``.  Host-staged paths are found once per device
-    (to and from its nearest bridge) and once per pair of bridges.
+    (to and from its nearest bridge) and once per pair of bridges.  Flows
+    reach it already checked: their ranks mapped to devices of the topology
+    and their sizes finite (``_validate_flows``).
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
@@ -227,7 +243,8 @@ class _Network:
         self._link_res = [-1] * (2 * len(topo.links))
         self._engines: dict[tuple[str, int], int] = {}
         self._bridge_paths: dict[tuple[int, bool], tuple] = {}
-        self._across: dict[tuple[int, int], tuple] = {}
+        self._between_bridges: dict[tuple[int, int], tuple] = {}
+        self._alone: dict[tuple[int, ...], float] = {}  # fluid leg -> rate alone on it
 
     def _resource(self, capacity: float, name: str, enters_nic: bool = False) -> int:
         self.cap.append(capacity)
@@ -253,24 +270,48 @@ class _Network:
             out[name] = max(out.get(name, 0.0), self.peak[r])
         return out
 
-    def legs(self, f: Flow, rm: RankMap) -> list[tuple]:
-        """Legs of one flow: an optional latency leg, then its fluid legs."""
-        if f.bytes < 0:
-            raise SimulationError(f"flow {f.id} has negative size")
-        if not math.isfinite(f.bytes):
-            raise SimulationError(f"flow {f.id} has non-finite size {f.bytes!r}")
-        src_dev = rm.device_of(f.src_rank)
-        dst_dev = rm.device_of(f.dst_rank)
-        if not self.topo.has_device(src_dev) or not self.topo.has_device(dst_dev):
-            raise SimulationError(
-                f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
-            )
+    def legs(self, src_dev: int, dst_dev: int, nbytes) -> list[tuple]:
+        """Legs of a flow of ``nbytes`` between two devices: an optional
+        latency leg, then its fluid legs."""
         alpha, fluid = self._route(src_dev, dst_dev)
         legs: list[tuple] = [(alpha, ())] if alpha > 0 else []
-        if f.bytes > 0:
-            nbytes = float(f.bytes)
-            legs.extend((nbytes, res) for res in fluid)
+        if nbytes > 0:
+            nbytes = float(nbytes)
+            legs += [(nbytes, res) for res in fluid]
         return legs
+
+    def alone(self, res: tuple[int, ...]) -> float:
+        """The rate of a flow alone on fluid leg ``res``; raises the leg's peaks.
+
+        As in the event loop, a resource the leg lists ``k`` times gives it
+        ``cap / k`` and the rate is the smallest of those.  A resource's
+        utilization is ``k`` copies of the rate summed from 0.0, over its
+        capacity, and its peak is raised to that in the order the leg first
+        lists the resources.  Peaks only grow, so a later call for the same
+        leg would raise none: it returns the rate it kept.
+        """
+        rate = self._alone.get(res)
+        if rate is None:
+            cap, peak = self.cap, self.peak
+            if len(set(res)) == len(res):
+                # k = 1 throughout, where cap / 1 and 0.0 + rate are exact
+                rate = min([cap[r] for r in res])
+                loads = [(r, rate / cap[r]) for r in res]
+            else:
+                rate = min([cap[r] / res.count(r) for r in res])
+                loads = []
+                for r in dict.fromkeys(res):
+                    used = 0.0
+                    for _ in range(res.count(r)):
+                        used += rate
+                    loads.append((r, used / cap[r]))
+            for r, util in loads:
+                if util > peak[r]:
+                    if peak[r] == 0.0:
+                        self.first_use.append(r)
+                    peak[r] = util
+            self._alone[res] = rate
+        return rate
 
     def _route(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
         """Latency and fluid-leg resources of any flow from ``src_dev`` to ``dst_dev``."""
@@ -283,18 +324,13 @@ class _Network:
             return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
 
         # host-staged: up to the source bridge, a host copy there, across to
-        # the destination bridge and a copy there, then down to the device
+        # the destination bridge and a copy there, then down to the device;
+        # no leg is empty, since a device is never a bridge
         hb_s, up, nic_up = self._bridge_path(src_dev, True)
         hb_d, down, nic_down = self._bridge_path(dst_dev, False)
-        inter_node = nic_up or nic_down
-        legs = [up, (self._engine("hostmem:hostbridge:", hb_s, cfg.host_mem_bw),)]
-        if hb_s != hb_d:
-            across, nic_across = self._across_path(hb_s, hb_d)
-            inter_node = inter_node or nic_across
-            legs.append(across)
-            legs.append((self._engine("hostmem:hostbridge:", hb_d, cfg.host_mem_bw),))
-        legs.append(down)
-        return (cfg.alpha_inter if inter_node else cfg.alpha_intra), tuple(r for r in legs if r)
+        between, nic_between = self._between(hb_s, hb_d)
+        inter_node = nic_up or nic_down or nic_between
+        return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (up, *between, down)
 
     def _bridge_path(self, dev: int, up: bool) -> tuple[int, tuple[int, ...], bool]:
         """A device's nearest bridge index and the path up to it (or down from it)."""
@@ -306,12 +342,20 @@ class _Network:
                                                    *self._path(self.topo.path_hops(a, b)))
         return got
 
-    def _across_path(self, hb_s: int, hb_d: int) -> tuple[tuple[int, ...], bool]:
-        """The path from one host bridge to another."""
-        got = self._across.get((hb_s, hb_d))
+    def _between(self, hb_s: int, hb_d: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """The legs from the host copy at one bridge to the copy at another
+        (one copy if they are the same), and whether they enter a NIC."""
+        got = self._between_bridges.get((hb_s, hb_d))
         if got is None:
-            hops = self.topo.path_hops(host_bridge(hb_s), host_bridge(hb_d))
-            got = self._across[(hb_s, hb_d)] = self._path(hops)
+            bw = self.cfg.host_mem_bw
+            copy_s = (self._engine("hostmem:hostbridge:", hb_s, bw),)
+            if hb_s == hb_d:
+                got = (copy_s,), False
+            else:
+                hops = self.topo.path_hops(host_bridge(hb_s), host_bridge(hb_d))
+                across, nic = self._path(hops)
+                got = (copy_s, across, (self._engine("hostmem:hostbridge:", hb_d, bw),)), nic
+            self._between_bridges[(hb_s, hb_d)] = got
         return got
 
     def _path(self, hops) -> tuple[tuple[int, ...], bool]:
@@ -353,24 +397,15 @@ class _FlowState:
 _FLOW_ID = attrgetter("id")
 
 
-def _close_segment(st: _FlowState, trace: Trace, start: float) -> None:
-    trace._t0.append(start + st.seg_t0)
-    trace._t1.append(start + st.seg_t1)
-    trace._flow.append(st.id)
-    trace._res.append(st.res)
-    trace._rate.append(st.seg_rate)
-    trace._len += len(st.res)
-    st.seg_rate = 0.0
-
-
 def _run_phase(
     t0: float,
-    states: list[_FlowState],
+    flows: list[tuple[int, list[tuple]]],
     net: _Network,
     trace: Trace | None,
     start: float,
 ) -> tuple[float, dict[int, float]]:
-    """Run one phase to completion; returns (end time, completion per flow id).
+    """Run one phase of (flow id, legs) to completion; returns (end time,
+    completion per flow id).
 
     Each step gives every fluid flow the smallest ``cap / count`` along its
     leg, advances all flows by the time the first leg needs to finish, and
@@ -379,7 +414,29 @@ def _run_phase(
     a utilization sum and peak only for a resource whose members or their
     rates changed; the rest keep their bits.  With ``trace`` each maximal
     constant-rate run of a flow on one leg is recorded, shifted by ``start``.
+
+    A lone flow's every step would end exactly one leg, at its ``alone``
+    rate, so its legs are walked instead: a latency leg ends ``alpha``
+    later and a fluid leg ``remaining / rate`` later.  ``alone`` raises a
+    leg's peaks in the leg's own order, the order of the loop's first step
+    on it, since consecutive legs of one flow never share a resource (link
+    paths and memory engines alternate).
     """
+    if len(flows) == 1:
+        ((fid, legs),) = flows
+        t = t0
+        for remaining, res in legs:
+            if not res:
+                t += remaining
+                continue
+            rate = net.alone(res)
+            dt = remaining / rate
+            t_end = t + dt
+            if trace is not None and dt > 0.0:
+                trace._add(start + t, start + t_end, fid, res, rate)
+            t = t_end
+        return t, {fid: t}
+
     cap, members, share, peak = net.cap, net.members, net.share, net.peak
     done: dict[int, float] = {}
     active: list[_FlowState] = []
@@ -387,8 +444,9 @@ def _run_phase(
     # whose members' rates changed), newly used ones in first-crossed order
     dirty: dict[int, None] = {}
     stale: dict[_FlowState, None] = {}
-    for st in states:
-        if st.legs:
+    for fid, legs in flows:
+        st = _FlowState(fid, legs)
+        if legs:
             active.append(st)
             for r in st.res:
                 members[r].append(st)
@@ -444,7 +502,8 @@ def _run_phase(
                     st.seg_t1 = t_end
                 else:
                     if st.seg_rate:
-                        _close_segment(st, trace, start)
+                        trace._add(start + st.seg_t0, start + st.seg_t1, st.id, legres,
+                                   st.seg_rate)
                     st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
             if st.dt == dt:
                 st.remaining = 0.0
@@ -455,7 +514,9 @@ def _run_phase(
             if st.remaining <= 0.0:
                 if legres:
                     if st.seg_rate:
-                        _close_segment(st, trace, start)
+                        trace._add(start + st.seg_t0, start + st.seg_t1, st.id, legres,
+                                   st.seg_rate)
+                        st.seg_rate = 0.0
                     for r in legres:
                         members[r].remove(st)
                         dirty[r] = None
@@ -474,8 +535,9 @@ def _run_phase(
     return t, done
 
 
-def _validate_flows(rm: RankMap, flows: Sequence[Flow]) -> list[list[Flow]]:
-    """Check ids, ranks and phase numbering; returns flows grouped by phase."""
+def _validate_flows(topo: Topology, rm: RankMap, flows: Sequence[Flow]) -> list[list[Flow]]:
+    """Check ids, ranks, devices, sizes and phase numbering; returns flows
+    grouped by phase."""
     ids = set()
     for f in flows:
         if f.id in ids:
@@ -483,8 +545,28 @@ def _validate_flows(rm: RankMap, flows: Sequence[Flow]) -> list[list[Flow]]:
         ids.add(f.id)
         rm.device_of(f.src_rank)
         rm.device_of(f.dst_rank)
+        try:
+            index(f.phase)
+        except TypeError:
+            raise SimulationError(f"flow {f.id} has non-integer phase {f.phase!r}") from None
         if f.phase < 0:
             raise SimulationError(f"flow {f.id} has negative phase")
+        if f.bytes < 0:
+            raise SimulationError(f"flow {f.id} has negative size")
+        try:
+            finite = math.isfinite(f.bytes)
+        except OverflowError:
+            raise SimulationError(f"flow {f.id} has a size beyond double range") from None
+        if not finite:
+            raise SimulationError(f"flow {f.id} has non-finite size {f.bytes!r}")
+    absent = set(rm).difference(topo.devices)
+    if absent:
+        for f in flows:
+            src_dev, dst_dev = rm.device_of(f.src_rank), rm.device_of(f.dst_rank)
+            if src_dev in absent or dst_dev in absent:
+                raise SimulationError(
+                    f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
+                )
     phases = sorted({f.phase for f in flows})
     if phases and phases != list(range(phases[-1] + 1)):
         raise SimulationError(f"phases must form a contiguous 0..k range, got {phases}")
@@ -492,7 +574,7 @@ def _validate_flows(rm: RankMap, flows: Sequence[Flow]) -> list[list[Flow]]:
     for f in flows:
         grouped[f.phase].append(f)
     for g in grouped:
-        g.sort(key=lambda f: f.id)
+        g.sort(key=_FLOW_ID)
     return grouped
 
 
@@ -520,7 +602,8 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
     standalone run reports, bit for bit.  Busy seconds and fractions
     describe the communication alone.
     """
-    grouped = _validate_flows(rm, flows)
+    grouped = _validate_flows(topo, rm, flows)
+    devs = tuple(rm)
 
     net = _Network(topo, cfg)
     trace = Trace(net.name)
@@ -531,8 +614,9 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
     t = 0.0
     rank_busy = [0.0] * rm.nranks
     for phase_flows in grouped:
-        states = [_FlowState(f.id, net.legs(f, rm)) for f in phase_flows]
-        t_next, done = _run_phase(t, states, net, record, start)
+        flow_legs = [(f.id, net.legs(devs[f.src_rank], devs[f.dst_rank], f.bytes))
+                     for f in phase_flows]
+        t_next, done = _run_phase(t, flow_legs, net, record, start)
         for fid, end in done.items():
             completion[fid] = start + end
         # one contiguous busy interval per rank per phase: every flow of the

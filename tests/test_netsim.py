@@ -22,6 +22,7 @@ from haloflow import (
     simulate,
     simulate_timestep,
 )
+from haloflow import netsim
 from haloflow.topology import device
 from trace_replay import check_trace
 
@@ -121,6 +122,18 @@ class TestPhases:
         with pytest.raises(SimulationError):
             simulate(island_topo, RankMap.identity(2), flows)
 
+    def test_device_absent_from_topology_rejected_when_used(self, island_topo):
+        rm = RankMap([0, 1, 9])
+        res = simulate(island_topo, rm, [Flow(0, 0, 1, 1)])
+        assert list(res.flow_completion) == [0]
+        with pytest.raises(SimulationError, match="flow 1 maps to device 9"):
+            simulate(island_topo, rm, [Flow(0, 0, 1, 1), Flow(1, 2, 0, 1, phase=1)])
+
+    def test_non_integer_phase_rejected(self, island_topo):
+        flows = [Flow(0, 0, 1, 1), Flow(1, 1, 0, 1, phase=1.5)]
+        with pytest.raises(SimulationError, match="flow 1"):
+            simulate(island_topo, RankMap.identity(2), flows)
+
 
 class TestHostStaging:
     def test_same_bridge_store_and_forward(self, island_topo):
@@ -217,6 +230,19 @@ class TestNonFiniteSizes:
     def test_rejected(self, island_topo, size):
         with pytest.raises(SimulationError, match="flow 0"):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, size)])
+
+    def test_size_beyond_double_range_rejected(self, island_topo):
+        with pytest.raises(SimulationError, match="flow 0"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 10**400)])
+
+    def test_checked_before_the_first_phase_runs(self, island_topo, monkeypatch):
+        def no_phase(*_args):
+            raise AssertionError("a phase ran before every flow was checked")
+
+        monkeypatch.setattr(netsim, "_run_phase", no_phase)
+        flows = [Flow(0, 0, 1, 1), Flow(1, 0, 1, -1, phase=1)]
+        with pytest.raises(SimulationError, match="flow 1 has negative size"):
+            simulate(island_topo, RankMap.identity(2), flows)
 
     def test_fractional_finite_size_is_legal(self, island_topo):
         res = simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 2.5)])

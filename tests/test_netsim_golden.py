@@ -27,9 +27,19 @@ from haloflow import (
     simulate,
     simulate_timestep,
 )
+from trace_replay import check_trace
 
 GOLDEN = Path(__file__).with_name("netsim_golden.json")
 STAGED = SimConfig(staging=Staging.HOST_STAGED)
+
+
+# (topology, config, flows) of every case: each records a trace to replay
+INPUTS = {}
+
+
+def _simulated(cases, name, topo, rm, flows, cfg=SimConfig()):
+    cases[name] = lambda: simulate(topo, rm, flows, cfg)
+    INPUTS[name] = (topo, cfg, flows)
 
 
 def _netsim_flow_sets():
@@ -57,17 +67,10 @@ def _netsim_flow_sets():
     topo = preset("dgx1v")
     for name, (nranks, flows) in sets.items():
         for tag, cfg in (("direct", SimConfig()), ("staged", STAGED)):
-            cases[f"netsim/{name}/{tag}"] = lambda f=flows, n=nranks, c=cfg: simulate(
-                topo, RankMap.identity(n), f, c
-            )
-    cases["netsim/self_copy"] = lambda: simulate(
-        topo, RankMap([0, 0]), [Flow(0, 0, 1, 8 * 10**9)]
-    )
-    cases["netsim/cross_machine"] = lambda: simulate(
-        preset("fat_tree_edr", nodes=2, devices_per_node=1),
-        RankMap.identity(2),
-        [Flow(0, 0, 1, 0), Flow(1, 1, 0, 10**7)],
-    )
+            _simulated(cases, f"netsim/{name}/{tag}", topo, RankMap.identity(nranks), flows, cfg)
+    _simulated(cases, "netsim/self_copy", topo, RankMap([0, 0]), [Flow(0, 0, 1, 8 * 10**9)])
+    _simulated(cases, "netsim/cross_machine", preset("fat_tree_edr", nodes=2, devices_per_node=1),
+               RankMap.identity(2), [Flow(0, 0, 1, 0), Flow(1, 1, 0, 10**7)])
     return cases
 
 
@@ -89,17 +92,12 @@ def _acceptance_flow_sets():
     topo = preset("dgx1v")
     cases = {}
     for trial in range(10):
-        flows = random_flows(25)
-        cases[f"acceptance/trial{trial}"] = lambda f=flows: simulate(
-            topo, RankMap.identity(8), f, SimConfig()
-        )
+        _simulated(cases, f"acceptance/trial{trial}", topo, RankMap.identity(8), random_flows(25))
     flat = SimConfig(alpha_intra=0.0, alpha_inter=0.0)
     flows = [f for f in random_flows(20) if f.bytes > 0]
     for k in (1, 2, 10, 1024):
         scaled = [Flow(f.id, f.src_rank, f.dst_rank, f.bytes * k, f.phase) for f in flows]
-        cases[f"acceptance/scale{k}"] = lambda f=scaled: simulate(
-            topo, RankMap.identity(8), f, flat
-        )
+        _simulated(cases, f"acceptance/scale{k}", topo, RankMap.identity(8), scaled, flat)
     return cases
 
 
@@ -109,10 +107,9 @@ def _alltoall_and_timestep_sets():
     rnd = random.Random(7)
     sizes = [[rnd.randint(1, 10**6) for _ in range(p)] for _ in range(p)]
     flows = build_alltoall(ScheduleKind.ROTATED_CONCURRENT, sizes)
-    cases = {
-        "alltoall/rotated/staged": lambda: simulate(topo, RankMap.identity(p), flows, STAGED),
-        "alltoall/rotated/direct": lambda: simulate(topo, RankMap.identity(p), flows),
-    }
+    cases = {}
+    _simulated(cases, "alltoall/rotated/staged", topo, RankMap.identity(p), flows, STAGED)
+    _simulated(cases, "alltoall/rotated/direct", topo, RankMap.identity(p), flows)
     island = preset("dgx1v")
     compute = [1e-3 * (1 + (r * 5) % 8) for r in range(8)]
     exchange = tuple(
@@ -123,6 +120,7 @@ def _alltoall_and_timestep_sets():
         cases[f"timestep/barrier={barrier}"] = lambda s=scen: simulate_timestep(
             island, RankMap.identity(8), s
         )
+        INPUTS[f"timestep/barrier={barrier}"] = (island, SimConfig(), exchange)
     return cases
 
 
@@ -164,3 +162,14 @@ def test_simulation_matches_golden(name):
     res = CASES[name]()
     assert fingerprint(res) == json.loads(GOLDEN.read_text())[name]
     assert all(type(v) is float for v in _all_numbers(res))
+
+
+def test_every_case_has_inputs():
+    assert sorted(INPUTS) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_replays(name):
+    # the fingerprints leave the trace out; this and the oracle test gate it
+    topo, cfg, flows = INPUTS[name]
+    check_trace(topo, cfg, flows, CASES[name]())

@@ -6,10 +6,12 @@ changed.  Every reported number, the key order of the dicts and the full
 trace must be equal with ``==``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from haloflow import (Flow, RankMap, SimConfig, Staging, TimestepScenario, preset, simulate,
-                      simulate_timestep)
+from haloflow import (Flow, Link, RankMap, SimConfig, Staging, TimestepScenario, Topology, preset,
+                      simulate, simulate_timestep)
+from haloflow.topology import device, switch
 from oracles import reference_simulate
 from trace_replay import check_trace
 
@@ -34,7 +36,8 @@ def cases(draw):
     topo = TOPOLOGIES[draw(st.sampled_from(sorted(TOPOLOGIES)))]
     nphases = draw(st.integers(1, 4))
     rnd = draw(st.randoms(use_true_random=False))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["alltoall", "phases", "one_flow_phases"]))
+    if kind == "alltoall":
         # all-to-all over the whole machine: many flows of mixed rates share
         # each resource, and intra- and inter-node latencies end apart; its
         # 16-256 flows come from one seeded generator, far cheaper than draws
@@ -51,6 +54,9 @@ def cases(draw):
         rank = st.integers(0, len(devices) - 1)
         phase = st.integers(0, nphases - 1)
         specs = draw(st.lists(st.tuples(rank, rank, SIZES, phase), min_size=1, max_size=20))
+        if kind == "one_flow_phases":
+            # every flow alone in its phase, run as a walk over its legs
+            specs = [(src, dst, nbytes, i) for i, (src, dst, nbytes, _) in enumerate(specs)]
     # renumber phases to 0..k and give ids in an order unrelated to the list
     order = {p: i for i, p in enumerate(sorted({s[3] for s in specs}))}
     ids = list(range(len(specs)))
@@ -93,3 +99,42 @@ def test_simulate_matches_reference(case):
         assert res.busy_seconds == [c + b for c, b in zip(compute, ref.busy_seconds)]
     if cfg.collect_events:
         check_trace(topo, cfg, flows, res)
+
+
+@pytest.mark.parametrize("collect_events", [True, False])
+@pytest.mark.parametrize("alphas", [{}, {"alpha_intra": 0.0, "alpha_inter": 0.0}])
+def test_route_revisiting_a_link_direction_matches_reference(collect_events, alphas):
+    """A route may list a link direction k times; a flow alone on it then gets cap / k."""
+    topo = Topology(
+        [device(0), device(1), switch(0)],
+        [Link(device(0), switch(0), 10e9), Link(switch(0), device(1), 10e9)],
+        device_mem_bw=800e9,
+        routes={(0, 1): [(0, True), (0, False), (0, True), (1, True)]},
+    )
+    rm = RankMap.identity(2)
+    cfg = SimConfig(collect_events=collect_events, **alphas)
+    lone = [Flow(0, 0, 1, 10**6)]
+    for flows in (
+        lone,
+        lone + [Flow(1, 1, 0, 10**6, phase=1), Flow(2, 0, 1, 0, phase=2)],
+        lone + [Flow(1, 0, 1, 4 * 10**5), Flow(2, 1, 0, 10**6, phase=1)],
+    ):
+        assert_same(simulate(topo, rm, flows, cfg), reference_simulate(topo, rm, flows, cfg))
+    res = simulate(topo, rm, lone, cfg)
+    assert res.makespan == pytest.approx(cfg.alpha_intra + 1e6 / 5e9, rel=1e-12)
+    assert list(res.link_peak_utilization.items()) == [
+        ("device:0->switch:0", 1.0), ("switch:0->device:0", 0.5), ("switch:0->device:1", 0.5)
+    ]
+
+
+@pytest.mark.parametrize("staging", list(Staging))
+def test_leg_too_short_to_move_the_clock_matches_reference(staging):
+    """A leg whose time underflows to 0 ends at once and leaves no trace segment."""
+    topo = TOPOLOGIES["dgx1v"]
+    rm = RankMap.identity(2)
+    flows = [Flow(0, 0, 1, 5e-324), Flow(1, 1, 0, 5e-324, phase=1), Flow(2, 0, 0, 5e-324, phase=1)]
+    for alphas in ({}, {"alpha_intra": 0.0, "alpha_inter": 0.0}):
+        cfg = SimConfig(staging=staging, **alphas)
+        res = simulate(topo, rm, flows, cfg)
+        assert_same(res, reference_simulate(topo, rm, flows, cfg))
+        assert len(res.events) == 0
