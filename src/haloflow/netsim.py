@@ -293,19 +293,15 @@ class _Network:
         rate = self._alone.get(res)
         if rate is None:
             cap, peak = self.cap, self.peak
-            if len(set(res)) == len(res):
-                # k = 1 throughout, where cap / 1 and 0.0 + rate are exact
-                rate = min([cap[r] for r in res])
-                loads = [(r, rate / cap[r]) for r in res]
-            else:
-                rate = min([cap[r] / res.count(r) for r in res])
-                loads = []
-                for r in dict.fromkeys(res):
-                    used = 0.0
-                    for _ in range(res.count(r)):
-                        used += rate
-                    loads.append((r, used / cap[r]))
-            for r, util in loads:
+            counts = dict.fromkeys(res, 0)
+            for r in res:
+                counts[r] += 1
+            rate = min([cap[r] / k for r, k in counts.items()])
+            for r, k in counts.items():
+                used = 0.0
+                for _ in range(k):
+                    used += rate
+                util = used / cap[r]
                 if util > peak[r]:
                     if peak[r] == 0.0:
                         self.first_use.append(r)
@@ -543,8 +539,11 @@ def _validate_flows(topo: Topology, rm: RankMap, flows: Sequence[Flow]) -> list[
         if f.id in ids:
             raise SimulationError(f"duplicate flow id {f.id}")
         ids.add(f.id)
-        rm.device_of(f.src_rank)
-        rm.device_of(f.dst_rank)
+        src_dev, dst_dev = rm.device_of(f.src_rank), rm.device_of(f.dst_rank)
+        if not topo.has_device(src_dev) or not topo.has_device(dst_dev):
+            raise SimulationError(
+                f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
+            )
         try:
             index(f.phase)
         except TypeError:
@@ -559,14 +558,6 @@ def _validate_flows(topo: Topology, rm: RankMap, flows: Sequence[Flow]) -> list[
             raise SimulationError(f"flow {f.id} has a size beyond double range") from None
         if not finite:
             raise SimulationError(f"flow {f.id} has non-finite size {f.bytes!r}")
-    absent = set(rm).difference(topo.devices)
-    if absent:
-        for f in flows:
-            src_dev, dst_dev = rm.device_of(f.src_rank), rm.device_of(f.dst_rank)
-            if src_dev in absent or dst_dev in absent:
-                raise SimulationError(
-                    f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
-                )
     phases = sorted({f.phase for f in flows})
     if phases and phases != list(range(phases[-1] + 1)):
         raise SimulationError(f"phases must form a contiguous 0..k range, got {phases}")
