@@ -416,7 +416,9 @@ def _add_common(p: argparse.ArgumentParser, scenario_required: bool) -> None:
                    help="stdout format when --output is not given")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="haloflow",
         description="Flow-level interconnect simulation and halo-exchange experiments.",

@@ -35,9 +35,9 @@ and peak of a resource whose flows or their rates changed.  A sum is still
 taken over the resource's flows in flow-id order, the order of a full pass,
 so it keeps its bits.  Every active flow's time to finish and progress are
 updated on every step.  A phase of one flow shares nothing, so each step
-of that loop would end exactly one leg; its legs are walked in order
-instead, with the loop's float operations in the loop's order, so the
-numbers and the trace are the same bits.
+of that loop would end exactly one leg; ``_simulate`` walks its route's
+legs in order instead, with the loop's float operations in the loop's
+order, so the numbers and the trace are the same bits.
 
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow
@@ -58,7 +58,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, index
 
-from .errors import SimulationError
+from .errors import ConfigurationError, SimulationError
 from .topology import NodeKind, RankMap, Topology, device, host_bridge
 
 __all__ = [
@@ -213,7 +213,8 @@ class TimestepScenario:
 # leg compilation
 #
 # A leg is (remaining, resources): seconds and () for the latency leg, bytes
-# and a non-empty tuple of resource ints for a fluid leg.
+# and a non-empty tuple of resource ints for a fluid leg.  A flow has an
+# optional latency leg, then its route's fluid legs if it carries bytes.
 
 
 class _Network:
@@ -270,42 +271,41 @@ class _Network:
             out[name] = max(out.get(name, 0.0), self.peak[r])
         return out
 
-    def legs(self, src_dev: int, dst_dev: int, nbytes) -> list[tuple]:
-        """Legs of a flow of ``nbytes`` between two devices: an optional
-        latency leg, then its fluid legs."""
-        alpha, fluid = self._route(src_dev, dst_dev)
-        legs: list[tuple] = [(alpha, ())] if alpha > 0 else []
-        if nbytes > 0:
-            nbytes = float(nbytes)
-            legs += [(nbytes, res) for res in fluid]
-        return legs
-
     def alone(self, res: tuple[int, ...]) -> float:
         """The rate of a flow alone on fluid leg ``res``; raises the leg's peaks.
 
         As in the event loop, a resource the leg lists ``k`` times gives it
-        ``cap / k`` and the rate is the smallest of those.  A resource's
+        ``cap / k``, the rate is the smallest of those, and the resource's
         utilization is ``k`` copies of the rate summed from 0.0, over its
-        capacity, and its peak is raised to that in the order the leg first
-        lists the resources.  Peaks only grow, so a later call for the same
-        leg would raise none: it returns the rate it kept.
-        """
+        capacity; peaks are raised in the order the leg first lists the
+        resources.  A leg listing each once takes one pass, as ``cap / 1 ==
+        cap`` and ``0.0 + rate == rate``.  Peaks only grow, so a later call
+        for the same leg returns the rate it kept."""
         rate = self._alone.get(res)
         if rate is None:
             cap, peak = self.cap, self.peak
-            counts = dict.fromkeys(res, 0)
-            for r in res:
-                counts[r] += 1
-            rate = min([cap[r] / k for r, k in counts.items()])
-            for r, k in counts.items():
-                used = 0.0
-                for _ in range(k):
-                    used += rate
-                util = used / cap[r]
-                if util > peak[r]:
-                    if peak[r] == 0.0:
-                        self.first_use.append(r)
-                    peak[r] = util
+            if len(set(res)) == len(res):
+                rate = min([cap[r] for r in res])
+                for r in res:
+                    util = rate / cap[r]
+                    if util > peak[r]:
+                        if peak[r] == 0.0:
+                            self.first_use.append(r)
+                        peak[r] = util
+            else:
+                counts = dict.fromkeys(res, 0)
+                for r in res:
+                    counts[r] += 1
+                rate = min([cap[r] / k for r, k in counts.items()])
+                for r, k in counts.items():
+                    used = 0.0
+                    for _ in range(k):
+                        used += rate
+                    util = used / cap[r]
+                    if util > peak[r]:
+                        if peak[r] == 0.0:
+                            self.first_use.append(r)
+                        peak[r] = util
             self._alone[res] = rate
         return rate
 
@@ -358,7 +358,6 @@ class _Network:
         """Link resources along ``hops`` and whether the walk enters a NIC."""
         table, enters_nic = self._link_res, self.enters_nic
         res = []
-        nic = False
         for li, fwd in hops:
             k = 2 * li + fwd
             r = table[k]
@@ -367,8 +366,7 @@ class _Network:
                 a, b = (ln.a, ln.b) if fwd else (ln.b, ln.a)
                 r = table[k] = self._resource(ln.capacity, f"{a}->{b}", b.kind is NodeKind.NIC)
             res.append(r)
-            nic = nic or enters_nic[r]
-        return tuple(res), nic
+        return tuple(res), any([enters_nic[r] for r in res])
 
 
 # ----------------------------------------------------------------------
@@ -379,9 +377,12 @@ class _FlowState:
     __slots__ = ("id", "legs", "leg_idx", "remaining", "res", "rate", "dt",
                  "seg_t0", "seg_t1", "seg_rate")
 
-    def __init__(self, flow_id: int, legs: list[tuple]):
+    def __init__(self, flow_id: int, route: tuple[float, tuple], nbytes):
         self.id = flow_id
-        self.legs = legs
+        alpha, fluid = route
+        self.legs = legs = [(alpha, ())] if alpha > 0 else []
+        if nbytes > 0:
+            legs += [(float(nbytes), res) for res in fluid]
         self.leg_idx = 0
         self.remaining, self.res = legs[0] if legs else (0.0, ())
         self.rate = 0.0
@@ -395,13 +396,13 @@ _FLOW_ID = attrgetter("id")
 
 def _run_phase(
     t0: float,
-    flows: list[tuple[int, list[tuple]]],
+    flows: list[tuple[int, tuple[float, tuple], float]],
     net: _Network,
     trace: Trace | None,
     start: float,
 ) -> tuple[float, dict[int, float]]:
-    """Run one phase of (flow id, legs) to completion; returns (end time,
-    completion per flow id).
+    """Run one phase of (flow id, route, bytes) to completion; returns (end
+    time, completion per flow id).
 
     Each step gives every fluid flow the smallest ``cap / count`` along its
     leg, advances all flows by the time the first leg needs to finish, and
@@ -410,29 +411,9 @@ def _run_phase(
     a utilization sum and peak only for a resource whose members or their
     rates changed; the rest keep their bits.  With ``trace`` each maximal
     constant-rate run of a flow on one leg is recorded, shifted by ``start``.
-
-    A lone flow's every step would end exactly one leg, at its ``alone``
-    rate, so its legs are walked instead: a latency leg ends ``alpha``
-    later and a fluid leg ``remaining / rate`` later.  ``alone`` raises a
-    leg's peaks in the leg's own order, the order of the loop's first step
-    on it, since consecutive legs of one flow never share a resource (link
-    paths and memory engines alternate).
+    ``_simulate`` runs only phases of two or more flows here; it walks a
+    phase of one flow itself.
     """
-    if len(flows) == 1:
-        ((fid, legs),) = flows
-        t = t0
-        for remaining, res in legs:
-            if not res:
-                t += remaining
-                continue
-            rate = net.alone(res)
-            dt = remaining / rate
-            t_end = t + dt
-            if trace is not None and dt > 0.0:
-                trace._add(start + t, start + t_end, fid, res, rate)
-            t = t_end
-        return t, {fid: t}
-
     cap, members, share, peak = net.cap, net.members, net.share, net.peak
     done: dict[int, float] = {}
     active: list[_FlowState] = []
@@ -440,9 +421,9 @@ def _run_phase(
     # whose members' rates changed), newly used ones in first-crossed order
     dirty: dict[int, None] = {}
     stale: dict[_FlowState, None] = {}
-    for fid, legs in flows:
-        st = _FlowState(fid, legs)
-        if legs:
+    for flow in flows:
+        st = _FlowState(*flow)
+        if st.legs:
             active.append(st)
             for r in st.res:
                 members[r].append(st)
@@ -531,42 +512,58 @@ def _run_phase(
     return t, done
 
 
-def _validate_flows(topo: Topology, rm: RankMap, flows: Sequence[Flow]) -> list[list[Flow]]:
+def _validate_flows(topo: Topology, devs: tuple[int, ...],
+                    flows: Sequence[Flow]) -> list[list[Flow]]:
     """Check ids, ranks, devices, sizes and phase numbering; returns flows
-    grouped by phase."""
+    grouped by phase.  ``devs`` is the rank map as a tuple.  A plain ``int``
+    in range passes with one comparison; any other value takes the general
+    check, which names the flow when it fails."""
+    nranks = len(devs)
+    known = frozenset(topo.devices)
     ids = set()
     for f in flows:
-        if f.id in ids:
-            raise SimulationError(f"duplicate flow id {f.id}")
-        ids.add(f.id)
-        src_dev, dst_dev = rm.device_of(f.src_rank), rm.device_of(f.dst_rank)
-        if not topo.has_device(src_dev) or not topo.has_device(dst_dev):
+        fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
+        if type(fid) is not int:
+            _integer(fid, "id", fid)
+        if fid in ids:
+            raise SimulationError(f"duplicate flow id {fid}")
+        ids.add(fid)
+        if not (type(src) is type(dst) is int and 0 <= src < nranks and 0 <= dst < nranks):
+            for rank in (src, dst):
+                if not 0 <= _integer(fid, "rank", rank) < nranks:
+                    raise ConfigurationError(f"rank {rank} outside rank map of size {nranks}")
+            src, dst = index(src), index(dst)
+        if devs[src] not in known or devs[dst] not in known:
             raise SimulationError(
-                f"flow {f.id} maps to device {src_dev} or {dst_dev} absent from the topology"
+                f"flow {fid} maps to device {devs[src]} or {devs[dst]} absent from the topology"
             )
-        try:
-            index(f.phase)
-        except TypeError:
-            raise SimulationError(f"flow {f.id} has non-integer phase {f.phase!r}") from None
-        if f.phase < 0:
-            raise SimulationError(f"flow {f.id} has negative phase")
-        if f.bytes < 0:
-            raise SimulationError(f"flow {f.id} has negative size")
-        try:
-            finite = math.isfinite(f.bytes)
-        except OverflowError:
-            raise SimulationError(f"flow {f.id} has a size beyond double range") from None
-        if not finite:
-            raise SimulationError(f"flow {f.id} has non-finite size {f.bytes!r}")
+        if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
+            raise SimulationError(f"flow {fid} has negative phase")
+        if not (type(size) is int and 0 <= size < 1 << 1023):  # a finite double
+            try:
+                if size < 0:
+                    raise SimulationError(f"flow {fid} has negative size")
+                finite = math.isfinite(size)
+            except TypeError:
+                raise SimulationError(f"flow {fid} has non-real size {size!r}") from None
+            except OverflowError:
+                raise SimulationError(f"flow {fid} has a size beyond double range") from None
+            if not finite:
+                raise SimulationError(f"flow {fid} has non-finite size {size!r}")
     phases = sorted({f.phase for f in flows})
     if phases and phases != list(range(phases[-1] + 1)):
         raise SimulationError(f"phases must form a contiguous 0..k range, got {phases}")
     grouped: list[list[Flow]] = [[] for _ in phases]
-    for f in flows:
+    for f in sorted(flows, key=_FLOW_ID):
         grouped[f.phase].append(f)
-    for g in grouped:
-        g.sort(key=_FLOW_ID)
     return grouped
+
+
+def _integer(fid, field: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise SimulationError(f"flow {fid} has non-integer {field} {value!r}") from None
 
 
 def simulate(
@@ -593,35 +590,56 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
     standalone run reports, bit for bit.  Busy seconds and fractions
     describe the communication alone.
     """
-    grouped = _validate_flows(topo, rm, flows)
     devs = tuple(rm)
+    grouped = _validate_flows(topo, devs, flows)
 
     net = _Network(topo, cfg)
     trace = Trace(net.name)
     record = trace if cfg.collect_events else None
+    route, alone = net._route, net.alone
     completion: dict[int, float] = {}
     phase_completion: list[float] = []
 
     t = 0.0
-    rank_busy = [0.0] * rm.nranks
+    rank_busy = [0.0] * len(devs)
     for phase_flows in grouped:
-        flow_legs = [(f.id, net.legs(devs[f.src_rank], devs[f.dst_rank], f.bytes))
-                     for f in phase_flows]
-        t_next, done = _run_phase(t, flow_legs, net, record, start)
-        for fid, end in done.items():
-            completion[fid] = start + end
-        # one contiguous busy interval per rank per phase: every flow of the
-        # phase starts at the phase start, so the union is just the max end.
-        ends: dict[int, float] = {}
-        for f in phase_flows:
-            end = done[f.id]
-            for r in (f.src_rank, f.dst_rank):
-                if end > ends.get(r, t):
-                    ends[r] = end
-        for r, end in ends.items():
-            rank_busy[r] += end - t
-        phase_completion.append(start + t_next)
-        t = t_next
+        if len(phase_flows) == 1:
+            # the event loop would end one leg of a lone flow per step, at its
+            # ``alone`` rate; consecutive legs share no resource (link paths and
+            # memory engines alternate), so ``alone`` raises peaks in its order
+            (f,) = phase_flows
+            src, dst = f.src_rank, f.dst_rank
+            alpha, fluid = route(devs[src], devs[dst])
+            end = t + alpha
+            if f.bytes > 0:
+                nbytes = float(f.bytes)
+                for res in fluid:
+                    rate = alone(res)
+                    dt = nbytes / rate
+                    t_end = end + dt
+                    if record is not None and dt > 0.0:
+                        record._add(start + end, start + t_end, f.id, res, rate)
+                    end = t_end
+            completion[f.id] = start + end
+            rank_busy[src] += end - t
+            if dst != src:
+                rank_busy[dst] += end - t
+        else:
+            end, done = _run_phase(
+                t, [(f.id, route(devs[f.src_rank], devs[f.dst_rank]), f.bytes)
+                    for f in phase_flows], net, record, start)
+            for fid, e in done.items():
+                completion[fid] = start + e
+            # one contiguous busy interval per rank per phase: every flow of
+            # the phase starts at the phase start, so the union is the max end
+            ends: dict[int, float] = {}
+            for f in phase_flows:
+                for r in (f.src_rank, f.dst_rank):
+                    ends[r] = max(ends.get(r, t), done[f.id])
+            for r, e in ends.items():
+                rank_busy[r] += e - t
+        phase_completion.append(start + end)
+        t = end
 
     return SimResult(
         flow_completion=completion,

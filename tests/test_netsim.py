@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from haloflow import (
+    ConfigurationError,
     Flow,
     Link,
     RankMap,
@@ -134,6 +136,30 @@ class TestPhases:
         with pytest.raises(SimulationError, match="flow 1"):
             simulate(island_topo, RankMap.identity(2), flows)
 
+    def test_non_integer_rank_rejected(self, island_topo):
+        with pytest.raises(SimulationError, match="flow 0 has non-integer rank 0.5"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0.5, 1, 1)])
+
+    def test_non_real_size_rejected(self, island_topo):
+        with pytest.raises(SimulationError, match="flow 0 has non-real size '10'"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, "10")])
+
+    def test_unhashable_id_rejected(self, island_topo):
+        with pytest.raises(SimulationError, match=r"flow \[1\] has non-integer id"):
+            simulate(island_topo, RankMap.identity(2), [Flow([1], 0, 1, 1)])
+
+    @pytest.mark.parametrize("rank", [2, -1])
+    def test_rank_outside_rank_map_rejected(self, island_topo, rank):
+        with pytest.raises(ConfigurationError, match=f"rank {rank} outside rank map of size 2"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 1), Flow(1, 0, rank, 1)])
+
+    def test_integer_like_fields_accepted(self, island_topo):
+        plain = [Flow(0, 0, 1, 10**6), Flow(1, 1, 0, 10**6, phase=1)]
+        like = [Flow(np.int64(0), np.int64(0), True, np.int64(10**6)),
+                Flow(True, 1, np.int64(0), 10**6, phase=np.int64(1))]
+        rm = RankMap.identity(2)
+        assert simulate(island_topo, rm, like) == simulate(island_topo, rm, plain)
+
 
 class TestHostStaging:
     def test_same_bridge_store_and_forward(self, island_topo):
@@ -235,12 +261,18 @@ class TestNonFiniteSizes:
         with pytest.raises(SimulationError, match="flow 0"):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 10**400)])
 
-    def test_checked_before_the_first_phase_runs(self, island_topo, monkeypatch):
+    # one-flow phases (walked by _simulate) and two-flow phases (event loop)
+    @pytest.mark.parametrize("flows", [
+        [Flow(0, 0, 1, 1), Flow(1, 0, 1, -1, phase=1)],
+        [Flow(0, 0, 1, 1), Flow(2, 1, 0, 1), Flow(1, 0, 1, -1, phase=1), Flow(3, 1, 0, 1, phase=1)],
+    ], ids=["one-flow-phases", "two-flow-phases"])
+    def test_checked_before_the_first_phase_runs(self, island_topo, monkeypatch, flows):
         def no_phase(*_args):
             raise AssertionError("a phase ran before every flow was checked")
 
+        # every phase, walked or looped, reads its flows' routes first
         monkeypatch.setattr(netsim, "_run_phase", no_phase)
-        flows = [Flow(0, 0, 1, 1), Flow(1, 0, 1, -1, phase=1)]
+        monkeypatch.setattr(netsim._Network, "_route", no_phase)
         with pytest.raises(SimulationError, match="flow 1 has negative size"):
             simulate(island_topo, RankMap.identity(2), flows)
 
