@@ -106,7 +106,7 @@ class SimConfig:
     collect_events: bool = True
 
     def __post_init__(self):
-        if self.alpha_intra < 0 or self.alpha_inter < 0:
+        if not (self.alpha_intra >= 0 and self.alpha_inter >= 0):  # nan too
             raise SimulationError("latencies must be non-negative")
         if not (self.host_mem_bw > 0) or not math.isfinite(self.host_mem_bw):
             raise SimulationError("host_mem_bw must be positive and finite")
@@ -275,37 +275,28 @@ class _Network:
         """The rate of a flow alone on fluid leg ``res``; raises the leg's peaks.
 
         As in the event loop, a resource the leg lists ``k`` times gives it
-        ``cap / k``, the rate is the smallest of those, and the resource's
+        ``cap / k`` and the rate is the smallest of those.  A resource's
         utilization is ``k`` copies of the rate summed from 0.0, over its
-        capacity; peaks are raised in the order the leg first lists the
-        resources.  A leg listing each once takes one pass, as ``cap / 1 ==
-        cap`` and ``0.0 + rate == rate``.  Peaks only grow, so a later call
-        for the same leg returns the rate it kept."""
+        capacity, and its peak is raised to that in the order the leg first
+        lists the resources.  Peaks only grow, so a later call for the same
+        leg would raise none: it returns the rate it kept.
+        """
         rate = self._alone.get(res)
         if rate is None:
             cap, peak = self.cap, self.peak
-            if len(set(res)) == len(res):
-                rate = min([cap[r] for r in res])
-                for r in res:
-                    util = rate / cap[r]
-                    if util > peak[r]:
-                        if peak[r] == 0.0:
-                            self.first_use.append(r)
-                        peak[r] = util
-            else:
-                counts = dict.fromkeys(res, 0)
-                for r in res:
-                    counts[r] += 1
-                rate = min([cap[r] / k for r, k in counts.items()])
-                for r, k in counts.items():
-                    used = 0.0
-                    for _ in range(k):
-                        used += rate
-                    util = used / cap[r]
-                    if util > peak[r]:
-                        if peak[r] == 0.0:
-                            self.first_use.append(r)
-                        peak[r] = util
+            counts = dict.fromkeys(res, 0)
+            for r in res:
+                counts[r] += 1
+            rate = min([cap[r] / k for r, k in counts.items()])
+            for r, k in counts.items():
+                used = 0.0
+                for _ in range(k):
+                    used += rate
+                util = used / cap[r]
+                if util > peak[r]:
+                    if peak[r] == 0.0:
+                        self.first_use.append(r)
+                    peak[r] = util
             self._alone[res] = rate
         return rate
 
@@ -358,6 +349,7 @@ class _Network:
         """Link resources along ``hops`` and whether the walk enters a NIC."""
         table, enters_nic = self._link_res, self.enters_nic
         res = []
+        nic = False
         for li, fwd in hops:
             k = 2 * li + fwd
             r = table[k]
@@ -366,7 +358,8 @@ class _Network:
                 a, b = (ln.a, ln.b) if fwd else (ln.b, ln.a)
                 r = table[k] = self._resource(ln.capacity, f"{a}->{b}", b.kind is NodeKind.NIC)
             res.append(r)
-        return tuple(res), any([enters_nic[r] for r in res])
+            nic = nic or enters_nic[r]
+        return tuple(res), nic
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +385,7 @@ class _FlowState:
 
 
 _FLOW_ID = attrgetter("id")
+_EXACT_SIZE = 1 << 1023  # every int below converts to a finite double
 
 
 def _run_phase(
@@ -539,7 +533,7 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
             )
         if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
             raise SimulationError(f"flow {fid} has negative phase")
-        if not (type(size) is int and 0 <= size < 1 << 1023):  # a finite double
+        if not (type(size) is int and 0 <= size < _EXACT_SIZE):
             try:
                 if size < 0:
                     raise SimulationError(f"flow {fid} has negative size")

@@ -229,8 +229,6 @@ class Topology:
             adj[a].append((b, li, (li, True)))
             adj[b].append((a, li, (li, False)))
         self._adj = [[(v, hop) for v, _li, hop in sorted(row)] for row in adj]
-        self._bridge_ids = [k for k, n in enumerate(self._node_list)
-                            if n.kind is NodeKind.HOST_BRIDGE]
         self._trees: dict[int, list[tuple[Hop, ...] | None]] = {}
 
         if routes is None:
@@ -386,7 +384,8 @@ class Topology:
         if not self.has_device(dev):
             raise TopologyError(f"unknown device {dev}")
         paths = self._tree(device(dev))
-        reachable = [(len(paths[k]), k) for k in self._bridge_ids if paths[k] is not None]
+        reachable = [(len(paths[k]), k) for k, n in enumerate(self._node_list)
+                     if n.kind is NodeKind.HOST_BRIDGE and paths[k] is not None]
         if not reachable:
             raise TopologyError(f"device:{dev} has no host bridge on its topology")
         return self._node_list[min(reachable)[1]]

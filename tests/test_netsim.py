@@ -276,6 +276,12 @@ class TestNonFiniteSizes:
         with pytest.raises(SimulationError, match="flow 1 has negative size"):
             simulate(island_topo, RankMap.identity(2), flows)
 
+    # a nan latency would be added by a one-flow phase but skipped by the event loop
+    @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter"])
+    def test_nan_latency_rejected(self, field):
+        with pytest.raises(SimulationError, match="latencies must be non-negative"):
+            SimConfig(**{field: math.nan})
+
     def test_fractional_finite_size_is_legal(self, island_topo):
         res = simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 2.5)])
         assert res.flow_completion[0] == pytest.approx(ALPHA_INTRA + 2.5 / 25e9, rel=1e-12)
