@@ -53,7 +53,6 @@ from .scenario import (
     HaloJob,
     Scenario,
     SweepSpec,
-    TimestepJob,
     load_scenario,
     parse_grid,
 )
@@ -192,18 +191,11 @@ def halo_tables(
 
 
 def timestep_table(
-    topo: Topology, job: TimestepJob, cfg: SimConfig | None = None
+    topo: Topology, job: TimestepScenario, cfg: SimConfig | None = None
 ) -> tuple[list[str], list[list[object]], float]:
     """Per-rank busy time for one compute+exchange timestep; returns makespan too."""
-    cfg = _untraced(cfg)
     nranks = len(job.compute_seconds)
-    rank_map = RankMap.identity(nranks)
-    scen = TimestepScenario(
-        compute_seconds=tuple(job.compute_seconds),
-        flows=job.flows,
-        barrier_at_end=job.barrier,
-    )
-    res = simulate_timestep(topo, rank_map, scen, cfg)
+    res = simulate_timestep(topo, RankMap.identity(nranks), job, _untraced(cfg))
     rows: list[list[object]] = [
         [r, job.compute_seconds[r], res.busy_seconds[r], res.busy_fraction[r]]
         for r in range(nranks)
@@ -330,8 +322,8 @@ COMMANDS: dict[str, tuple[str, type | None, str]] = {
 # flag given with --scenario can be told apart from one left out.
 WORKLOAD_FLAGS = {
     "topology": "dgx1v", "ranks": None, "msg_bytes": None, "schedule": None,
-    "grid": "quad160x160", "steps": 5, "mode": OverlapMode.NONE.value,
-    "bytes_per_element": 8.0, "compute_seconds": 0.0,
+    "grid": "quad160x160", "steps": 5, "mode": HaloJob.mode.value,
+    "bytes_per_element": HaloJob.bytes_per_element, "compute_seconds": HaloJob.compute_seconds,
 }
 
 
@@ -343,12 +335,12 @@ def _flag_scenario(args: argparse.Namespace) -> Scenario:
         if flag["ranks"] is None or flag["msg_bytes"] is None:
             raise ConfigurationError("need --ranks and --msg-bytes (or --scenario)")
         sched = flag["schedule"] or "all"
-        schedules = tuple(ScheduleKind) if sched == "all" else (ScheduleKind(sched),)
+        schedules = AlltoallJob.schedules if sched == "all" else (ScheduleKind(sched),)
         job = AlltoallJob(flag["ranks"], flag["msg_bytes"], schedules)
     else:
         if flag["ranks"] is None:
             raise ConfigurationError("need --ranks (or --scenario)")
-        sched = flag["schedule"] or ScheduleKind.ROTATED_CONCURRENT.value
+        sched = flag["schedule"] or HaloJob.schedule.value
         job = HaloJob(flag["grid"], flag["ranks"], flag["steps"], OverlapMode(flag["mode"]),
                       ScheduleKind(sched), flag["bytes_per_element"], flag["compute_seconds"])
     return Scenario("flags", 0, _topology_doc(flag["topology"]), job)

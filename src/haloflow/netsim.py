@@ -35,7 +35,7 @@ and peak of a resource whose flows or their rates changed.  A sum is still
 taken over the resource's flows in flow-id order, the order of a full pass,
 so it keeps its bits.  Every active flow's time to finish and progress are
 updated on every step.  A phase of one flow shares nothing, so each step
-of that loop would end exactly one leg; ``_simulate`` walks its route's
+of that loop would end exactly one leg; ``simulate`` walks its route's
 legs in order instead, with the loop's float operations in the loop's
 order, so the numbers and the trace are the same bits.
 
@@ -52,13 +52,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from array import array
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from operator import attrgetter, index
 
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, ScenarioError, SimulationError
 from .topology import NodeKind, RankMap, Topology, device, host_bridge
 
 __all__ = [
@@ -153,6 +155,12 @@ class Trace(Sequence):
         self._rate.append(rate)
         self._len += len(res)
 
+    def _shift(self, start: float) -> None:
+        """Move every segment ``start`` later: each time ``t`` becomes ``start + t``."""
+        self._t0 = array("d", [start + t for t in self._t0])
+        self._t1 = array("d", [start + t for t in self._t1])
+        self._intervals = None
+
     def _built(self) -> list[FlowInterval]:
         if self._intervals is None:
             names = self._names
@@ -197,16 +205,40 @@ class SimResult:
 
 @dataclass(frozen=True)
 class TimestepScenario:
-    """One application step: per-rank compute followed by a communication phase."""
+    """One application step: per-rank compute followed by phased flows among those ranks.
+
+    Validated on construction, from Python or a scenario document: a bad
+    value raises :class:`ScenarioError` whose ``path`` names the field, such
+    as ``compute_seconds[1]`` or ``flows[0].dst``.  A flow field that is not
+    a real number is left to ``simulate``'s own flow checks.
+    """
 
     compute_seconds: tuple[float, ...]
     flows: tuple[Flow, ...] = ()
     barrier_at_end: bool = True
 
-    def __init__(self, compute_seconds, flows=(), barrier_at_end=True):
-        object.__setattr__(self, "compute_seconds", tuple(float(c) for c in compute_seconds))
-        object.__setattr__(self, "flows", tuple(flows))
-        object.__setattr__(self, "barrier_at_end", bool(barrier_at_end))
+    def __post_init__(self):
+        compute = []
+        for i, c in enumerate(self.compute_seconds):
+            # booleans are ints, but never numbers here; nan fails the comparison
+            if isinstance(c, bool) or not isinstance(c, Real) or not 0 <= c <= sys.float_info.max:
+                raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
+            compute.append(float(c))
+        if not compute:
+            raise ScenarioError("compute_seconds must not be empty", "compute_seconds")
+        ranks, flows = len(compute), tuple(self.flows)
+        for i, f in enumerate(flows):
+            for key, value, upper in (("src", f.src_rank, ranks), ("dst", f.dst_rank, ranks),
+                                      ("bytes", f.bytes, None), ("phase", f.phase, None)):
+                if not isinstance(value, Real):
+                    continue
+                if upper is None and value < 0:
+                    raise ScenarioError(f"{key} must be >= 0", f"flows[{i}].{key}")
+                if upper is not None and not 0 <= value < upper:
+                    raise ScenarioError(f"{key} must be in [0, {upper})", f"flows[{i}].{key}")
+        object.__setattr__(self, "compute_seconds", tuple(compute))
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "barrier_at_end", bool(self.barrier_at_end))
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +425,6 @@ def _run_phase(
     flows: list[tuple[int, tuple[float, tuple], float]],
     net: _Network,
     trace: Trace | None,
-    start: float,
 ) -> tuple[float, dict[int, float]]:
     """Run one phase of (flow id, route, bytes) to completion; returns (end
     time, completion per flow id).
@@ -404,9 +435,9 @@ def _run_phase(
     whose leg started or crosses a resource whose member count changed, and
     a utilization sum and peak only for a resource whose members or their
     rates changed; the rest keep their bits.  With ``trace`` each maximal
-    constant-rate run of a flow on one leg is recorded, shifted by ``start``.
-    ``_simulate`` runs only phases of two or more flows here; it walks a
-    phase of one flow itself.
+    constant-rate run of a flow on one leg is recorded.  ``simulate`` runs
+    only phases of two or more flows here; it walks a phase of one flow
+    itself.
     """
     cap, members, share, peak = net.cap, net.members, net.share, net.peak
     done: dict[int, float] = {}
@@ -473,8 +504,7 @@ def _run_phase(
                     st.seg_t1 = t_end
                 else:
                     if st.seg_rate:
-                        trace._add(start + st.seg_t0, start + st.seg_t1, st.id, legres,
-                                   st.seg_rate)
+                        trace._add(st.seg_t0, st.seg_t1, st.id, legres, st.seg_rate)
                     st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
             if st.dt == dt:
                 st.remaining = 0.0
@@ -485,8 +515,7 @@ def _run_phase(
             if st.remaining <= 0.0:
                 if legres:
                     if st.seg_rate:
-                        trace._add(start + st.seg_t0, start + st.seg_t1, st.id, legres,
-                                   st.seg_rate)
+                        trace._add(st.seg_t0, st.seg_t1, st.id, legres, st.seg_rate)
                         st.seg_rate = 0.0
                     for r in legres:
                         members[r].remove(st)
@@ -573,17 +602,7 @@ def simulate(
     the fraction divides by the makespan.
     """
     rm = rank_map if isinstance(rank_map, RankMap) else RankMap(rank_map)
-    return _simulate(topo, rm, flows, cfg or SimConfig(), 0.0)
-
-
-def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig,
-              start: float) -> SimResult:
-    """simulate() with every reported instant shifted by ``start``.
-
-    The clock still runs from 0, so each time is ``start +`` the time a
-    standalone run reports, bit for bit.  Busy seconds and fractions
-    describe the communication alone.
-    """
+    cfg = cfg or SimConfig()
     devs = tuple(rm)
     grouped = _validate_flows(topo, devs, flows)
 
@@ -612,18 +631,17 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
                     dt = nbytes / rate
                     t_end = end + dt
                     if record is not None and dt > 0.0:
-                        record._add(start + end, start + t_end, f.id, res, rate)
+                        record._add(end, t_end, f.id, res, rate)
                     end = t_end
-            completion[f.id] = start + end
+            completion[f.id] = end
             rank_busy[src] += end - t
             if dst != src:
                 rank_busy[dst] += end - t
         else:
             end, done = _run_phase(
                 t, [(f.id, route(devs[f.src_rank], devs[f.dst_rank]), f.bytes)
-                    for f in phase_flows], net, record, start)
-            for fid, e in done.items():
-                completion[fid] = start + e
+                    for f in phase_flows], net, record)
+            completion.update(done)
             # one contiguous busy interval per rank per phase: every flow of
             # the phase starts at the phase start, so the union is the max end
             ends: dict[int, float] = {}
@@ -632,13 +650,13 @@ def _simulate(topo: Topology, rm: RankMap, flows: Sequence[Flow], cfg: SimConfig
                     ends[r] = max(ends.get(r, t), done[f.id])
             for r, e in ends.items():
                 rank_busy[r] += e - t
-        phase_completion.append(start + end)
+        phase_completion.append(end)
         t = end
 
     return SimResult(
         flow_completion=completion,
         phase_completion=phase_completion,
-        makespan=start + t,
+        makespan=t,
         busy_seconds=rank_busy,
         busy_fraction=[b / t if t > 0 else 0.0 for b in rank_busy],
         link_peak_utilization=net.peak_by_name(),
@@ -660,29 +678,35 @@ def simulate_timestep(
     ``barrier_at_end`` the step ends for everyone at the global makespan
     and busy fractions divide by it; without it each rank's fraction
     divides by its own finish time.
+
+    The flows run as ``simulate`` runs them, from 0.  Every instant it
+    reports (each flow's and phase's completion, the makespan, and each
+    trace interval's ``t0`` and ``t1``) is then shifted by one addition,
+    ``start + t``, where ``start`` is the slowest rank's compute time.
     """
-    cfg = cfg or SimConfig()
     rm = rank_map if isinstance(rank_map, RankMap) else RankMap(rank_map)
     compute = scenario.compute_seconds
     if len(compute) != rm.nranks:
         raise SimulationError(
             f"compute_seconds has {len(compute)} entries for {rm.nranks} ranks"
         )
-    for c in compute:
-        if c < 0 or not math.isfinite(c):
-            raise SimulationError("compute seconds must be non-negative and finite")
 
-    comm = _simulate(topo, rm, scenario.flows, cfg, max(compute, default=0.0))
-    makespan = comm.makespan
+    comm = simulate(topo, rm, scenario.flows, cfg)
+    start = max(compute)
+    completion = {fid: start + t for fid, t in comm.flow_completion.items()}
+    comm.events._shift(start)
+    makespan = start + comm.makespan
     busy = [compute[r] + comm.busy_seconds[r] for r in range(rm.nranks)]
     if scenario.barrier_at_end:
         fractions = [b / makespan if makespan > 0 else 0.0 for b in busy]
     else:
         own_end = list(compute)
         for f in scenario.flows:
-            end = comm.flow_completion[f.id]
+            end = completion[f.id]
             for r in (f.src_rank, f.dst_rank):
                 if end > own_end[r]:
                     own_end[r] = end
         fractions = [b / e if e > 0 else 0.0 for b, e in zip(busy, own_end)]
-    return replace(comm, busy_seconds=busy, busy_fraction=fractions)
+    return replace(comm, flow_completion=completion,
+                   phase_completion=[start + t for t in comm.phase_completion],
+                   makespan=makespan, busy_seconds=busy, busy_fraction=fractions)

@@ -19,7 +19,6 @@ from .perfmodel import KernelPoint, MachineModel
 __all__ = [
     "format_value",
     "render_csv",
-    "write_csv",
     "write_json",
     "roofline_svg",
 ]
@@ -49,10 +48,6 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
             )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    Path(path).write_bytes(render_csv(header, rows).encode("utf-8"))
 
 
 def write_json(path: str | Path, doc: Mapping) -> None:

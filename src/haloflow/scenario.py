@@ -24,7 +24,7 @@ from .collectives import ScheduleKind
 from .errors import ConfigurationError, ScenarioError, UndefinedIntensityError
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
-from .netsim import Flow
+from .netsim import Flow, TimestepScenario
 from .topology import check_spec
 from .perfmodel import MachineModel, KernelSample, arithmetic_intensity
 from .energy import PowerModel, energy_per_step, fit_power_model
@@ -33,7 +33,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "AlltoallJob",
     "HaloJob",
-    "TimestepJob",
     "SweepPoint",
     "SweepSpec",
     "RooflineSpec",
@@ -209,7 +208,7 @@ class AlltoallJob:
 
     ranks: int
     msg_bytes: int
-    schedules: tuple[ScheduleKind, ...]
+    schedules: tuple[ScheduleKind, ...] = tuple(ScheduleKind)
 
     def __post_init__(self):
         if self.ranks < 1:
@@ -234,10 +233,10 @@ class HaloJob:
     grid: str
     ranks: int
     steps: int
-    mode: OverlapMode
-    schedule: ScheduleKind
-    bytes_per_element: float
-    compute_seconds: float
+    mode: OverlapMode = OverlapMode.NONE
+    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT
+    bytes_per_element: float = 8.0
+    compute_seconds: float = 0.0
 
     def __post_init__(self):
         _build, check_args, args = _grid_recipe(self.grid)
@@ -251,30 +250,6 @@ class HaloJob:
                                 "bytes_per_element")
         if not (math.isfinite(self.compute_seconds) and self.compute_seconds >= 0):
             raise ScenarioError("compute_seconds must be finite and >= 0", "compute_seconds")
-
-
-@dataclass(frozen=True)
-class TimestepJob:
-    """Per-rank compute, then phased flows among those ranks; validated on construction."""
-
-    compute_seconds: tuple[float, ...]
-    flows: tuple[Flow, ...]
-    barrier: bool
-
-    def __post_init__(self):
-        if not self.compute_seconds:
-            raise ScenarioError("compute_seconds must not be empty", "compute_seconds")
-        for i, c in enumerate(self.compute_seconds):
-            if not (math.isfinite(c) and c >= 0):
-                raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
-        ranks = len(self.compute_seconds)
-        for i, f in enumerate(self.flows):
-            for key, bad, rule in (("src", not 0 <= f.src_rank < ranks, f"in [0, {ranks})"),
-                                   ("dst", not 0 <= f.dst_rank < ranks, f"in [0, {ranks})"),
-                                   ("bytes", f.bytes < 0, ">= 0"),
-                                   ("phase", f.phase < 0, ">= 0")):
-                if bad:
-                    raise ScenarioError(f"{key} must be {rule}", f"flows[{i}].{key}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +328,7 @@ class Scenario:
     name: str
     seed: int
     topology: Mapping
-    workload: AlltoallJob | HaloJob | TimestepJob
+    workload: AlltoallJob | HaloJob | TimestepScenario
     sweep: SweepSpec | None = None
     roofline: RooflineSpec | None = None
     energy: EnergySpec | None = None
@@ -369,7 +344,7 @@ class Scenario:
 def _parse_schedule_list(doc: Mapping, path: str) -> tuple[ScheduleKind, ...]:
     raw = _get(doc, "schedules", list, path, default=None)
     if raw is None:
-        return tuple(ScheduleKind)
+        return AlltoallJob.schedules
     out = []
     for i, item in enumerate(raw):
         if not isinstance(item, str):
@@ -392,28 +367,21 @@ def _parse_workload(doc: Mapping, path: str):
         grid = _get(doc, "grid", str, path)
         ranks = _get(doc, "ranks", int, path)
         steps = _get(doc, "steps", int, path)
-        mode = _enum(_get(doc, "mode", str, path, default=OverlapMode.NONE.value),
+        mode = _enum(_get(doc, "mode", str, path, default=HaloJob.mode.value),
                      OverlapMode, f"{path}.mode")
-        sched = _enum(
-            _get(doc, "schedule", str, path, default=ScheduleKind.ROTATED_CONCURRENT.value),
-            ScheduleKind, f"{path}.schedule")
-        bpe = _get(doc, "bytes_per_element", float, path, default=8.0)
-        comp = _get(doc, "compute_seconds", float, path, default=0.0)
+        sched = _enum(_get(doc, "schedule", str, path, default=HaloJob.schedule.value),
+                      ScheduleKind, f"{path}.schedule")
+        bpe = _get(doc, "bytes_per_element", float, path, default=HaloJob.bytes_per_element)
+        comp = _get(doc, "compute_seconds", float, path, default=HaloJob.compute_seconds)
         return _at(path, HaloJob, grid, ranks, steps, mode, sched, bpe, comp)
     if kind == "timestep":
         _check_keys(doc, ("kind", "compute_seconds", "flows", "barrier"), path)
-        comp_raw = _get(doc, "compute_seconds", list, path)
-        comp = []
-        for i, c in enumerate(comp_raw):
-            if isinstance(c, bool) or not isinstance(c, (int, float)):
-                raise ScenarioError("expected a non-negative number",
-                                    f"{path}.compute_seconds[{i}]")
-            comp.append(float(c))
+        comp = _get(doc, "compute_seconds", list, path)
         flows = [Flow(i, _get(fd, "src", int, fp), _get(fd, "dst", int, fp),
                       _get(fd, "bytes", int, fp), _get(fd, "phase", int, fp, default=0))
                  for i, (fd, fp) in enumerate(
                      _objects(doc, "flows", ("src", "dst", "bytes", "phase"), path))]
-        return _at(path, TimestepJob, tuple(comp), tuple(flows),
+        return _at(path, TimestepScenario, comp, flows,
                    _get(doc, "barrier", bool, path, default=True))
     raise ScenarioError(f"unknown workload kind {kind!r}", f"{path}.kind")
 

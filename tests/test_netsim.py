@@ -213,6 +213,13 @@ class TestTimestep:
         res = simulate_timestep(island_topo, RankMap.identity(2), scen)
         assert res.busy_fraction == pytest.approx((1.0, 1.0))
 
+    def test_without_barrier_a_rank_ends_with_its_last_flow(self, island_topo):
+        scen = TimestepScenario((0.5, 0.25, 0.25), (Flow(0, 0, 1, 10**8),), barrier_at_end=False)
+        res = simulate_timestep(island_topo, RankMap.identity(3), scen)
+        end = res.flow_completion[0]
+        assert end > 0.5
+        assert res.busy_fraction == [res.busy_seconds[0] / end, res.busy_seconds[1] / end, 1.0]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, island_topo):

@@ -7,11 +7,11 @@ from importlib import resources
 import pytest
 
 import haloflow.scenario as scenario_mod
-from haloflow import ConfigurationError, ScenarioError, load_scenario, parse_grid, parse_scenario
-from haloflow.netsim import Flow
+from haloflow import (ConfigurationError, RankMap, ScenarioError, SimulationError, load_scenario,
+                      parse_grid, parse_scenario, preset)
+from haloflow.netsim import Flow, TimestepScenario, simulate_timestep
 from haloflow.energy import PowerModel
-from haloflow.scenario import (AlltoallJob, EnergySpec, HaloJob, Scenario, SweepPoint,
-                                TimestepJob)
+from haloflow.scenario import AlltoallJob, EnergySpec, HaloJob, Scenario, SweepPoint
 
 
 def bundled(name):
@@ -134,9 +134,10 @@ class TestWorkloads:
             "flows": [{"src": 0, "dst": 1, "bytes": 1000}],
         }
         scn = parse_scenario(doc)
-        assert isinstance(scn.workload, TimestepJob)
+        assert isinstance(scn.workload, TimestepScenario)
+        assert scn.workload.compute_seconds == (0.5, 0.25)
         assert scn.workload.flows[0].bytes == 1000
-        assert scn.workload.barrier is True
+        assert scn.workload.barrier_at_end is True
 
     def test_halo_defaults(self):
         doc = minimal()
@@ -366,11 +367,25 @@ class TestConstructorsValidate:
         ((0.0, 0.0), Flow(0, 0, -1, 10), "flows[0].dst"),
         ((0.0, 0.0), Flow(0, 0, 1, -10), "flows[0].bytes"),
         ((0.0, 0.0), Flow(0, 0, 1, 10, -1), "flows[0].phase"),
+        (("x",), None, "compute_seconds[0]"),
+        ((0.0, True), None, "compute_seconds[1]"),
+        ((0.0, 10**400), None, "compute_seconds[1]"),
+        ((0.0, None), None, "compute_seconds[1]"),
     ])
     def test_timestep(self, comp, flow, path):
         with pytest.raises(ScenarioError) as err:
-            TimestepJob(comp, (flow,) if flow else (), True)
+            TimestepScenario(comp, (flow,) if flow else (), True)
         assert err.value.path == path
+
+    def test_timestep_leaves_non_number_flow_fields_to_simulate(self):
+        scen = TimestepScenario((0.0, 0.0), (Flow(0, 0, 1, "10"),))
+        with pytest.raises(SimulationError, match="flow 0 has non-real size '10'"):
+            simulate_timestep(preset("dgx1v"), RankMap.identity(2), scen)
+
+    def test_timestep_normalises_its_fields(self):
+        scen = TimestepScenario([1, 0.5], (f for f in [Flow(0, 0, 1, 1)]), barrier_at_end=0)
+        assert scen.compute_seconds == (1.0, 0.5) and type(scen.compute_seconds[0]) is float
+        assert scen.flows == (Flow(0, 0, 1, 1),) and scen.barrier_at_end is False
 
     def test_timestep_paths_prefixed_in_documents(self):
         doc = minimal()
