@@ -23,22 +23,21 @@ Overlap modes mirror the two standard ways of hiding the exchange:
     pass over the old snapshot, like a mask kernel that visits every
     element; write the results that ``boundary_mask`` selects, start the
     exchange with those fresh boundary values, then write the rest through
-    the inverted mask.  The mask is read on every step.
+    the plan's ``interior_mask``, the inverse fixed when it was negotiated.
 ``INDIRECTION_ARRAY``
     Update the plan's ``boundary`` row blocks, exchange, then update its
     ``interior`` row blocks: the split is materialised once, when the plan
     is negotiated.
 
-The overlap modes give the same bits however they order the work, because
-every evaluation reads the old snapshot ``f.values`` and the exchange
-writes only to the new array.
-
-A step reads only the partition and its plan: the partition holds each
-rank's stencil rows, built when it is constructed, and the plan holds each
-rank's send lists and boundary split, built when it is negotiated.  The
-exchange rounds are the phases of the matching all-to-all schedule in
-:mod:`haloflow.collectives`, without self copies, derived once per
-``(schedule, nranks)``.
+A step reads only the partition and its plan, and derives nothing from
+them.  The partition fixes, when it is constructed, each rank's stencil
+rows, each row block's write target (a slice when its members are one
+range) and whether its owned sets are ``0..n-1`` in rank order, which makes
+the checksum's global array one concatenate of the owned views.  The plan
+fixes, when it is negotiated, each rank's send lists, boundary split and
+both masks.  The exchange rounds are the phases of the matching all-to-all
+schedule in :mod:`haloflow.collectives`, without self copies, derived once
+per ``(schedule, nranks)``.
 
 The overlap modes send the *new* boundary values, so they leave ghosts
 valid for the next step; ``NONE`` refreshes at the top of each step
@@ -190,17 +189,17 @@ def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Fiel
                       plan: HaloPlan, rounds: Rounds):
     """Generator: pack from ``source``, run the exchange ``rounds``, scatter into ``target``."""
     rp = plan.ranks[rank]
+    send_index, recv_slot = rp.send_index, rp.recv_slot
     received: set[int] = set()
     for targets in rounds:
         outbox = {}
         for dst in targets[rank]:
-            idx = rp.send_index.get(dst)
+            idx = send_index.get(dst)
             if idx is not None:
                 outbox[dst] = _gather(source, idx, f)
         inbox = yield outbox
-        for src in sorted(inbox):
-            slots = rp.recv_slot.get(src)
-            buf = inbox[src]
+        for src, buf in inbox.items():  # sources ascend
+            slots = recv_slot.get(src)
             if slots is None or len(buf) != len(slots):
                 raise ProtocolError(
                     f"rank {rank} got {len(buf)} values from {src}, expected "
@@ -210,9 +209,9 @@ def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Fiel
                 raise ProtocolError(f"rank {rank} received twice from {src}")
             received.add(src)
             target[slots] = buf
-    missing = set(rp.recv_slot) - received
-    if missing:
-        raise ProtocolError(f"rank {rank} never heard from peers {sorted(missing)}")
+    if len(received) != len(recv_slot):
+        missing = sorted(set(recv_slot) - received)
+        raise ProtocolError(f"rank {rank} never heard from peers {missing}")
     return None
 
 
@@ -256,7 +255,7 @@ def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarra
         for row in acc[1:]:
             head += row
         head /= blk.degree
-        out[blk.members] = head
+        out[blk.rows] = head
 
 
 def stencil_step(
@@ -299,7 +298,7 @@ def stencil_step(
             _mean_into(groups, f.values, means)
             np.copyto(new_owned, means, where=mask)
             yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
-            np.copyto(new_owned, means, where=~mask)
+            np.copyto(new_owned, means, where=rp.interior_mask)
         else:
             _mean_into(rp.boundary, f.values, new_values)
             yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
@@ -338,6 +337,8 @@ def run_stencil(
 
 def gather_global(fields: Sequence[Field], part: Partition) -> np.ndarray:
     """Owned values of all ranks assembled into global element order."""
+    if part.rank_ordered:  # every block partition: the owned views end to end
+        return np.concatenate([f.values[: f.n_owned] for f in fields])
     out = np.empty(len(part.owner), dtype=np.float64)
     for r in range(part.nranks):
         out[part.owned[r]] = fields[r].values[: fields[r].n_owned]

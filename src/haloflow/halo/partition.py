@@ -26,11 +26,19 @@ class DegreeGroup:
     ``columns[k, i]`` is the k-th neighbour, in ascending global order, of
     ``members[i]``.  The k-th neighbours of all members thus sit in one
     contiguous row (the ELLPACK layout of sparse mat-vec), so a stencil pass
-    is one gather followed by adds of contiguous rows.
+    is one gather followed by adds of contiguous rows.  ``rows`` is what a
+    pass writes through: a ``slice`` when the members are one contiguous
+    range, else ``members`` itself.
     """
 
     members: np.ndarray
     columns: np.ndarray
+    rows: slice | np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = self.members
+        run = len(m) and int(m[-1]) - int(m[0]) == len(m) - 1  # members ascend
+        object.__setattr__(self, "rows", slice(int(m[0]), int(m[-1]) + 1) if run else m)
 
     @property
     def degree(self) -> int:
@@ -47,7 +55,8 @@ class Partition:
     ``stencil[r]`` holds rank r's stencil rows, built on construction: one
     column-major :class:`DegreeGroup` per distinct degree among its owned
     elements, in ascending degree.  A neighbour that is neither owned nor a
-    ghost raises ``ProtocolError``.
+    ghost raises ``ProtocolError``.  ``rank_ordered`` records whether the
+    owned sets concatenated in rank order are exactly ``0..n-1``.
     """
 
     grid: GlobalGrid
@@ -56,8 +65,11 @@ class Partition:
     owned: tuple[np.ndarray, ...]
     ghosts: tuple[tuple[tuple[int, int], ...], ...]
     stencil: tuple[tuple[DegreeGroup, ...], ...] = field(init=False, repr=False)
+    rank_ordered: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rank_ordered", np.array_equal(
+            np.concatenate(self.owned), np.arange(len(self.owner))))
         object.__setattr__(self, "stencil",
                            tuple(self._stencil_rows(r) for r in range(self.nranks)))
 
@@ -72,7 +84,7 @@ class Partition:
         starts = grid.indptr[owned]
         degree = grid.indptr[owned + 1] - starts
         groups = []
-        for d in np.unique(degree).tolist():
+        for d in np.flatnonzero(np.bincount(degree)).tolist():  # ascending degrees
             members = np.flatnonzero(degree == d)
             columns = local_of[grid.indices[np.arange(d)[:, None] + starts[members]]]
             if (columns < 0).any():
@@ -95,11 +107,12 @@ def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
                    nranks: int) -> Partition:
     # every adjacency entry whose neighbour lives on another rank than its
     # row names a ghost of the row's rank; (rank, global) pairs are encoded
-    # as rank * n + global so one np.unique deduplicates them
+    # as rank * n + global so one sort deduplicates them
     n = grid.n
     row_rank = np.repeat(owner, np.diff(grid.indptr))
     remote = row_rank != owner[grid.indices]
-    rank, gid = np.divmod(np.unique(row_rank[remote] * n + grid.indices[remote]), n)
+    keys = np.sort(row_rank[remote] * n + grid.indices[remote])
+    rank, gid = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     gown = owner[gid]
     order = np.lexsort((gid, gown, rank))
     rank, gids, owners = rank[order], gid[order].tolist(), gown[order].tolist()

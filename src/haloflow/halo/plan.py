@@ -6,10 +6,12 @@ protocol takes exactly two collective rounds whatever the rank count:
 
 1. counts: every rank tells every other rank how many ghost indices it
    will request from it (zero included);
-2. indices: every rank sends the requested global indices, ascending.
+2. indices: every rank sends each owner one ascending array of global
+   indices, the owner's run of its ghost list (sorted by owner, global).
 
-A rank receiving a request for an element it does not own signals a
-corrupt partition by raising ``ProtocolError``.
+An owner finds the requests in its owned list with one binary search; a
+request that lands on no equal element signals a corrupt partition and
+raises ``ProtocolError``.
 
 Send lists are kept in ascending global order per destination, and receive
 slots are stored in the same order, so packed buffers line up end to end
@@ -19,15 +21,16 @@ view of the same plan.
 
 Each rank also records its boundary split, because it depends on the
 negotiated send lists: ``boundary_mask`` marks the owned elements packed for
-at least one peer, and the partition's stencil rows are split by that mask
-into two tuples of column-major row blocks, ``boundary`` and ``interior``.
-The blocks are materialised once, here, so a step that computes from them
-gathers through contiguous rows and derives nothing.
+at least one peer, ``interior_mask`` the rest, and the partition's stencil
+rows are split by that mask into two tuples of column-major row blocks,
+``boundary`` and ``interior``.  All of it is fixed here, once, so a step
+reads the masks and blocks and derives nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,11 +47,11 @@ class RankPlan:
     gather for that peer; ``recv_slot[peer]`` holds the local ghost slots
     the matching incoming buffer scatters into.  Peers never include the
     rank itself.  ``boundary_mask`` marks the owned elements sent to at
-    least one peer.  ``boundary`` and ``interior`` split the rank's stencil
-    rows by that mask: per degree group of the partition, the block of its
-    masked (unmasked) rows, as a :class:`DegreeGroup` whose members and
-    columns are the group's for those rows, in the group's order.  Empty
-    blocks are left out.
+    least one peer, and ``interior_mask`` the rest.  ``boundary`` and
+    ``interior`` split the rank's stencil rows by that mask: per degree
+    group of the partition, the block of its masked (unmasked) rows, as a
+    :class:`DegreeGroup` whose members and columns are the group's for those
+    rows, in the group's order.  Empty blocks are left out.
     """
 
     rank: int
@@ -59,6 +62,7 @@ class RankPlan:
     send_displs: np.ndarray
     recv_displs: np.ndarray
     boundary_mask: np.ndarray
+    interior_mask: np.ndarray
     boundary: tuple[DegreeGroup, ...]
     interior: tuple[DegreeGroup, ...]
 
@@ -74,13 +78,6 @@ class HaloPlan:
 
     def total_sent(self) -> int:
         return int(sum(rp.send_counts.sum() for rp in self.ranks))
-
-
-def _displs(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(counts)
-    if len(counts) > 1:
-        np.cumsum(counts[:-1], out=out[1:])
-    return out
 
 
 def _blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple[DegreeGroup, ...]:
@@ -103,47 +100,50 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
     nranks = part.nranks
 
     def program(rank: int):
-        # group my ghosts by owner; globals ascend per owner because the
-        # ghost list is sorted by (owner, global)
-        needs: dict[int, list[int]] = {}
-        slots: dict[int, list[int]] = {}
-        base = part.n_owned(rank)
-        for slot, (gid, owner) in enumerate(part.ghosts[rank]):
-            needs.setdefault(owner, []).append(gid)
-            slots.setdefault(owner, []).append(base + slot)
+        # my ghosts as (global, owner) rows; sorted by (owner, global), so
+        # each owner's requests are one run and ascend
+        ghosts = np.fromiter(chain.from_iterable(part.ghosts[rank]), dtype=np.int64).reshape(-1, 2)
+        gids = ghosts[:, 0]
+        bounds = np.searchsorted(ghosts[:, 1], np.arange(nranks + 1)).tolist()
+        runs = list(zip(bounds, bounds[1:]))
 
         peers = [p for p in range(nranks) if p != rank]
-        counts_in = yield {p: len(needs.get(p, ())) for p in peers}
-        requests_in = yield {p: tuple(needs.get(p, ())) for p in peers}
+        counts_in = yield {p: runs[p][1] - runs[p][0] for p in peers}
+        requests_in = yield {p: gids[runs[p][0]:runs[p][1]] for p in peers}
 
         owned = part.owned[rank]
         send_index: dict[int, np.ndarray] = {}
-        for src in sorted(requests_in):
-            wanted = requests_in[src]
+        for src, wanted in requests_in.items():  # ascending sources
             if len(wanted) != counts_in.get(src, 0):
                 raise ProtocolError(
                     f"rank {src} announced {counts_in.get(src, 0)} indices "
                     f"but requested {len(wanted)}"
                 )
-            if not wanted:
+            if not len(wanted):
                 continue
-            wanted_arr = np.asarray(wanted, dtype=np.int64)
-            bad = ~np.isin(wanted_arr, owned)
+            # one search both finds each request and, by the equality check,
+            # proves it owned; a request past the last owned element (or to
+            # a rank owning nothing) finds no equal
+            idx = np.searchsorted(owned, wanted)
+            bad = (owned.take(idx, mode="clip") != wanted if len(owned)
+                   else np.ones(len(wanted), dtype=bool))
             if bad.any():
                 raise ProtocolError(
                     f"corrupt partition: rank {src} asked rank {rank} "
-                    f"for element {int(wanted_arr[bad][0])} it does not own"
+                    f"for element {int(wanted[bad][0])} it does not own"
                 )
-            send_index[src] = np.searchsorted(owned, wanted_arr).astype(np.int64)
+            send_index[src] = idx
 
-        recv_slot = {p: np.asarray(sl, dtype=np.int64) for p, sl in slots.items()}
+        base = len(owned)
+        recv_slot = {p: np.arange(base + a, base + b, dtype=np.int64)
+                     for p, (a, b) in enumerate(runs) if b > a}
         send_counts = np.zeros(nranks, dtype=np.int64)
         send_counts[list(send_index)] = [len(idx) for idx in send_index.values()]
-        recv_counts = np.zeros(nranks, dtype=np.int64)
-        recv_counts[list(recv_slot)] = [len(sl) for sl in recv_slot.values()]
-        boundary = np.zeros(len(owned), dtype=bool)
+        recv_counts = np.diff(bounds)
+        boundary = np.zeros(base, dtype=bool)
         for idx in send_index.values():
             boundary[idx] = True
+        interior = ~boundary
         groups = part.stencil[rank]
         return RankPlan(
             rank=rank,
@@ -151,11 +151,12 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             recv_slot=recv_slot,
             send_counts=send_counts,
             recv_counts=recv_counts,
-            send_displs=_displs(send_counts),
-            recv_displs=_displs(recv_counts),
+            send_displs=np.cumsum(send_counts) - send_counts,
+            recv_displs=np.cumsum(recv_counts) - recv_counts,
             boundary_mask=boundary,
+            interior_mask=interior,
             boundary=_blocks(groups, boundary),
-            interior=_blocks(groups, ~boundary),
+            interior=_blocks(groups, interior),
         )
 
     plans = router.run(program)

@@ -219,23 +219,33 @@ class TimestepScenario:
 
     def __post_init__(self):
         compute = []
-        for i, c in enumerate(self.compute_seconds):
-            # booleans are ints, but never numbers here; nan fails the comparison
-            if isinstance(c, bool) or not isinstance(c, Real) or not 0 <= c <= sys.float_info.max:
-                raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
-            compute.append(float(c))
+        try:  # each value is checked before it is compared: only iteration raises these
+            for i, c in enumerate(self.compute_seconds):
+                # booleans are ints, but never numbers here; nan fails the comparison
+                if (isinstance(c, bool) or not isinstance(c, Real)
+                        or not 0 <= c <= sys.float_info.max):
+                    raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
+                compute.append(float(c))
+        except TypeError:
+            raise ScenarioError("expected a list of numbers", "compute_seconds") from None
         if not compute:
             raise ScenarioError("compute_seconds must not be empty", "compute_seconds")
-        ranks, flows = len(compute), tuple(self.flows)
-        for i, f in enumerate(flows):
-            for key, value, upper in (("src", f.src_rank, ranks), ("dst", f.dst_rank, ranks),
-                                      ("bytes", f.bytes, None), ("phase", f.phase, None)):
-                if not isinstance(value, Real):
-                    continue
-                if upper is None and value < 0:
-                    raise ScenarioError(f"{key} must be >= 0", f"flows[{i}].{key}")
-                if upper is not None and not 0 <= value < upper:
-                    raise ScenarioError(f"{key} must be in [0, {upper})", f"flows[{i}].{key}")
+        ranks = len(compute)
+        try:
+            flows = tuple(self.flows)
+            for i, f in enumerate(flows):
+                for key, value, upper in (("src", f.src_rank, ranks), ("dst", f.dst_rank, ranks),
+                                          ("bytes", f.bytes, None), ("phase", f.phase, None)):
+                    if not isinstance(value, Real):
+                        continue
+                    if upper is None and value < 0:
+                        raise ScenarioError(f"{key} must be >= 0", f"flows[{i}].{key}")
+                    if upper is not None and not 0 <= value < upper:
+                        raise ScenarioError(f"{key} must be in [0, {upper})", f"flows[{i}].{key}")
+        except TypeError:
+            raise ScenarioError("expected a list of flows", "flows") from None
+        except AttributeError:
+            raise ScenarioError("expected a Flow", f"flows[{i}]") from None
         object.__setattr__(self, "compute_seconds", tuple(compute))
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "barrier_at_end", bool(self.barrier_at_end))
@@ -544,35 +554,38 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
     nranks = len(devs)
     known = frozenset(topo.devices)
     ids = set()
-    for f in flows:
-        fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
-        if type(fid) is not int:
-            _integer(fid, "id", fid)
-        if fid in ids:
-            raise SimulationError(f"duplicate flow id {fid}")
-        ids.add(fid)
-        if not (type(src) is type(dst) is int and 0 <= src < nranks and 0 <= dst < nranks):
-            for rank in (src, dst):
-                if not 0 <= _integer(fid, "rank", rank) < nranks:
-                    raise ConfigurationError(f"rank {rank} outside rank map of size {nranks}")
-            src, dst = index(src), index(dst)
-        if devs[src] not in known or devs[dst] not in known:
-            raise SimulationError(
-                f"flow {fid} maps to device {devs[src]} or {devs[dst]} absent from the topology"
-            )
-        if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
-            raise SimulationError(f"flow {fid} has negative phase")
-        if not (type(size) is int and 0 <= size < _EXACT_SIZE):
-            try:
-                if size < 0:
-                    raise SimulationError(f"flow {fid} has negative size")
-                finite = math.isfinite(size)
-            except TypeError:
-                raise SimulationError(f"flow {fid} has non-real size {size!r}") from None
-            except OverflowError:
-                raise SimulationError(f"flow {fid} has a size beyond double range") from None
-            if not finite:
-                raise SimulationError(f"flow {fid} has non-finite size {size!r}")
+    try:
+        for f in flows:
+            fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
+            if type(fid) is not int:
+                _integer(fid, "id", fid)
+            if fid in ids:
+                raise SimulationError(f"duplicate flow id {fid}")
+            ids.add(fid)
+            if not (type(src) is type(dst) is int and 0 <= src < nranks and 0 <= dst < nranks):
+                for rank in (src, dst):
+                    if not 0 <= _integer(fid, "rank", rank) < nranks:
+                        raise ConfigurationError(f"rank {rank} outside rank map of size {nranks}")
+                src, dst = index(src), index(dst)
+            if devs[src] not in known or devs[dst] not in known:
+                raise SimulationError(
+                    f"flow {fid} maps to device {devs[src]} or {devs[dst]} absent from the topology"
+                )
+            if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
+                raise SimulationError(f"flow {fid} has negative phase")
+            if not (type(size) is int and 0 <= size < _EXACT_SIZE):
+                try:
+                    if size < 0:
+                        raise SimulationError(f"flow {fid} has negative size")
+                    finite = math.isfinite(size)
+                except TypeError:
+                    raise SimulationError(f"flow {fid} has non-real size {size!r}") from None
+                except OverflowError:
+                    raise SimulationError(f"flow {fid} has a size beyond double range") from None
+                if not finite:
+                    raise SimulationError(f"flow {fid} has non-finite size {size!r}")
+    except AttributeError:  # the fields are read first, so only a non-Flow gets here
+        raise SimulationError(f"flows must hold Flow objects, not {type(f).__name__}") from None
     phases = sorted({f.phase for f in flows})
     if phases and phases != list(range(phases[-1] + 1)):
         raise SimulationError(f"phases must form a contiguous 0..k range, got {phases}")

@@ -28,6 +28,7 @@ from haloflow.halo import (
     unpack,
 )
 from haloflow.halo.engine import _exchange_rounds
+from haloflow.halo.partition import _derive_ghosts
 
 
 def reference_step(grid, values):
@@ -160,6 +161,17 @@ class TestStencilValues:
         assert np.array_equal(gather_global(fields, part), expect)
 
     @pytest.mark.parametrize("mode", list(OverlapMode))
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+    def test_blocks_written_through_index_arrays_match_reference_step(self, nranks, mode):
+        g = random_grid(60, 8, seed=2)  # degrees 2..8 interleave, so members are not ranges
+        init = np.linspace(-2.0, 3.0, 60)
+        expect = reference_step(g, reference_step(g, init))
+        fields, part, _plan, _sums = run_stencil(g, nranks, 2, init, mode=mode)
+        for r in range(nranks):
+            assert any(type(grp.rows) is np.ndarray for grp in part.stencil[r])
+        assert gather_global(fields, part).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("mode", list(OverlapMode))
     @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
     def test_partitioning_and_mode_never_change_values(self, mode, nranks):
         g = quad_mesh(8, 8)
@@ -223,6 +235,13 @@ def assert_blocks_split_groups(part, plan):
             blocks[name] = {blk.degree: blk for blk in getattr(rp, name)}
         assert set(blocks["boundary"]) | set(blocks["interior"]) == {
             g.degree for g in part.stencil[r]}
+        for blk in (*part.stencil[r], *rp.boundary, *rp.interior):
+            # a block is written through a slice exactly when its members are one range
+            run = blk.members[-1] - blk.members[0] == len(blk.members) - 1
+            if run:
+                assert blk.rows == slice(int(blk.members[0]), int(blk.members[-1]) + 1)
+            else:
+                assert blk.rows is blk.members
         for grp in part.stencil[r]:
             assert grp.columns.shape == (grp.degree, len(grp.members))
             assert grp.columns.flags.c_contiguous
@@ -312,6 +331,51 @@ class TestStagedVersusDirect:
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
 
+def _owners(layout, n, nranks):
+    """Owner of each element: blocks in rank order, blocks in reverse, or round robin."""
+    block = -(-n // nranks)
+    if layout == "block":
+        return np.arange(n) // block
+    if layout == "reversed":  # ranges, but rank 0 owns the upper end
+        return nranks - 1 - np.arange(n) // block
+    return np.arange(n) % nranks
+
+
+def _loop_assembly(fields, part):
+    """Owned values scattered into global order through the owned indices."""
+    out = np.full(len(part.owner), np.nan)
+    for r in range(part.nranks):
+        out[part.owned[r]] = fields[r].owned_view()
+    return out
+
+
+class TestLayouts:
+    """Partitions not in rank order take the scatter path and agree bit for bit."""
+
+    @pytest.mark.parametrize("layout, ordered", [
+        ("block", True), ("reversed", False), ("round_robin", False)])
+    @pytest.mark.parametrize("grid", [quad_mesh(6, 6), random_grid(40, 5, seed=12)])
+    def test_steps_gather_and_checksum(self, layout, ordered, grid):
+        nranks = 3
+        owner = _owners(layout, grid.n, nranks)
+        part = _derive_ghosts(grid, owner, [np.flatnonzero(owner == r) for r in range(nranks)],
+                              nranks)
+        assert part.rank_ordered is ordered
+        init = np.sin(np.arange(grid.n) * 0.3)
+        for mode in OverlapMode:
+            router = Router(nranks)
+            plan = build_plan(part, router)
+            fields = make_fields(part, init)
+            expect = init
+            for _ in range(2):
+                stencil_step(fields, part, plan, router, mode)
+                expect = reference_step(grid, expect)
+                got = gather_global(fields, part)
+                assert got.tobytes() == expect.tobytes(), mode
+                assert got.tobytes() == _loop_assembly(fields, part).tobytes(), mode
+                assert global_checksum(fields, part) == _loop_sum(expect.tolist()), mode
+
+
 class TestGather:
     def test_round_trip(self):
         g = quad_mesh(5, 5)
@@ -354,17 +418,19 @@ def _loop_sum(values):
 
 class TestChecksum:
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(_summands(), st.integers(1, 4))
-    @example([-0.0], 1)
-    @example([-0.0, -0.0, -0.0], 2)
-    @example([1e308, 1e308, -1e308], 1)
-    @example([1e308, 1e308, -1e308, -1e308], 3)
-    @example([1.0, 1e-16, 1e-16, -1.0], 2)
-    def test_equals_left_to_right_loop(self, values, nranks):
+    @given(_summands(), st.integers(1, 4), st.sampled_from(["block", "reversed", "round_robin"]))
+    @example([-0.0], 1, "block")
+    @example([-0.0, -0.0, -0.0], 2, "block")
+    @example([1e308, 1e308, -1e308], 1, "block")
+    @example([1e308, 1e308, -1e308, -1e308], 3, "block")
+    @example([1.0, 1e-16, 1e-16, -1.0], 2, "block")
+    @example([-0.0, -0.0, -0.0], 2, "reversed")
+    @example([1e308, 1e308, -1e308, -1e308], 3, "round_robin")
+    @example([1.0, 1e-16, 1e-16, -1.0], 2, "reversed")
+    def test_equals_left_to_right_loop(self, values, nranks, layout):
         n = len(values)
         nranks = min(nranks, n)
-        block = -(-n // nranks)
-        owner = np.arange(n) // block
+        owner = _owners(layout, n, nranks)
         # the checksum reads owned values only; an edgeless grid (which
         # GlobalGrid rejects) keeps one-element sums in the domain
         edgeless = SimpleNamespace(n=n, indptr=np.zeros(n + 1, dtype=np.int64),
@@ -377,6 +443,7 @@ class TestChecksum:
             ghosts=((),) * nranks,
         )
         fields = make_fields(part, np.array(values))
+        assert gather_global(fields, part).tobytes() == np.array(values).tobytes()
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the domain
             got = global_checksum(fields, part)
         assert type(got) is float

@@ -1,19 +1,27 @@
 """Exchange-plan construction over the rank router."""
 
+import re
+from dataclasses import replace
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from haloflow import ProtocolError
 from haloflow.halo import (
+    HaloPlan,
     Partition,
     Router,
     build_plan,
+    exchange,
+    make_fields,
     partition_block,
     quad_mesh,
     random_grid,
     ring,
 )
+from haloflow.halo.engine import _exchange_program
 
 
 class TestRouter:
@@ -159,6 +167,92 @@ class TestProtocolHardening:
         )
         with pytest.raises(ProtocolError):
             build_plan(bad, Router(8))
+
+    def test_request_past_the_owners_last_element_is_caught(self):
+        part = partition_block(ring(9), 3)  # rank 1 owns 3..5
+        bad = Partition(grid=part.grid, nranks=3, owner=part.owner, owned=part.owned,
+                        ghosts=(((3, 1), (6, 1), (8, 2)), part.ghosts[1], part.ghosts[2]))
+        with pytest.raises(ProtocolError, match="asked rank 1 for element 6 it does not own"):
+            build_plan(bad, Router(3))
+
+
+class _DroppingRouter(Router):
+    """Drops the last index rank 1 requests from rank 0 in the second round of a run."""
+
+    def run(self, program_factory):
+        def tampered(rank):
+            gen = program_factory(rank)
+            outbox = next(gen)
+            for round_no in count():
+                if rank == 1 and round_no == 1:
+                    outbox = {**outbox, 0: outbox[0][:-1]}
+                try:
+                    outbox = gen.send((yield outbox))
+                except StopIteration as stop:
+                    return stop.value
+        return super().run(tampered)
+
+
+def _with_rank_plan(plan, rank, **changes):
+    ranks = list(plan.ranks)
+    ranks[rank] = replace(ranks[rank], **changes)
+    return HaloPlan(nranks=plan.nranks, ranks=tuple(ranks))
+
+
+def _exchange_by_hand(part, plan, rounds, router):
+    """Run ``_exchange_program`` over hand-made ``rounds`` on every rank."""
+    fields = make_fields(part, np.arange(float(part.grid.n)))
+
+    def program(rank):
+        f = fields[rank]
+        yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
+
+    router.run(program)
+
+
+@pytest.mark.parametrize("mode", ["rounds", "threads"])
+class TestProtocolChecks:
+    """Each check of the plan protocol and of an exchange raises its own message."""
+
+    def test_announced_count_must_match_the_request(self, mode):
+        part = partition_block(ring(8), 2)
+        with pytest.raises(ProtocolError, match="rank 1 announced 2 indices but requested 1"):
+            build_plan(part, _DroppingRouter(2, mode))
+
+    def test_buffer_of_the_wrong_length(self, mode):
+        part = partition_block(ring(8), 4)
+        plan = build_plan(part, Router(4))
+        forged = _with_rank_plan(plan, 1, send_index={0: np.array([0, 1]), 2: np.array([1])})
+        fields = make_fields(part, np.arange(8.0))
+        with pytest.raises(ProtocolError, match="rank 0 got 2 values from 1, expected 1"):
+            exchange(fields, forged, Router(4, mode))
+
+    def test_unexpected_sender(self, mode):
+        part = partition_block(ring(8), 4)
+        plan = build_plan(part, Router(4))
+        forged = _with_rank_plan(plan, 2, send_index={**plan.ranks[2].send_index,
+                                                      0: np.array([0])})
+        fields = make_fields(part, np.arange(8.0))
+        with pytest.raises(ProtocolError, match="rank 0 got 1 values from 2, expected 0"):
+            exchange(fields, forged, Router(4, mode))
+
+    def test_received_twice_across_rounds(self, mode):
+        part = partition_block(ring(8), 2)
+        plan = build_plan(part, Router(2))
+        rounds = (((1,), (0,)), ((), (0,)))
+        with pytest.raises(ProtocolError, match="rank 0 received twice from 1"):
+            _exchange_by_hand(part, plan, rounds, Router(2, mode))
+
+    def test_never_heard_from(self, mode):
+        part = partition_block(ring(8), 2)
+        plan = build_plan(part, Router(2))
+        with pytest.raises(ProtocolError, match=re.escape("rank 0 never heard from peers [1]")):
+            _exchange_by_hand(part, plan, (((1,), ()),), Router(2, mode))
+
+    def test_hand_made_rounds_that_follow_the_plan_pass(self, mode):
+        part = partition_block(ring(8), 2)
+        plan = build_plan(part, Router(2))
+        _exchange_by_hand(part, plan, (((1,), ()), ((), (0,))), Router(2, mode))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

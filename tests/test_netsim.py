@@ -148,6 +148,12 @@ class TestPhases:
         with pytest.raises(SimulationError, match=r"flow \[1\] has non-integer id"):
             simulate(island_topo, RankMap.identity(2), [Flow([1], 0, 1, 1)])
 
+    @pytest.mark.parametrize("flow", [(0, 0, 1, 1), None, {"id": 0}])
+    def test_non_flow_rejected(self, island_topo, flow):
+        flows = [Flow(0, 0, 1, 1, phase=0), flow]
+        with pytest.raises(SimulationError, match="flows must hold Flow objects, not "):
+            simulate(island_topo, RankMap.identity(2), flows)
+
     @pytest.mark.parametrize("rank", [2, -1])
     def test_rank_outside_rank_map_rejected(self, island_topo, rank):
         with pytest.raises(ConfigurationError, match=f"rank {rank} outside rank map of size 2"):

@@ -377,6 +377,18 @@ class TestConstructorsValidate:
             TimestepScenario(comp, (flow,) if flow else (), True)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("comp, flows, path", [
+        (5, (), "compute_seconds"),
+        (None, (), "compute_seconds"),
+        ((0.0,), [(0, 0, 1, 1)], "flows[0]"),
+        ((0.0, 0.0), [Flow(0, 0, 1, 1), "flow"], "flows[1]"),
+        ((0.0,), 5, "flows"),
+    ])
+    def test_timestep_of_the_wrong_shape(self, comp, flows, path):
+        with pytest.raises(ScenarioError) as err:
+            TimestepScenario(comp, flows)
+        assert err.value.path == path
+
     def test_timestep_leaves_non_number_flow_fields_to_simulate(self):
         scen = TimestepScenario((0.0, 0.0), (Flow(0, 0, 1, "10"),))
         with pytest.raises(SimulationError, match="flow 0 has non-real size '10'"):
