@@ -38,3 +38,7 @@ class ScenarioError(HaloflowError):
         self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class TopologySpecError(ScenarioError, TopologyError):
+    """A malformed inline topology entry; ``path`` names it, such as ``links[0].lanes``."""

@@ -59,10 +59,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError, TopologyError
+from ..errors import ConfigurationError, ProtocolError
 from ..collectives import ScheduleKind, _pair_phases
 from ..netsim import Flow, SimConfig, Staging, simulate
-from ..topology import RankMap, Topology, device
+from ..topology import RankMap, Topology
 from . import partition
 from .grid import GlobalGrid
 from .partition import DegreeGroup, Partition
@@ -401,10 +401,7 @@ def staged_vs_direct_cost(
     copy_wall = 0.0
     for r in range(part.nranks):
         dev = rm.device_of(r)
-        hb = topo.nearest_host_bridge(dev)
-        hops = topo.path_hops(device(dev), hb)
-        if not hops:
-            raise TopologyError(f"device {dev} has no path to its host bridge")
+        _hb, hops = topo.bridge_path(dev)
         bw = min(topo.links[li].capacity for li, _fwd in hops)
         field_bytes = part.local_size(r) * bytes_per_element
         copy_wall = max(copy_wall, field_bytes / bw)

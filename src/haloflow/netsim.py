@@ -55,10 +55,12 @@ import math
 import sys
 from array import array
 from bisect import insort
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from numbers import Real
-from operator import attrgetter, index
+from operator import add, attrgetter, index
 
 from .errors import ConfigurationError, ScenarioError, SimulationError
 from .topology import NodeKind, RankMap, Topology, device, host_bridge
@@ -267,9 +269,10 @@ class _Network:
     ``2 * link + forward``, memory engines by key, and each is named once;
     the event loop then indexes the parallel lists ``cap``, ``name``,
     ``members``, ``share`` and ``peak``.  Host-staged paths are found once per device
-    (to and from its nearest bridge) and once per pair of bridges.  Flows
-    reach it already checked: their ranks mapped to devices of the topology
-    and their sizes finite (``_validate_flows``).
+    (up to its nearest bridge as ``Topology.bridge_path`` kept it, down from
+    the bridge's own search) and once per pair of bridges.  Flows reach it
+    already checked: their ranks mapped to devices of the topology and their
+    sizes finite (``_validate_flows``).
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
@@ -320,25 +323,31 @@ class _Network:
         ``cap / k`` and the rate is the smallest of those.  A resource's
         utilization is ``k`` copies of the rate summed from 0.0, over its
         capacity, and its peak is raised to that in the order the leg first
-        lists the resources.  Peaks only grow, so a later call for the same
-        leg would raise none: it returns the rate it kept.
+        lists the resources.  A leg listing each resource once takes one pass,
+        ``min(cap)`` then ``rate / cap``: the same bits, as ``cap / 1`` and
+        ``0.0 + rate`` are exact.  Peaks only grow, so a later call for the
+        same leg would raise none: it returns the rate it kept.
         """
         rate = self._alone.get(res)
         if rate is None:
-            cap, peak = self.cap, self.peak
-            counts = dict.fromkeys(res, 0)
-            for r in res:
-                counts[r] += 1
-            rate = min([cap[r] / k for r, k in counts.items()])
-            for r, k in counts.items():
-                used = 0.0
-                for _ in range(k):
-                    used += rate
-                util = used / cap[r]
-                if util > peak[r]:
-                    if peak[r] == 0.0:
-                        self.first_use.append(r)
-                    peak[r] = util
+            cap, peak, first_use = self.cap, self.peak, self.first_use
+            if len(set(res)) == len(res):
+                rate = min([cap[r] for r in res])
+                for r in res:
+                    util = rate / cap[r]
+                    if util > peak[r]:
+                        if peak[r] == 0.0:
+                            first_use.append(r)
+                        peak[r] = util
+            else:
+                counts = Counter(res)  # in first-listing order
+                rate = min([cap[r] / k for r, k in counts.items()])
+                for r, k in counts.items():
+                    util = reduce(add, [rate] * k, 0.0) / cap[r]
+                    if util > peak[r]:
+                        if peak[r] == 0.0:
+                            first_use.append(r)
+                        peak[r] = util
             self._alone[res] = rate
         return rate
 
@@ -365,10 +374,10 @@ class _Network:
         """A device's nearest bridge index and the path up to it (or down from it)."""
         got = self._bridge_paths.get((dev, up))
         if got is None:
-            hb = self.topo.nearest_host_bridge(dev)
-            a, b = (device(dev), hb) if up else (hb, device(dev))
-            got = self._bridge_paths[(dev, up)] = (hb.index,
-                                                   *self._path(self.topo.path_hops(a, b)))
+            hb, hops = self.topo.bridge_path(dev)
+            if not up:  # the bridge's own search, which may tie-break differently
+                hops = self.topo.path_hops(hb, device(dev))
+            got = self._bridge_paths[(dev, up)] = (hb.index, *self._path(hops))
         return got
 
     def _between(self, hb_s: int, hb_d: int) -> tuple[tuple[tuple[int, ...], ...], bool]:

@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, ScenarioError, TopologyError
+from .errors import ConfigurationError, ScenarioError, TopologyError, TopologySpecError
 
 # Default per-direction capacities, bytes/s.  Overridable per preset call.
 NVLINK_LANE_PASCAL = 20e9
@@ -230,6 +230,10 @@ class Topology:
             adj[b].append((a, li, (li, False)))
         self._adj = [[(v, hop) for v, _li, hop in sorted(row)] for row in adj]
         self._trees: dict[int, list[tuple[Hop, ...] | None]] = {}
+        self._bridge_ids = [k for k, n in enumerate(self._node_list)
+                            if n.kind is NodeKind.HOST_BRIDGE]
+        # device -> what bridge_path returns for it, or None where no bridge is reachable
+        self._bridges: dict[int, tuple[NodeId, tuple[Hop, ...]] | None] = {}
 
         if routes is None:
             self._routes = self._derive_routes()
@@ -266,15 +270,24 @@ class Topology:
             paths = self._trees[k] = self._paths_from(k)
         return paths
 
+    def _nearest_bridge(self, paths) -> tuple[NodeId, tuple[Hop, ...]] | None:
+        """The host bridge fewest hops away in a search tree (lowest index on
+        ties) and the path to it, or None if the tree reaches none."""
+        got = min(((len(paths[k]), k) for k in self._bridge_ids if paths[k] is not None),
+                  default=None)
+        return None if got is None else (self._node_list[got[1]], paths[got[1]])
+
     def _derive_routes(self) -> dict[tuple[int, int], tuple[Hop, ...]]:
         """Routes from each device's search tree to the higher-numbered devices.
 
-        Device ``devs[k]`` is node ``k``, since devices sort first.
+        Device ``devs[k]`` is node ``k``, since devices sort first.  Each
+        tree is dropped once its device's ``bridge_path`` is recorded.
         """
         routes: dict[tuple[int, int], tuple[Hop, ...]] = {}
         devs = self._devices
         for ai, i in enumerate(devs[:-1]):
             paths = self._paths_from(ai)
+            self._bridges[i] = self._nearest_bridge(paths)
             for bi in range(ai + 1, len(devs)):
                 j, hops = devs[bi], paths[bi]
                 if hops is None:
@@ -369,7 +382,8 @@ class Topology:
 
         Used for staged transfers whose segments start or end at non-device
         nodes; unlike device routes these are read, on demand, from ``a``'s
-        search tree, which is built once and kept.
+        search tree, which is built once and kept.  ``bridge_path`` gives a
+        device's path up to its nearest bridge without that device's tree.
         """
         for n in (a, b):
             if n not in self._node_ids:
@@ -379,16 +393,23 @@ class Topology:
             raise TopologyError(f"no path between {a} and {b}")
         return hops
 
+    def bridge_path(self, dev: int) -> tuple[NodeId, tuple[Hop, ...]]:
+        """A device's closest host bridge (fewest hops, lowest index on ties)
+        and ``path_hops`` up to it, recorded from the device's route search.
+        The last device, and all of a topology given its routes, are searched
+        on first use."""
+        if dev not in self._bridges:
+            if not self.has_device(dev):
+                raise TopologyError(f"unknown device {dev}")
+            self._bridges[dev] = self._nearest_bridge(self._tree(device(dev)))
+        got = self._bridges[dev]
+        if got is None:
+            raise TopologyError(f"device:{dev} has no host bridge on its topology")
+        return got
+
     def nearest_host_bridge(self, dev: int) -> NodeId:
         """Closest host bridge to a device (fewest hops, lowest index on ties)."""
-        if not self.has_device(dev):
-            raise TopologyError(f"unknown device {dev}")
-        paths = self._tree(device(dev))
-        reachable = [(len(paths[k]), k) for k, n in enumerate(self._node_list)
-                     if n.kind is NodeKind.HOST_BRIDGE and paths[k] is not None]
-        if not reachable:
-            raise TopologyError(f"device:{dev} has no host bridge on its topology")
-        return self._node_list[min(reachable)[1]]
+        return self.bridge_path(dev)[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -557,17 +578,24 @@ _PRESET_KEYS = {
     "device_mem_bw_gbps": ("device_mem_bw", 1e9),
 }
 _INLINE_KEYS = ("nodes", "links", "device_mem_bw_gbps", "routes", "name")
+# Inline list -> its entries' keys -> True for an integer, False for a number,
+# None for a node name (checked by parse_node) or a route's link indices.
+_INLINE_ENTRIES = {"links": {"a": None, "b": None, "gbps_per_dir": False, "lanes": True},
+                   "routes": {"src": True, "dst": True, "links": None}}
 # Most devices a preset spec may imply; a spec is checked against it before
 # anything is built.  512 devices (dgx1v with 64 servers) build in about 1 s.
 MAX_PRESET_DEVICES = 512
 
 
 def check_spec(doc: Mapping) -> None:
-    """Check a topology spec's keys and preset parameters without building it.
+    """Check a topology spec's keys and values without building it.
 
     A bad key or value raises :class:`ScenarioError` whose ``path`` is the
     key; so does a preset with more than ``MAX_PRESET_DEVICES`` devices.
-    An unknown preset name raises :class:`ConfigurationError`.
+    A bad inline figure or link or route entry raises
+    :class:`TopologySpecError`, a ScenarioError at its path (such as
+    ``links[0].lanes``) that is also a TopologyError.  An unknown preset
+    name raises :class:`ConfigurationError`.
     """
     if "preset" not in doc:
         unknown = sorted(set(doc) - set(_INLINE_KEYS))
@@ -575,6 +603,7 @@ def check_spec(doc: Mapping) -> None:
             raise ScenarioError(f"unknown key {unknown[0]!r}", unknown[0])
         if not isinstance(doc.get("name", ""), str):
             raise ScenarioError(f"expected a name, got {type(doc['name']).__name__}", "name")
+        _check_inline(doc)
         return
     if not isinstance(doc["preset"], str):
         raise ScenarioError(f"expected a preset name, got {type(doc['preset']).__name__}",
@@ -583,14 +612,7 @@ def check_spec(doc: Mapping) -> None:
     for key in sorted(set(doc) - {"preset"}):
         if key not in _PRESET_KEYS:
             raise ScenarioError(f"unknown key {key!r}", key)
-        value, scale = doc[key], _PRESET_KEYS[key][1]
-        kinds = int if scale is None else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            kind = "an integer" if scale is None else "a number"
-            raise ScenarioError(f"expected {kind}, got {type(value).__name__}", key)
-        # NaN, infinities and ints a double cannot hold, as a scenario file rejects them
-        if not abs(value) <= sys.float_info.max:
-            raise ScenarioError("expected a finite number", key)
+        _check_number(doc[key], _PRESET_KEYS[key][1] is None, key, ScenarioError)
     if preset_key in ("dgx1p", "dgx1v") and doc.get("servers", 1) > MAX_PRESET_DEVICES // 8:
         raise ScenarioError(f"servers must be <= {MAX_PRESET_DEVICES // 8} "
                             f"(8 devices each, {MAX_PRESET_DEVICES} at most)", "servers")
@@ -599,6 +621,44 @@ def check_spec(doc: Mapping) -> None:
         if min(nodes, per_node) >= 1 and nodes * per_node > MAX_PRESET_DEVICES:
             raise ScenarioError(f"nodes x devices_per_node must be <= {MAX_PRESET_DEVICES}",
                                 "devices_per_node" if per_node > MAX_PRESET_DEVICES else "nodes")
+
+
+def _check_number(value, integer: bool, path: str, error: type[ScenarioError]) -> None:
+    """Raise ``error`` at ``path`` unless ``value`` is an int (a float too, unless
+    ``integer``) that a double can hold."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise error(f"expected {kind}, got {type(value).__name__}", path)
+    # NaN, infinities and ints a double cannot hold, as a scenario file rejects them
+    if not abs(value) <= sys.float_info.max:
+        raise error("expected a finite number", path)
+
+
+def _check_inline(doc: Mapping) -> None:
+    """Check an inline graph's memory bandwidth and the keys and values of its
+    link and route entries."""
+    if "device_mem_bw_gbps" in doc:
+        _check_number(doc["device_mem_bw_gbps"], False, "device_mem_bw_gbps", TopologySpecError)
+    for key, fields in _INLINE_ENTRIES.items():
+        entries = doc.get(key, [])
+        if not isinstance(entries, (list, tuple)):
+            raise TopologySpecError("expected a list", key)
+        for i, entry in enumerate(entries):
+            at = f"{key}[{i}]"
+            if not isinstance(entry, Mapping):
+                raise TopologySpecError("expected an object", at)
+            for name, value in entry.items():
+                if name not in fields:
+                    raise TopologySpecError(f"unknown key {name!r}", f"{at}.{name}")
+                if fields[name] is not None:
+                    _check_number(value, fields[name], f"{at}.{name}", TopologySpecError)
+                elif key == "routes":  # indices into the links list
+                    if not isinstance(value, (list, tuple)):
+                        raise TopologySpecError("expected a list", f"{at}.links")
+                    for j, li in enumerate(value):
+                        _check_number(li, True, f"{at}.links[{j}]", TopologySpecError)
+                        if not 0 <= li < len(doc.get("links", ())):
+                            raise TopologySpecError(f"no link {li}", f"{at}.links[{j}]")
 
 
 def from_spec(doc: Mapping) -> Topology:
@@ -631,7 +691,7 @@ def from_spec(doc: Mapping) -> Topology:
                 parse_node(ld["a"]),
                 parse_node(ld["b"]),
                 float(ld["gbps_per_dir"]) * 1e9,
-                int(ld.get("lanes", 1)),
+                ld.get("lanes", 1),
             )
             for ld in doc["links"]
         ]
@@ -639,10 +699,10 @@ def from_spec(doc: Mapping) -> Topology:
         if "routes" in doc:
             routes = {}
             for rd in doc["routes"]:
-                src, dst = int(rd["src"]), int(rd["dst"])
+                src, dst = rd["src"], rd["dst"]
                 hops: list[Hop] = []
                 cur = device(src)
-                for li in map(int, rd["links"]):
+                for li in rd["links"]:
                     ln = links[li]
                     if ln.a == cur:
                         hops.append((li, True))

@@ -7,7 +7,9 @@ from importlib import resources
 
 import pytest
 
+from haloflow import TopologyError
 from haloflow.cli import main, parse_topology_arg, resolve_seed
+from haloflow.topology import from_spec
 
 
 def bundled(name):
@@ -511,6 +513,55 @@ class TestRejectedBeforeAnyWork:
         assert code == 3
         assert "quoting" in one_json_line(err)["message"]
         assert not out.exists()
+
+
+INLINE_TOPOLOGY = {
+    "nodes": ["device:0", "device:1", "switch:0"],
+    "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": 10},
+              {"a": "device:1", "b": "switch:0", "gbps_per_dir": 10}],
+    "routes": [{"src": 0, "dst": 1, "links": [0, 1]}],
+}
+
+
+class TestInlineTopologyEntries:
+    """A malformed inline-topology entry exits 3 naming it, instead of being coerced."""
+
+    @pytest.mark.parametrize("entry, key, value, path", [
+        ("links", "lanes", 2.5, "links[0].lanes"),
+        ("links", "lanes", "2", "links[0].lanes"),
+        ("links", "gbps_per_dir", "10", "links[0].gbps_per_dir"),
+        ("links", "gbps_per_dir", True, "links[0].gbps_per_dir"),
+        ("routes", "src", 0.7, "routes[0].src"),
+        ("routes", "links", [0.9, 1], "routes[0].links[0]"),
+        ("routes", "links", [False, 1], "routes[0].links[0]"),
+        (None, "device_mem_bw_gbps", "800", "device_mem_bw_gbps"),
+        ("links", "lane", 2, "links[0].lane"),
+        ("routes", "via", 1, "routes[0].via"),
+    ])
+    def test_report_exits_3_with_the_entry_path(self, tmp_path, capsys, monkeypatch,
+                                                entry, key, value, path):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        topo = json.loads(json.dumps(INLINE_TOPOLOGY))
+        (topo[entry][0] if entry else topo)[key] = value
+        doc = dict(ALLTOALL_DOC, topology=topo,
+                   workload={"kind": "alltoall", "ranks": 2, "msg_bytes": 1000})
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, doc), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == f"topology.{path}"
+        assert not out.exists()
+        with pytest.raises(TopologyError) as exc:
+            from_spec(topo)
+        assert exc.value.path == path
+
+    def test_the_well_formed_graph_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        doc = dict(ALLTOALL_DOC, topology=INLINE_TOPOLOGY,
+                   workload={"kind": "alltoall", "ranks": 2, "msg_bytes": 1000})
+        code, _, err = run_main(capsys, "report", "--scenario", write_scenario(tmp_path, doc),
+                                "--output", str(tmp_path / "out"))
+        assert code == 0 and err == ""
 
 
 WORKLOAD_FLAGS = [

@@ -5,12 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from haloflow import (
     ConfigurationError,
+    Flow,
     Link,
     NodeKind,
     RankMap,
+    SimConfig,
+    Staging,
     Topology,
     TopologyError,
     preset,
+    simulate,
 )
 import haloflow.topology as topology_mod
 from haloflow import ScenarioError
@@ -311,14 +315,42 @@ class TestRoutesMatchReference:
             assert topo == want
             return
         assert {(i, j): topo.route_hops(i, j) for i in topo.devices for j in topo.devices} == want
+        # given its routes, the same graph runs no search at construction: its
+        # host bridges and paths all come from searches made on first use
+        topos = (Topology(nodes, links, 1e9, routes=want), topo)
         adj = adjacency(nodes, links)
+        for d in topo.devices:
+            hb = reference_host_bridge(nodes, links, d, adj)
+            none = f"TopologyError: device:{d} has no host bridge on its topology"
+            for t in topos:
+                assert _outcome(t.bridge_path, d) == (
+                    none if hb is None else (hb, reference_path(nodes, links, device(d), hb, adj)))
+                assert _outcome(t.nearest_host_bridge, d) == (none if hb is None else hb)
         for a in nodes:
             for b in nodes:
                 hops = reference_path(nodes, links, a, b, adj)
-                assert _outcome(topo.path_hops, a, b) == (
-                    f"TopologyError: no path between {a} and {b}" if hops is None else hops)
-        for d in topo.devices:
-            hb = reference_host_bridge(nodes, links, d, adj)
-            assert _outcome(topo.nearest_host_bridge, d) == (
-                f"TopologyError: device:{d} has no host bridge on its topology"
-                if hb is None else hb)
+                for t in topos:
+                    assert _outcome(t.path_hops, a, b) == (
+                        f"TopologyError: no path between {a} and {b}" if hops is None else hops)
+
+
+class TestSearchReuse:
+    def test_each_source_is_searched_once(self, monkeypatch):
+        """Construction and a host-staged run of every ordered device pair
+        search from no node twice: a device's bridge path is read off its
+        construction search, and a bridge's search is kept."""
+        searched = []
+        paths_from = Topology._paths_from
+
+        def counted(self, src):
+            searched.append(src)
+            return paths_from(self, src)
+
+        monkeypatch.setattr(Topology, "_paths_from", counted)
+        topo = preset("dgx1v", servers=2)
+        pairs = [(i, j) for i in topo.devices for j in topo.devices if i != j]
+        flows = [Flow(k, i, j, 1000, phase=k) for k, (i, j) in enumerate(pairs)]
+        simulate(topo, RankMap.identity(topo.n_devices), flows,
+                 SimConfig(staging=Staging.HOST_STAGED, collect_events=False))
+        assert len(searched) == len(set(searched))
+        assert len(searched) == topo.n_devices + 4  # and each of the four bridges
