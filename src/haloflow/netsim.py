@@ -33,11 +33,14 @@ only what can have changed: the rate of a flow whose leg just started or
 that crosses a resource whose flow count changed, and the utilization sum
 and peak of a resource whose flows or their rates changed.  A sum is still
 taken over the resource's flows in flow-id order, the order of a full pass,
-so it keeps its bits.  Every active flow's time to finish and progress are
-updated on every step.  A phase of one flow shares nothing, so each step
-of that loop would end exactly one leg; ``simulate`` walks its route's
-legs in order instead, with the loop's float operations in the loop's
-order, so the numbers and the trace are the same bits.
+so it keeps its bits.  Each step's times to finish, progress and leg ends
+are numpy operations over all the phase's flows, each doing the float
+operation a loop over the flows would; Python visits only the flows whose
+rate changed or whose leg ended, which is also where trace segments close.
+A phase of one flow shares nothing, so each step of that loop would end
+exactly one leg; ``simulate`` walks its route's legs in order instead,
+with the loop's float operations in the loop's order, so the numbers and
+the trace are the same bits.
 
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow
@@ -60,7 +63,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
-from operator import add, attrgetter, index
+from operator import add, attrgetter, index, itemgetter
+
+import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError
 from .topology import NodeKind, RankMap, Topology, device, host_bridge
@@ -281,8 +286,8 @@ class _Network:
         self.cap: list[float] = []
         self.name: list[str] = []
         self.enters_nic: list[bool] = []  # a link direction whose head is a NIC
-        # the fluid legs crossing it now, in active-flow (flow id) order
-        self.members: list[list[_FlowState]] = []
+        # the slots of the fluid legs crossing it now, in slot (flow id) order
+        self.members: list[list[int]] = []
         self.share: list[float] = []      # cap / len(members), set when members change
         self.peak: list[float] = []       # peak utilization so far
         self.first_use: list[int] = []    # resources in the order their peak was first set
@@ -417,24 +422,6 @@ class _Network:
 # event loop
 
 
-class _FlowState:
-    __slots__ = ("id", "legs", "leg_idx", "remaining", "res", "rate", "dt",
-                 "seg_t0", "seg_t1", "seg_rate")
-
-    def __init__(self, flow_id: int, route: tuple[float, tuple], nbytes):
-        self.id = flow_id
-        alpha, fluid = route
-        self.legs = legs = [(alpha, ())] if alpha > 0 else []
-        if nbytes > 0:
-            legs += [(float(nbytes), res) for res in fluid]
-        self.leg_idx = 0
-        self.remaining, self.res = legs[0] if legs else (0.0, ())
-        self.rate = 0.0
-        self.dt = 0.0
-        # open trace segment on the current leg; seg_rate 0.0 means none
-        self.seg_t0 = self.seg_t1 = self.seg_rate = 0.0
-
-
 _FLOW_ID = attrgetter("id")
 _EXACT_SIZE = 1 << 1023  # every int below converts to a finite double
 
@@ -453,103 +440,151 @@ def _run_phase(
     retires the legs that finished.  A rate is recomputed only for a flow
     whose leg started or crosses a resource whose member count changed, and
     a utilization sum and peak only for a resource whose members or their
-    rates changed; the rest keep their bits.  With ``trace`` each maximal
-    constant-rate run of a flow on one leg is recorded.  ``simulate`` runs
-    only phases of two or more flows here; it walks a phase of one flow
-    itself.
+    rates changed; the rest keep their bits.
+
+    A flow's slot is its index in ``flows``, which come in flow-id order.
+    What is left of each flow's leg (seconds or bytes) and its rate are two
+    float64 arrays by slot; a latency leg has rate 1.0, since ``x / 1.0``
+    and ``1.0 * dt`` are exact, and a finished flow has ``+inf`` left.  A
+    step's time to the first leg end, its progress and its leg ends are
+    array operations doing a per-flow loop's float operations (a divide,
+    then a multiply and a subtract), so they keep its bits; Python visits
+    only the flows whose rate changed or whose leg ended.
+
+    With ``trace`` each maximal constant-rate run of a flow on one leg is
+    recorded, as one segment.  A step that moves the clock closes the
+    segment of a flow whose rate now differs from it (at the step's start)
+    and opens one at the new rate; a step of ``dt == 0`` opens none.  A leg
+    end closes its flow's segment at the step's end.  Within a step the
+    closes run in slot order, a flow's rate-change close before its leg-end
+    close.  ``simulate`` runs only phases of two or more flows here; it
+    walks a phase of one flow itself.
     """
-    cap, members, share, peak = net.cap, net.members, net.share, net.peak
+    cap, members, share, peak, first_use = net.cap, net.members, net.share, net.peak, net.first_use
+    n = len(flows)
     done: dict[int, float] = {}
-    active: list[_FlowState] = []
+    ids = [fid for fid, _, _ in flows]
+    size = [nbytes for _, _, nbytes in flows]
+    legs: list = [()] * n                  # a live flow's fluid legs; None once it finished
+    leg_idx = [0] * n                      # the current leg, -1 for the latency leg
+    res: list[tuple[int, ...]] = [()] * n  # the current leg's resources, () for latency
+    get: list = [None] * n                 # a getter of the fluid leg's shares, as a tuple
+    rates = [1.0] * n                      # ``rate`` as Python floats, for the sums
+    remaining = np.full(n, math.inf)
+    rate = np.ones(n)
+    seg_t0 = [0.0] * n
+    seg_rate = [0.0] * n                   # the open segment's rate; 0.0 means none
     # resources whose members changed since the last step (then also those
     # whose members' rates changed), newly used ones in first-crossed order
     dirty: dict[int, None] = {}
-    stale: dict[_FlowState, None] = {}
-    for flow in flows:
-        st = _FlowState(*flow)
-        if st.legs:
-            active.append(st)
-            for r in st.res:
-                members[r].append(st)
-                dirty[r] = None
+    stale: dict[int, None] = {}
+    # traced flows whose rate may differ from their open segment's: a fluid
+    # leg started or the rate changed since the clock last moved
+    check: set[int] = set()
+    tracing = trace is not None
+
+    def enter(s: int, k: int) -> None:
+        """Start fluid leg ``k`` of the flow in slot ``s``."""
+        leg_idx[s] = k
+        remaining[s] = float(size[s])
+        res[s] = lr = legs[s][k]
+        # the getter lists the first resource once more, so that a leg of one
+        # resource also gets a tuple; it changes no minimum
+        get[s] = itemgetter(*lr, lr[0])
+        for r in lr:
+            insort(members[r], s)
+            dirty[r] = None
+        if tracing:
+            check.add(s)
+
+    live = 0
+    for s, (fid, (alpha, fluid), nbytes) in enumerate(flows):
+        if nbytes > 0:
+            legs[s] = fluid
+        if alpha > 0:
+            leg_idx[s] = -1
+            remaining[s] = alpha
+        elif nbytes > 0:
+            enter(s, 0)
         else:
-            done[st.id] = t0
+            done[fid] = t0
+            continue
+        live += 1
 
     t = t0
-    while active:
+    while live:
         for r in dirty:
             if members[r]:
                 share[r] = cap[r] / len(members[r])
-                for st in members[r]:
-                    stale[st] = None
-        for st in stale:
-            rate = min([share[r] for r in st.res])
-            if rate != st.rate:
-                st.rate = rate
-                for r in st.res:
+                for s in members[r]:
+                    stale[s] = None
+        for s in stale:
+            new = min(get[s](share))
+            if new != rates[s]:
+                rates[s] = rate[s] = new
+                for r in res[s]:
                     dirty[r] = None
+                if tracing:
+                    check.add(s)
         stale.clear()
         for r in dirty:
-            legs = members[r]
-            if legs:
-                # members are kept in flow-id order, the order a full pass over
+            slots = members[r]
+            if slots:
+                # members are kept in slot order, the order a full pass over
                 # the active flows would sum them in
                 used = 0.0
-                for st in legs:
-                    used += st.rate
+                for s in slots:
+                    used += rates[s]
                 util = used / cap[r]
                 if util > peak[r]:
                     if peak[r] == 0.0:
-                        net.first_use.append(r)
+                        first_use.append(r)
                     peak[r] = util
         dirty.clear()
 
-        dt = math.inf
-        for st in active:
-            if st.res:
-                st.dt = d = st.remaining / st.rate
-            else:
-                st.dt = d = st.remaining
-            if d < dt:
-                dt = d
-
+        q = remaining / rate
+        dt = float(q[q.argmin()])
+        remaining -= rate * dt
+        ended = ((q == dt) | (remaining <= 0.0)).nonzero()[0].tolist()
+        if dt == math.inf:
+            # every quotient overflowed, and the finished flows' match too:
+            # they keep +inf left (inf - inf made it nan) and end no leg
+            remaining[[s for s in ended if legs[s] is None]] = math.inf
+            ended = [s for s in ended if legs[s] is not None]
         t_end = t + dt
-        tracing = trace is not None and dt > 0.0
-        finished: list[_FlowState] = []
-        for st in active:
-            legres = st.res
-            if tracing and legres:
-                if st.seg_rate == st.rate:
-                    st.seg_t1 = t_end
-                else:
-                    if st.seg_rate:
-                        trace._add(st.seg_t0, st.seg_t1, st.id, legres, st.seg_rate)
-                    st.seg_t0, st.seg_t1, st.seg_rate = t, t_end, st.rate
-            if st.dt == dt:
-                st.remaining = 0.0
-            elif not legres:
-                st.remaining -= dt
+
+        if tracing:
+            if dt > 0.0 and check:
+                closing = set(ended)
+                for s in sorted(check.union(closing)):
+                    if s in check and seg_rate[s] != rates[s]:
+                        if seg_rate[s]:
+                            trace._add(seg_t0[s], t, ids[s], res[s], seg_rate[s])
+                        seg_t0[s], seg_rate[s] = t, rates[s]
+                    if s in closing and seg_rate[s]:
+                        trace._add(seg_t0[s], t_end, ids[s], res[s], seg_rate[s])
+                        seg_rate[s] = 0.0
+                check.clear()
             else:
-                st.remaining -= st.rate * dt
-            if st.remaining <= 0.0:
-                if legres:
-                    if st.seg_rate:
-                        trace._add(st.seg_t0, st.seg_t1, st.id, legres, st.seg_rate)
-                        st.seg_rate = 0.0
-                    for r in legres:
-                        members[r].remove(st)
-                        dirty[r] = None
-                st.leg_idx += 1
-                if st.leg_idx >= len(st.legs):
-                    done[st.id] = t_end
-                    finished.append(st)
-                    continue
-                st.remaining, st.res = st.legs[st.leg_idx]
-                for r in st.res:
-                    insort(members[r], st, key=_FLOW_ID)
-                    dirty[r] = None
-        for st in finished:
-            active.remove(st)
+                for s in ended:
+                    if seg_rate[s]:
+                        trace._add(seg_t0[s], t_end, ids[s], res[s], seg_rate[s])
+                        seg_rate[s] = 0.0
+
+        for s in ended:
+            for r in res[s]:
+                members[r].remove(s)
+                dirty[r] = None
+            k = leg_idx[s] + 1
+            if k < len(legs[s]):
+                enter(s, k)
+            else:
+                done[ids[s]] = t_end
+                remaining[s] = math.inf
+                legs[s] = get[s] = None
+                res[s] = ()
+                check.discard(s)
+                live -= 1
         t = t_end
     return t, done
 

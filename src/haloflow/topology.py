@@ -592,10 +592,10 @@ def check_spec(doc: Mapping) -> None:
 
     A bad key or value raises :class:`ScenarioError` whose ``path`` is the
     key; so does a preset with more than ``MAX_PRESET_DEVICES`` devices.
-    A bad inline figure or link or route entry raises
-    :class:`TopologySpecError`, a ScenarioError at its path (such as
-    ``links[0].lanes``) that is also a TopologyError.  An unknown preset
-    name raises :class:`ConfigurationError`.
+    A bad or repeated inline node name, figure, or link or route entry
+    raises :class:`TopologySpecError`, a ScenarioError at its path (such as
+    ``nodes[1]`` or ``links[0].lanes``) that is also a TopologyError.  An
+    unknown preset name raises :class:`ConfigurationError`.
     """
     if "preset" not in doc:
         unknown = sorted(set(doc) - set(_INLINE_KEYS))
@@ -635,8 +635,21 @@ def _check_number(value, integer: bool, path: str, error: type[ScenarioError]) -
 
 
 def _check_inline(doc: Mapping) -> None:
-    """Check an inline graph's memory bandwidth and the keys and values of its
-    link and route entries."""
+    """Check an inline graph's node names (each parses and names a node once),
+    its memory bandwidth and the keys and values of its link and route
+    entries (each key present but ``lanes``, which is at least 1)."""
+    nodes = doc.get("nodes", [])
+    if not isinstance(nodes, (list, tuple)):
+        raise TopologySpecError("expected a list", "nodes")
+    first: dict[NodeId, int] = {}
+    for i, name in enumerate(nodes):
+        try:
+            node = parse_node(name)
+        except TopologyError as exc:
+            raise TopologySpecError(str(exc), f"nodes[{i}]") from None
+        if node in first:
+            raise TopologySpecError(f"{node} repeats nodes[{first[node]}]", f"nodes[{i}]")
+        first[node] = i
     if "device_mem_bw_gbps" in doc:
         _check_number(doc["device_mem_bw_gbps"], False, "device_mem_bw_gbps", TopologySpecError)
     for key, fields in _INLINE_ENTRIES.items():
@@ -647,11 +660,16 @@ def _check_inline(doc: Mapping) -> None:
             at = f"{key}[{i}]"
             if not isinstance(entry, Mapping):
                 raise TopologySpecError("expected an object", at)
+            for name in fields:
+                if name not in entry and name != "lanes":  # lanes defaults to 1
+                    raise TopologySpecError("missing key", f"{at}.{name}")
             for name, value in entry.items():
                 if name not in fields:
                     raise TopologySpecError(f"unknown key {name!r}", f"{at}.{name}")
                 if fields[name] is not None:
                     _check_number(value, fields[name], f"{at}.{name}", TopologySpecError)
+                    if name == "lanes" and value < 1:
+                        raise TopologySpecError("lanes must be >= 1", f"{at}.lanes")
                 elif key == "routes":  # indices into the links list
                     if not isinstance(value, (list, tuple)):
                         raise TopologySpecError("expected a list", f"{at}.links")

@@ -555,6 +555,37 @@ class TestInlineTopologyEntries:
             from_spec(topo)
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda t: t["links"][0].pop("gbps_per_dir"), "links[0].gbps_per_dir"),
+        (lambda t: t["links"][1].pop("b"), "links[1].b"),
+        (lambda t: t["links"][0].pop("a"), "links[0].a"),
+        (lambda t: t["links"][0].update(lanes=0), "links[0].lanes"),
+        (lambda t: t["links"][1].update(lanes=-2), "links[1].lanes"),
+        (lambda t: t["routes"][0].pop("links"), "routes[0].links"),
+        (lambda t: t["nodes"].append("device:0"), "nodes[3]"),
+        (lambda t: t["nodes"].insert(1, "switch:00"), "nodes[3]"),
+        (lambda t: t["nodes"].append("device:x"), "nodes[3]"),
+    ], ids=["no_gbps_per_dir", "no_b", "no_a", "lanes_0", "lanes_negative", "route_no_links",
+            "node_repeated", "node_repeated_as_switch_00", "node_malformed"])
+    def test_missing_keys_zero_lanes_and_repeated_nodes(self, tmp_path, capsys, monkeypatch,
+                                                         edit, path):
+        """Each exited 3 without a path before these checks, or (a repeated
+        node) ran with the two names merged."""
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        topo = json.loads(json.dumps(INLINE_TOPOLOGY))
+        edit(topo)
+        doc = dict(ALLTOALL_DOC, topology=topo,
+                   workload={"kind": "alltoall", "ranks": 2, "msg_bytes": 1000})
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, doc), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == f"topology.{path}"
+        assert not out.exists()
+        with pytest.raises(TopologyError) as exc:
+            from_spec(topo)
+        assert exc.value.path == path
+
     def test_the_well_formed_graph_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         doc = dict(ALLTOALL_DOC, topology=INLINE_TOPOLOGY,
