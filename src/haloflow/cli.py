@@ -263,26 +263,32 @@ def energy_table(spec: EnergySpec) -> Table:
 Artifact = tuple[str, "Table | str", dict]
 
 
+def _json_number(x: float) -> float | None:
+    """``x``, or None when it is infinite: JSON has no infinity."""
+    return x if math.isfinite(x) else None
+
+
 def _workload_artifacts(scn: Scenario) -> list[Artifact]:
     topo = topo_mod.from_spec(scn.topology)
     job = scn.workload
     if isinstance(job, AlltoallJob):
         table = alltoall_table(topo, job)
-        return [("alltoall.csv", table, {"makespans": {str(r[0]): r[4] for r in table[1]}})]
+        return [("alltoall.csv", table,
+                 {"makespans": {str(r[0]): _json_number(r[4]) for r in table[1]}})]
     if isinstance(job, HaloJob):
         checksums, timing = halo_tables(topo, job, scn.seed)
-        ratio = timing[1][0][-1]
-        # JSON has no infinity: a run with no compute and no traffic records null
+        # a run with no compute and no traffic has an infinite ratio
         return [("halo_checksums.csv", checksums, {"steps": len(checksums[1])}),
                 ("halo_timing.csv", timing,
-                 {"staged_over_direct": ratio if math.isfinite(ratio) else None})]
+                 {"staged_over_direct": _json_number(timing[1][0][-1])})]
     header, rows, makespan = timestep_table(topo, job)
-    return [("timestep.csv", (header, rows), {"makespan_seconds": makespan})]
+    return [("timestep.csv", (header, rows), {"makespan_seconds": _json_number(makespan)})]
 
 
 def _sweep_artifacts(scn: Scenario) -> list[Artifact]:
     table = sweep_table(scn.sweep)
-    return [("sweep.csv", table, {"step_seconds": {str(r[0]): r[5] for r in table[1]}})]
+    return [("sweep.csv", table,
+             {"step_seconds": {str(r[0]): _json_number(r[5]) for r in table[1]}})]
 
 
 def _roofline_artifacts(scn: Scenario, svg: bool = False) -> list[Artifact]:

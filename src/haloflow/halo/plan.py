@@ -23,8 +23,9 @@ Each rank also records its boundary split, because it depends on the
 negotiated send lists: ``boundary_mask`` marks the owned elements packed for
 at least one peer, ``interior_mask`` the rest, and the partition's stencil
 rows are split by that mask into two tuples of column-major row blocks,
-``boundary`` and ``interior``.  All of it is fixed here, once, so a step
-reads the masks and blocks and derives nothing.
+``boundary`` and ``interior``, in one pass over its degree groups.  All of
+it is fixed here, once, so a step reads the masks and blocks and derives
+nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class RankPlan:
     ``interior`` split the rank's stencil rows by that mask: per degree
     group of the partition, the block of its masked (unmasked) rows, as a
     :class:`DegreeGroup` whose members and columns are the group's for those
-    rows, in the group's order.  Empty blocks are left out.
+    rows, in the group's order; a group wholly on one side is that side's
+    block itself.  Empty blocks are left out.
     """
 
     rank: int
@@ -80,15 +82,27 @@ class HaloPlan:
         return int(sum(rp.send_counts.sum() for rp in self.ranks))
 
 
-def _blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple[DegreeGroup, ...]:
-    """The rows of each group that ``mask`` selects, one non-empty block per group."""
-    blocks = []
+def _split(groups: tuple[DegreeGroup, ...], boundary: np.ndarray
+           ) -> tuple[tuple[DegreeGroup, ...], tuple[DegreeGroup, ...]]:
+    """The ``boundary`` and ``interior`` blocks of ``groups``, in one pass over them.
+
+    A group whose rows all fall on one side of ``boundary`` is that side's
+    block as it stands; a group with rows on both sides is cut into two new
+    blocks.  Empty blocks are left out.
+    """
+    sides: tuple[list[DegreeGroup], list[DegreeGroup]] = ([], [])
     for grp in groups:
-        rows = np.flatnonzero(mask[grp.members])
-        if len(rows):
-            blocks.append(DegreeGroup(members=grp.members[rows],
-                                      columns=grp.columns.take(rows, axis=1)))
-    return tuple(blocks)
+        on = boundary[grp.members]
+        count = np.count_nonzero(on)
+        if count == len(on):
+            sides[0].append(grp)
+        elif not count:
+            sides[1].append(grp)
+        else:
+            for blocks, rows in zip(sides, (np.flatnonzero(on), np.flatnonzero(~on))):
+                blocks.append(DegreeGroup(members=grp.members[rows],
+                                          columns=grp.columns.take(rows, axis=1)))
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def build_plan(part: Partition, router: Router) -> HaloPlan:
@@ -112,39 +126,42 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
         requests_in = yield {p: gids[runs[p][0]:runs[p][1]] for p in peers}
 
         owned = part.owned[rank]
+        sources = list(requests_in)  # ascending
+        # every request in one array, source after source (none with one rank)
+        wanted = np.concatenate([requests_in[src] for src in sources] or [gids[:0]])
+        # one search both finds every request and, by the equality check,
+        # proves it owned; a request past the last owned element (or to a
+        # rank owning nothing) finds no equal
+        idx = np.searchsorted(owned, wanted)
+        bad = (owned.take(idx, mode="clip") != wanted if len(owned)
+               else np.ones(len(wanted), dtype=bool))
+        first_bad = int(bad.argmax()) if bad.any() else len(wanted)
         send_index: dict[int, np.ndarray] = {}
-        for src, wanted in requests_in.items():  # ascending sources
-            if len(wanted) != counts_in.get(src, 0):
+        end = 0
+        for src in sources:
+            start, end = end, end + len(requests_in[src])
+            if end - start != counts_in.get(src, 0):
                 raise ProtocolError(
                     f"rank {src} announced {counts_in.get(src, 0)} indices "
-                    f"but requested {len(wanted)}"
+                    f"but requested {end - start}"
                 )
-            if not len(wanted):
-                continue
-            # one search both finds each request and, by the equality check,
-            # proves it owned; a request past the last owned element (or to
-            # a rank owning nothing) finds no equal
-            idx = np.searchsorted(owned, wanted)
-            bad = (owned.take(idx, mode="clip") != wanted if len(owned)
-                   else np.ones(len(wanted), dtype=bool))
-            if bad.any():
+            if start <= first_bad < end:
                 raise ProtocolError(
                     f"corrupt partition: rank {src} asked rank {rank} "
-                    f"for element {int(wanted[bad][0])} it does not own"
+                    f"for element {int(wanted[first_bad])} it does not own"
                 )
-            send_index[src] = idx
+            if end > start:
+                send_index[src] = idx[start:end]
 
         base = len(owned)
         recv_slot = {p: np.arange(base + a, base + b, dtype=np.int64)
                      for p, (a, b) in enumerate(runs) if b > a}
         send_counts = np.zeros(nranks, dtype=np.int64)
-        send_counts[list(send_index)] = [len(idx) for idx in send_index.values()]
+        send_counts[list(send_index)] = [len(sent) for sent in send_index.values()]
         recv_counts = np.diff(bounds)
         boundary = np.zeros(base, dtype=bool)
-        for idx in send_index.values():
-            boundary[idx] = True
-        interior = ~boundary
-        groups = part.stencil[rank]
+        boundary[idx] = True
+        boundary_blocks, interior_blocks = _split(part.stencil[rank], boundary)
         return RankPlan(
             rank=rank,
             send_index=send_index,
@@ -154,9 +171,9 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             send_displs=np.cumsum(send_counts) - send_counts,
             recv_displs=np.cumsum(recv_counts) - recv_counts,
             boundary_mask=boundary,
-            interior_mask=interior,
-            boundary=_blocks(groups, boundary),
-            interior=_blocks(groups, interior),
+            interior_mask=~boundary,
+            boundary=boundary_blocks,
+            interior=interior_blocks,
         )
 
     plans = router.run(program)

@@ -695,9 +695,13 @@ def simulate(
             if dst != src:
                 rank_busy[dst] += end - t
         else:
-            end, done = _run_phase(
-                t, [(f.id, route(devs[f.src_rank], devs[f.dst_rank]), f.bytes)
-                    for f in phase_flows], net, record)
+            # a share that underflows to 0.0, or a time left that overflows,
+            # puts inf and nan into the step arrays; the dt == inf guard
+            # handles them, so numpy's warnings are off for the whole phase
+            with np.errstate(all="ignore"):
+                end, done = _run_phase(
+                    t, [(f.id, route(devs[f.src_rank], devs[f.dst_rank]), f.bytes)
+                        for f in phase_flows], net, record)
             completion.update(done)
             # one contiguous busy interval per rank per phase: every flow of
             # the phase starts at the phase start, so the union is the max end

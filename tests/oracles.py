@@ -1,12 +1,13 @@
-"""Reference implementations: ``random_grid``, route search and the simulator.
+"""Reference implementations: grids, plan row blocks, route search and the simulator.
 
 These are the implementations the faster versions in ``haloflow`` replaced,
 kept word for word in their arithmetic and tie-breaks so the tests can
 require ``==`` between the two.  The route searches take a topology's
 ``nodes`` and ``links``, so they also run on graphs ``Topology`` refuses.
-They are quadratic (the grid), search once per node pair (the routes) and
-re-evaluate every rate and utilisation sum on every step (the simulator),
-so use them only on small inputs.
+They sort every row (the ring and the quad mesh), are quadratic (the random
+grid), cut each side's row blocks in a pass of their own (the plan), search
+once per node pair (the routes) and re-evaluate every rate and utilisation
+sum on every step (the simulator), so use them only on small inputs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,50 @@ import random
 import numpy as np
 
 from haloflow.halo import GlobalGrid
+from haloflow.halo.partition import DegreeGroup
 from haloflow.errors import TopologyError
 from haloflow.netsim import FlowInterval, SimResult, Staging
 from haloflow.topology import NodeId, NodeKind, device
+
+
+def _sorted_rows(rows: np.ndarray) -> GlobalGrid:
+    """Grid whose element ``i`` has the neighbours ``rows[i]``, sorted here."""
+    n, degree = rows.shape
+    return GlobalGrid(np.arange(0, n * degree + 1, degree, dtype=np.int64),
+                      np.sort(rows, axis=1).ravel())
+
+
+def reference_ring(n: int) -> GlobalGrid:
+    """``ring`` from its cyclic adjacents, each row sorted; ``n`` must be valid."""
+    i = np.arange(n, dtype=np.int64)
+    cols = [(i - 1) % n]
+    if n > 2:  # with two elements both cyclic adjacents are the same element
+        cols.append((i + 1) % n)
+    return _sorted_rows(np.stack(cols, axis=1))
+
+
+def reference_quad_mesh(nx: int, ny: int) -> GlobalGrid:
+    """``quad_mesh`` as four ``%``-based columns, stacked and sorted; arguments must be valid."""
+    idx = np.arange(nx * ny, dtype=np.int64)
+    x, y = idx % nx, idx // nx
+    cols = [((x - 1) % nx) + y * nx]
+    if nx > 2:
+        cols.append(((x + 1) % nx) + y * nx)
+    cols.append(x + ((y - 1) % ny) * nx)
+    if ny > 2:
+        cols.append(x + ((y + 1) % ny) * nx)
+    return _sorted_rows(np.stack(cols, axis=1))
+
+
+def reference_blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple[DegreeGroup, ...]:
+    """The rows of each group that ``mask`` selects, one new non-empty block per group."""
+    blocks = []
+    for grp in groups:
+        rows = np.flatnonzero(mask[grp.members])
+        if len(rows):
+            blocks.append(DegreeGroup(members=grp.members[rows],
+                                      columns=grp.columns.take(rows, axis=1)))
+    return tuple(blocks)
 
 
 def reference_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:

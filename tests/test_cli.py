@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import pytest
@@ -593,6 +594,28 @@ class TestInlineTopologyEntries:
         code, _, err = run_main(capsys, "report", "--scenario", write_scenario(tmp_path, doc),
                                 "--output", str(tmp_path / "out"))
         assert code == 0 and err == ""
+
+
+    @pytest.mark.parametrize("gbps", [5e-324, 1e-309], ids=["smallest_subnormal", "1e-309"])
+    def test_links_too_slow_for_a_finite_makespan(self, tmp_path, capsys, monkeypatch, gbps):
+        """Every makespan is inf: the CSV says so, summary.json records null,
+        and nothing is printed."""
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        topo = json.loads(json.dumps(INLINE_TOPOLOGY))
+        for link in topo["links"]:
+            link["gbps_per_dir"] = gbps
+        doc = dict(ALLTOALL_DOC, topology=topo,
+                   workload={"kind": "alltoall", "ranks": 2, "msg_bytes": 10**10})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_main(capsys, "report", "--scenario",
+                                         write_scenario(tmp_path, doc), "--output", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        rows = (out / "alltoall.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",inf") for row in rows)
+        makespans = json.loads((out / "summary.json").read_text())["artifacts"]["alltoall.csv"]
+        assert set(makespans["makespans"].values()) == {None}
 
 
 WORKLOAD_FLAGS = [

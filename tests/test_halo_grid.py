@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from haloflow import ConfigurationError
 from haloflow.halo import GlobalGrid, partition_block, quad_mesh, random_grid, ring
 
-from oracles import reference_random_grid
+from oracles import reference_quad_mesh, reference_random_grid, reference_ring
 
 
 def csr(rows):
@@ -51,6 +51,32 @@ class TestGridValidation:
             g.indices[0] = 0
         assert g.n == 2 and g.adjacency == ((1,), (0,))
 
+    def test_read_only_int64_arrays_are_kept_and_others_copied(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+        g = GlobalGrid(indptr, indices)
+        assert g.indptr is not indptr and g.indices is not indices
+        indices[0] = 0  # the caller's writable array stays the caller's
+        assert indptr.flags.writeable and g.indices.tolist() == [1, 0]
+        indices = np.array([1, 0])
+        for a in (indptr, indices):
+            a.setflags(write=False)
+        g = GlobalGrid(indptr, indices)
+        assert g.indptr is indptr and g.indices is indices
+        assert GlobalGrid(indptr, indices.astype(np.int32)).indices.dtype == np.int64
+
+    def test_first_bad_element_past_the_narrow_row_types(self):
+        # 70 000 elements: each entry's row is held as int32, not int16
+        g = ring(70000)
+        indices = g.indices.copy()
+        row = slice(2 * 65540, 2 * 65540 + 2)  # element 65540 lists 65539, 65541
+        for nbrs, message in (((65540, 65541), "lists itself as neighbour"),
+                              ((-1, 65541), "has out-of-range neighbour -1"),
+                              ((65539, 70000), "has out-of-range neighbour 70000"),
+                              ((65541, 65539), "must be ascending and unique")):
+            indices[row] = nbrs
+            with pytest.raises(ConfigurationError, match=f"element 65540 {message}"):
+                GlobalGrid(g.indptr, indices)
+
 
 class TestBuilders:
     def test_ring_neighbours(self):
@@ -85,6 +111,30 @@ class TestBuilders:
             random_grid(1, 2, seed=0)
         with pytest.raises(ConfigurationError):
             random_grid(8, 1, seed=0)
+
+
+def assert_same_grid(got, want):
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.int64 and not a.flags.writeable, name
+        assert a.shape == b.shape and (a == b).all(), name
+
+
+class TestClosedFormBuilders:
+    """The closed-form builders equal the sorted-rows references entry for entry."""
+
+    @pytest.mark.parametrize("nx", range(2, 21))
+    def test_quad_mesh_equals_the_sorted_reference(self, nx):
+        for ny in range(2, 21):
+            assert_same_grid(quad_mesh(nx, ny), reference_quad_mesh(nx, ny))
+
+    @pytest.mark.parametrize("nx, ny", [(100, 100), (160, 160), (2, 160), (160, 2), (3, 97)])
+    def test_large_and_thin_quad_meshes_equal_the_sorted_reference(self, nx, ny):
+        assert_same_grid(quad_mesh(nx, ny), reference_quad_mesh(nx, ny))
+
+    def test_ring_equals_the_sorted_reference(self):
+        for n in (*range(2, 41), 1000):
+            assert_same_grid(ring(n), reference_ring(n))
 
 
 class TestRandomGrid:

@@ -23,6 +23,8 @@ from haloflow.halo import (
 )
 from haloflow.halo.engine import _exchange_program
 
+from oracles import reference_blocks
+
 
 class TestRouter:
     def test_round_count_is_two_for_plan_build(self):
@@ -273,3 +275,24 @@ def test_plan_symmetry_random_grids(n, maxdeg, seed, nranks):
             sent_globals = part.owned[a][idx]
             expect = [g0 for g0, owner in part.ghosts[b] if owner == a]
             assert sent_globals.tolist() == expect
+
+
+@pytest.mark.parametrize("grid", [ring(12), quad_mesh(2, 5), quad_mesh(9, 7),
+                                  random_grid(60, 6, seed=4), random_grid(90, 8, seed=1)],
+                         ids=["ring12", "quad2x5", "quad9x7", "random60d6", "random90d8"])
+@pytest.mark.parametrize("nranks", range(1, 10))
+def test_row_blocks_equal_the_two_pass_reference(grid, nranks):
+    """Each side's blocks are the per-side reference's, array for array."""
+    part = partition_block(grid, nranks)
+    plan = build_plan(part, Router(nranks))
+    for r, rp in enumerate(plan.ranks):
+        for blocks, mask in ((rp.boundary, rp.boundary_mask), (rp.interior, rp.interior_mask)):
+            want = reference_blocks(part.stencil[r], mask)
+            assert len(blocks) == len(want)
+            for got, ref in zip(blocks, want):
+                assert got.members.dtype == ref.members.dtype
+                assert got.columns.dtype == ref.columns.dtype and got.columns.flags.c_contiguous
+                assert np.array_equal(got.members, ref.members)
+                assert np.array_equal(got.columns, ref.columns)
+                assert (got.rows == ref.rows if isinstance(ref.rows, slice)
+                        else np.array_equal(got.rows, ref.rows))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from haloflow import (
     simulate_timestep,
 )
 from haloflow import netsim
-from haloflow.topology import device
+from haloflow.topology import device, switch
 from trace_replay import check_trace
 
 ALPHA_INTRA = 1e-6
@@ -298,6 +299,25 @@ class TestNonFiniteSizes:
     def test_fractional_finite_size_is_legal(self, island_topo):
         res = simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 2.5)])
         assert res.flow_completion[0] == pytest.approx(ALPHA_INTRA + 2.5 / 25e9, rel=1e-12)
+
+
+class TestBandwidthBeyondDoubleRange:
+    """Two flows on one link so slow that a share underflows to 0.0 or a
+    time left overflows: both end at inf, and numpy warns about nothing."""
+
+    @pytest.mark.parametrize("bw, size", [(5e-324, 10), (1e-300, 10**10)],
+                             ids=["share_underflows", "time_overflows"])
+    @pytest.mark.parametrize("collect_events", [False, True])
+    def test_flows_end_at_inf_silently(self, bw, size, collect_events):
+        topo = Topology([device(0), device(1), switch(0)],
+                        [Link(device(0), switch(0), bw), Link(device(1), switch(0), bw)],
+                        device_mem_bw=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate(topo, RankMap.identity(2), [Flow(0, 0, 1, size), Flow(1, 0, 1, size)],
+                           SimConfig(collect_events=collect_events))
+        assert res.flow_completion == {0: math.inf, 1: math.inf}
+        assert res.makespan == math.inf
 
 
 class TestConservation:
