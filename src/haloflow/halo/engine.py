@@ -3,7 +3,7 @@
 The stencil is an unweighted neighbourhood mean: the next value of an owned
 element is the mean of its neighbours' current values, accumulated in
 ascending global-index order.  Each step reads a consistent snapshot (old
-values) and writes a fresh array, so the update is independent of how
+values) and writes into another array, so the update is independent of how
 elements are grouped; that is what makes the distributed result
 bit-identical to a single-rank run and the three overlap modes
 bit-identical to each other.
@@ -11,7 +11,8 @@ bit-identical to each other.
 Stencil rows are column-major (ELLPACK) blocks, one per degree: a block of
 ``m`` rows of degree ``d`` is one ``values.take(columns)`` gather into a
 ``(d, m)`` array, ``d - 1`` in-place adds of its contiguous rows and one
-in-place divide, i.e. ``((v0 + v1) + v2) + ...) / d`` per element.
+divide, i.e. ``((v0 + v1) + v2) + ...) / d`` per element; a block written
+through a slice is divided straight into its target.
 
 Overlap modes mirror the two standard ways of hiding the exchange:
 
@@ -29,15 +30,21 @@ Overlap modes mirror the two standard ways of hiding the exchange:
     ``interior`` row blocks: the split is materialised once, when the plan
     is negotiated.
 
-A step reads only the partition and its plan, and derives nothing from
-them.  The partition fixes, when it is constructed, each rank's stencil
-rows, each row block's write target (a slice when its members are one
-range) and whether its owned sets are ``0..n-1`` in rank order, which makes
-the checksum's global array one concatenate of the owned views.  The plan
-fixes, when it is negotiated, each rank's send lists, boundary split and
-both masks.  The exchange rounds are the phases of the matching all-to-all
-schedule in :mod:`haloflow.collectives`, without self copies, derived once
-per ``(schedule, nranks)``.
+A step reads only the partition, its plan and a :class:`StepWorkspace`,
+and derives nothing from them.  The partition fixes, when it is
+constructed, each rank's stencil rows, each row block's write target (a
+slice when its members are one range) and whether its owned sets are
+``0..n-1`` in rank order, which makes the checksum's global array one
+concatenate of the owned views.  The plan fixes, when it is negotiated,
+each rank's send lists, boundary split and both masks.  The exchange rounds
+are the phases of the matching all-to-all schedule in
+:mod:`haloflow.collectives`, without self copies, derived once per
+``(schedule, nranks)``.  The workspace, built once per run like a halo
+library's exchange set-up, holds each rank's ``(peer, send indices)`` pairs
+per round and the step buffers its mode needs; the overlap modes write a
+step into a spare array and swap it with the field's, so a step allocates
+no field-sized array.  It is a value ``run_stencil`` passes to every step;
+nothing is cached on the partition or the plan.
 
 The overlap modes send the *new* boundary values, so they leave ghosts
 valid for the next step; ``NONE`` refreshes at the top of each step
@@ -76,6 +83,8 @@ __all__ = [
     "pack",
     "unpack",
     "exchange",
+    "StepWorkspace",
+    "step_workspace",
     "stencil_step",
     "run_stencil",
     "gather_global",
@@ -104,9 +113,6 @@ class Field:
     reads: int = 0
     ghosts_fresh: bool = False
 
-    def owned_view(self) -> np.ndarray:
-        return self.values[: self.n_owned]
-
 
 def make_fields(part: Partition, init: np.ndarray | Callable[[int], float]) -> list[Field]:
     """Per-rank fields initialized from a global array or a gid -> value function."""
@@ -127,11 +133,6 @@ def make_fields(part: Partition, init: np.ndarray | Callable[[int], float]) -> l
 # pack / unpack
 
 
-def _gather(source: np.ndarray, idx: np.ndarray, f: Field) -> np.ndarray:
-    f.reads += len(idx)
-    return source[idx]
-
-
 def pack(f: Field, plan: HaloPlan, dest: int) -> np.ndarray:
     """Gather the values destined for ``dest`` into a contiguous buffer.
 
@@ -140,7 +141,8 @@ def pack(f: Field, plan: HaloPlan, dest: int) -> np.ndarray:
     idx = plan.ranks[f.rank].send_index.get(dest)
     if idx is None:
         return np.empty(0, dtype=np.float64)
-    return _gather(f.values, idx, f)
+    f.reads += len(idx)
+    return f.values[idx]
 
 
 def unpack(f: Field, plan: HaloPlan, src: int, buffer: np.ndarray) -> None:
@@ -164,6 +166,7 @@ def unpack(f: Field, plan: HaloPlan, src: int, buffer: np.ndarray) -> None:
 
 
 Rounds = tuple[tuple[tuple[int, ...], ...], ...]
+Sends = tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per round: (peer, send indices) pairs
 
 
 @functools.cache
@@ -185,19 +188,28 @@ def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> Rounds:
     return tuple(rounds)
 
 
+def _rank_sends(send_index: dict[int, np.ndarray], rank: int, rounds: Rounds
+                ) -> tuple[Sends, int]:
+    """Per round, ``rank``'s ``(peer, send indices)`` pairs in issue order, and their element total.
+
+    A target that ``send_index`` sends nothing is left out of its round; the
+    round itself stays, since every rank takes part in every round.
+    """
+    sends = tuple(tuple((dst, send_index[dst]) for dst in targets[rank] if dst in send_index)
+                  for targets in rounds)
+    return sends, sum(len(idx) for outgoing in sends for _dst, idx in outgoing)
+
+
 def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Field,
-                      plan: HaloPlan, rounds: Rounds):
-    """Generator: pack from ``source``, run the exchange ``rounds``, scatter into ``target``."""
-    rp = plan.ranks[rank]
-    send_index, recv_slot = rp.send_index, rp.recv_slot
+                      sends: Sends, packed: int, recv_slot: dict[int, np.ndarray]):
+    """Generator: pack ``sends`` from ``source`` round by round, scatter what arrives into ``target``.
+
+    ``packed`` is the element total of ``sends``, added to ``f.reads``.
+    """
+    f.reads += packed
     received: set[int] = set()
-    for targets in rounds:
-        outbox = {}
-        for dst in targets[rank]:
-            idx = send_index.get(dst)
-            if idx is not None:
-                outbox[dst] = _gather(source, idx, f)
-        inbox = yield outbox
+    for outgoing in sends:
+        inbox = yield {dst: source[idx] for dst, idx in outgoing}
         for src, buf in inbox.items():  # sources ascend
             slots = recv_slot.get(src)
             if slots is None or len(buf) != len(slots):
@@ -229,8 +241,9 @@ def exchange(
     rounds = _exchange_rounds(schedule, plan.nranks)
 
     def program(rank: int):
-        f = fields[rank]
-        yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
+        f, rp = fields[rank], plan.ranks[rank]
+        sends, packed = _rank_sends(rp.send_index, rank, rounds)
+        yield from _exchange_program(rank, f.values, f.values, f, sends, packed, rp.recv_slot)
         f.ghosts_fresh = True
         return None
 
@@ -247,15 +260,58 @@ def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarra
     One gather per block, then the accumulation row by row, i.e. per element
     strictly in ascending global order of its neighbours, so the float
     result for an element never depends on which other elements share the
-    block.
+    block.  A block written through a slice is divided straight into it.
     """
     for blk in blocks:
         acc = values.take(blk.columns)
         head = acc[0]
         for row in acc[1:]:
             head += row
-        head /= blk.degree
-        out[blk.rows] = head
+        degree = float(len(acc))  # numpy converts a float divisor faster than an int
+        if type(blk.rows) is slice:
+            np.divide(head, degree, out=out[blk.rows])
+        else:
+            head /= degree
+            out[blk.rows] = head
+
+
+@dataclass(eq=False)
+class StepWorkspace:
+    """What every step of one run reuses, built once for a plan, mode and schedule.
+
+    Per rank ``r``: ``sends[r]`` holds its ``(peer, send indices)`` pairs per
+    exchange round, in the schedule's issue order, and ``packed[r]`` the
+    element total one exchange packs and adds to the field's ``reads``.
+    ``spare[r]`` is a second values array (overlap modes only): a step
+    writes into it and swaps it with the field's ``values``, so the two
+    arrays alternate.  ``means[r]`` receives the owned means (``none`` and
+    ``mask_array`` only).  Buffers a mode never uses are ``None``.
+    """
+
+    plan: HaloPlan
+    mode: OverlapMode
+    schedule: ScheduleKind
+    sends: tuple[Sends, ...]
+    packed: tuple[int, ...]
+    spare: list[np.ndarray | None]
+    means: tuple[np.ndarray | None, ...]
+
+
+def step_workspace(
+    part: Partition,
+    plan: HaloPlan,
+    mode: OverlapMode = OverlapMode.NONE,
+    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
+) -> StepWorkspace:
+    """The send lists and step buffers of ``plan`` in ``mode`` over ``schedule``'s rounds."""
+    rounds = _exchange_rounds(schedule, plan.nranks)
+    sends, packed = zip(*(_rank_sends(rp.send_index, rp.rank, rounds) for rp in plan.ranks))
+    spare = [None if mode is OverlapMode.NONE else np.empty(part.local_size(r))
+             for r in range(part.nranks)]
+    means = tuple(None if mode is OverlapMode.INDIRECTION_ARRAY else np.empty(part.n_owned(r))
+                  for r in range(part.nranks))
+    return StepWorkspace(plan=plan, mode=mode, schedule=schedule, sends=sends, packed=packed,
+                         spare=spare, means=means)
 
 
 def stencil_step(
@@ -265,45 +321,53 @@ def stencil_step(
     router: Router,
     mode: OverlapMode = OverlapMode.NONE,
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
+    workspace: StepWorkspace | None = None,
 ) -> Sequence[Field]:
     """Advance every rank's owned values by one neighbourhood-mean step.
 
     The stencil rows come from ``part`` and the boundary split from
-    ``plan``, which must have been negotiated for ``part``.
+    ``plan``, which must have been negotiated for ``part``.  ``workspace``
+    must have been built for ``plan``, ``mode`` and ``schedule``.  ``none``
+    updates each field's ``values`` in place; the overlap modes write into
+    the workspace's spare arrays, so a step without a workspace builds its
+    own and never writes an array a caller kept from an earlier step.
     """
-
+    ws = workspace or step_workspace(part, plan, mode, schedule)
+    if ws.plan is not plan or ws.mode is not mode or ws.schedule is not schedule:
+        raise ConfigurationError("workspace was built for another plan, mode or schedule")
     fresh = {f.ghosts_fresh for f in fields}
     if len(fresh) > 1:
         raise ProtocolError("fields disagree about ghost freshness")
     ghosts_were_fresh = fresh.pop() if fresh else True
-    rounds = _exchange_rounds(schedule, plan.nranks)
 
     def program(rank: int):
         f = fields[rank]
         groups, rp = part.stencil[rank], plan.ranks[rank]
+        sends, packed, recv_slot = ws.sends[rank], ws.packed[rank], rp.recv_slot
         if mode is OverlapMode.NONE:
-            yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
-            new_owned = np.empty(f.n_owned, dtype=np.float64)
-            _mean_into(groups, f.values, new_owned)
-            f.values[: f.n_owned] = new_owned
+            yield from _exchange_program(rank, f.values, f.values, f, sends, packed, recv_slot)
+            means = ws.means[rank]
+            _mean_into(groups, f.values, means)
+            f.values[: f.n_owned] = means
             f.ghosts_fresh = False
             return None
 
         if not ghosts_were_fresh:
-            yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
-        new_values = np.empty_like(f.values)
+            yield from _exchange_program(rank, f.values, f.values, f, sends, packed, recv_slot)
+        new_values = ws.spare[rank]
         if mode is OverlapMode.MASK_ARRAY:  # every element evaluated, the mask picks writes
-            mask, new_owned = rp.boundary_mask, new_values[: f.n_owned]
-            means = np.empty(f.n_owned, dtype=np.float64)
+            means, new_owned = ws.means[rank], new_values[: f.n_owned]
             _mean_into(groups, f.values, means)
-            np.copyto(new_owned, means, where=mask)
-            yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
+            np.copyto(new_owned, means, where=rp.boundary_mask)
+            yield from _exchange_program(rank, new_values, new_values, f, sends, packed,
+                                         recv_slot)
             np.copyto(new_owned, means, where=rp.interior_mask)
         else:
             _mean_into(rp.boundary, f.values, new_values)
-            yield from _exchange_program(rank, new_values, new_values, f, plan, rounds)
+            yield from _exchange_program(rank, new_values, new_values, f, sends, packed,
+                                         recv_slot)
             _mean_into(rp.interior, f.values, new_values)
-        f.values = new_values
+        ws.spare[rank], f.values = f.values, new_values
         f.ghosts_fresh = True
         return None
 
@@ -311,7 +375,14 @@ def stencil_step(
     return fields
 
 
-ensure_plan = build_plan  # run_stencil's plan build, by a name a profiler can wrap alone
+def ensure_plan(part: Partition, router: Router, mode: OverlapMode, schedule: ScheduleKind
+                ) -> tuple[HaloPlan, StepWorkspace]:
+    """The plan and its step workspace: ``run_stencil``'s set-up past the partition.
+
+    One name, so a profiler can wrap the two alone.
+    """
+    plan = build_plan(part, router)
+    return plan, step_workspace(part, plan, mode, schedule)
 
 
 def run_stencil(
@@ -326,11 +397,11 @@ def run_stencil(
     """Partition, plan, run ``steps`` stencil steps; returns per-step checksums."""
     router = router or Router(nranks)
     part = partition.partition_block(grid, nranks)
-    plan = ensure_plan(part, router)
+    plan, workspace = ensure_plan(part, router, mode, schedule)
     fields = make_fields(part, init)
     checksums = []
     for _ in range(steps):
-        stencil_step(fields, part, plan, router, mode, schedule)
+        stencil_step(fields, part, plan, router, mode, schedule, workspace)
         checksums.append(global_checksum(fields, part))
     return fields, part, plan, checksums
 

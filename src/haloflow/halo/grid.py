@@ -31,6 +31,11 @@ from ..errors import ConfigurationError, ScenarioError
 # bound.
 MAX_RANDOM_GRID_ELEMENTS = 4096
 
+# Most elements a ring or quad mesh may have.  A halo run holds about 0.2 kB
+# per element at its peak (a one-step ``haloflow halo`` on quad1024x1024 with
+# 8 ranks peaks at 216 MB), so about 0.8 GB at this bound (quad2048x2048).
+MAX_MESH_ELEMENTS = 2**22
+
 
 @dataclass(frozen=True, eq=False)
 class GlobalGrid:
@@ -122,10 +127,21 @@ def _uniform(rows: np.ndarray) -> GlobalGrid:
     return GlobalGrid(indptr, indices)
 
 
+def _check_mesh_size(n: int) -> None:
+    if n > MAX_MESH_ELEMENTS:
+        raise ScenarioError(f"ring and quad grids hold at most {MAX_MESH_ELEMENTS} elements, "
+                            f"got {n}", "grid")
+
+
 def check_ring(n: int) -> None:
-    """Raise what :func:`ring` raises for ``n``, without building anything."""
+    """Raise what :func:`ring` raises for ``n``, without building anything.
+
+    An ``n`` above ``MAX_MESH_ELEMENTS`` raises :class:`ScenarioError` at
+    path ``grid``.
+    """
     if n < 2:
         raise ConfigurationError("ring needs n >= 2")
+    _check_mesh_size(n)
 
 
 def ring(n: int) -> GlobalGrid:
@@ -139,9 +155,14 @@ def ring(n: int) -> GlobalGrid:
 
 
 def check_quad_mesh(nx: int, ny: int) -> None:
-    """Raise what :func:`quad_mesh` raises for its arguments, without building anything."""
+    """Raise what :func:`quad_mesh` raises for its arguments, without building anything.
+
+    More than ``MAX_MESH_ELEMENTS`` elements (``nx * ny``) raise
+    :class:`ScenarioError` at path ``grid``.
+    """
     if nx < 2 or ny < 2:
         raise ConfigurationError("quad_mesh needs nx >= 2 and ny >= 2")
+    _check_mesh_size(nx * ny)
 
 
 def quad_mesh(nx: int, ny: int) -> GlobalGrid:

@@ -4,7 +4,10 @@ Each rank's local value array is laid out as its owned elements in
 ascending global order followed by one slot per ghost (a remote element
 some owned element touches), ghosts sorted by (owner rank, global index).
 That layout is what the exchange plan's indices and the stencil rows point
-into.
+into.  A rank's ghosts are one read-only ``(k, 2)`` int64 array of
+``[global, owner]`` rows from their derivation to the plan's negotiation,
+and every rank's stencil rows are looked up in one global-to-local table
+whose entries are reset after each rank.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from .grid import GlobalGrid
+from .grid import GlobalGrid, _read_only_int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +53,10 @@ class Partition:
     """Ownership of the elements of ``grid`` plus the per-rank local layout.
 
     ``owner[g]`` is the owning rank of global element ``g`` (total).
-    ``owned[r]`` lists rank r's globals ascending; ``ghosts[r]`` is a tuple
-    of ``(global_index, owner_rank)`` sorted by (owner, global).
+    ``owned[r]`` lists rank r's globals ascending; ``ghosts[r]`` is a
+    read-only ``(k, 2)`` int64 array whose rows are ``[global, owner]``,
+    sorted by (owner, global).  Ghosts given as anything else, such as a
+    tuple of ``(global, owner)`` pairs, are copied into such an array.
     ``stencil[r]`` holds rank r's stencil rows, built on construction: one
     column-major :class:`DegreeGroup` per distinct degree among its owned
     elements, in ascending degree.  A neighbour that is neither owned nor a
@@ -63,24 +68,31 @@ class Partition:
     nranks: int
     owner: np.ndarray
     owned: tuple[np.ndarray, ...]
-    ghosts: tuple[tuple[tuple[int, int], ...], ...]
+    ghosts: tuple[np.ndarray, ...]
     stencil: tuple[tuple[DegreeGroup, ...], ...] = field(init=False, repr=False)
     rank_ordered: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "ghosts", tuple(
+            _ghost_pairs(r, g) for r, g in enumerate(self.ghosts)))
         object.__setattr__(self, "rank_ordered", np.array_equal(
             np.concatenate(self.owned), np.arange(len(self.owner))))
-        object.__setattr__(self, "stencil",
-                           tuple(self._stencil_rows(r) for r in range(self.nranks)))
+        # one global-to-local table for every rank: -1 except where the
+        # current rank wrote, and those entries are reset before the next
+        local_of = np.full(self.grid.n, -1, dtype=np.int64)
+        stencil = []
+        for r, (owned, ghosts) in enumerate(zip(self.owned, self.ghosts)):
+            gids = ghosts[:, 0]
+            local_of[owned] = np.arange(len(owned))
+            local_of[gids] = np.arange(len(owned), len(owned) + len(gids))
+            stencil.append(self._stencil_rows(r, local_of))
+            local_of[owned] = -1
+            local_of[gids] = -1
+        object.__setattr__(self, "stencil", tuple(stencil))
 
-    def _stencil_rows(self, rank: int) -> tuple[DegreeGroup, ...]:
+    def _stencil_rows(self, rank: int, local_of: np.ndarray) -> tuple[DegreeGroup, ...]:
         grid = self.grid
         owned = self.owned[rank]
-        ghost_gids = np.array([g for g, _owner in self.ghosts[rank]], dtype=np.int64)
-        local_of = np.full(grid.n, -1, dtype=np.int64)
-        local_of[owned] = np.arange(len(owned))
-        local_of[ghost_gids] = len(owned) + np.arange(len(ghost_gids))
-
         starts = grid.indptr[owned]
         degree = grid.indptr[owned + 1] - starts
         groups = []
@@ -103,6 +115,16 @@ class Partition:
         return self.n_owned(rank) + self.n_ghosts(rank)
 
 
+def _ghost_pairs(rank: int, ghosts) -> np.ndarray:
+    """``ghosts`` as a read-only ``(k, 2)`` int64 array, kept as it is if it already is one."""
+    pairs = _read_only_int64(ghosts)
+    if not pairs.size:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConfigurationError(f"ghosts of rank {rank} must be (global, owner) pairs")
+    return pairs
+
+
 def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
                    nranks: int) -> Partition:
     # every adjacency entry whose neighbour lives on another rank than its
@@ -114,15 +136,16 @@ def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
     keys = np.sort(row_rank[remote] * n + grid.indices[remote])
     rank, gid = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     gown = owner[gid]
-    order = np.lexsort((gid, gown, rank))
-    rank, gids, owners = rank[order], gid[order].tolist(), gown[order].tolist()
+    order = np.lexsort((gid, gown, rank))  # rank stays ascending
+    pairs = np.stack((gid[order], gown[order]), axis=1)
+    pairs.setflags(write=False)
     bounds = np.searchsorted(rank, np.arange(nranks + 1)).tolist()
     return Partition(
         grid=grid,
         nranks=nranks,
         owner=owner,
         owned=tuple(owned),
-        ghosts=tuple(tuple(zip(gids[a:b], owners[a:b])) for a, b in zip(bounds, bounds[1:])),
+        ghosts=tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:])),
     )
 
 

@@ -7,7 +7,8 @@ protocol takes exactly two collective rounds whatever the rank count:
 1. counts: every rank tells every other rank how many ghost indices it
    will request from it (zero included);
 2. indices: every rank sends each owner one ascending array of global
-   indices, the owner's run of its ghost list (sorted by owner, global).
+   indices, a slice of the global column of the owner's run in its ghost
+   array (rows sorted by owner, global), read as it stands.
 
 An owner finds the requests in its owned list with one binary search; a
 request that lands on no equal element signals a corrupt partition and
@@ -31,7 +32,6 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class RankPlan:
     interior_mask: np.ndarray
     boundary: tuple[DegreeGroup, ...]
     interior: tuple[DegreeGroup, ...]
-
-    def boundary_locals(self) -> np.ndarray:
-        """Ascending local indices of owned elements sent to at least one peer."""
-        return np.flatnonzero(self.boundary_mask)
 
 
 @dataclass
@@ -114,9 +110,9 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
     nranks = part.nranks
 
     def program(rank: int):
-        # my ghosts as (global, owner) rows; sorted by (owner, global), so
+        # my ghosts' [global, owner] rows, sorted by (owner, global), so
         # each owner's requests are one run and ascend
-        ghosts = np.fromiter(chain.from_iterable(part.ghosts[rank]), dtype=np.int64).reshape(-1, 2)
+        ghosts = part.ghosts[rank]
         gids = ghosts[:, 0]
         bounds = np.searchsorted(ghosts[:, 1], np.arange(nranks + 1)).tolist()
         runs = list(zip(bounds, bounds[1:]))

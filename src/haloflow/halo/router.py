@@ -36,7 +36,7 @@ _UNSET = object()
 
 
 def _route(nranks: int, outboxes: list[Mapping[int, object] | None]) -> list[dict[int, object]]:
-    inboxes: list[dict[int, object]] = [dict() for _ in range(nranks)]
+    inboxes: list[dict[int, object]] = [{} for _ in range(nranks)]
     for src in range(nranks):
         ob = outboxes[src]
         if ob is None:
@@ -73,28 +73,29 @@ class Router:
         gens = [program_factory(r) for r in range(n)]
         results: list = [_UNSET] * n
         outboxes: list[Mapping[int, object] | None] = [None] * n
-        for r in range(n):
+        finished = 0
+        for r, gen in enumerate(gens):
             try:
-                outboxes[r] = next(gens[r])
+                outboxes[r] = next(gen)
             except StopIteration as stop:
                 results[r] = stop.value
-        while True:
-            live = [r for r in range(n) if results[r] is _UNSET]
-            if not live:
-                return results
-            if len(live) < n and any(results[r] is not _UNSET for r in range(n)):
+                finished += 1
+        while finished < n:
+            if finished:
                 done = [r for r in range(n) if results[r] is not _UNSET]
+                live = [r for r in range(n) if results[r] is _UNSET]
                 raise ProtocolError(
                     f"desynchronized rank programs: {done} finished while {live} still exchange"
                 )
             inboxes = _route(n, outboxes)
             self.rounds_executed += 1
-            outboxes = [None] * n
-            for r in range(n):
+            for r, gen in enumerate(gens):
                 try:
-                    outboxes[r] = gens[r].send(inboxes[r])
+                    outboxes[r] = gen.send(inboxes[r])
                 except StopIteration as stop:
                     results[r] = stop.value
+                    finished += 1
+        return results
 
     # ------------------------------------------------------------------
 

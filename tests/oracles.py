@@ -1,4 +1,4 @@
-"""Reference implementations: grids, plan row blocks, route search and the simulator.
+"""Reference implementations: grids, ghosts, plan row blocks, route search and the simulator.
 
 These are the implementations the faster versions in ``haloflow`` replaced,
 kept word for word in their arithmetic and tie-breaks so the tests can
@@ -62,6 +62,22 @@ def reference_blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple
             blocks.append(DegreeGroup(members=grp.members[rows],
                                       columns=grp.columns.take(rows, axis=1)))
     return tuple(blocks)
+
+
+def reference_ghosts(grid: GlobalGrid, owner, rank: int) -> list[tuple[int, int]]:
+    """``rank``'s ghosts as ``(global, owner)`` pairs, sorted by (owner, global), by a loop.
+
+    A ghost is a neighbour, owned elsewhere, of an element ``rank`` owns.
+    """
+    owner = [int(o) for o in owner]
+    ptr, nb = grid.indptr.tolist(), grid.indices.tolist()
+    found = set()
+    for i in range(grid.n):
+        if owner[i] == rank:
+            for j in nb[ptr[i]:ptr[i + 1]]:
+                if owner[j] != rank:
+                    found.add((j, owner[j]))
+    return sorted(found, key=lambda pair: (pair[1], pair[0]))
 
 
 def reference_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:

@@ -488,6 +488,35 @@ class TestRejectedBeforeAnyWork:
         assert "4096" in doc["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, size", [("quad100000x100000", 10**10),
+                                            ("ring99999999999", 99999999999),
+                                            ("quad2049x2048", 2049 * 2048),
+                                            ("ring4194305", 4194305)])
+    @pytest.mark.parametrize("source, path", [("flag", "grid"), ("scenario", "workload.grid")])
+    def test_mesh_beyond_its_bound_fails_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                            grid, size, source, path):
+        import haloflow.scenario as scenario
+
+        def refuse(*_args):
+            raise AssertionError("mesh built beyond its size bound")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(scenario, "ring", refuse)
+        monkeypatch.setattr(scenario, "quad_mesh", refuse)
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ("halo", "--grid", grid, "--ranks", "2", "--steps", "1")
+        else:
+            doc = dict(ALLTOALL_DOC, workload={"kind": "halo", "grid": grid,
+                                               "ranks": 2, "steps": 1})
+            argv = ("report", "--scenario", write_scenario(tmp_path, doc), "--output", str(out))
+        code, stdout, err = run_main(capsys, *argv)
+        assert code == 3 and stdout == ""
+        doc = one_json_line(err)
+        assert doc["error"] == "ScenarioError" and doc["path"] == path
+        assert "4194304" in doc["message"] and str(size) in doc["message"]
+        assert not out.exists()
+
     def test_sweep_point_ranks_beyond_its_devices(self, tmp_path, capsys, monkeypatch):
         import haloflow.cli as cli
 

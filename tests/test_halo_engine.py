@@ -27,7 +27,8 @@ from haloflow.halo import (
     stencil_step,
     unpack,
 )
-from haloflow.halo.engine import _exchange_rounds
+from haloflow.halo import engine
+from haloflow.halo.engine import _exchange_rounds, step_workspace
 from haloflow.halo.partition import _derive_ghosts
 
 
@@ -48,7 +49,7 @@ class TestFields:
         from_arr = make_fields(part, np.arange(6, dtype=float))
         from_fn = make_fields(part, lambda g: float(g))
         for a, b in zip(from_arr, from_fn):
-            assert np.array_equal(a.owned_view(), b.owned_view())
+            assert np.array_equal(a.values[: a.n_owned], b.values[: b.n_owned])
 
     def test_local_layout_owned_then_ghosts(self):
         part = partition_block(ring(8), 2)
@@ -165,8 +166,8 @@ class TestStencilValues:
     def test_blocks_written_through_index_arrays_match_reference_step(self, nranks, mode):
         g = random_grid(60, 8, seed=2)  # degrees 2..8 interleave, so members are not ranges
         init = np.linspace(-2.0, 3.0, 60)
-        expect = reference_step(g, reference_step(g, init))
-        fields, part, _plan, _sums = run_stencil(g, nranks, 2, init, mode=mode)
+        expect = reference_step(g, reference_step(g, reference_step(g, init)))
+        fields, part, _plan, _sums = run_stencil(g, nranks, 3, init, mode=mode)
         for r in range(nranks):
             assert any(type(grp.rows) is np.ndarray for grp in part.stencil[r])
         assert gather_global(fields, part).tobytes() == expect.tobytes()
@@ -190,12 +191,15 @@ class TestStencilValues:
         fields, part, _p2, _s2 = run_stencil(g, 4, 3, init, schedule=schedule)
         assert np.array_equal(gather_global(fields, part), ref)
 
-    def test_thread_router_matches_lockstep(self):
+    @pytest.mark.parametrize("mode", list(OverlapMode))
+    def test_thread_router_matches_lockstep(self, mode):
+        # threads share the run's workspace, each rank swapping its own spare array
         g = random_grid(40, 5, seed=12)
         init = np.arange(40.0) * 0.25
-        a, pa, _x, _y = run_stencil(g, 4, 3, init, router=Router(4, "rounds"))
-        b, pb, _u, _v = run_stencil(g, 4, 3, init, router=Router(4, "threads"))
-        assert np.array_equal(gather_global(a, pa), gather_global(b, pb))
+        a, pa, _x, sa = run_stencil(g, 4, 3, init, mode=mode, router=Router(4, "rounds"))
+        b, pb, _u, sb = run_stencil(g, 4, 3, init, mode=mode, router=Router(4, "threads"))
+        assert gather_global(a, pa).tobytes() == gather_global(b, pb).tobytes()
+        assert sa == sb
 
     def test_checksum_accumulates_in_global_order(self):
         g = ring(8)
@@ -209,7 +213,11 @@ class TestStencilValues:
 
 @st.composite
 def _decompositions(draw):
-    """A ring, quad or random grid of at most 121 elements, 1..9 ranks, 1..3 steps."""
+    """A ring, quad or random grid of at most 121 elements, 1..9 ranks, 3..4 steps.
+
+    Three steps at least, so a step that reads or writes the wrong one of a
+    field's two alternating arrays shows.
+    """
     kind = draw(st.sampled_from(["ring", "quad", "random"]))
     if kind == "ring":
         grid = ring(draw(st.integers(2, 120)))
@@ -218,7 +226,7 @@ def _decompositions(draw):
     else:
         grid = random_grid(draw(st.integers(2, 120)), draw(st.integers(2, 8)),
                            seed=draw(st.integers(0, 2**16)))
-    return grid, draw(st.integers(1, min(9, grid.n))), draw(st.integers(1, 3))
+    return grid, draw(st.integers(1, min(9, grid.n))), draw(st.integers(3, 4))
 
 
 def assert_blocks_split_groups(part, plan):
@@ -278,8 +286,8 @@ class TestRowBlocks:
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(_decompositions())
-    @example((ring(9), 8, 2))
-    @example((quad_mesh(4, 4), 1, 1))
+    @example((ring(9), 8, 3))
+    @example((quad_mesh(4, 4), 1, 3))
     @example((quad_mesh(2, 5), 9, 3))
     def test_every_mode_and_schedule_equals_the_one_rank_run(self, case):
         grid, nranks, steps = case
@@ -295,6 +303,67 @@ class TestRowBlocks:
                 assert gather_global(fields, part).tobytes() == ref, (mode, schedule)
                 assert sums == ref_sums, (mode, schedule)
         assert_blocks_split_groups(part, plan)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("mode", list(OverlapMode))
+    def test_run_stencil_alternates_each_ranks_two_arrays(self, mode, monkeypatch):
+        seen = []
+
+        def checksum(fields, part):
+            seen.append([f.values for f in fields])
+            return global_checksum(fields, part)
+
+        monkeypatch.setattr(engine, "global_checksum", checksum)
+        run_stencil(quad_mesh(8, 8), 4, 5, np.arange(64.0), mode=mode)
+        for r in range(4):
+            arrays = [step[r] for step in seen]
+            if mode is OverlapMode.NONE:  # updated in place, no spare array
+                assert all(a is arrays[0] for a in arrays)
+                continue
+            assert arrays[1] is not arrays[0]
+            for k in range(2, len(arrays)):
+                assert arrays[k] is arrays[k - 2] and arrays[k] is not arrays[k - 1]
+
+    @pytest.mark.parametrize("mode", [OverlapMode.MASK_ARRAY, OverlapMode.INDIRECTION_ARRAY])
+    def test_steps_without_a_workspace_never_write_a_kept_array(self, mode):
+        grid = quad_mesh(8, 8)
+        part = partition_block(grid, 4)
+        router = Router(4)
+        plan = build_plan(part, router)
+        for workspace in (None, step_workspace(part, plan, mode)):
+            fields = make_fields(part, np.sin(np.arange(64.0)))
+            stencil_step(fields, part, plan, router, mode, workspace=workspace)
+            kept = []
+            for _ in range(3):
+                kept += [(f.values, f.values.copy()) for f in fields]
+                stencil_step(fields, part, plan, router, mode, workspace=workspace)
+            intact = all(np.array_equal(a, copy) for a, copy in kept)
+            # a run's own workspace reuses its arrays, which is what it is for
+            assert intact is (workspace is None)
+
+    def test_a_workspace_of_another_mode_or_plan_is_refused(self):
+        part = partition_block(ring(8), 2)
+        router = Router(2)
+        plan = build_plan(part, router)
+        fields = make_fields(part, np.arange(8.0))
+        for workspace in (step_workspace(part, plan, OverlapMode.MASK_ARRAY),
+                          step_workspace(part, build_plan(part, router)),
+                          step_workspace(part, plan, schedule=ScheduleKind.STAGE_SERIALIZED)):
+            with pytest.raises(ConfigurationError, match="another plan, mode or schedule"):
+                stencil_step(fields, part, plan, router, workspace=workspace)
+
+    @pytest.mark.parametrize("mode", list(OverlapMode))
+    def test_buffers_only_where_the_mode_uses_them(self, mode):
+        part = partition_block(quad_mesh(6, 6), 3)
+        ws = step_workspace(part, build_plan(part, Router(3)), mode)
+        for r in range(3):
+            assert (ws.spare[r] is None) is (mode is OverlapMode.NONE)
+            assert (ws.means[r] is None) is (mode is OverlapMode.INDIRECTION_ARRAY)
+            if ws.spare[r] is not None:
+                assert ws.spare[r].shape == (part.local_size(r),)
+            if ws.means[r] is not None:
+                assert ws.means[r].shape == (part.n_owned(r),)
 
 
 class TestReadCounter:
@@ -345,7 +414,7 @@ def _loop_assembly(fields, part):
     """Owned values scattered into global order through the owned indices."""
     out = np.full(len(part.owner), np.nan)
     for r in range(part.nranks):
-        out[part.owned[r]] = fields[r].owned_view()
+        out[part.owned[r]] = fields[r].values[: fields[r].n_owned]
     return out
 
 
@@ -367,7 +436,7 @@ class TestLayouts:
             plan = build_plan(part, router)
             fields = make_fields(part, init)
             expect = init
-            for _ in range(2):
+            for _ in range(3):
                 stencil_step(fields, part, plan, router, mode)
                 expect = reference_step(grid, expect)
                 got = gather_global(fields, part)
@@ -455,9 +524,23 @@ class TestStencilRows:
         grid = ring(8)
         part = partition_block(grid, 2)
         # forge rank 0's ghost list without element 7, a neighbour of element 0
-        with pytest.raises(ProtocolError, match="neither owned nor a ghost"):
+        with pytest.raises(ProtocolError, match="rank 0 has a neighbour that is neither"):
             Partition(grid=grid, nranks=2, owner=part.owner, owned=part.owned,
                       ghosts=(((4, 1),), part.ghosts[1]))
+        # and rank 1's without element 3, which rank 0, looked up before it, owns
+        with pytest.raises(ProtocolError, match="rank 1 has a neighbour that is neither"):
+            Partition(grid=grid, nranks=2, owner=part.owner, owned=part.owned,
+                      ghosts=(part.ghosts[0], ((0, 0),)))
+
+    def test_missing_ghost_of_a_later_rank_is_a_protocol_error(self):
+        # quad 4x4 over 4 ranks, one row each: rank 1 holds element 0 (rank
+        # 0's) as a ghost before rank 3, whose forged list leaves it out
+        grid = quad_mesh(4, 4)
+        part = partition_block(grid, 4)
+        assert 0 in part.ghosts[1][:, 0] and 0 in part.ghosts[3][:, 0]
+        forged = part.ghosts[:3] + (part.ghosts[3][part.ghosts[3][:, 0] != 0],)
+        with pytest.raises(ProtocolError, match="rank 3 has a neighbour that is neither"):
+            Partition(grid=grid, nranks=4, owner=part.owner, owned=part.owned, ghosts=forged)
 
     def test_two_grids_of_equal_size_get_their_own_partitions(self):
         init = np.arange(8.0) ** 2

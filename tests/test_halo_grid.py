@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haloflow import ConfigurationError
-from haloflow.halo import GlobalGrid, partition_block, quad_mesh, random_grid, ring
+from haloflow import ConfigurationError, ScenarioError
+from haloflow.halo import (GlobalGrid, Partition, Router, build_plan, partition_block, quad_mesh,
+                           random_grid, ring)
+from haloflow.halo.grid import MAX_MESH_ELEMENTS, check_quad_mesh, check_ring
+from haloflow.halo.partition import _derive_ghosts
 
-from oracles import reference_quad_mesh, reference_random_grid, reference_ring
+from oracles import reference_ghosts, reference_quad_mesh, reference_random_grid, reference_ring
 
 
 def csr(rows):
@@ -17,6 +20,15 @@ def csr(rows):
 
 
 class TestGridValidation:
+    def test_mesh_size_bound(self):
+        check_ring(MAX_MESH_ELEMENTS)
+        check_quad_mesh(2048, 2048)
+        for check, args in ((check_ring, (MAX_MESH_ELEMENTS + 1,)), (check_quad_mesh, (2049, 2048)),
+                            (ring, (10**11,)), (quad_mesh, (10**5, 10**5))):
+            with pytest.raises(ScenarioError, match="at most 4194304 elements") as err:
+                check(*args)
+            assert err.value.path == "grid"
+
     def test_rows_must_be_sorted_unique_in_range(self):
         with pytest.raises(ConfigurationError, match="element 1 must be ascending and unique"):
             csr(((1, 2), (0, 0), (0, 1)))
@@ -196,10 +208,10 @@ class TestPartition:
     def test_ghosts_sorted_and_foreign(self):
         part = partition_block(quad_mesh(6, 6), 4)
         for r in range(4):
-            gl = part.ghosts[r]
-            assert gl == tuple(sorted(gl, key=lambda t: (t[1], t[0])))
-            assert all(owner != r for _, owner in gl)
-            assert all(part.owner[g] == owner for g, owner in gl)
+            gids, owners = part.ghosts[r].T
+            assert np.array_equal(np.lexsort((gids, owners)), np.arange(len(gids)))
+            assert (owners != r).all()
+            assert np.array_equal(part.owner[gids], owners)
 
     def test_more_ranks_than_elements_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -213,3 +225,86 @@ class TestPartition:
         part = partition_block(quad_mesh(160, 160), 4)
         ghosts = sum(part.n_ghosts(r) for r in range(4))
         assert ghosts / 25600 == 0.05
+
+
+@st.composite
+def _layouts(draw):
+    """A ring, quad or random grid of at most 120 elements, 1..9 ranks, and an owner array.
+
+    Owners come in blocks in rank order, blocks in reverse rank order, or
+    round robin.
+    """
+    kind = draw(st.sampled_from(["ring", "quad", "random"]))
+    if kind == "ring":
+        grid = ring(draw(st.integers(2, 120)))
+    elif kind == "quad":
+        grid = quad_mesh(draw(st.integers(2, 10)), draw(st.integers(2, 12)))
+    else:
+        grid = random_grid(draw(st.integers(2, 120)), draw(st.integers(2, 8)),
+                           seed=draw(st.integers(0, 2**16)))
+    nranks = draw(st.integers(1, min(9, grid.n)))
+    block = -(-grid.n // nranks)
+    layout = draw(st.sampled_from(["block", "reversed", "round_robin"]))
+    if layout == "block":
+        owner = np.arange(grid.n) // block
+    elif layout == "reversed":
+        owner = nranks - 1 - np.arange(grid.n) // block
+    else:
+        owner = np.arange(grid.n) % nranks
+    return grid, nranks, owner
+
+
+def _decompose(grid, nranks, owner):
+    return _derive_ghosts(grid, owner, [np.flatnonzero(owner == r) for r in range(nranks)],
+                          nranks)
+
+
+def _same_blocks(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.members, y.members) and np.array_equal(x.columns, y.columns)
+        assert (x.rows == y.rows if isinstance(x.rows, slice)
+                else np.array_equal(x.rows, y.rows))
+
+
+class TestGhosts:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_layouts())
+    def test_every_rank_equals_the_loop_reference(self, case):
+        grid, nranks, owner = case
+        part = _decompose(grid, nranks, owner)
+        for r in range(nranks):
+            ghosts = part.ghosts[r]
+            assert ghosts.dtype == np.int64 and ghosts.shape == (part.n_ghosts(r), 2)
+            assert not ghosts.flags.writeable
+            assert ghosts.tolist() == [list(pair) for pair in reference_ghosts(grid, owner, r)]
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_layouts())
+    def test_tuple_built_partitions_equal_array_built_ones(self, case):
+        grid, nranks, owner = case
+        part = _decompose(grid, nranks, owner)
+        as_tuples = tuple(tuple(map(tuple, g.tolist())) for g in part.ghosts)
+        twin = Partition(grid=grid, nranks=nranks, owner=owner, owned=part.owned,
+                         ghosts=as_tuples)
+        plan, twin_plan = build_plan(part, Router(nranks)), build_plan(twin, Router(nranks))
+        for r in range(nranks):
+            assert twin.ghosts[r].dtype == np.int64 and not twin.ghosts[r].flags.writeable
+            assert np.array_equal(twin.ghosts[r], part.ghosts[r])
+            _same_blocks(twin.stencil[r], part.stencil[r])
+            a, b = plan.ranks[r], twin_plan.ranks[r]
+            for name in ("send_index", "recv_slot"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert list(x) == list(y)
+                assert all(np.array_equal(x[k], y[k]) for k in x)
+            for name in ("send_counts", "recv_counts", "send_displs", "recv_displs",
+                         "boundary_mask", "interior_mask"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            _same_blocks(a.boundary, b.boundary)
+            _same_blocks(a.interior, b.interior)
+
+    def test_ghosts_that_are_not_pairs_are_refused(self):
+        part = partition_block(ring(8), 2)
+        with pytest.raises(ConfigurationError, match="ghosts of rank 0 must be"):
+            Partition(grid=part.grid, nranks=2, owner=part.owner, owned=part.owned,
+                      ghosts=((4, 1, 7), part.ghosts[1]))

@@ -21,7 +21,7 @@ from haloflow.halo import (
     random_grid,
     ring,
 )
-from haloflow.halo.engine import _exchange_program
+from haloflow.halo.engine import _exchange_program, _rank_sends
 
 from oracles import reference_blocks
 
@@ -99,7 +99,7 @@ class TestPlanOracles:
     def test_ring_two_ranks(self):
         part = partition_block(ring(8), 2)
         assert part.owned[0].tolist() == [0, 1, 2, 3]
-        assert part.ghosts[0] == ((4, 1), (7, 1))
+        assert part.ghosts[0].tolist() == [[4, 1], [7, 1]]
         plan = build_plan(part, Router(2))
         assert plan.ranks[0].send_index[1].tolist() == [0, 3]
         assert plan.ranks[1].send_index[0].tolist() == [0, 3]
@@ -142,7 +142,7 @@ class TestPlanOracles:
         for r in range(3):
             rp = plan.ranks[r]
             expect = sorted({i for idx in rp.send_index.values() for i in idx.tolist()})
-            assert rp.boundary_locals().tolist() == expect
+            assert np.flatnonzero(rp.boundary_mask).tolist() == expect
 
 
 class TestProtocolHardening:
@@ -162,7 +162,7 @@ class TestProtocolHardening:
     def test_empty_owner_cannot_serve_requests(self):
         part = partition_block(ring(9), 8)  # ranks 5..7 own nothing
         bad_ghosts = list(part.ghosts)
-        bad_ghosts[0] = bad_ghosts[0] + ((8, 7),)  # rank 7 owns nothing
+        bad_ghosts[0] = (*map(tuple, bad_ghosts[0].tolist()), (8, 7))  # rank 7 owns nothing
         bad = Partition(
             grid=part.grid, nranks=8, owner=part.owner, owned=part.owned,
             ghosts=tuple(bad_ghosts),
@@ -206,8 +206,9 @@ def _exchange_by_hand(part, plan, rounds, router):
     fields = make_fields(part, np.arange(float(part.grid.n)))
 
     def program(rank):
-        f = fields[rank]
-        yield from _exchange_program(rank, f.values, f.values, f, plan, rounds)
+        f, rp = fields[rank], plan.ranks[rank]
+        sends, packed = _rank_sends(rp.send_index, rank, rounds)
+        yield from _exchange_program(rank, f.values, f.values, f, sends, packed, rp.recv_slot)
 
     router.run(program)
 
