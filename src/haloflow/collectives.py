@@ -28,7 +28,7 @@ always satisfies the simulator's contiguous-phase requirement.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError
 from .netsim import Flow, SimConfig, SimResult, simulate

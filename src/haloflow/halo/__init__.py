@@ -14,15 +14,15 @@ from .plan import HaloPlan, RankPlan, build_plan
 from .engine import (
     Field,
     OverlapMode,
+    StepWorkspace,
     exchange,
     gather_global,
     global_checksum,
     make_fields,
-    pack,
     run_stencil,
     staged_vs_direct_cost,
     stencil_step,
-    unpack,
+    step_workspace,
 )
 
 __all__ = [
@@ -39,9 +39,9 @@ __all__ = [
     "Field",
     "OverlapMode",
     "make_fields",
-    "pack",
-    "unpack",
     "exchange",
+    "StepWorkspace",
+    "step_workspace",
     "stencil_step",
     "run_stencil",
     "gather_global",

@@ -30,21 +30,23 @@ Overlap modes mirror the two standard ways of hiding the exchange:
     ``interior`` row blocks: the split is materialised once, when the plan
     is negotiated.
 
-A step reads only the partition, its plan and a :class:`StepWorkspace`,
-and derives nothing from them.  The partition fixes, when it is
-constructed, each rank's stencil rows, each row block's write target (a
-slice when its members are one range) and whether its owned sets are
-``0..n-1`` in rank order, which makes the checksum's global array one
-concatenate of the owned views.  The plan fixes, when it is negotiated,
-each rank's send lists, boundary split and both masks.  The exchange rounds
-are the phases of the matching all-to-all schedule in
-:mod:`haloflow.collectives`, without self copies, derived once per
-``(schedule, nranks)``.  The workspace, built once per run like a halo
-library's exchange set-up, holds each rank's ``(peer, send indices)`` pairs
-per round and the step buffers its mode needs; the overlap modes write a
-step into a spare array and swap it with the field's, so a step allocates
-no field-sized array.  It is a value ``run_stencil`` passes to every step;
-nothing is cached on the partition or the plan.
+A step or exchange reads only a :class:`StepWorkspace`, which carries the
+partition, its plan and the mode, and derives nothing from them.  The
+partition fixes, when it is constructed, each rank's stencil rows, each
+row block's write target (a slice when its members are one range) and
+whether its owned sets are ``0..n-1`` in rank order, which makes the
+checksum's global array one concatenate of the owned views.  The plan
+fixes, when it is negotiated, each rank's send lists, boundary split and
+both masks.  The exchange rounds are the phases of the matching
+all-to-all schedule in :mod:`haloflow.collectives`, without self copies,
+derived once per ``(schedule, nranks)``.  The workspace, built once per
+run like a halo library's exchange set-up, holds each rank's ``(peer,
+send indices)`` pairs per round and the step buffers its mode needs; the
+overlap modes write a step into a spare array and swap it with the
+field's, so a step allocates no field-sized array.  ``run_stencil``
+builds it with the plan and passes it to every step; a caller stepping by
+hand builds one with :func:`step_workspace`.  Nothing is cached on the
+partition or the plan.
 
 The overlap modes send the *new* boundary values, so they leave ghosts
 valid for the next step; ``NONE`` refreshes at the top of each step
@@ -62,7 +64,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,8 +82,6 @@ __all__ = [
     "Field",
     "OverlapMode",
     "make_fields",
-    "pack",
-    "unpack",
     "exchange",
     "StepWorkspace",
     "step_workspace",
@@ -103,62 +103,26 @@ class OverlapMode(enum.Enum):
 class Field:
     """One rank's values: owned elements first, then ghost slots.
 
-    ``reads`` counts elements gathered by pack operations; ``ghosts_fresh``
+    ``reads`` counts elements gathered to send to peers; ``ghosts_fresh``
     records whether ghost slots currently mirror the owners' values.
     """
 
-    rank: int
     n_owned: int
     values: np.ndarray
     reads: int = 0
     ghosts_fresh: bool = False
 
 
-def make_fields(part: Partition, init: np.ndarray | Callable[[int], float]) -> list[Field]:
-    """Per-rank fields initialized from a global array or a gid -> value function."""
+def make_fields(part: Partition, init: np.ndarray) -> list[Field]:
+    """Per-rank fields initialized from a global array."""
+    src = np.asarray(init, dtype=np.float64)
     fields = []
     for r in range(part.nranks):
         vals = np.zeros(part.local_size(r), dtype=np.float64)
         owned = part.owned[r]
-        if callable(init):
-            vals[: len(owned)] = [float(init(int(g))) for g in owned]
-        else:
-            src = np.asarray(init, dtype=np.float64)
-            vals[: len(owned)] = src[owned]
-        fields.append(Field(rank=r, n_owned=len(owned), values=vals))
+        vals[: len(owned)] = src[owned]
+        fields.append(Field(n_owned=len(owned), values=vals))
     return fields
-
-
-# ----------------------------------------------------------------------
-# pack / unpack
-
-
-def pack(f: Field, plan: HaloPlan, dest: int) -> np.ndarray:
-    """Gather the values destined for ``dest`` into a contiguous buffer.
-
-    Single pass: the read counter advances by exactly the buffer length.
-    """
-    idx = plan.ranks[f.rank].send_index.get(dest)
-    if idx is None:
-        return np.empty(0, dtype=np.float64)
-    f.reads += len(idx)
-    return f.values[idx]
-
-
-def unpack(f: Field, plan: HaloPlan, src: int, buffer: np.ndarray) -> None:
-    """Scatter a received buffer into this rank's ghost slots for ``src``.
-
-    Validates the length first and leaves the field untouched on mismatch.
-    The owned region is never written.
-    """
-    slots = plan.ranks[f.rank].recv_slot.get(src)
-    expect = 0 if slots is None else len(slots)
-    if len(buffer) != expect:
-        raise ProtocolError(
-            f"rank {f.rank} got {len(buffer)} values from {src}, expected {expect}"
-        )
-    if expect:
-        f.values[slots] = buffer
 
 
 # ----------------------------------------------------------------------
@@ -200,16 +164,61 @@ def _rank_sends(send_index: dict[int, np.ndarray], rank: int, rounds: Rounds
     return sends, sum(len(idx) for outgoing in sends for _dst, idx in outgoing)
 
 
-def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Field,
-                      sends: Sends, packed: int, recv_slot: dict[int, np.ndarray]):
-    """Generator: pack ``sends`` from ``source`` round by round, scatter what arrives into ``target``.
+@dataclass(eq=False)
+class StepWorkspace:
+    """What every step of one run reuses, built once for a partition, its plan and a mode.
 
-    ``packed`` is the element total of ``sends``, added to ``f.reads``.
+    A step reads the stencil rows of ``part``, the boundary split and receive
+    slots of ``plan`` and the order of work of ``mode`` from here, and
+    nothing else.  Per rank ``r``: ``sends[r]`` holds its ``(peer, send
+    indices)`` pairs per exchange round, in the schedule's issue order, and
+    ``packed[r]`` the element total one exchange packs and adds to the
+    field's ``reads``.  ``spare[r]`` is a second values array (overlap modes
+    only): a step writes into it and swaps it with the field's ``values``, so
+    the two arrays alternate.  ``means[r]`` receives the owned means
+    (``none`` and ``mask_array`` only).  Buffers a mode never uses are
+    ``None``.
     """
-    f.reads += packed
+
+    part: Partition
+    plan: HaloPlan
+    mode: OverlapMode
+    sends: tuple[Sends, ...]
+    packed: tuple[int, ...]
+    spare: list[np.ndarray | None]
+    means: tuple[np.ndarray | None, ...]
+
+
+def step_workspace(
+    part: Partition,
+    plan: HaloPlan,
+    mode: OverlapMode = OverlapMode.NONE,
+    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
+) -> StepWorkspace:
+    """The workspace of ``plan``, negotiated for ``part``, in ``mode``.
+
+    Its send lists follow ``schedule``'s rounds and issue order.
+    """
+    rounds = _exchange_rounds(schedule, plan.nranks)
+    sends, packed = zip(*(_rank_sends(rp.send_index, rp.rank, rounds) for rp in plan.ranks))
+    spare = [None if mode is OverlapMode.NONE else np.empty(part.local_size(r))
+             for r in range(part.nranks)]
+    means = tuple(None if mode is OverlapMode.INDIRECTION_ARRAY else np.empty(part.n_owned(r))
+                  for r in range(part.nranks))
+    return StepWorkspace(part=part, plan=plan, mode=mode, sends=sends, packed=packed,
+                         spare=spare, means=means)
+
+
+def _exchange_program(ws: StepWorkspace, rank: int, f: Field, values: np.ndarray):
+    """Generator: pack ``rank``'s sends from ``values`` round by round, scatter arrivals into it.
+
+    The workspace's ``packed`` count for the rank is added to ``f.reads``.
+    """
+    f.reads += ws.packed[rank]
+    recv_slot = ws.plan.ranks[rank].recv_slot
     received: set[int] = set()
-    for outgoing in sends:
-        inbox = yield {dst: source[idx] for dst, idx in outgoing}
+    for outgoing in ws.sends[rank]:
+        inbox = yield {dst: values[idx] for dst, idx in outgoing}
         for src, buf in inbox.items():  # sources ascend
             slots = recv_slot.get(src)
             if slots is None or len(buf) != len(slots):
@@ -220,30 +229,25 @@ def _exchange_program(rank: int, source: np.ndarray, target: np.ndarray, f: Fiel
             if src in received:
                 raise ProtocolError(f"rank {rank} received twice from {src}")
             received.add(src)
-            target[slots] = buf
+            values[slots] = buf
     if len(received) != len(recv_slot):
         missing = sorted(set(recv_slot) - received)
         raise ProtocolError(f"rank {rank} never heard from peers {missing}")
     return None
 
 
-def exchange(
-    fields: Sequence[Field],
-    plan: HaloPlan,
-    router: Router,
-    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
-) -> Sequence[Field]:
+def exchange(fields: Sequence[Field], workspace: StepWorkspace, router: Router
+             ) -> Sequence[Field]:
     """Refresh every ghost slot with its owner's current value.
 
-    The schedule only fixes the round structure and issue order; all
-    schedules move the same data and end in the same state.
+    The schedule the workspace was built over only fixed the round structure
+    and issue order; all schedules move the same data and end in the same
+    state.
     """
-    rounds = _exchange_rounds(schedule, plan.nranks)
 
     def program(rank: int):
-        f, rp = fields[rank], plan.ranks[rank]
-        sends, packed = _rank_sends(rp.send_index, rank, rounds)
-        yield from _exchange_program(rank, f.values, f.values, f, sends, packed, rp.recv_slot)
+        f = fields[rank]
+        yield from _exchange_program(workspace, rank, f, f.values)
         f.ghosts_fresh = True
         return None
 
@@ -275,66 +279,16 @@ def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarra
             out[blk.rows] = head
 
 
-@dataclass(eq=False)
-class StepWorkspace:
-    """What every step of one run reuses, built once for a plan, mode and schedule.
-
-    Per rank ``r``: ``sends[r]`` holds its ``(peer, send indices)`` pairs per
-    exchange round, in the schedule's issue order, and ``packed[r]`` the
-    element total one exchange packs and adds to the field's ``reads``.
-    ``spare[r]`` is a second values array (overlap modes only): a step
-    writes into it and swaps it with the field's ``values``, so the two
-    arrays alternate.  ``means[r]`` receives the owned means (``none`` and
-    ``mask_array`` only).  Buffers a mode never uses are ``None``.
-    """
-
-    plan: HaloPlan
-    mode: OverlapMode
-    schedule: ScheduleKind
-    sends: tuple[Sends, ...]
-    packed: tuple[int, ...]
-    spare: list[np.ndarray | None]
-    means: tuple[np.ndarray | None, ...]
-
-
-def step_workspace(
-    part: Partition,
-    plan: HaloPlan,
-    mode: OverlapMode = OverlapMode.NONE,
-    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
-) -> StepWorkspace:
-    """The send lists and step buffers of ``plan`` in ``mode`` over ``schedule``'s rounds."""
-    rounds = _exchange_rounds(schedule, plan.nranks)
-    sends, packed = zip(*(_rank_sends(rp.send_index, rp.rank, rounds) for rp in plan.ranks))
-    spare = [None if mode is OverlapMode.NONE else np.empty(part.local_size(r))
-             for r in range(part.nranks)]
-    means = tuple(None if mode is OverlapMode.INDIRECTION_ARRAY else np.empty(part.n_owned(r))
-                  for r in range(part.nranks))
-    return StepWorkspace(plan=plan, mode=mode, schedule=schedule, sends=sends, packed=packed,
-                         spare=spare, means=means)
-
-
-def stencil_step(
-    fields: Sequence[Field],
-    part: Partition,
-    plan: HaloPlan,
-    router: Router,
-    mode: OverlapMode = OverlapMode.NONE,
-    schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
-    workspace: StepWorkspace | None = None,
-) -> Sequence[Field]:
+def stencil_step(fields: Sequence[Field], workspace: StepWorkspace, router: Router
+                 ) -> Sequence[Field]:
     """Advance every rank's owned values by one neighbourhood-mean step.
 
-    The stencil rows come from ``part`` and the boundary split from
-    ``plan``, which must have been negotiated for ``part``.  ``workspace``
-    must have been built for ``plan``, ``mode`` and ``schedule``.  ``none``
+    The stencil rows, boundary split and mode are the workspace's.  ``none``
     updates each field's ``values`` in place; the overlap modes write into
-    the workspace's spare arrays, so a step without a workspace builds its
-    own and never writes an array a caller kept from an earlier step.
+    the workspace's spare arrays and swap them with the fields', so each
+    rank's two arrays alternate from step to step.
     """
-    ws = workspace or step_workspace(part, plan, mode, schedule)
-    if ws.plan is not plan or ws.mode is not mode or ws.schedule is not schedule:
-        raise ConfigurationError("workspace was built for another plan, mode or schedule")
+    part, plan, mode = workspace.part, workspace.plan, workspace.mode
     fresh = {f.ghosts_fresh for f in fields}
     if len(fresh) > 1:
         raise ProtocolError("fields disagree about ghost freshness")
@@ -343,31 +297,28 @@ def stencil_step(
     def program(rank: int):
         f = fields[rank]
         groups, rp = part.stencil[rank], plan.ranks[rank]
-        sends, packed, recv_slot = ws.sends[rank], ws.packed[rank], rp.recv_slot
         if mode is OverlapMode.NONE:
-            yield from _exchange_program(rank, f.values, f.values, f, sends, packed, recv_slot)
-            means = ws.means[rank]
+            yield from _exchange_program(workspace, rank, f, f.values)
+            means = workspace.means[rank]
             _mean_into(groups, f.values, means)
             f.values[: f.n_owned] = means
             f.ghosts_fresh = False
             return None
 
         if not ghosts_were_fresh:
-            yield from _exchange_program(rank, f.values, f.values, f, sends, packed, recv_slot)
-        new_values = ws.spare[rank]
+            yield from _exchange_program(workspace, rank, f, f.values)
+        new_values = workspace.spare[rank]
         if mode is OverlapMode.MASK_ARRAY:  # every element evaluated, the mask picks writes
-            means, new_owned = ws.means[rank], new_values[: f.n_owned]
+            means, new_owned = workspace.means[rank], new_values[: f.n_owned]
             _mean_into(groups, f.values, means)
             np.copyto(new_owned, means, where=rp.boundary_mask)
-            yield from _exchange_program(rank, new_values, new_values, f, sends, packed,
-                                         recv_slot)
+            yield from _exchange_program(workspace, rank, f, new_values)
             np.copyto(new_owned, means, where=rp.interior_mask)
         else:
             _mean_into(rp.boundary, f.values, new_values)
-            yield from _exchange_program(rank, new_values, new_values, f, sends, packed,
-                                         recv_slot)
+            yield from _exchange_program(workspace, rank, f, new_values)
             _mean_into(rp.interior, f.values, new_values)
-        ws.spare[rank], f.values = f.values, new_values
+        workspace.spare[rank], f.values = f.values, new_values
         f.ghosts_fresh = True
         return None
 
@@ -376,20 +327,19 @@ def stencil_step(
 
 
 def ensure_plan(part: Partition, router: Router, mode: OverlapMode, schedule: ScheduleKind
-                ) -> tuple[HaloPlan, StepWorkspace]:
-    """The plan and its step workspace: ``run_stencil``'s set-up past the partition.
+                ) -> StepWorkspace:
+    """The workspace of a plan negotiated for ``part``: ``run_stencil``'s set-up past it.
 
     One name, so a profiler can wrap the two alone.
     """
-    plan = build_plan(part, router)
-    return plan, step_workspace(part, plan, mode, schedule)
+    return step_workspace(part, build_plan(part, router), mode, schedule)
 
 
 def run_stencil(
     grid: GlobalGrid,
     nranks: int,
     steps: int,
-    init: np.ndarray | Callable[[int], float],
+    init: np.ndarray,
     mode: OverlapMode = OverlapMode.NONE,
     router: Router | None = None,
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
@@ -397,13 +347,13 @@ def run_stencil(
     """Partition, plan, run ``steps`` stencil steps; returns per-step checksums."""
     router = router or Router(nranks)
     part = partition.partition_block(grid, nranks)
-    plan, workspace = ensure_plan(part, router, mode, schedule)
+    workspace = ensure_plan(part, router, mode, schedule)
     fields = make_fields(part, init)
     checksums = []
     for _ in range(steps):
-        stencil_step(fields, part, plan, router, mode, schedule, workspace)
+        stencil_step(fields, workspace, router)
         checksums.append(global_checksum(fields, part))
-    return fields, part, plan, checksums
+    return fields, part, workspace.plan, checksums
 
 
 def gather_global(fields: Sequence[Field], part: Partition) -> np.ndarray:

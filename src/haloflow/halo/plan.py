@@ -16,17 +16,15 @@ raises ``ProtocolError``.
 
 Send lists are kept in ascending global order per destination, and receive
 slots are stored in the same order, so packed buffers line up end to end
-without any per-element tags.  ``send_counts``/``recv_counts`` plus their
-prefix-sum displacement arrays give the flattened variable-size collective
-view of the same plan.
+without any per-element tags.
 
 Each rank also records its boundary split, because it depends on the
 negotiated send lists: ``boundary_mask`` marks the owned elements packed for
 at least one peer, ``interior_mask`` the rest, and the partition's stencil
 rows are split by that mask into two tuples of column-major row blocks,
 ``boundary`` and ``interior``, in one pass over its degree groups.  All of
-it is fixed here, once, so a step reads the masks and blocks and derives
-nothing.
+it is fixed here, once; a step reads the masks and blocks through the
+step workspace that carries the plan, and derives nothing.
 """
 
 from __future__ import annotations
@@ -61,8 +59,6 @@ class RankPlan:
     recv_slot: dict[int, np.ndarray]
     send_counts: np.ndarray
     recv_counts: np.ndarray
-    send_displs: np.ndarray
-    recv_displs: np.ndarray
     boundary_mask: np.ndarray
     interior_mask: np.ndarray
     boundary: tuple[DegreeGroup, ...]
@@ -164,8 +160,6 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             recv_slot=recv_slot,
             send_counts=send_counts,
             recv_counts=recv_counts,
-            send_displs=np.cumsum(send_counts) - send_counts,
-            recv_displs=np.cumsum(recv_counts) - recv_counts,
             boundary_mask=boundary,
             interior_mask=~boundary,
             boundary=boundary_blocks,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, ScenarioError, TopologyError, TopologySpecError
@@ -406,10 +406,6 @@ class Topology:
         if got is None:
             raise TopologyError(f"device:{dev} has no host bridge on its topology")
         return got
-
-    def nearest_host_bridge(self, dev: int) -> NodeId:
-        """Closest host bridge to a device (fewest hops, lowest index on ties)."""
-        return self.bridge_path(dev)[0]
 
     def __eq__(self, other) -> bool:
         return (

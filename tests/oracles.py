@@ -273,7 +273,7 @@ class _ReferenceNetwork:
     def _bridge_path(self, dev: int, up: bool):
         got = self._bridge_paths.get((dev, up))
         if got is None:
-            hb = self.topo.nearest_host_bridge(dev)
+            hb = self.topo.bridge_path(dev)[0]
             a, b = (device(dev), hb) if up else (hb, device(dev))
             got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, self.topo.path_hops(a, b)))
         return got

@@ -43,13 +43,14 @@ from haloflow.halo import (
     OverlapMode,
     Router,
     build_plan,
+    exchange,
     gather_global,
     make_fields,
-    pack,
     partition_block,
     random_grid,
     run_stencil,
     staged_vs_direct_cost,
+    step_workspace,
 )
 from haloflow.scenario import parse_grid
 from criterion01 import criterion01_inputs
@@ -238,16 +239,40 @@ def test_criterion_08_flow_simulation_invariants_hold():
     assert elapsed < 30.0, f"took {elapsed:.1f} s"
 
 
-def test_criterion_09_pack_reads_exactly_what_it_sends():
-    """The gather counter advances by the packed element count, nothing else."""
+class _CountingRouter(Router):
+    """Counts, per rank, the values it puts in its outboxes over every run."""
+
+    def __init__(self, nranks):
+        super().__init__(nranks)
+        self.sent = [0] * nranks
+
+    def run(self, program_factory):
+        def counted(rank):
+            gen = program_factory(rank)
+            try:
+                outbox = next(gen)
+            except StopIteration as stop:
+                return stop.value
+            while True:
+                self.sent[rank] += sum(len(buf) for buf in outbox.values())
+                try:
+                    outbox = gen.send((yield outbox))
+                except StopIteration as stop:
+                    return stop.value
+        return super().run(counted)
+
+
+def test_criterion_09_an_exchange_reads_exactly_what_it_sends():
+    """The gather counter advances by the element count each rank sends, nothing else."""
     part = partition_block(parse_grid("quad10x10"), 4)
     plan = build_plan(part, Router(4))
     fields = make_fields(part, np.arange(100.0))
+    before = [f.reads for f in fields]
+    router = _CountingRouter(4)
+    exchange(fields, step_workspace(part, plan), router)
     for r in range(4):
-        for dst in plan.ranks[r].send_index:
-            before = fields[r].reads
-            buf = pack(fields[r], plan, dst)
-            assert fields[r].reads - before == len(buf)
+        assert router.sent[r] == int(plan.ranks[r].send_counts.sum()) > 0
+        assert fields[r].reads - before[r] == router.sent[r]
 
     for mode in OverlapMode:
         grid = parse_grid("quad10x10")

@@ -17,7 +17,6 @@ from haloflow.halo import (
     gather_global,
     global_checksum,
     make_fields,
-    pack,
     partition_block,
     quad_mesh,
     random_grid,
@@ -25,10 +24,10 @@ from haloflow.halo import (
     run_stencil,
     staged_vs_direct_cost,
     stencil_step,
-    unpack,
+    step_workspace,
 )
 from haloflow.halo import engine
-from haloflow.halo.engine import _exchange_rounds, step_workspace
+from haloflow.halo.engine import _exchange_rounds
 from haloflow.halo.partition import _derive_ghosts
 
 
@@ -44,44 +43,11 @@ def reference_step(grid, values):
 
 
 class TestFields:
-    def test_make_fields_from_array_and_callable(self):
-        part = partition_block(ring(6), 2)
-        from_arr = make_fields(part, np.arange(6, dtype=float))
-        from_fn = make_fields(part, lambda g: float(g))
-        for a, b in zip(from_arr, from_fn):
-            assert np.array_equal(a.values[: a.n_owned], b.values[: b.n_owned])
-
     def test_local_layout_owned_then_ghosts(self):
         part = partition_block(ring(8), 2)
         fields = make_fields(part, np.arange(8, dtype=float))
         assert fields[0].n_owned == 4
         assert len(fields[0].values) == 6  # 4 owned + 2 ghosts
-
-
-class TestPackUnpack:
-    def test_pack_gathers_and_counts_reads(self):
-        part = partition_block(ring(8), 2)
-        plan = build_plan(part, Router(2))
-        fields = make_fields(part, np.arange(10, 18, dtype=float))
-        before = fields[0].reads
-        buf = pack(fields[0], plan, 1)
-        assert buf.tolist() == [10.0, 13.0]
-        assert fields[0].reads - before == len(buf)
-
-    def test_unpack_fills_ghost_slots(self):
-        part = partition_block(ring(8), 2)
-        plan = build_plan(part, Router(2))
-        fields = make_fields(part, np.arange(8, dtype=float))
-        unpack(fields[0], plan, 1, np.array([40.0, 70.0]))
-        assert fields[0].values[4] == 40.0
-        assert fields[0].values[5] == 70.0
-
-    def test_unpack_validates_length(self):
-        part = partition_block(ring(8), 2)
-        plan = build_plan(part, Router(2))
-        fields = make_fields(part, np.arange(8, dtype=float))
-        with pytest.raises(ProtocolError):
-            unpack(fields[0], plan, 1, np.zeros(5))
 
 
 class TestExchange:
@@ -92,7 +58,7 @@ class TestExchange:
         router = Router(4)
         plan = build_plan(part, router)
         fields = make_fields(part, np.arange(36, dtype=float) * 1.5)
-        exchange(fields, plan, router, schedule)
+        exchange(fields, step_workspace(part, plan, schedule=schedule), router)
         for r in range(4):
             for slot, (g0, _owner) in enumerate(part.ghosts[r]):
                 assert fields[r].values[part.n_owned(r) + slot] == g0 * 1.5
@@ -104,7 +70,7 @@ class TestExchange:
         plan = build_plan(part, router)
         fields = make_fields(part, np.arange(8, dtype=float))
         assert not fields[0].ghosts_fresh
-        exchange(fields, plan, router)
+        exchange(fields, step_workspace(part, plan), router)
         assert all(f.ghosts_fresh for f in fields)
 
 
@@ -325,38 +291,12 @@ class TestWorkspace:
             for k in range(2, len(arrays)):
                 assert arrays[k] is arrays[k - 2] and arrays[k] is not arrays[k - 1]
 
-    @pytest.mark.parametrize("mode", [OverlapMode.MASK_ARRAY, OverlapMode.INDIRECTION_ARRAY])
-    def test_steps_without_a_workspace_never_write_a_kept_array(self, mode):
-        grid = quad_mesh(8, 8)
-        part = partition_block(grid, 4)
-        router = Router(4)
-        plan = build_plan(part, router)
-        for workspace in (None, step_workspace(part, plan, mode)):
-            fields = make_fields(part, np.sin(np.arange(64.0)))
-            stencil_step(fields, part, plan, router, mode, workspace=workspace)
-            kept = []
-            for _ in range(3):
-                kept += [(f.values, f.values.copy()) for f in fields]
-                stencil_step(fields, part, plan, router, mode, workspace=workspace)
-            intact = all(np.array_equal(a, copy) for a, copy in kept)
-            # a run's own workspace reuses its arrays, which is what it is for
-            assert intact is (workspace is None)
-
-    def test_a_workspace_of_another_mode_or_plan_is_refused(self):
-        part = partition_block(ring(8), 2)
-        router = Router(2)
-        plan = build_plan(part, router)
-        fields = make_fields(part, np.arange(8.0))
-        for workspace in (step_workspace(part, plan, OverlapMode.MASK_ARRAY),
-                          step_workspace(part, build_plan(part, router)),
-                          step_workspace(part, plan, schedule=ScheduleKind.STAGE_SERIALIZED)):
-            with pytest.raises(ConfigurationError, match="another plan, mode or schedule"):
-                stencil_step(fields, part, plan, router, workspace=workspace)
-
     @pytest.mark.parametrize("mode", list(OverlapMode))
     def test_buffers_only_where_the_mode_uses_them(self, mode):
         part = partition_block(quad_mesh(6, 6), 3)
-        ws = step_workspace(part, build_plan(part, Router(3)), mode)
+        plan = build_plan(part, Router(3))
+        ws = step_workspace(part, plan, mode)
+        assert (ws.part, ws.plan, ws.mode) == (part, plan, mode)
         for r in range(3):
             assert (ws.spare[r] is None) is (mode is OverlapMode.NONE)
             assert (ws.means[r] is None) is (mode is OverlapMode.INDIRECTION_ARRAY)
@@ -433,11 +373,11 @@ class TestLayouts:
         init = np.sin(np.arange(grid.n) * 0.3)
         for mode in OverlapMode:
             router = Router(nranks)
-            plan = build_plan(part, router)
+            workspace = step_workspace(part, build_plan(part, router), mode)
             fields = make_fields(part, init)
             expect = init
             for _ in range(3):
-                stencil_step(fields, part, plan, router, mode)
+                stencil_step(fields, workspace, router)
                 expect = reference_step(grid, expect)
                 got = gather_global(fields, part)
                 assert got.tobytes() == expect.tobytes(), mode
@@ -547,7 +487,6 @@ class TestStencilRows:
         for grid in (ring(8), quad_mesh(2, 4), ring(8), quad_mesh(4, 2)):
             part = partition_block(grid, 1)
             router = Router(1)
-            plan = build_plan(part, router)
             fields = make_fields(part, init)
-            stencil_step(fields, part, plan, router)
+            stencil_step(fields, step_workspace(part, build_plan(part, router)), router)
             assert np.array_equal(gather_global(fields, part), reference_step(grid, init))

@@ -297,8 +297,7 @@ class TestGhosts:
                 x, y = getattr(a, name), getattr(b, name)
                 assert list(x) == list(y)
                 assert all(np.array_equal(x[k], y[k]) for k in x)
-            for name in ("send_counts", "recv_counts", "send_displs", "recv_displs",
-                         "boundary_mask", "interior_mask"):
+            for name in ("send_counts", "recv_counts", "boundary_mask", "interior_mask"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             _same_blocks(a.boundary, b.boundary)
             _same_blocks(a.interior, b.interior)

@@ -1,0 +1,53 @@
+"""Source hygiene: no dead module-level import, no ``__all__`` entry that names nothing."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import haloflow
+
+PACKAGE = Path(haloflow.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """Names bound by the module's own top-level import statements."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a top-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    unused = [name for name in _imported_names(tree) if name not in read]
+    assert not unused, f"{path.relative_to(PACKAGE)} imports {unused} and never reads them"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_all_entry_resolves(path):
+    module = importlib.import_module(_module_name(path))
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names {missing}, which it does not define"

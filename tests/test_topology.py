@@ -133,12 +133,12 @@ class TestPresets:
 
     def test_no_host_bridge_is_an_error(self):
         with pytest.raises(TopologyError):
-            preset("dgx2").nearest_host_bridge(0)
+            preset("dgx2").bridge_path(0)
 
-    def test_nearest_host_bridge_per_island(self):
+    def test_host_bridge_per_island(self):
         topo = preset("dgx1v")
-        assert str(topo.nearest_host_bridge(0)) == "hostbridge:0"
-        assert str(topo.nearest_host_bridge(5)) == "hostbridge:1"
+        assert str(topo.bridge_path(0)[0]) == "hostbridge:0"
+        assert str(topo.bridge_path(5)[0]) == "hostbridge:1"
 
     def test_largest_dgx1v_has_the_size_limit_and_routes(self):
         topo = preset("dgx1v", servers=64)
@@ -325,7 +325,6 @@ class TestRoutesMatchReference:
             for t in topos:
                 assert _outcome(t.bridge_path, d) == (
                     none if hb is None else (hb, reference_path(nodes, links, device(d), hb, adj)))
-                assert _outcome(t.nearest_host_bridge, d) == (none if hb is None else hb)
         for a in nodes:
             for b in nodes:
                 hops = reference_path(nodes, links, a, b, adj)

@@ -6,7 +6,9 @@ counts and sha256 fingerprints of
 * the full device route table: one line per ordered device pair with its
   bottleneck bandwidth (``%.17g``) and hops ``(link index, forward?)``;
 * ``path_hops`` between every ordered pair of nodes;
-* ``nearest_host_bridge`` of every device ("none" where it has none).
+* the nearest host bridge of every device, the first item of its
+  ``bridge_path`` ("none" where it has none), under the key
+  ``nearest_host_bridge``.
 
 It was recorded from the search that ran once per device pair, before
 routes were read off one search tree per source; any change fails here
@@ -53,7 +55,7 @@ def _hops(hops) -> str:
 
 def _host_bridge(topo, dev) -> str:
     try:
-        return str(topo.nearest_host_bridge(dev))
+        return str(topo.bridge_path(dev)[0])
     except TopologyError:
         return "none"
 
