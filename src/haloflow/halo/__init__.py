@@ -13,6 +13,7 @@ from .router import Router
 from .plan import HaloPlan, RankPlan, build_plan
 from .engine import (
     Field,
+    Fields,
     OverlapMode,
     StepWorkspace,
     exchange,
@@ -37,6 +38,7 @@ __all__ = [
     "RankPlan",
     "build_plan",
     "Field",
+    "Fields",
     "OverlapMode",
     "make_fields",
     "exchange",

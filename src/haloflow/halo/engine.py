@@ -2,61 +2,49 @@
 
 The stencil is an unweighted neighbourhood mean: the next value of an owned
 element is the mean of its neighbours' current values, accumulated in
-ascending global-index order.  Each step reads a consistent snapshot (old
-values) and writes into another array, so the update is independent of how
-elements are grouped; that is what makes the distributed result
-bit-identical to a single-rank run and the three overlap modes
-bit-identical to each other.
+ascending global-index order.  A step writes no value of its snapshot
+before every gather of the step has read it, so the update does not depend
+on how elements are grouped; that is what makes the distributed result
+bit-identical to a single-rank run and the three overlap modes to each
+other.
 
-Stencil rows are column-major (ELLPACK) blocks, one per degree: a block of
-``m`` rows of degree ``d`` is one ``values.take(columns)`` gather into a
-``(d, m)`` array, ``d - 1`` in-place adds of its contiguous rows and one
-divide, i.e. ``((v0 + v1) + v2) + ...) / d`` per element; a block written
-through a slice is divided straight into its target.
+All ranks' values live in one arena laid out by the partition (every
+rank's owned block, then every rank's ghost slots); a :class:`Field` is one
+rank's ranges of it and :class:`Fields` holds them with the arena.  Each
+degree block of stencil rows covers all ranks and costs one
+``arena.take(columns)`` gather into a ``(d, m)`` array, ``d - 1`` in-place
+adds of contiguous rows and one divide, ``((v0 + v1) + v2) + ...) / d``.
 
 Overlap modes mirror the two standard ways of hiding the exchange:
 
 ``NONE``
-    Refresh all ghosts, then update every owned element from the
-    partition's stencil rows.
+    Refresh all ghosts, evaluate the partition's rows into the means
+    buffer, then copy it over the owned block.
 ``MASK_ARRAY``
-    Evaluate every owned element from the partition's stencil rows in one
-    pass over the old snapshot, like a mask kernel that visits every
-    element; write the results that ``boundary_mask`` selects, start the
-    exchange with those fresh boundary values, then write the rest through
-    the plan's ``interior_mask``, the inverse fixed when it was negotiated.
+    Evaluate every owned element in one pass, like a mask kernel; write the
+    results the plan's ``boundary_mask`` selects into the spare arena,
+    exchange those fresh boundary values, then write the rest through its
+    ``interior_mask``.
 ``INDIRECTION_ARRAY``
-    Update the plan's ``boundary`` row blocks, exchange, then update its
-    ``interior`` row blocks: the split is materialised once, when the plan
-    is negotiated.
+    Evaluate the plan's ``boundary`` blocks into the spare arena, exchange,
+    then evaluate its ``interior`` blocks.
 
-A step or exchange reads only a :class:`StepWorkspace`, which carries the
-partition, its plan and the mode, and derives nothing from them.  The
-partition fixes, when it is constructed, each rank's stencil rows, each
-row block's write target (a slice when its members are one range) and
-whether its owned sets are ``0..n-1`` in rank order, which makes the
-checksum's global array one concatenate of the owned views.  The plan
-fixes, when it is negotiated, each rank's send lists, boundary split and
-both masks.  The exchange rounds are the phases of the matching
-all-to-all schedule in :mod:`haloflow.collectives`, without self copies,
-derived once per ``(schedule, nranks)``.  The workspace, built once per
-run like a halo library's exchange set-up, holds each rank's ``(peer,
-send indices)`` pairs per round and the step buffers its mode needs; the
-overlap modes write a step into a spare array and swap it with the
-field's, so a step allocates no field-sized array.  ``run_stencil``
-builds it with the plan and passes it to every step; a caller stepping by
-hand builds one with :func:`step_workspace`.  Nothing is cached on the
+A step or exchange reads only a :class:`StepWorkspace`, built once per run
+like a halo library's exchange set-up: the partition (arena layout, rows),
+its plan (send lists, boundary split), the mode, each rank's ``(peer, send
+positions)`` pairs per round of the matching all-to-all schedule of
+:mod:`haloflow.collectives` and receive ranges, and the buffers its mode
+uses.  The overlap modes write into a spare arena and swap it with the
+fields', so a step allocates no field-sized array.  Nothing is cached on the
 partition or the plan.
 
-The overlap modes send the *new* boundary values, so they leave ghosts
-valid for the next step; ``NONE`` refreshes at the top of each step
-instead.  Fields track which state they are in (``ghosts_fresh``) and the
-overlap modes re-synchronize stale ghosts before computing, so the modes
-can be mixed freely and still agree bit for bit on owned values.
-
-Packing is a single gather per destination: every source element is read
-exactly once, and the field's ``reads`` counter advances by exactly the
-packed element count so tests can audit that no mode rescans the field.
+Every rank's exchange is its own generator on the router: it packs from its
+send positions with one gather per destination, adding exactly the packed
+count to its ``reads``, and copies arrivals into its ghost range.  The
+overlap modes send the *new* boundary values and so leave ghosts valid for
+the next step; ``NONE`` refreshes at the top of each step.  Fields track
+that state (``ghosts_fresh``) and the overlap modes re-synchronize stale
+ghosts first, so the modes can be mixed freely.
 """
 
 from __future__ import annotations
@@ -75,11 +63,12 @@ from ..topology import RankMap, Topology
 from . import partition
 from .grid import GlobalGrid
 from .partition import DegreeGroup, Partition
-from .plan import HaloPlan, build_plan
+from .plan import HaloPlan, RankPlan, build_plan
 from .router import Router
 
 __all__ = [
     "Field",
+    "Fields",
     "OverlapMode",
     "make_fields",
     "exchange",
@@ -101,28 +90,46 @@ class OverlapMode(enum.Enum):
 
 @dataclass
 class Field:
-    """One rank's values: owned elements first, then ghost slots.
+    """One rank's share of the arena: its owned block, then its ghost slots.
 
-    ``reads`` counts elements gathered to send to peers; ``ghosts_fresh``
-    records whether ghost slots currently mirror the owners' values.
+    ``owned`` and ``ghosts`` are the arena ranges of the two.  ``reads``
+    counts elements gathered to send to peers; ``ghosts_fresh`` records
+    whether ghost slots currently mirror the owners' values.
     """
 
-    n_owned: int
-    values: np.ndarray
+    owned: slice
+    ghosts: slice
     reads: int = 0
     ghosts_fresh: bool = False
 
+    @property
+    def n_owned(self) -> int:
+        return self.owned.stop - self.owned.start
 
-def make_fields(part: Partition, init: np.ndarray) -> list[Field]:
-    """Per-rank fields initialized from a global array."""
+
+class Fields(list):
+    """Every rank's :class:`Field` in rank order and their ``arena``, which steps may swap."""
+
+    def __init__(self, fields: Sequence[Field], arena: np.ndarray):
+        super().__init__(fields)
+        self.arena = arena
+
+
+def make_fields(part: Partition, init: np.ndarray) -> Fields:
+    """Every rank's field from ``grid.n`` initial values, ghost slots zero and stale.
+
+    An ``init`` of any other shape raises ``ConfigurationError``.
+    """
     src = np.asarray(init, dtype=np.float64)
-    fields = []
-    for r in range(part.nranks):
-        vals = np.zeros(part.local_size(r), dtype=np.float64)
-        owned = part.owned[r]
-        vals[: len(owned)] = src[owned]
-        fields.append(Field(n_owned=len(owned), values=vals))
-    return fields
+    n = len(part.owner)
+    if src.shape != (n,):
+        raise ConfigurationError(
+            f"initial values must have shape ({n},), one per grid element; got {src.shape}")
+    arena = np.zeros(part.arena_size)
+    arena[part.position] = src
+    owned, ghosts = part.owned_base, part.ghost_base
+    return Fields([Field(slice(owned[r], owned[r + 1]), slice(ghosts[r], ghosts[r + 1]))
+                   for r in range(part.nranks)], arena)
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +137,7 @@ def make_fields(part: Partition, init: np.ndarray) -> list[Field]:
 
 
 Rounds = tuple[tuple[tuple[int, ...], ...], ...]
-Sends = tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per round: (peer, send indices) pairs
+Sends = tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per round: (peer, send positions) pairs
 
 
 @functools.cache
@@ -152,32 +159,28 @@ def _exchange_rounds(schedule: ScheduleKind, nranks: int) -> Rounds:
     return tuple(rounds)
 
 
-def _rank_sends(send_index: dict[int, np.ndarray], rank: int, rounds: Rounds
-                ) -> tuple[Sends, int]:
-    """Per round, ``rank``'s ``(peer, send indices)`` pairs in issue order, and their element total.
+def _rank_sends(rp: RankPlan, base: int, rounds: Rounds) -> tuple[Sends, int]:
+    """Per round, ``rp``'s ``(peer, base + send index)`` pairs in issue order, and their total.
 
-    A target that ``send_index`` sends nothing is left out of its round; the
-    round itself stays, since every rank takes part in every round.
+    ``base`` is the rank's owned arena base.  A target sent nothing is left
+    out of its round; the round stays, since every rank takes part in it.
     """
-    sends = tuple(tuple((dst, send_index[dst]) for dst in targets[rank] if dst in send_index)
+    positions = {dst: base + idx for dst, idx in rp.send_index.items()}
+    sends = tuple(tuple((dst, positions[dst]) for dst in targets[rp.rank] if dst in positions)
                   for targets in rounds)
-    return sends, sum(len(idx) for outgoing in sends for _dst, idx in outgoing)
+    return sends, sum(len(pos) for outgoing in sends for _dst, pos in outgoing)
 
 
 @dataclass(eq=False)
 class StepWorkspace:
     """What every step of one run reuses, built once for a partition, its plan and a mode.
 
-    A step reads the stencil rows of ``part``, the boundary split and receive
-    slots of ``plan`` and the order of work of ``mode`` from here, and
-    nothing else.  Per rank ``r``: ``sends[r]`` holds its ``(peer, send
-    indices)`` pairs per exchange round, in the schedule's issue order, and
-    ``packed[r]`` the element total one exchange packs and adds to the
-    field's ``reads``.  ``spare[r]`` is a second values array (overlap modes
-    only): a step writes into it and swaps it with the field's ``values``, so
-    the two arrays alternate.  ``means[r]`` receives the owned means
-    (``none`` and ``mask_array`` only).  Buffers a mode never uses are
-    ``None``.
+    Per rank ``r``: ``sends[r]`` holds its ``(peer, send positions)`` pairs
+    per exchange round, in issue order, ``packed[r]`` the element total one
+    exchange packs (and adds to ``reads``), and ``recv[r]`` the arena range
+    each peer's buffer fills.  ``spare`` is a second arena that overlap
+    modes write into and swap with the fields'; ``means`` receives all
+    owned means (``none`` and ``mask_array``).  Unused buffers are ``None``.
     """
 
     part: Partition
@@ -185,8 +188,9 @@ class StepWorkspace:
     mode: OverlapMode
     sends: tuple[Sends, ...]
     packed: tuple[int, ...]
-    spare: list[np.ndarray | None]
-    means: tuple[np.ndarray | None, ...]
+    recv: tuple[dict[int, slice], ...]
+    spare: np.ndarray | None
+    means: np.ndarray | None
 
 
 def step_workspace(
@@ -195,63 +199,54 @@ def step_workspace(
     mode: OverlapMode = OverlapMode.NONE,
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
 ) -> StepWorkspace:
-    """The workspace of ``plan``, negotiated for ``part``, in ``mode``.
-
-    Its send lists follow ``schedule``'s rounds and issue order.
-    """
+    """The workspace of ``plan`` for ``part`` in ``mode``, sending in ``schedule``'s rounds."""
     rounds = _exchange_rounds(schedule, plan.nranks)
-    sends, packed = zip(*(_rank_sends(rp.send_index, rp.rank, rounds) for rp in plan.ranks))
-    spare = [None if mode is OverlapMode.NONE else np.empty(part.local_size(r))
-             for r in range(part.nranks)]
-    means = tuple(None if mode is OverlapMode.INDIRECTION_ARRAY else np.empty(part.n_owned(r))
-                  for r in range(part.nranks))
-    return StepWorkspace(part=part, plan=plan, mode=mode, sends=sends, packed=packed,
-                         spare=spare, means=means)
+    sends, packed = zip(*(_rank_sends(rp, part.owned_base[rp.rank], rounds)
+                          for rp in plan.ranks))
+    # a rank's local ghost slot s sits at arena position s + shift
+    recv = tuple({src: slice(int(slots[0]) + shift, int(slots[-1]) + 1 + shift)
+                  for src, slots in rp.recv_slot.items()}
+                 for rp, shift in ((rp, part.ghost_base[rp.rank] - part.n_owned(rp.rank))
+                                   for rp in plan.ranks))
+    return StepWorkspace(
+        part=part, plan=plan, mode=mode, sends=sends, packed=packed, recv=recv,
+        spare=None if mode is OverlapMode.NONE else np.empty(part.arena_size),
+        means=None if mode is OverlapMode.INDIRECTION_ARRAY else np.empty(len(part.owner)))
 
 
-def _exchange_program(ws: StepWorkspace, rank: int, f: Field, values: np.ndarray):
-    """Generator: pack ``rank``'s sends from ``values`` round by round, scatter arrivals into it.
-
-    The workspace's ``packed`` count for the rank is added to ``f.reads``.
-    """
+def _exchange_program(ws: StepWorkspace, rank: int, f: Field, arena: np.ndarray):
+    """Generator: ``rank``'s exchange over ``arena``, its packed count added to ``f.reads``."""
     f.reads += ws.packed[rank]
-    recv_slot = ws.plan.ranks[rank].recv_slot
+    recv = ws.recv[rank]
     received: set[int] = set()
     for outgoing in ws.sends[rank]:
-        inbox = yield {dst: values[idx] for dst, idx in outgoing}
+        inbox = yield {dst: arena.take(pos) for dst, pos in outgoing}
         for src, buf in inbox.items():  # sources ascend
-            slots = recv_slot.get(src)
-            if slots is None or len(buf) != len(slots):
+            slots = recv.get(src)
+            if slots is None or len(buf) != slots.stop - slots.start:
                 raise ProtocolError(
                     f"rank {rank} got {len(buf)} values from {src}, expected "
-                    f"{0 if slots is None else len(slots)}"
+                    f"{0 if slots is None else slots.stop - slots.start}"
                 )
             if src in received:
                 raise ProtocolError(f"rank {rank} received twice from {src}")
             received.add(src)
-            values[slots] = buf
-    if len(received) != len(recv_slot):
-        missing = sorted(set(recv_slot) - received)
+            arena[slots] = buf
+    if len(received) != len(recv):
+        missing = sorted(set(recv) - received)
         raise ProtocolError(f"rank {rank} never heard from peers {missing}")
     return None
 
 
-def exchange(fields: Sequence[Field], workspace: StepWorkspace, router: Router
-             ) -> Sequence[Field]:
+def exchange(fields: Fields, workspace: StepWorkspace, router: Router) -> Fields:
     """Refresh every ghost slot with its owner's current value.
 
-    The schedule the workspace was built over only fixed the round structure
-    and issue order; all schedules move the same data and end in the same
-    state.
+    The workspace's schedule fixes only the rounds and issue order, not the result.
     """
-
-    def program(rank: int):
-        f = fields[rank]
-        yield from _exchange_program(workspace, rank, f, f.values)
+    arena = fields.arena
+    router.run(lambda rank: _exchange_program(workspace, rank, fields[rank], arena))
+    for f in fields:
         f.ghosts_fresh = True
-        return None
-
-    router.run(program)
     return fields
 
 
@@ -262,9 +257,8 @@ def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarra
     """out[m] = mean of values[neighbours of m] for the members of ``blocks``.
 
     One gather per block, then the accumulation row by row, i.e. per element
-    strictly in ascending global order of its neighbours, so the float
-    result for an element never depends on which other elements share the
-    block.  A block written through a slice is divided straight into it.
+    strictly in ascending global order of its neighbours.  ``out`` must not
+    be ``values``: a block's writes would reach the later blocks' gathers.
     """
     for blk in blocks:
         acc = values.take(blk.columns)
@@ -279,59 +273,43 @@ def _mean_into(blocks: Sequence[DegreeGroup], values: np.ndarray, out: np.ndarra
             out[blk.rows] = head
 
 
-def stencil_step(fields: Sequence[Field], workspace: StepWorkspace, router: Router
-                 ) -> Sequence[Field]:
+def stencil_step(fields: Fields, workspace: StepWorkspace, router: Router) -> Fields:
     """Advance every rank's owned values by one neighbourhood-mean step.
 
-    The stencil rows, boundary split and mode are the workspace's.  ``none``
-    updates each field's ``values`` in place; the overlap modes write into
-    the workspace's spare arrays and swap them with the fields', so each
-    rank's two arrays alternate from step to step.
+    Each row block of the workspace is evaluated once for all ranks.
+    ``none`` updates the arena in place; the overlap modes write into the
+    spare arena and swap it with the fields', so the two alternate.
     """
     part, plan, mode = workspace.part, workspace.plan, workspace.mode
     fresh = {f.ghosts_fresh for f in fields}
     if len(fresh) > 1:
         raise ProtocolError("fields disagree about ghost freshness")
-    ghosts_were_fresh = fresh.pop() if fresh else True
-
-    def program(rank: int):
-        f = fields[rank]
-        groups, rp = part.stencil[rank], plan.ranks[rank]
-        if mode is OverlapMode.NONE:
-            yield from _exchange_program(workspace, rank, f, f.values)
-            means = workspace.means[rank]
-            _mean_into(groups, f.values, means)
-            f.values[: f.n_owned] = means
+    if mode is OverlapMode.NONE or not fresh.pop():
+        exchange(fields, workspace, router)
+    old, n = fields.arena, len(part.owner)
+    if mode is OverlapMode.NONE:
+        _mean_into(part.stencil, old, workspace.means)
+        old[:n] = workspace.means
+        for f in fields:
             f.ghosts_fresh = False
-            return None
-
-        if not ghosts_were_fresh:
-            yield from _exchange_program(workspace, rank, f, f.values)
-        new_values = workspace.spare[rank]
-        if mode is OverlapMode.MASK_ARRAY:  # every element evaluated, the mask picks writes
-            means, new_owned = workspace.means[rank], new_values[: f.n_owned]
-            _mean_into(groups, f.values, means)
-            np.copyto(new_owned, means, where=rp.boundary_mask)
-            yield from _exchange_program(workspace, rank, f, new_values)
-            np.copyto(new_owned, means, where=rp.interior_mask)
-        else:
-            _mean_into(rp.boundary, f.values, new_values)
-            yield from _exchange_program(workspace, rank, f, new_values)
-            _mean_into(rp.interior, f.values, new_values)
-        workspace.spare[rank], f.values = f.values, new_values
-        f.ghosts_fresh = True
-        return None
-
-    router.run(program)
+        return fields
+    new = workspace.spare  # the fields, and so their exchanges, use it from here on
+    workspace.spare, fields.arena = old, new
+    if mode is OverlapMode.MASK_ARRAY:  # every element evaluated, the masks pick writes
+        _mean_into(part.stencil, old, workspace.means)
+        np.copyto(new[:n], workspace.means, where=plan.boundary_mask)
+        exchange(fields, workspace, router)
+        np.copyto(new[:n], workspace.means, where=plan.interior_mask)
+    else:
+        _mean_into(plan.boundary, old, new)
+        exchange(fields, workspace, router)
+        _mean_into(plan.interior, old, new)
     return fields
 
 
 def ensure_plan(part: Partition, router: Router, mode: OverlapMode, schedule: ScheduleKind
                 ) -> StepWorkspace:
-    """The workspace of a plan negotiated for ``part``: ``run_stencil``'s set-up past it.
-
-    One name, so a profiler can wrap the two alone.
-    """
+    """The workspace of a plan negotiated for ``part``; one name, so a profiler can wrap both."""
     return step_workspace(part, build_plan(part, router), mode, schedule)
 
 
@@ -343,8 +321,12 @@ def run_stencil(
     mode: OverlapMode = OverlapMode.NONE,
     router: Router | None = None,
     schedule: ScheduleKind = ScheduleKind.ROTATED_CONCURRENT,
-) -> tuple[list[Field], Partition, HaloPlan, list[float]]:
-    """Partition, plan, run ``steps`` stencil steps; returns per-step checksums."""
+) -> tuple[Fields, Partition, HaloPlan, list[float]]:
+    """Partition, plan, run ``steps`` stencil steps; returns per-step checksums.
+
+    ``init`` holds one value per grid element; any other shape raises
+    ``ConfigurationError``.
+    """
     router = router or Router(nranks)
     part = partition.partition_block(grid, nranks)
     workspace = ensure_plan(part, router, mode, schedule)
@@ -356,28 +338,23 @@ def run_stencil(
     return fields, part, workspace.plan, checksums
 
 
-def gather_global(fields: Sequence[Field], part: Partition) -> np.ndarray:
-    """Owned values of all ranks assembled into global element order."""
-    if part.rank_ordered:  # every block partition: the owned views end to end
-        return np.concatenate([f.values[: f.n_owned] for f in fields])
-    out = np.empty(len(part.owner), dtype=np.float64)
-    for r in range(part.nranks):
-        out[part.owned[r]] = fields[r].values[: fields[r].n_owned]
-    return out
+def gather_global(fields: Fields, part: Partition) -> np.ndarray:
+    """Owned values of all ranks assembled into a new array in global element order."""
+    owned = fields.arena[: len(part.owner)]
+    return owned.copy() if part.rank_ordered else owned[part.position]
 
 
-def global_checksum(fields: Sequence[Field], part: Partition) -> float:
+def global_checksum(fields: Fields, part: Partition) -> float:
     """Sum of all owned values accumulated in global element order.
 
-    Plain left-to-right float accumulation starting from ``0.0``: the fixed
-    order makes the checksum reproducible digit for digit across rank
-    counts.  ``np.cumsum`` adds strictly in sequence (``ndarray.sum`` adds
-    pairwise and would round differently); its running sum starts from the
-    first value rather than ``0.0``, which differs from the loop only when
-    every value is ``-0.0``, and adding ``0.0`` at the end turns that ``-0.0``
-    into the loop's ``0.0``.
+    Plain left-to-right float accumulation from ``0.0``, reproducible digit
+    for digit across rank counts.  ``np.cumsum`` adds strictly in sequence
+    (``ndarray.sum`` adds pairwise); it starts from the first value, not
+    ``0.0``, which differs only when every value is ``-0.0``, and the final
+    ``+ 0.0`` turns that into ``0.0``.  A rank-ordered owned block is read in place.
     """
-    return float(np.cumsum(gather_global(fields, part))[-1]) + 0.0
+    owned = fields.arena[: len(part.owner)]
+    return float(np.cumsum(owned if part.rank_ordered else owned[part.position])[-1]) + 0.0
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +401,7 @@ def staged_vs_direct_cost(
         dev = rm.device_of(r)
         _hb, hops = topo.bridge_path(dev)
         bw = min(topo.links[li].capacity for li, _fwd in hops)
-        field_bytes = part.local_size(r) * bytes_per_element
+        field_bytes = (part.n_owned(r) + part.n_ghosts(r)) * bytes_per_element
         copy_wall = max(copy_wall, field_bytes / bw)
     staged = copy_wall + staged_exchange + copy_wall
     return staged, direct

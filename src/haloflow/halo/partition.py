@@ -1,18 +1,18 @@
-"""Grid partitioning, the owned/ghost local index layout and each rank's stencil rows.
+"""Grid partitioning, the arena layout of all ranks' values and their stencil rows.
 
-Each rank's local value array is laid out as its owned elements in
-ascending global order followed by one slot per ghost (a remote element
-some owned element touches), ghosts sorted by (owner rank, global index).
-That layout is what the exchange plan's indices and the stencil rows point
-into.  A rank's ghosts are one read-only ``(k, 2)`` int64 array of
-``[global, owner]`` rows from their derivation to the plan's negotiation,
-and every rank's stencil rows are looked up in one global-to-local table
-whose entries are reset after each rank.
+All ranks' values live in one float64 arena: first every rank's owned
+elements, rank after rank, each rank's ascending (global order for a block
+partition), then every rank's ghost slots (one per remote element an owned
+element touches), rank after rank, each rank's sorted by (owner, global).
+A rank's local index (owned elements, then ghosts) is what the plan's
+indices point into.  Ghosts stay read-only ``(k, 2)`` int64 arrays of
+``[global, owner]`` rows from their derivation to the plan, and the stencil
+rows of all ranks are built in one pass over the adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,14 +24,14 @@ from .grid import GlobalGrid, _read_only_int64
 class DegreeGroup:
     """Owned elements of one degree, with their neighbours in column-major form.
 
-    ``members`` holds owned local indices, ascending.  ``columns`` is a
-    C-contiguous ``(degree, len(members))`` table of local indices:
-    ``columns[k, i]`` is the k-th neighbour, in ascending global order, of
-    ``members[i]``.  The k-th neighbours of all members thus sit in one
-    contiguous row (the ELLPACK layout of sparse mat-vec), so a stencil pass
-    is one gather followed by adds of contiguous rows.  ``rows`` is what a
-    pass writes through: a ``slice`` when the members are one contiguous
-    range, else ``members`` itself.
+    ``members`` holds owned arena positions, ascending.  ``columns`` is a
+    C-contiguous ``(degree, len(members))`` table of arena positions:
+    ``columns[k, i]`` is the k-th neighbour (ascending global order) of
+    ``members[i]`` as its rank sees it, owned or ghost.  The k-th neighbours
+    of all members thus sit in one contiguous row (the ELLPACK layout), so a
+    stencil pass is one gather and adds of contiguous rows.  ``rows`` is
+    what a pass writes through: a ``slice`` when the members are one range,
+    else ``members`` itself.
     """
 
     members: np.ndarray
@@ -50,18 +50,21 @@ class DegreeGroup:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Ownership of the elements of ``grid`` plus the per-rank local layout.
+    """Ownership of the elements of ``grid`` plus the arena layout of all ranks.
 
     ``owner[g]`` is the owning rank of global element ``g`` (total).
     ``owned[r]`` lists rank r's globals ascending; ``ghosts[r]`` is a
     read-only ``(k, 2)`` int64 array whose rows are ``[global, owner]``,
-    sorted by (owner, global).  Ghosts given as anything else, such as a
-    tuple of ``(global, owner)`` pairs, are copied into such an array.
-    ``stencil[r]`` holds rank r's stencil rows, built on construction: one
-    column-major :class:`DegreeGroup` per distinct degree among its owned
-    elements, in ascending degree.  A neighbour that is neither owned nor a
-    ghost raises ``ProtocolError``.  ``rank_ordered`` records whether the
-    owned sets concatenated in rank order are exactly ``0..n-1``.
+    sorted by (owner, global); ghosts given as anything else, such as
+    ``(global, owner)`` tuples, are copied into one.  Built on construction:
+    rank r owns arena range ``owned_base[r]:owned_base[r + 1]`` and its ghost
+    slots are ``ghost_base[r]:ghost_base[r + 1]``; ``position[g]`` is the
+    arena position of global ``g``, and ``rank_ordered`` whether that is
+    ``g`` itself.  ``stencil`` holds every rank's stencil rows, one
+    column-major :class:`DegreeGroup` per degree, ascending.  A neighbour
+    that is neither owned nor a ghost of its row's rank raises
+    ``ProtocolError`` naming the lowest such rank.  ``remote`` may pass in
+    what :func:`_remote_entries` returns, so it is not computed twice.
     """
 
     grid: GlobalGrid
@@ -69,41 +72,56 @@ class Partition:
     owner: np.ndarray
     owned: tuple[np.ndarray, ...]
     ghosts: tuple[np.ndarray, ...]
-    stencil: tuple[tuple[DegreeGroup, ...], ...] = field(init=False, repr=False)
+    owned_base: tuple[int, ...] = field(init=False, repr=False)
+    ghost_base: tuple[int, ...] = field(init=False, repr=False)
+    position: np.ndarray = field(init=False, repr=False)
     rank_ordered: bool = field(init=False, repr=False)
+    stencil: tuple[DegreeGroup, ...] = field(init=False, repr=False)
+    remote: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "ghosts", tuple(
-            _ghost_pairs(r, g) for r, g in enumerate(self.ghosts)))
-        object.__setattr__(self, "rank_ordered", np.array_equal(
-            np.concatenate(self.owned), np.arange(len(self.owner))))
-        # one global-to-local table for every rank: -1 except where the
-        # current rank wrote, and those entries are reset before the next
-        local_of = np.full(self.grid.n, -1, dtype=np.int64)
-        stencil = []
-        for r, (owned, ghosts) in enumerate(zip(self.owned, self.ghosts)):
-            gids = ghosts[:, 0]
-            local_of[owned] = np.arange(len(owned))
-            local_of[gids] = np.arange(len(owned), len(owned) + len(gids))
-            stencil.append(self._stencil_rows(r, local_of))
-            local_of[owned] = -1
-            local_of[gids] = -1
-        object.__setattr__(self, "stencil", tuple(stencil))
+    def __post_init__(self, remote):
+        ghosts = tuple(_ghost_pairs(r, g) for r, g in enumerate(self.ghosts))
+        n, nranks, grid = len(self.owner), self.nranks, self.grid
+        order = np.concatenate(self.owned)  # the global at each owned arena position
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        counts = [len(g) for g in ghosts]
+        for name, value in (("ghosts", ghosts), ("position", position),
+                            ("owned_base", tuple(np.cumsum([0, *map(len, self.owned)]).tolist())),
+                            ("ghost_base", tuple((n + np.cumsum([0, *counts])).tolist())),
+                            ("rank_ordered", np.array_equal(order, np.arange(n)))):
+            object.__setattr__(self, name, value)
 
-    def _stencil_rows(self, rank: int, local_of: np.ndarray) -> tuple[DegreeGroup, ...]:
-        grid = self.grid
-        owned = self.owned[rank]
-        starts = grid.indptr[owned]
-        degree = grid.indptr[owned + 1] - starts
+        # every adjacency entry in arena positions, seen from its row's rank:
+        # a local neighbour is its owned position, a remote one the row
+        # rank's ghost slot, found among all ghosts keyed rank * n + global
+        nb = grid.indices
+        entries, entry_rank = _remote_entries(grid, self.owner) if remote is None else remote
+        col = position[nb]
+        keys = np.repeat(np.arange(nranks), counts) * n + np.concatenate(ghosts)[:, 0]
+        sorter = np.argsort(keys, kind="stable")
+        sorted_keys = np.append(keys[sorter], nranks * n)  # a sentinel no entry equals
+        want = entry_rank * n + nb[entries]
+        at = np.searchsorted(sorted_keys, want)
+        missing = sorted_keys[at] != want
+        if missing.any():
+            raise ProtocolError(f"rank {int(want[missing].min()) // n} has a neighbour "
+                                "that is neither owned nor a ghost")
+        col[entries] = n + sorter[at]
+
+        # one group per degree for all ranks, rows in arena order; row k of
+        # a group's table gathers the entries k places past its members' first
+        starts = grid.indptr.take(order)
+        degree = grid.indptr.take(order + 1) - starts
         groups = []
         for d in np.flatnonzero(np.bincount(degree)).tolist():  # ascending degrees
             members = np.flatnonzero(degree == d)
-            columns = local_of[grid.indices[np.arange(d)[:, None] + starts[members]]]
-            if (columns < 0).any():
-                raise ProtocolError(
-                    f"rank {rank} has a neighbour that is neither owned nor a ghost")
+            first = starts[members]
+            columns = np.empty((d, len(members)), dtype=np.int64)
+            for k, row in enumerate(columns):  # "clip" never clips here; it skips a copy
+                np.take(col[k:], first, out=row, mode="clip")
             groups.append(DegreeGroup(members=members, columns=columns))
-        return tuple(groups)
+        object.__setattr__(self, "stencil", tuple(groups))
 
     def n_owned(self, rank: int) -> int:
         return len(self.owned[rank])
@@ -111,8 +129,9 @@ class Partition:
     def n_ghosts(self, rank: int) -> int:
         return len(self.ghosts[rank])
 
-    def local_size(self, rank: int) -> int:
-        return self.n_owned(rank) + self.n_ghosts(rank)
+    @property
+    def arena_size(self) -> int:
+        return self.ghost_base[-1]
 
 
 def _ghost_pairs(rank: int, ghosts) -> np.ndarray:
@@ -125,15 +144,23 @@ def _ghost_pairs(rank: int, ghosts) -> np.ndarray:
     return pairs
 
 
+def _remote_entries(grid: GlobalGrid, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries whose neighbour another rank owns, and their row's rank (compared narrow-typed)."""
+    rank = owner.astype(np.min_scalar_type(max(len(owner) - 1, 0)))
+    row_rank = np.repeat(rank, np.diff(grid.indptr))
+    entries = np.flatnonzero(row_rank != rank[grid.indices])
+    return entries, row_rank[entries].astype(np.int64)
+
+
 def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
                    nranks: int) -> Partition:
-    # every adjacency entry whose neighbour lives on another rank than its
-    # row names a ghost of the row's rank; (rank, global) pairs are encoded
-    # as rank * n + global so one sort deduplicates them
+    # every remote adjacency entry names a ghost of its row's rank; (rank,
+    # global) pairs are encoded as rank * n + global so one sort
+    # deduplicates them
     n = grid.n
-    row_rank = np.repeat(owner, np.diff(grid.indptr))
-    remote = row_rank != owner[grid.indices]
-    keys = np.sort(row_rank[remote] * n + grid.indices[remote])
+    remote = _remote_entries(grid, owner)
+    entries, entry_rank = remote
+    keys = np.sort(entry_rank * n + grid.indices[entries])
     rank, gid = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     gown = owner[gid]
     order = np.lexsort((gid, gown, rank))  # rank stays ascending
@@ -146,6 +173,7 @@ def _derive_ghosts(grid: GlobalGrid, owner: np.ndarray, owned: list[np.ndarray],
         owner=owner,
         owned=tuple(owned),
         ghosts=tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:])),
+        remote=remote,
     )
 
 

@@ -18,13 +18,8 @@ Send lists are kept in ascending global order per destination, and receive
 slots are stored in the same order, so packed buffers line up end to end
 without any per-element tags.
 
-Each rank also records its boundary split, because it depends on the
-negotiated send lists: ``boundary_mask`` marks the owned elements packed for
-at least one peer, ``interior_mask`` the rest, and the partition's stencil
-rows are split by that mask into two tuples of column-major row blocks,
-``boundary`` and ``interior``, in one pass over its degree groups.  All of
-it is fixed here, once; a step reads the masks and blocks through the
-step workspace that carries the plan, and derives nothing.
+The plan also fixes, once, the boundary split of all ranks' stencil rows
+(see :class:`HaloPlan`), because it depends on the negotiated send lists.
 """
 
 from __future__ import annotations
@@ -44,14 +39,8 @@ class RankPlan:
 
     ``send_index[peer]`` holds local indices (into the owned region) to
     gather for that peer; ``recv_slot[peer]`` holds the local ghost slots
-    the matching incoming buffer scatters into.  Peers never include the
-    rank itself.  ``boundary_mask`` marks the owned elements sent to at
-    least one peer, and ``interior_mask`` the rest.  ``boundary`` and
-    ``interior`` split the rank's stencil rows by that mask: per degree
-    group of the partition, the block of its masked (unmasked) rows, as a
-    :class:`DegreeGroup` whose members and columns are the group's for those
-    rows, in the group's order; a group wholly on one side is that side's
-    block itself.  Empty blocks are left out.
+    the matching incoming buffer scatters into, one contiguous range per
+    peer.  Peers never include the rank itself.
     """
 
     rank: int
@@ -59,16 +48,27 @@ class RankPlan:
     recv_slot: dict[int, np.ndarray]
     send_counts: np.ndarray
     recv_counts: np.ndarray
-    boundary_mask: np.ndarray
-    interior_mask: np.ndarray
-    boundary: tuple[DegreeGroup, ...]
-    interior: tuple[DegreeGroup, ...]
 
 
 @dataclass
 class HaloPlan:
+    """Every rank's :class:`RankPlan` and the boundary split of all ranks' stencil rows.
+
+    ``boundary_mask`` marks, over the partition's owned arena block, the
+    elements sent to at least one peer, and ``interior_mask`` the rest.
+    ``boundary`` and ``interior`` split the partition's stencil rows by that
+    mask: per degree group, the block of its masked (unmasked) rows, as a
+    :class:`DegreeGroup` whose members and columns are the group's for those
+    rows, in the group's order; a group wholly on one side is that side's
+    block itself.  Empty blocks are left out.
+    """
+
     nranks: int
     ranks: tuple[RankPlan, ...]
+    boundary_mask: np.ndarray
+    interior_mask: np.ndarray
+    boundary: tuple[DegreeGroup, ...]
+    interior: tuple[DegreeGroup, ...]
 
     def total_sent(self) -> int:
         return int(sum(rp.send_counts.sum() for rp in self.ranks))
@@ -104,6 +104,7 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
             f"router has {router.nranks} ranks but the partition has {part.nranks}"
         )
     nranks = part.nranks
+    boundary = np.zeros(len(part.owner), dtype=bool)  # each rank marks its own block
 
     def program(rank: int):
         # my ghosts' [global, owner] rows, sorted by (owner, global), so
@@ -150,21 +151,12 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
                      for p, (a, b) in enumerate(runs) if b > a}
         send_counts = np.zeros(nranks, dtype=np.int64)
         send_counts[list(send_index)] = [len(sent) for sent in send_index.values()]
-        recv_counts = np.diff(bounds)
-        boundary = np.zeros(base, dtype=bool)
-        boundary[idx] = True
-        boundary_blocks, interior_blocks = _split(part.stencil[rank], boundary)
-        return RankPlan(
-            rank=rank,
-            send_index=send_index,
-            recv_slot=recv_slot,
-            send_counts=send_counts,
-            recv_counts=recv_counts,
-            boundary_mask=boundary,
-            interior_mask=~boundary,
-            boundary=boundary_blocks,
-            interior=interior_blocks,
-        )
+        boundary[part.owned_base[rank] + idx] = True
+        return RankPlan(rank=rank, send_index=send_index, recv_slot=recv_slot,
+                        send_counts=send_counts, recv_counts=np.diff(bounds))
 
     plans = router.run(program)
-    return HaloPlan(nranks=nranks, ranks=tuple(plans))
+    boundary_blocks, interior_blocks = _split(part.stencil, boundary)
+    return HaloPlan(nranks=nranks, ranks=tuple(plans), boundary_mask=boundary,
+                    interior_mask=~boundary, boundary=boundary_blocks,
+                    interior=interior_blocks)

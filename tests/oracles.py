@@ -1,11 +1,12 @@
-"""Reference implementations: grids, ghosts, plan row blocks, route search and the simulator.
+"""Reference implementations: grids, ghosts, arena rows, row blocks, routes and the simulator.
 
 These are the implementations the faster versions in ``haloflow`` replaced,
 kept word for word in their arithmetic and tie-breaks so the tests can
 require ``==`` between the two.  The route searches take a topology's
 ``nodes`` and ``links``, so they also run on graphs ``Topology`` refuses.
 They sort every row (the ring and the quad mesh), are quadratic (the random
-grid), cut each side's row blocks in a pass of their own (the plan), search
+grid), look up each neighbour of each owned element in turn (the arena
+rows), cut each side's row blocks in a pass of their own (the plan), search
 once per node pair (the routes) and re-evaluate every rate and utilisation
 sum on every step (the simulator), so use them only on small inputs.
 """
@@ -62,6 +63,37 @@ def reference_blocks(groups: tuple[DegreeGroup, ...], mask: np.ndarray) -> tuple
             blocks.append(DegreeGroup(members=grp.members[rows],
                                       columns=grp.columns.take(rows, axis=1)))
     return tuple(blocks)
+
+
+def reference_arena_rows(grid: GlobalGrid, owned, ghosts) -> dict[int, tuple[list, list]]:
+    """Every rank's stencil rows in arena positions, by a loop over each rank's elements.
+
+    The arena holds every rank's owned elements, rank after rank in the
+    order of ``owned``, then every rank's ghosts, rank after rank in the
+    order of ``ghosts`` (``(global, owner)`` pairs).  A neighbour is seen
+    from its row's rank: its owned position if that rank owns it, else that
+    rank's ghost slot for it.  Returns ``{degree: (members, columns)}`` in
+    ascending degree, ``members`` the owned positions of that degree
+    ascending and ``columns[k][i]`` the position of the k-th neighbour of
+    ``members[i]``.
+    """
+    owned = [[int(g) for g in elems] for elems in owned]
+    position = {g: p for p, g in enumerate(g for elems in owned for g in elems)}
+    slot = {}
+    for r, pairs in enumerate(ghosts):
+        for g, _owner in pairs:
+            slot[r, int(g)] = len(position) + len(slot)
+    ptr, nb = grid.indptr.tolist(), grid.indices.tolist()
+    rows: dict[int, tuple[list, list]] = {}
+    for r, elems in enumerate(owned):
+        mine = set(elems)
+        for g in elems:
+            cols = [position[j] if j in mine else slot[r, j] for j in nb[ptr[g]:ptr[g + 1]]]
+            members, table = rows.setdefault(len(cols), ([], []))
+            members.append(position[g])
+            table.append(cols)
+    return {d: (members, [list(col) for col in zip(*table)])
+            for d, (members, table) in sorted(rows.items())}
 
 
 def reference_ghosts(grid: GlobalGrid, owner, rank: int) -> list[tuple[int, int]]:

@@ -1,5 +1,7 @@
 """Field exchange and stencil execution: values, counters, cost model."""
 
+import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,8 @@ from haloflow.halo import engine
 from haloflow.halo.engine import _exchange_rounds
 from haloflow.halo.partition import _derive_ghosts
 
+from oracles import reference_arena_rows
+
 
 def reference_step(grid, values):
     """Unweighted neighbour mean, accumulating in ascending global order."""
@@ -47,7 +51,21 @@ class TestFields:
         part = partition_block(ring(8), 2)
         fields = make_fields(part, np.arange(8, dtype=float))
         assert fields[0].n_owned == 4
-        assert len(fields[0].values) == 6  # 4 owned + 2 ghosts
+        # every rank's owned block first, then every rank's two ghost slots
+        assert [(f.owned, f.ghosts) for f in fields] == [
+            (slice(0, 4), slice(8, 10)), (slice(4, 8), slice(10, 12))]
+        assert fields.arena.tolist() == [*range(8), 0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("init", [np.arange(5.0), np.arange(10.0), np.ones((2, 4)),
+                                      np.float64(1.0)],
+                             ids=["short", "long", "2-D", "scalar"])
+    def test_initial_values_must_be_one_per_element(self, init):
+        part = partition_block(ring(8), 2)
+        shape = re.escape(f"must have shape (8,), one per grid element; got {init.shape}")
+        with pytest.raises(ConfigurationError, match=shape):
+            make_fields(part, init)
+        with pytest.raises(ConfigurationError, match=shape):
+            run_stencil(ring(8), 2, 1, init)
 
 
 class TestExchange:
@@ -60,8 +78,8 @@ class TestExchange:
         fields = make_fields(part, np.arange(36, dtype=float) * 1.5)
         exchange(fields, step_workspace(part, plan, schedule=schedule), router)
         for r in range(4):
-            for slot, (g0, _owner) in enumerate(part.ghosts[r]):
-                assert fields[r].values[part.n_owned(r) + slot] == g0 * 1.5
+            ghosts = fields.arena[fields[r].ghosts]
+            assert ghosts.tolist() == (part.ghosts[r][:, 0] * 1.5).tolist()
             assert fields[r].ghosts_fresh
 
     def test_exchange_marks_ghosts_fresh(self):
@@ -134,8 +152,7 @@ class TestStencilValues:
         init = np.linspace(-2.0, 3.0, 60)
         expect = reference_step(g, reference_step(g, reference_step(g, init)))
         fields, part, _plan, _sums = run_stencil(g, nranks, 3, init, mode=mode)
-        for r in range(nranks):
-            assert any(type(grp.rows) is np.ndarray for grp in part.stencil[r])
+        assert any(type(grp.rows) is np.ndarray for grp in part.stencil)
         assert gather_global(fields, part).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("mode", list(OverlapMode))
@@ -159,13 +176,20 @@ class TestStencilValues:
 
     @pytest.mark.parametrize("mode", list(OverlapMode))
     def test_thread_router_matches_lockstep(self, mode):
-        # threads share the run's workspace, each rank swapping its own spare array
+        # rank threads, more than there are cores and switched often, share one
+        # arena (each writing only its own ghost range) and one boundary mask
         g = random_grid(40, 5, seed=12)
         init = np.arange(40.0) * 0.25
-        a, pa, _x, sa = run_stencil(g, 4, 3, init, mode=mode, router=Router(4, "rounds"))
-        b, pb, _u, sb = run_stencil(g, 4, 3, init, mode=mode, router=Router(4, "threads"))
+        a, pa, xa, sa = run_stencil(g, 8, 3, init, mode=mode, router=Router(8, "rounds"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b, pb, xb, sb = run_stencil(g, 8, 3, init, mode=mode, router=Router(8, "threads"))
+        finally:
+            sys.setswitchinterval(interval)
         assert gather_global(a, pa).tobytes() == gather_global(b, pb).tobytes()
         assert sa == sb
+        assert np.array_equal(xa.boundary_mask, xb.boundary_mask)
 
     def test_checksum_accumulates_in_global_order(self):
         g = ring(8)
@@ -196,47 +220,46 @@ def _decompositions(draw):
 
 
 def assert_blocks_split_groups(part, plan):
-    """Each rank's ``boundary`` and ``interior`` blocks split its degree groups exactly."""
-    for r in range(part.nranks):
-        rp = plan.ranks[r]
-        owned = part.owned[r]
-        local_to_global = np.concatenate(
-            [owned, np.array([g for g, _owner in part.ghosts[r]], dtype=np.int64)])
-        blocks = {}
-        for name in ("boundary", "interior"):
-            degrees = [blk.degree for blk in getattr(rp, name)]
-            assert degrees == sorted(set(degrees)), (r, name)  # one block per group, in order
-            blocks[name] = {blk.degree: blk for blk in getattr(rp, name)}
-        assert set(blocks["boundary"]) | set(blocks["interior"]) == {
-            g.degree for g in part.stencil[r]}
-        for blk in (*part.stencil[r], *rp.boundary, *rp.interior):
-            # a block is written through a slice exactly when its members are one range
-            run = blk.members[-1] - blk.members[0] == len(blk.members) - 1
-            if run:
-                assert blk.rows == slice(int(blk.members[0]), int(blk.members[-1]) + 1)
-            else:
-                assert blk.rows is blk.members
-        for grp in part.stencil[r]:
-            assert grp.columns.shape == (grp.degree, len(grp.members))
-            assert grp.columns.flags.c_contiguous
-            assert [list(row) for row in local_to_global[grp.columns].T] == [
-                list(part.grid.adjacency[g]) for g in owned[grp.members]]
-            on = rp.boundary_mask[grp.members]
-            for name, rows in (("boundary", np.flatnonzero(on)),
-                               ("interior", np.flatnonzero(~on))):
-                blk = blocks[name].get(grp.degree)
-                if blk is None:  # empty blocks are left out
-                    assert len(rows) == 0, (r, name)
-                    continue
-                assert len(blk.members) and (np.diff(blk.members) > 0).all()
-                assert blk.members.tolist() == grp.members[rows].tolist()
-                assert blk.columns.flags.c_contiguous
-                assert np.array_equal(blk.columns, grp.columns[:, rows])
-            b, i = blocks["boundary"].get(grp.degree), blocks["interior"].get(grp.degree)
-            if b is not None and i is not None:
-                assert not np.intersect1d(b.members, i.members).size
-        assert sorted(m for blk in rp.boundary for m in blk.members.tolist()) == (
-            np.flatnonzero(rp.boundary_mask).tolist())
+    """The plan's ``boundary`` and ``interior`` blocks split the partition's groups exactly."""
+    n = len(part.owner)
+    arena_to_global = np.concatenate([*part.owned, *(g[:, 0] for g in part.ghosts)])
+    blocks = {}
+    for name in ("boundary", "interior"):
+        degrees = [blk.degree for blk in getattr(plan, name)]
+        assert degrees == sorted(set(degrees)), name  # one block per group, in order
+        blocks[name] = {blk.degree: blk for blk in getattr(plan, name)}
+    assert set(blocks["boundary"]) | set(blocks["interior"]) == {
+        g.degree for g in part.stencil}
+    for blk in (*part.stencil, *plan.boundary, *plan.interior):
+        # a block is written through a slice exactly when its members are one range
+        run = blk.members[-1] - blk.members[0] == len(blk.members) - 1
+        if run:
+            assert blk.rows == slice(int(blk.members[0]), int(blk.members[-1]) + 1)
+        else:
+            assert blk.rows is blk.members
+    assert plan.boundary_mask.shape == plan.interior_mask.shape == (n,)
+    assert (plan.boundary_mask ^ plan.interior_mask).all()
+    for grp in part.stencil:
+        assert grp.columns.shape == (grp.degree, len(grp.members))
+        assert grp.columns.flags.c_contiguous
+        assert [list(row) for row in arena_to_global[grp.columns].T] == [
+            list(part.grid.adjacency[g]) for g in arena_to_global[grp.members]]
+        on = plan.boundary_mask[grp.members]
+        for name, rows in (("boundary", np.flatnonzero(on)),
+                           ("interior", np.flatnonzero(~on))):
+            blk = blocks[name].get(grp.degree)
+            if blk is None:  # empty blocks are left out
+                assert len(rows) == 0, name
+                continue
+            assert len(blk.members) and (np.diff(blk.members) > 0).all()
+            assert blk.members.tolist() == grp.members[rows].tolist()
+            assert blk.columns.flags.c_contiguous
+            assert np.array_equal(blk.columns, grp.columns[:, rows])
+        b, i = blocks["boundary"].get(grp.degree), blocks["interior"].get(grp.degree)
+        if b is not None and i is not None:
+            assert not np.intersect1d(b.members, i.members).size
+    assert sorted(m for blk in plan.boundary for m in blk.members.tolist()) == (
+        np.flatnonzero(plan.boundary_mask).tolist())
 
 
 class TestRowBlocks:
@@ -273,23 +296,21 @@ class TestRowBlocks:
 
 class TestWorkspace:
     @pytest.mark.parametrize("mode", list(OverlapMode))
-    def test_run_stencil_alternates_each_ranks_two_arrays(self, mode, monkeypatch):
+    def test_run_stencil_alternates_the_two_arenas(self, mode, monkeypatch):
         seen = []
 
         def checksum(fields, part):
-            seen.append([f.values for f in fields])
+            seen.append(fields.arena)
             return global_checksum(fields, part)
 
         monkeypatch.setattr(engine, "global_checksum", checksum)
         run_stencil(quad_mesh(8, 8), 4, 5, np.arange(64.0), mode=mode)
-        for r in range(4):
-            arrays = [step[r] for step in seen]
-            if mode is OverlapMode.NONE:  # updated in place, no spare array
-                assert all(a is arrays[0] for a in arrays)
-                continue
-            assert arrays[1] is not arrays[0]
-            for k in range(2, len(arrays)):
-                assert arrays[k] is arrays[k - 2] and arrays[k] is not arrays[k - 1]
+        if mode is OverlapMode.NONE:  # updated in place, no spare arena
+            assert all(a is seen[0] for a in seen)
+            return
+        assert seen[1] is not seen[0]
+        for k in range(2, len(seen)):
+            assert seen[k] is seen[k - 2] and seen[k] is not seen[k - 1]
 
     @pytest.mark.parametrize("mode", list(OverlapMode))
     def test_buffers_only_where_the_mode_uses_them(self, mode):
@@ -297,13 +318,13 @@ class TestWorkspace:
         plan = build_plan(part, Router(3))
         ws = step_workspace(part, plan, mode)
         assert (ws.part, ws.plan, ws.mode) == (part, plan, mode)
-        for r in range(3):
-            assert (ws.spare[r] is None) is (mode is OverlapMode.NONE)
-            assert (ws.means[r] is None) is (mode is OverlapMode.INDIRECTION_ARRAY)
-            if ws.spare[r] is not None:
-                assert ws.spare[r].shape == (part.local_size(r),)
-            if ws.means[r] is not None:
-                assert ws.means[r].shape == (part.n_owned(r),)
+        assert (ws.spare is None) is (mode is OverlapMode.NONE)
+        assert (ws.means is None) is (mode is OverlapMode.INDIRECTION_ARRAY)
+        assert part.arena_size == 36 + sum(part.n_ghosts(r) for r in range(3))
+        if ws.spare is not None:
+            assert ws.spare.shape == (part.arena_size,)
+        if ws.means is not None:
+            assert ws.means.shape == (36,)
 
 
 class TestReadCounter:
@@ -354,7 +375,7 @@ def _loop_assembly(fields, part):
     """Owned values scattered into global order through the owned indices."""
     out = np.full(len(part.owner), np.nan)
     for r in range(part.nranks):
-        out[part.owned[r]] = fields[r].values[: fields[r].n_owned]
+        out[part.owned[r]] = fields.arena[fields[r].owned]
     return out
 
 
@@ -383,6 +404,72 @@ class TestLayouts:
                 assert got.tobytes() == expect.tobytes(), mode
                 assert got.tobytes() == _loop_assembly(fields, part).tobytes(), mode
                 assert global_checksum(fields, part) == _loop_sum(expect.tolist()), mode
+
+
+@st.composite
+def _owned_grids(draw):
+    """A ring, quad or random grid of at most 100 elements, 1..6 ranks and an owner layout."""
+    kind = draw(st.sampled_from(["ring", "quad", "random"]))
+    if kind == "ring":
+        grid = ring(draw(st.integers(2, 100)))
+    elif kind == "quad":
+        grid = quad_mesh(draw(st.integers(2, 10)), draw(st.integers(2, 10)))
+    else:
+        grid = random_grid(draw(st.integers(2, 100)), draw(st.integers(2, 8)),
+                           seed=draw(st.integers(0, 2**16)))
+    nranks = draw(st.integers(1, min(6, grid.n)))
+    return grid, nranks, draw(st.sampled_from(["block", "reversed", "round_robin"]))
+
+
+class TestArena:
+    """All ranks in one arena: rows equal the loop oracle, each rank stays in its own ranges."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_owned_grids())
+    @example((ring(9), 6, "block"))              # trailing ranks own nothing
+    @example((quad_mesh(2, 5), 3, "round_robin"))
+    @example((random_grid(40, 6, seed=3), 4, "reversed"))
+    def test_rows_ranges_and_checksums(self, case):
+        grid, nranks, layout = case
+        owner = _owners(layout, grid.n, nranks)
+        part = _derive_ghosts(grid, owner, [np.flatnonzero(owner == r) for r in range(nranks)],
+                              nranks)
+        want = reference_arena_rows(grid, part.owned, part.ghosts)
+        assert [grp.degree for grp in part.stencil] == list(want)
+        for grp in part.stencil:
+            assert grp.members.tolist() == want[grp.degree][0]
+            assert grp.columns.tolist() == want[grp.degree][1]
+
+        owned, ghosts = np.array(part.owned_base), np.array(part.ghost_base)
+        assert ghosts[0] == owned[-1] == grid.n and ghosts[-1] == part.arena_size
+
+        def inside(positions, bounds, r):
+            return (bounds[r] <= positions) & (positions < bounds[r + 1])
+
+        rank_of = np.repeat(np.arange(nranks), np.diff(owned))  # of each owned position
+        for grp in part.stencil:
+            r = rank_of[grp.members]
+            assert (inside(grp.columns, owned, r) | inside(grp.columns, ghosts, r)).all()
+        ws = step_workspace(part, build_plan(part, Router(nranks)))
+        for r in range(nranks):
+            for outgoing in ws.sends[r]:
+                assert all(inside(pos, owned, r).all() for _dst, pos in outgoing)
+            # the receive ranges tile the rank's ghost slots end to end
+            recv = sorted((sl.start, sl.stop) for sl in ws.recv[r].values())
+            assert [ghosts[r], *(b for _a, b in recv)] == [*(a for a, _b in recv), ghosts[r + 1]]
+
+        init = np.sin(np.arange(grid.n) * 0.7) + 0.1
+        _f, _p, _plan, ref_sums = run_stencil(grid, 1, 3, init)
+        for router_mode in ("rounds", "threads"):
+            for mode in OverlapMode:
+                router = Router(nranks, router_mode)
+                workspace = step_workspace(part, build_plan(part, router), mode)
+                fields = make_fields(part, init)
+                sums = []
+                for _ in range(3):
+                    stencil_step(fields, workspace, router)
+                    sums.append(global_checksum(fields, part))
+                assert sums == ref_sums, (router_mode, mode)
 
 
 class TestGather:

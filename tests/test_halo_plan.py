@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from haloflow import ProtocolError
 from haloflow.halo import (
-    HaloPlan,
     Partition,
     Router,
     build_plan,
@@ -137,7 +136,8 @@ class TestPlanOracles:
         for r in range(3):
             rp = plan.ranks[r]
             expect = sorted({i for idx in rp.send_index.values() for i in idx.tolist()})
-            assert np.flatnonzero(rp.boundary_mask).tolist() == expect
+            own = slice(part.owned_base[r], part.owned_base[r + 1])
+            assert np.flatnonzero(plan.boundary_mask[own]).tolist() == expect
 
 
 class TestProtocolHardening:
@@ -193,12 +193,13 @@ class _DroppingRouter(Router):
 def _with_rank_plan(plan, rank, **changes):
     ranks = list(plan.ranks)
     ranks[rank] = replace(ranks[rank], **changes)
-    return HaloPlan(nranks=plan.nranks, ranks=tuple(ranks))
+    return replace(plan, ranks=tuple(ranks))
 
 
 def _exchange_by_hand(part, plan, rounds, router):
     """Run ``exchange`` over hand-made ``rounds`` on every rank."""
-    sends, packed = zip(*(_rank_sends(rp.send_index, rp.rank, rounds) for rp in plan.ranks))
+    sends, packed = zip(*(_rank_sends(rp, part.owned_base[rp.rank], rounds)
+                          for rp in plan.ranks))
     workspace = replace(step_workspace(part, plan), sends=sends, packed=packed)
     exchange(make_fields(part, np.arange(float(part.grid.n))), workspace, router)
 
@@ -276,14 +277,14 @@ def test_row_blocks_equal_the_two_pass_reference(grid, nranks):
     """Each side's blocks are the per-side reference's, array for array."""
     part = partition_block(grid, nranks)
     plan = build_plan(part, Router(nranks))
-    for r, rp in enumerate(plan.ranks):
-        for blocks, mask in ((rp.boundary, rp.boundary_mask), (rp.interior, rp.interior_mask)):
-            want = reference_blocks(part.stencil[r], mask)
-            assert len(blocks) == len(want)
-            for got, ref in zip(blocks, want):
-                assert got.members.dtype == ref.members.dtype
-                assert got.columns.dtype == ref.columns.dtype and got.columns.flags.c_contiguous
-                assert np.array_equal(got.members, ref.members)
-                assert np.array_equal(got.columns, ref.columns)
-                assert (got.rows == ref.rows if isinstance(ref.rows, slice)
-                        else np.array_equal(got.rows, ref.rows))
+    for blocks, mask in ((plan.boundary, plan.boundary_mask),
+                         (plan.interior, plan.interior_mask)):
+        want = reference_blocks(part.stencil, mask)
+        assert len(blocks) == len(want)
+        for got, ref in zip(blocks, want):
+            assert got.members.dtype == ref.members.dtype
+            assert got.columns.dtype == ref.columns.dtype and got.columns.flags.c_contiguous
+            assert np.array_equal(got.members, ref.members)
+            assert np.array_equal(got.columns, ref.columns)
+            assert (got.rows == ref.rows if isinstance(ref.rows, slice)
+                    else np.array_equal(got.rows, ref.rows))
