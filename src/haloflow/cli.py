@@ -4,7 +4,8 @@ Every subcommand is one section of ``report``: ``alltoall`` and ``halo`` run
 the workload, ``sweep``, ``roofline`` and ``energy`` their sections, and
 ``report`` every section the scenario has, plus ``summary.json``.  Tables go
 to stdout as CSV (``--format json`` for JSON) or under fixed names into
-``--output DIR``.  The ``*_table`` functions return (header, rows) pairs.
+``--output DIR``.  Each section is one function that computes its tables
+and returns them with their file names and ``summary.json`` entries.
 
 A job comes from ``--scenario FILE`` or, for ``alltoall`` and ``halo``, from
 workload flags, never both (``--seed``, ``--output`` and ``--format`` combine
@@ -44,31 +45,19 @@ from .errors import (
     SimulationError,
 )
 from .halo import OverlapMode, run_stencil, staged_vs_direct_cost
-from .netsim import SimConfig, TimestepScenario, simulate, simulate_timestep
-from .perfmodel import KernelPoint, roofline_report
+from .netsim import SimConfig, simulate, simulate_timestep
+from .perfmodel import roofline_report
 from .reporting import render_csv, roofline_svg, write_json
 from .scenario import (
     AlltoallJob,
-    EnergySpec,
     HaloJob,
     Scenario,
-    SweepSpec,
     load_scenario,
     parse_grid,
 )
 from .topology import RankMap, Topology
 
-__all__ = [
-    "main",
-    "resolve_seed",
-    "parse_topology_arg",
-    "alltoall_table",
-    "halo_tables",
-    "timestep_table",
-    "sweep_table",
-    "roofline_table",
-    "energy_table",
-]
+__all__ = ["main", "resolve_seed", "parse_topology_arg"]
 
 SEED_ENV = "HALOFLOW_SEED"
 
@@ -119,7 +108,15 @@ def parse_topology_arg(spec: str) -> Topology:
     return topo_mod.from_spec(_topology_doc(spec))
 
 
-# --- job tables -------------------------------------------------------------
+# --- sections ---------------------------------------------------------------
+# A section function returns its artifacts as (file name, (header, rows) or
+# SVG text, summary.json entry) triples.
+
+Artifact = tuple[str, "Table | str", dict]
+
+# Every simulation of a section runs without a trace: no section reads one.
+UNTRACED = SimConfig(collect_events=False)
+
 
 def _check_ranks(ranks: int, topo: Topology) -> None:
     """Refuse more ranks than ``topo`` has devices, before a size matrix or a stencil is built."""
@@ -128,93 +125,81 @@ def _check_ranks(ranks: int, topo: Topology) -> None:
             f"{ranks} ranks exceed the {topo.n_devices} devices of topology {topo.name!r}")
 
 
-def _untraced(cfg: SimConfig | None) -> SimConfig:
-    """``cfg`` (by default ``SimConfig()``) with no trace: no table reads one."""
-    return dataclasses.replace(cfg or SimConfig(), collect_events=False)
+def _json_number(x: float) -> float | None:
+    """``x``, or None when it is infinite: JSON has no infinity."""
+    return x if math.isfinite(x) else None
 
 
-def alltoall_table(
-    topo: Topology, job: AlltoallJob, cfg: SimConfig | None = None
-) -> Table:
-    """Makespan of one uniform all-to-all under each requested schedule."""
-    cfg = _untraced(cfg)
-    _check_ranks(job.ranks, topo)
-    rank_map = RankMap.identity(job.ranks)
-    sizes = uniform_sizes(job.ranks, job.msg_bytes)
-    rows: list[list[object]] = []
-    for kind in job.schedules:
-        flows = build_alltoall(kind, sizes)
-        phases = 1 + max((f.phase for f in flows), default=0)
-        res = simulate(topo, rank_map, flows, cfg)
-        rows.append([kind.value, job.ranks, job.msg_bytes, phases, res.makespan])
-    return ["schedule", "ranks", "msg_bytes", "phases", "makespan_seconds"], rows
-
-
-def halo_tables(
-    topo: Topology, job: HaloJob, seed: int, cfg: SimConfig | None = None
-) -> tuple[Table, Table]:
-    """Run a halo stencil job; returns (checksum table, timing table)."""
-    cfg = cfg or SimConfig()
-    _check_ranks(job.ranks, topo)
-    grid = parse_grid(job.grid)
-    rng = np.random.default_rng(seed)
-    init = rng.standard_normal(grid.n)
-    fields, part, plan, checksums = run_stencil(
-        grid, job.ranks, job.steps, init, mode=job.mode, schedule=job.schedule
-    )
-    check_rows: list[list[object]] = [[s + 1, c] for s, c in enumerate(checksums)]
-    rank_map = RankMap.identity(job.ranks)
-    staged, direct = staged_vs_direct_cost(
-        part, plan, job.bytes_per_element, topo, rank_map, cfg
-    )
-    comp = job.compute_seconds
-    timing_rows: list[list[object]] = [[
-        job.grid,
-        job.ranks,
-        plan.total_sent(),
-        comp,
-        direct,
-        staged,
-        comp + direct,
-        comp + staged,
-        (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf"),
-    ]]
-    return (
-        (["step", "checksum"], check_rows),
-        (
-            ["grid", "ranks", "halo_elements", "compute_seconds",
-             "direct_comm_seconds", "staged_comm_seconds",
-             "direct_step_seconds", "staged_step_seconds", "staged_over_direct"],
-            timing_rows,
-        ),
-    )
-
-
-def timestep_table(
-    topo: Topology, job: TimestepScenario, cfg: SimConfig | None = None
-) -> tuple[list[str], list[list[object]], float]:
-    """Per-rank busy time for one compute+exchange timestep; returns makespan too."""
+def _workload_artifacts(scn: Scenario) -> list[Artifact]:
+    """The workload's tables: one uniform all-to-all timed under each requested
+    schedule, a halo stencil run (checksums, then staged versus direct
+    timing), or per-rank busy time for one compute+exchange timestep."""
+    topo = topo_mod.from_spec(scn.topology)
+    job = scn.workload
+    if isinstance(job, AlltoallJob):
+        _check_ranks(job.ranks, topo)
+        rank_map = RankMap.identity(job.ranks)
+        sizes = uniform_sizes(job.ranks, job.msg_bytes)
+        rows: list[list[object]] = []
+        for kind in job.schedules:
+            flows = build_alltoall(kind, sizes)
+            phases = 1 + max((f.phase for f in flows), default=0)
+            res = simulate(topo, rank_map, flows, UNTRACED)
+            rows.append([kind.value, job.ranks, job.msg_bytes, phases, res.makespan])
+        header = ["schedule", "ranks", "msg_bytes", "phases", "makespan_seconds"]
+        return [("alltoall.csv", (header, rows),
+                 {"makespans": {str(r[0]): _json_number(r[4]) for r in rows}})]
+    if isinstance(job, HaloJob):
+        _check_ranks(job.ranks, topo)
+        grid = parse_grid(job.grid)
+        rng = np.random.default_rng(scn.seed)
+        init = rng.standard_normal(grid.n)
+        _fields, part, plan, checksums = run_stencil(
+            grid, job.ranks, job.steps, init, mode=job.mode, schedule=job.schedule
+        )
+        staged, direct = staged_vs_direct_cost(
+            part, plan, job.bytes_per_element, topo, RankMap.identity(job.ranks), UNTRACED
+        )
+        comp = job.compute_seconds
+        # a run with no compute and no traffic has an infinite ratio
+        ratio = (comp + staged) / (comp + direct) if comp + direct > 0 else float("inf")
+        timing_row: list[object] = [
+            job.grid,
+            job.ranks,
+            plan.total_sent(),
+            comp,
+            direct,
+            staged,
+            comp + direct,
+            comp + staged,
+            ratio,
+        ]
+        return [("halo_checksums.csv",
+                 (["step", "checksum"], [[s + 1, c] for s, c in enumerate(checksums)]),
+                 {"steps": len(checksums)}),
+                ("halo_timing.csv",
+                 (["grid", "ranks", "halo_elements", "compute_seconds",
+                   "direct_comm_seconds", "staged_comm_seconds",
+                   "direct_step_seconds", "staged_step_seconds", "staged_over_direct"],
+                  [timing_row]),
+                 {"staged_over_direct": _json_number(ratio)})]
     nranks = len(job.compute_seconds)
-    res = simulate_timestep(topo, RankMap.identity(nranks), job, _untraced(cfg))
-    rows: list[list[object]] = [
-        [r, job.compute_seconds[r], res.busy_seconds[r], res.busy_fraction[r]]
-        for r in range(nranks)
-    ]
-    return (
-        ["rank", "compute_seconds", "busy_seconds", "busy_fraction"],
-        rows,
-        res.makespan,
-    )
+    res = simulate_timestep(topo, RankMap.identity(nranks), job, UNTRACED)
+    header = ["rank", "compute_seconds", "busy_seconds", "busy_fraction"]
+    return [("timestep.csv",
+             (header, [[r, job.compute_seconds[r], res.busy_seconds[r], res.busy_fraction[r]]
+                       for r in range(nranks)]),
+             {"makespan_seconds": _json_number(res.makespan)})]
 
 
-def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
-    """Evaluate one strong-scaling sweep.
+def _sweep_artifacts(scn: Scenario) -> list[Artifact]:
+    """Evaluate the strong-scaling sweep.
 
     Each point exchanges ``total_bytes`` of uniform all-to-all traffic
     (``total_bytes / ranks**2`` per ordered pair) after an imbalanced
     compute phase of ``imbalance * compute_seconds_total / ranks``.
     """
-    cfg = _untraced(cfg)
+    sweep = scn.sweep
     rows: list[list[object]] = []
     for pt in sweep.points:
         topo = topo_mod.from_spec(pt.topology)
@@ -222,89 +207,40 @@ def sweep_table(sweep: SweepSpec, cfg: SimConfig | None = None) -> Table:
         rank_map = RankMap.identity(pt.ranks)
         pair_bytes = int(round(sweep.total_bytes / (pt.ranks * pt.ranks)))
         flows = build_alltoall(sweep.schedule, uniform_sizes(pt.ranks, pair_bytes))
-        comm = simulate(topo, rank_map, flows, cfg).makespan
+        comm = simulate(topo, rank_map, flows, UNTRACED).makespan
         compute = pt.imbalance * sweep.compute_seconds_total / pt.ranks
         rows.append([pt.name, pt.ranks, pair_bytes, compute, comm, compute + comm])
-    return (
-        ["name", "ranks", "pair_bytes", "compute_seconds", "comm_seconds", "step_seconds"],
-        rows,
-    )
+    header = ["name", "ranks", "pair_bytes", "compute_seconds", "comm_seconds", "step_seconds"]
+    return [("sweep.csv", (header, rows),
+             {"step_seconds": {str(r[0]): _json_number(r[5]) for r in rows}})]
 
 
-def roofline_table(points: Sequence[KernelPoint]) -> Table:
-    """The kernels of one ``roofline_report`` as a table."""
+def _roofline_artifacts(scn: Scenario, svg: bool = False) -> list[Artifact]:
+    """The kernels of one ``roofline_report`` as a table and, with ``svg``, its chart."""
+    spec = scn.roofline
+    points = roofline_report(spec.machine, spec.kernels)
     rows: list[list[object]] = [
         [p.name, p.intensity, p.achieved_flops, p.attainable, p.percent, p.seconds, p.time_share]
         for p in points
     ]
-    return (
-        ["kernel", "intensity", "achieved_flops", "attainable_flops",
-         "percent_of_roofline", "seconds", "time_share"],
-        rows,
-    )
-
-
-def energy_table(spec: EnergySpec) -> Table:
-    points = energy_vs_time_series(spec.model, spec.configurations)
-    rows: list[list[object]] = [
-        [p.name, p.step_seconds, p.busy_fraction, p.devices, p.watts, p.joules]
-        for p in points
-    ]
-    return (
-        ["name", "step_seconds", "busy_fraction", "devices", "watts", "joules"],
-        rows,
-    )
-
-
-# --- sections ---------------------------------------------------------------
-# A section function returns its artifacts as (file name, table or SVG text,
-# summary.json entry) triples.
-
-Artifact = tuple[str, "Table | str", dict]
-
-
-def _json_number(x: float) -> float | None:
-    """``x``, or None when it is infinite: JSON has no infinity."""
-    return x if math.isfinite(x) else None
-
-
-def _workload_artifacts(scn: Scenario) -> list[Artifact]:
-    topo = topo_mod.from_spec(scn.topology)
-    job = scn.workload
-    if isinstance(job, AlltoallJob):
-        table = alltoall_table(topo, job)
-        return [("alltoall.csv", table,
-                 {"makespans": {str(r[0]): _json_number(r[4]) for r in table[1]}})]
-    if isinstance(job, HaloJob):
-        checksums, timing = halo_tables(topo, job, scn.seed)
-        # a run with no compute and no traffic has an infinite ratio
-        return [("halo_checksums.csv", checksums, {"steps": len(checksums[1])}),
-                ("halo_timing.csv", timing,
-                 {"staged_over_direct": _json_number(timing[1][0][-1])})]
-    header, rows, makespan = timestep_table(topo, job)
-    return [("timestep.csv", (header, rows), {"makespan_seconds": _json_number(makespan)})]
-
-
-def _sweep_artifacts(scn: Scenario) -> list[Artifact]:
-    table = sweep_table(scn.sweep)
-    return [("sweep.csv", table,
-             {"step_seconds": {str(r[0]): _json_number(r[5]) for r in table[1]}})]
-
-
-def _roofline_artifacts(scn: Scenario, svg: bool = False) -> list[Artifact]:
-    """The roofline table and, with ``svg``, its chart."""
-    spec = scn.roofline
-    points = roofline_report(spec.machine, spec.kernels)
+    header = ["kernel", "intensity", "achieved_flops", "attainable_flops",
+              "percent_of_roofline", "seconds", "time_share"]
     entry = {"kernels": len(points)}
-    artifacts = [("roofline.csv", roofline_table(points), entry)]
+    artifacts: list[Artifact] = [("roofline.csv", (header, rows), entry)]
     if svg:
         artifacts.append(("roofline.svg", roofline_svg(spec.machine, points), entry))
     return artifacts
 
 
 def _energy_artifacts(scn: Scenario) -> list[Artifact]:
-    table = energy_table(scn.energy)
-    return [("energy.csv", table, {"joules": {str(r[0]): r[5] for r in table[1]}})]
+    """The energy bill of each configuration."""
+    points = energy_vs_time_series(scn.energy.model, scn.energy.configurations)
+    rows: list[list[object]] = [
+        [p.name, p.step_seconds, p.busy_fraction, p.devices, p.watts, p.joules]
+        for p in points
+    ]
+    header = ["name", "step_seconds", "busy_fraction", "devices", "watts", "joules"]
+    return [("energy.csv", (header, rows), {"joules": {str(r[0]): r[5] for r in rows}})]
 
 
 # Scenario section -> its artifacts, in report order.

@@ -31,20 +31,21 @@ Overlap modes mirror the two standard ways of hiding the exchange:
 
 A step or exchange reads only a :class:`StepWorkspace`, built once per run
 like a halo library's exchange set-up: the partition (arena layout, rows),
-its plan (send lists, boundary split), the mode, each rank's ``(peer, send
-positions)`` pairs per round of the matching all-to-all schedule of
-:mod:`haloflow.collectives` and receive ranges, and the buffers its mode
-uses.  The overlap modes write into a spare arena and swap it with the
-fields', so a step allocates no field-sized array.  Nothing is cached on the
-partition or the plan.
+its plan (send lists, receive ranges, boundary split), the mode, each
+rank's ``(peer, send positions)`` pairs per round of the matching all-to-all
+schedule of :mod:`haloflow.collectives`, its receive ranges shifted into the
+arena, and the buffers its mode uses.  The overlap modes write into a spare
+arena and swap it with the fields', so a step allocates no field-sized
+array.  Nothing is cached on the partition or the plan.
 
 Every rank's exchange is its own generator on the router: it packs from its
 send positions with one gather per destination, adding exactly the packed
 count to its ``reads``, and copies arrivals into its ghost range.  The
 overlap modes send the *new* boundary values and so leave ghosts valid for
-the next step; ``NONE`` refreshes at the top of each step.  Fields track
-that state (``ghosts_fresh``) and the overlap modes re-synchronize stale
-ghosts first, so the modes can be mixed freely.
+the next step; ``NONE`` refreshes at the top of each step.  One flag on
+:class:`Fields` (``ghosts_fresh``) tracks that state for all ranks, and the
+overlap modes re-synchronize stale ghosts first, so the modes can be mixed
+freely.
 """
 
 from __future__ import annotations
@@ -93,14 +94,12 @@ class Field:
     """One rank's share of the arena: its owned block, then its ghost slots.
 
     ``owned`` and ``ghosts`` are the arena ranges of the two.  ``reads``
-    counts elements gathered to send to peers; ``ghosts_fresh`` records
-    whether ghost slots currently mirror the owners' values.
+    counts elements gathered to send to peers.
     """
 
     owned: slice
     ghosts: slice
     reads: int = 0
-    ghosts_fresh: bool = False
 
     @property
     def n_owned(self) -> int:
@@ -108,11 +107,17 @@ class Field:
 
 
 class Fields(list):
-    """Every rank's :class:`Field` in rank order and their ``arena``, which steps may swap."""
+    """Every rank's :class:`Field` in rank order and their ``arena``, which steps may swap.
+
+    ``ghosts_fresh`` records whether every rank's ghost slots mirror the
+    owners' values; exchanges and steps cover all ranks at once, so one
+    flag holds for all of them.
+    """
 
     def __init__(self, fields: Sequence[Field], arena: np.ndarray):
         super().__init__(fields)
         self.arena = arena
+        self.ghosts_fresh = False
 
 
 def make_fields(part: Partition, init: np.ndarray) -> Fields:
@@ -204,7 +209,7 @@ def step_workspace(
     sends, packed = zip(*(_rank_sends(rp, part.owned_base[rp.rank], rounds)
                           for rp in plan.ranks))
     # a rank's local ghost slot s sits at arena position s + shift
-    recv = tuple({src: slice(int(slots[0]) + shift, int(slots[-1]) + 1 + shift)
+    recv = tuple({src: slice(slots.start + shift, slots.stop + shift)
                   for src, slots in rp.recv_slot.items()}
                  for rp, shift in ((rp, part.ghost_base[rp.rank] - part.n_owned(rp.rank))
                                    for rp in plan.ranks))
@@ -245,8 +250,7 @@ def exchange(fields: Fields, workspace: StepWorkspace, router: Router) -> Fields
     """
     arena = fields.arena
     router.run(lambda rank: _exchange_program(workspace, rank, fields[rank], arena))
-    for f in fields:
-        f.ghosts_fresh = True
+    fields.ghosts_fresh = True
     return fields
 
 
@@ -281,17 +285,13 @@ def stencil_step(fields: Fields, workspace: StepWorkspace, router: Router) -> Fi
     spare arena and swap it with the fields', so the two alternate.
     """
     part, plan, mode = workspace.part, workspace.plan, workspace.mode
-    fresh = {f.ghosts_fresh for f in fields}
-    if len(fresh) > 1:
-        raise ProtocolError("fields disagree about ghost freshness")
-    if mode is OverlapMode.NONE or not fresh.pop():
+    if mode is OverlapMode.NONE or not fields.ghosts_fresh:
         exchange(fields, workspace, router)
     old, n = fields.arena, len(part.owner)
     if mode is OverlapMode.NONE:
         _mean_into(part.stencil, old, workspace.means)
         old[:n] = workspace.means
-        for f in fields:
-            f.ghosts_fresh = False
+        fields.ghosts_fresh = False
         return fields
     new = workspace.spare  # the fields, and so their exchanges, use it from here on
     workspace.spare, fields.arena = old, new

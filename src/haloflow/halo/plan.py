@@ -14,9 +14,10 @@ An owner finds the requests in its owned list with one binary search; a
 request that lands on no equal element signals a corrupt partition and
 raises ``ProtocolError``.
 
-Send lists are kept in ascending global order per destination, and receive
-slots are stored in the same order, so packed buffers line up end to end
-without any per-element tags.
+Send lists are kept in ascending global order per destination, and each
+peer's receive slots are one range in the same order, so packed buffers line
+up end to end without any per-element tags.  A rank plan holds only these
+negotiated lists and ranges; counts are their lengths.
 
 The plan also fixes, once, the boundary split of all ranks' stencil rows
 (see :class:`HaloPlan`), because it depends on the negotiated send lists.
@@ -38,16 +39,14 @@ class RankPlan:
     """One rank's view of the exchange.
 
     ``send_index[peer]`` holds local indices (into the owned region) to
-    gather for that peer; ``recv_slot[peer]`` holds the local ghost slots
-    the matching incoming buffer scatters into, one contiguous range per
-    peer.  Peers never include the rank itself.
+    gather for that peer; ``recv_slot[peer]`` is the range of local ghost
+    slots the matching incoming buffer fills.  Peers never include the rank
+    itself, and a peer that sends or receives nothing has no entry.
     """
 
     rank: int
     send_index: dict[int, np.ndarray]
-    recv_slot: dict[int, np.ndarray]
-    send_counts: np.ndarray
-    recv_counts: np.ndarray
+    recv_slot: dict[int, range]
 
 
 @dataclass
@@ -71,7 +70,7 @@ class HaloPlan:
     interior: tuple[DegreeGroup, ...]
 
     def total_sent(self) -> int:
-        return int(sum(rp.send_counts.sum() for rp in self.ranks))
+        return sum(len(idx) for rp in self.ranks for idx in rp.send_index.values())
 
 
 def _split(groups: tuple[DegreeGroup, ...], boundary: np.ndarray
@@ -147,13 +146,9 @@ def build_plan(part: Partition, router: Router) -> HaloPlan:
                 send_index[src] = idx[start:end]
 
         base = len(owned)
-        recv_slot = {p: np.arange(base + a, base + b, dtype=np.int64)
-                     for p, (a, b) in enumerate(runs) if b > a}
-        send_counts = np.zeros(nranks, dtype=np.int64)
-        send_counts[list(send_index)] = [len(sent) for sent in send_index.values()]
+        recv_slot = {p: range(base + a, base + b) for p, (a, b) in enumerate(runs) if b > a}
         boundary[part.owned_base[rank] + idx] = True
-        return RankPlan(rank=rank, send_index=send_index, recv_slot=recv_slot,
-                        send_counts=send_counts, recv_counts=np.diff(bounds))
+        return RankPlan(rank=rank, send_index=send_index, recv_slot=recv_slot)
 
     plans = router.run(program)
     boundary_blocks, interior_blocks = _split(part.stencil, boundary)

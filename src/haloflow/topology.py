@@ -590,7 +590,9 @@ def check_spec(doc: Mapping) -> None:
     key; so does a preset with more than ``MAX_PRESET_DEVICES`` devices.
     A bad or repeated inline node name, figure, or link or route entry
     raises :class:`TopologySpecError`, a ScenarioError at its path (such as
-    ``nodes[1]`` or ``links[0].lanes``) that is also a TopologyError.  An
+    ``nodes[1]`` or ``links[0].lanes``) that is also a TopologyError; so do
+    a missing ``nodes`` or ``links`` list and a link endpoint that is not
+    one of the nodes (at ``links[0].a``).  An
     unknown preset name raises :class:`ConfigurationError`.
     """
     if "preset" not in doc:
@@ -633,8 +635,12 @@ def _check_number(value, integer: bool, path: str, error: type[ScenarioError]) -
 def _check_inline(doc: Mapping) -> None:
     """Check an inline graph's node names (each parses and names a node once),
     its memory bandwidth and the keys and values of its link and route
-    entries (each key present but ``lanes``, which is at least 1)."""
-    nodes = doc.get("nodes", [])
+    entries (each key present but ``lanes``, which is at least 1; each link
+    endpoint a node of ``nodes``).  ``nodes`` and ``links`` are required."""
+    for key in ("nodes", "links"):
+        if key not in doc:
+            raise TopologySpecError("missing key", key)
+    nodes = doc["nodes"]
     if not isinstance(nodes, (list, tuple)):
         raise TopologySpecError("expected a list", "nodes")
     first: dict[NodeId, int] = {}
@@ -666,7 +672,14 @@ def _check_inline(doc: Mapping) -> None:
                     _check_number(value, fields[name], f"{at}.{name}", TopologySpecError)
                     if name == "lanes" and value < 1:
                         raise TopologySpecError("lanes must be >= 1", f"{at}.lanes")
-                elif key == "routes":  # indices into the links list
+                elif key == "links":  # an endpoint, one of the nodes
+                    try:
+                        node = parse_node(value)
+                    except TopologyError as exc:
+                        raise TopologySpecError(str(exc), f"{at}.{name}") from None
+                    if node not in first:
+                        raise TopologySpecError(f"{node} is not in nodes", f"{at}.{name}")
+                else:  # a route's indices into the links list
                     if not isinstance(value, (list, tuple)):
                         raise TopologySpecError("expected a list", f"{at}.links")
                     for j, li in enumerate(value):

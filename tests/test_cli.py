@@ -532,6 +532,27 @@ class TestRejectedBeforeAnyWork:
         assert code == 3 and stdout == ""
         assert "16 devices" in one_json_line(err)["message"]
 
+    def test_sweep_point_link_endpoint_before_the_workload_runs(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import haloflow.cli as cli
+
+        def refuse(*_args):
+            raise AssertionError("simulated before the sweep point's topology was checked")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "simulate", refuse)
+        topo = json.loads(json.dumps(INLINE_TOPOLOGY))
+        topo["links"][0]["a"] = 5
+        doc = dict(ALLTOALL_DOC, sweep={"total_bytes": 1e6, "compute_seconds_total": 0.01,
+                                        "points": [{"name": "p", "topology": topo,
+                                                    "ranks": 2}]})
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, doc), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == "sweep.points[0].topology.links[0].a"
+        assert not out.exists()
+
     def test_unrenderable_csv_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         doc = dict(ALLTOALL_DOC, energy={
@@ -595,8 +616,15 @@ class TestInlineTopologyEntries:
         (lambda t: t["nodes"].append("device:0"), "nodes[3]"),
         (lambda t: t["nodes"].insert(1, "switch:00"), "nodes[3]"),
         (lambda t: t["nodes"].append("device:x"), "nodes[3]"),
+        (lambda t: t["links"][0].update(a=5), "links[0].a"),
+        (lambda t: t["links"][0].update(a="device:x"), "links[0].a"),
+        (lambda t: t["links"][1].update(b="switch:1"), "links[1].b"),
+        (lambda t: t.pop("links"), "links"),
+        (lambda t: t.pop("nodes"), "nodes"),
     ], ids=["no_gbps_per_dir", "no_b", "no_a", "lanes_0", "lanes_negative", "route_no_links",
-            "node_repeated", "node_repeated_as_switch_00", "node_malformed"])
+            "node_repeated", "node_repeated_as_switch_00", "node_malformed",
+            "endpoint_not_a_string", "endpoint_malformed", "endpoint_not_a_node",
+            "no_links", "no_nodes"])
     def test_missing_keys_zero_lanes_and_repeated_nodes(self, tmp_path, capsys, monkeypatch,
                                                          edit, path):
         """Each exited 3 without a path before these checks, or (a repeated

@@ -80,16 +80,16 @@ class TestExchange:
         for r in range(4):
             ghosts = fields.arena[fields[r].ghosts]
             assert ghosts.tolist() == (part.ghosts[r][:, 0] * 1.5).tolist()
-            assert fields[r].ghosts_fresh
+        assert fields.ghosts_fresh
 
     def test_exchange_marks_ghosts_fresh(self):
         part = partition_block(ring(8), 2)
         router = Router(2)
         plan = build_plan(part, router)
         fields = make_fields(part, np.arange(8, dtype=float))
-        assert not fields[0].ghosts_fresh
+        assert not fields.ghosts_fresh
         exchange(fields, step_workspace(part, plan), router)
-        assert all(f.ghosts_fresh for f in fields)
+        assert fields.ghosts_fresh
 
 
 def _reference_round_targets(schedule, rank, p):
@@ -336,8 +336,26 @@ class TestReadCounter:
         # overlap modes sync once more at the cold start before the first step
         exchanges = steps if mode is OverlapMode.NONE else steps + 1
         for r in range(nranks):
-            expect = exchanges * int(plan.ranks[r].send_counts.sum())
+            expect = exchanges * sum(map(len, plan.ranks[r].send_index.values()))
             assert fields[r].reads == expect
+
+    def test_a_mask_array_step_after_a_none_step_resyncs_once(self):
+        g = quad_mesh(6, 6)
+        part = partition_block(g, 3)
+        router = Router(3)
+        plan = build_plan(part, router)
+        fields = make_fields(part, np.arange(36.0))
+        sent = [sum(map(len, rp.send_index.values())) for rp in plan.ranks]
+        stencil_step(fields, step_workspace(part, plan, OverlapMode.NONE), router)
+        assert not fields.ghosts_fresh
+        assert [f.reads for f in fields] == sent
+        stencil_step(fields, step_workspace(part, plan, OverlapMode.MASK_ARRAY), router)
+        assert fields.ghosts_fresh
+        # the stale ghosts' re-sync, then the step's own boundary exchange
+        assert [f.reads for f in fields] == [3 * n for n in sent]
+        one_fields, one_part, _plan, _sums = run_stencil(g, 1, 2, np.arange(36.0))
+        assert (gather_global(fields, part).tolist()
+                == gather_global(one_fields, one_part).tolist())
 
 
 class TestStagedVersusDirect:

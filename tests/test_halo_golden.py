@@ -4,7 +4,7 @@
 
 * a grid's adjacency (one line per element, neighbours in stored order);
 * each rank's ghost list ``(global, owner)`` for a block partition;
-* each rank's plan ``send_index``/``recv_slot`` arrays, per peer in key order;
+* each rank's plan ``send_index`` arrays and ``recv_slot`` ranges, per peer in key order;
 * the per-step checksums (``%.17g``), the final owned field and the field
   read counters of stencil runs, for every overlap mode and schedule.
 
@@ -73,7 +73,7 @@ def _decomposition_fp(grid, nranks) -> dict[str, str]:
         rp = plan.ranks[r]
         plans.append(f"rank {r}")
         plans.extend(f"send {peer}: {idx.tolist()}" for peer, idx in rp.send_index.items())
-        plans.extend(f"recv {peer}: {sl.tolist()}" for peer, sl in rp.recv_slot.items())
+        plans.extend(f"recv {peer}: {list(sl)}" for peer, sl in rp.recv_slot.items())
     return {f"p{nranks}.ghosts": _sha(ghosts), f"p{nranks}.plan": _sha(plans)}
 
 

@@ -296,8 +296,6 @@ class TestGhosts:
                 x, y = getattr(a, name), getattr(b, name)
                 assert list(x) == list(y)
                 assert all(np.array_equal(x[k], y[k]) for k in x)
-            for name in ("send_counts", "recv_counts"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
         _same_blocks(twin.stencil, part.stencil)
         for name in ("boundary_mask", "interior_mask"):
             assert np.array_equal(getattr(plan, name), getattr(twin_plan, name))

@@ -104,7 +104,7 @@ class TestPlanOracles:
         assert plan.ranks[0].send_index[1].tolist() == [0, 3]
         assert plan.ranks[1].send_index[0].tolist() == [0, 3]
         # ghost slots sit after the owned block, ordered like the ghost list
-        assert plan.ranks[0].recv_slot[1].tolist() == [4, 5]
+        assert plan.ranks[0].recv_slot[1] == range(4, 6)
 
     def test_send_lists_ascend_in_global_order(self):
         part = partition_block(quad_mesh(8, 8), 4)
@@ -113,17 +113,6 @@ class TestPlanOracles:
             for dst, idx in plan.ranks[r].send_index.items():
                 glob = part.owned[r][idx]
                 assert np.all(np.diff(glob) > 0)
-
-    def test_counts_consistent(self):
-        part = partition_block(quad_mesh(8, 8), 4)
-        plan = build_plan(part, Router(4))
-        for r in range(4):
-            rp = plan.ranks[r]
-            assert rp.send_counts.sum() == sum(len(v) for v in rp.send_index.values())
-            assert rp.recv_counts.sum() == part.n_ghosts(r)
-            for peer in range(4):
-                assert rp.send_counts[peer] == len(rp.send_index.get(peer, ()))
-                assert rp.recv_counts[peer] == len(rp.recv_slot.get(peer, ()))
 
     def test_total_sent_matches_ghost_total(self):
         part = partition_block(quad_mesh(10, 10), 5)
