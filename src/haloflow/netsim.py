@@ -16,6 +16,11 @@ fluid transfer time, so a flow alone on its route finishes at exactly
 Phases run strictly one after the other: phase ``p + 1`` starts at the
 instant every flow of phase ``p`` has finished.
 
+Routes are read as the topology compiled them, once per machine: a link
+direction is the resource numbered by its id in the route, so a run interns
+nothing per flow, and a flow alone on a derived route runs at the route's
+compiled bottleneck.
+
 Self transfers (both ranks on one device) never touch the network; they
 share the device's memory engine at ``device_mem_bw``.  In host-staged
 mode a device-to-device transfer is broken into store-and-forward legs:
@@ -59,7 +64,7 @@ import sys
 from array import array
 from bisect import insort
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
@@ -68,7 +73,7 @@ from operator import add, attrgetter, index, itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError
-from .topology import NodeKind, RankMap, Topology, device, host_bridge
+from .topology import RankMap, Topology, device, host_bridge
 
 __all__ = [
     "Flow",
@@ -142,8 +147,8 @@ class Trace(Sequence):
     once, and a trace compares equal to that list.
     """
 
-    def __init__(self, names: Sequence[str] = ()):
-        self._names = names  # resource int -> name
+    def __init__(self, name: Callable[[int], str] | None = None):
+        self._name = name  # resource int -> its name
         self._t0 = array("d")
         self._t1 = array("d")
         self._flow: list[int] = []
@@ -170,7 +175,7 @@ class Trace(Sequence):
 
     def _built(self) -> list[FlowInterval]:
         if self._intervals is None:
-            names = self._names
+            names = {r: self._name(r) for r in set().union(*self._res)}
             self._intervals = [
                 FlowInterval(t0, t1, fid, names[r], rate)
                 for t0, t1, fid, res, rate in zip(self._t0, self._t1, self._flow, self._res,
@@ -261,21 +266,25 @@ class TimestepScenario:
 # ----------------------------------------------------------------------
 # leg compilation
 #
-# A leg is (remaining, resources): seconds and () for the latency leg, bytes
-# and a non-empty tuple of resource ints for a fluid leg.  A flow has an
-# optional latency leg, then its route's fluid legs if it carries bytes.
+# A fluid leg is a compiled route (resource ints, whether it enters a NIC,
+# its rate alone): a route of link directions as the topology compiled it,
+# or one memory engine at its capacity.  A flow has an optional latency leg,
+# then its route's fluid legs if it carries bytes.
 
 
 class _Network:
-    """The resources and routes one simulate() call touches, interned to ints.
+    """The resources one simulate() call touches, as ints, and its legs.
 
     A resource is a link direction, a device's memory engine or a bridge's
-    host-memory engine.  Link directions are found in a flat table indexed
-    ``2 * link + forward``, memory engines by key, and each is named once;
-    the event loop then indexes the parallel lists ``cap``, ``name``,
-    ``members``, ``share`` and ``peak``.  Host-staged paths are found once per device
-    (up to its nearest bridge as ``Topology.bridge_path`` kept it, down from
-    the bridge's own search) and once per pair of bridges.  Flows reach it
+    host-memory engine.  Link directions keep the ids the topology's
+    compiled routes list them by (``2 * link + forward``), and memory
+    engines are appended after them, once each, so the parallel lists the
+    event loop indexes (``cap``, ``members``, ``share`` and ``peak``) start
+    as the topology's per-direction capacities.  A resource is named only
+    where a result reports it.  Device-direct legs are the topology's routes
+    as compiled; host-staged ones are found once per device (up to its
+    nearest bridge as ``Topology.bridge_path`` kept it, down from the
+    bridge's own search) and once per pair of bridges.  Flows reach it
     already checked: their ranks mapped to devices of the topology and their
     sizes finite (``_validate_flows``).
     """
@@ -283,139 +292,110 @@ class _Network:
     def __init__(self, topo: Topology, cfg: SimConfig):
         self.topo = topo
         self.cfg = cfg
-        self.cap: list[float] = []
-        self.name: list[str] = []
-        self.enters_nic: list[bool] = []  # a link direction whose head is a NIC
+        self.directions = len(topo._capacity)  # resources below this are link directions
+        self.cap: list[float] = list(topo._capacity)
         # the slots of the fluid legs crossing it now, in slot (flow id) order
-        self.members: list[list[int]] = []
-        self.share: list[float] = []      # cap / len(members), set when members change
-        self.peak: list[float] = []       # peak utilization so far
+        self.members: list[list[int]] = [[] for _ in self.cap]
+        self.share = [0.0] * len(self.cap)  # cap / len(members), set when members change
+        self.peak = [0.0] * len(self.cap)   # peak utilization so far
         self.first_use: list[int] = []    # resources in the order their peak was first set
-        self._link_res = [-1] * (2 * len(topo.links))
-        self._engines: dict[tuple[str, int], int] = {}
+        self._engines: dict[tuple[str, int], tuple] = {}
+        self._engine_names: list[str] = []
         self._bridge_paths: dict[tuple[int, bool], tuple] = {}
         self._between_bridges: dict[tuple[int, int], tuple] = {}
-        self._alone: dict[tuple[int, ...], float] = {}  # fluid leg -> rate alone on it
 
-    def _resource(self, capacity: float, name: str, enters_nic: bool = False) -> int:
-        self.cap.append(capacity)
-        self.name.append(name)
-        self.enters_nic.append(enters_nic)
-        self.members.append([])
-        self.share.append(0.0)
-        self.peak.append(0.0)
-        return len(self.cap) - 1
+    def _engine(self, prefix: str, index: int, capacity: float) -> tuple:
+        """The leg of the memory engine named ``prefix`` + ``index``."""
+        leg = self._engines.get((prefix, index))
+        if leg is None:
+            leg = self._engines[(prefix, index)] = ((len(self.cap),), False, capacity)
+            self.cap.append(capacity)
+            self.members.append([])
+            self.share.append(0.0)
+            self.peak.append(0.0)
+            self._engine_names.append(f"{prefix}{index}")
+        return leg
 
-    def _engine(self, prefix: str, index: int, capacity: float) -> int:
-        """The memory engine named ``prefix`` + ``index``."""
-        r = self._engines.get((prefix, index))
-        if r is None:
-            r = self._engines[(prefix, index)] = self._resource(capacity, f"{prefix}{index}")
-        return r
+    def name(self, r: int) -> str:
+        if r >= self.directions:
+            return self._engine_names[r - self.directions]
+        ln = self.topo.links[r >> 1]
+        a, b = (ln.a, ln.b) if r & 1 else (ln.b, ln.a)
+        return f"{a}->{b}"
 
     def peak_by_name(self) -> dict[str, float]:
         # two parallel links between the same nodes share one name
         out: dict[str, float] = {}
         for r in self.first_use:
-            name = self.name[r]
+            name = self.name(r)
             out[name] = max(out.get(name, 0.0), self.peak[r])
         return out
 
     def alone(self, res: tuple[int, ...]) -> float:
-        """The rate of a flow alone on fluid leg ``res``; raises the leg's peaks.
+        """The rate of a flow alone on fluid leg ``res`` when some resource
+        may be listed more than once; raises the leg's peaks.
 
         As in the event loop, a resource the leg lists ``k`` times gives it
         ``cap / k`` and the rate is the smallest of those.  A resource's
         utilization is ``k`` copies of the rate summed from 0.0, over its
         capacity, and its peak is raised to that in the order the leg first
-        lists the resources.  A leg listing each resource once takes one pass,
-        ``min(cap)`` then ``rate / cap``: the same bits, as ``cap / 1`` and
-        ``0.0 + rate`` are exact.  Peaks only grow, so a later call for the
-        same leg would raise none: it returns the rate it kept.
+        lists the resources.  On a leg listing each resource once this is
+        the leg's compiled rate, its smallest capacity, and ``rate / cap``,
+        as ``cap / 1`` and ``0.0 + rate`` are exact.
         """
-        rate = self._alone.get(res)
-        if rate is None:
-            cap, peak, first_use = self.cap, self.peak, self.first_use
-            if len(set(res)) == len(res):
-                rate = min([cap[r] for r in res])
-                for r in res:
-                    util = rate / cap[r]
-                    if util > peak[r]:
-                        if peak[r] == 0.0:
-                            first_use.append(r)
-                        peak[r] = util
-            else:
-                counts = Counter(res)  # in first-listing order
-                rate = min([cap[r] / k for r, k in counts.items()])
-                for r, k in counts.items():
-                    util = reduce(add, [rate] * k, 0.0) / cap[r]
-                    if util > peak[r]:
-                        if peak[r] == 0.0:
-                            first_use.append(r)
-                        peak[r] = util
-            self._alone[res] = rate
+        cap, peak, first_use = self.cap, self.peak, self.first_use
+        counts = Counter(res)  # in first-listing order
+        rate = min([cap[r] / k for r, k in counts.items()])
+        for r, k in counts.items():
+            util = reduce(add, [rate] * k, 0.0) / cap[r]
+            if util > peak[r]:
+                if peak[r] == 0.0:
+                    first_use.append(r)
+                peak[r] = util
         return rate
 
     def _route(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
-        """Latency and fluid-leg resources of any flow from ``src_dev`` to ``dst_dev``."""
+        """Latency and fluid legs of any flow from ``src_dev`` to ``dst_dev``."""
         topo, cfg = self.topo, self.cfg
         if src_dev == dst_dev:
-            return cfg.alpha_intra, ((self._engine("devmem:device:", src_dev,
-                                                   topo.device_mem_bw),),)
+            return cfg.alpha_intra, (self._engine("devmem:device:", src_dev, topo.device_mem_bw),)
         if cfg.staging is Staging.DEVICE_DIRECT:
-            res, inter_node = self._path(topo.route_hops(src_dev, dst_dev))
-            return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
+            leg = topo._routes[(src_dev, dst_dev)]
+            return (cfg.alpha_inter if leg[1] else cfg.alpha_intra), (leg,)
 
         # host-staged: up to the source bridge, a host copy there, across to
         # the destination bridge and a copy there, then down to the device;
         # no leg is empty, since a device is never a bridge
-        hb_s, up, nic_up = self._bridge_path(src_dev, True)
-        hb_d, down, nic_down = self._bridge_path(dst_dev, False)
+        hb_s, up = self._bridge_path(src_dev, True)
+        hb_d, down = self._bridge_path(dst_dev, False)
         between, nic_between = self._between(hb_s, hb_d)
-        inter_node = nic_up or nic_down or nic_between
+        inter_node = up[1] or down[1] or nic_between
         return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (up, *between, down)
 
-    def _bridge_path(self, dev: int, up: bool) -> tuple[int, tuple[int, ...], bool]:
-        """A device's nearest bridge index and the path up to it (or down from it)."""
+    def _bridge_path(self, dev: int, up: bool) -> tuple[int, tuple]:
+        """A device's nearest bridge index and the leg up to it (or down from it)."""
         got = self._bridge_paths.get((dev, up))
         if got is None:
-            hb, hops = self.topo.bridge_path(dev)
+            hb, leg = self.topo._bridge_route(dev)
             if not up:  # the bridge's own search, which may tie-break differently
-                hops = self.topo.path_hops(hb, device(dev))
-            got = self._bridge_paths[(dev, up)] = (hb.index, *self._path(hops))
+                leg = self.topo._path_route(hb, device(dev))
+            got = self._bridge_paths[(dev, up)] = (hb.index, leg)
         return got
 
-    def _between(self, hb_s: int, hb_d: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    def _between(self, hb_s: int, hb_d: int) -> tuple[tuple[tuple, ...], bool]:
         """The legs from the host copy at one bridge to the copy at another
         (one copy if they are the same), and whether they enter a NIC."""
         got = self._between_bridges.get((hb_s, hb_d))
         if got is None:
             bw = self.cfg.host_mem_bw
-            copy_s = (self._engine("hostmem:hostbridge:", hb_s, bw),)
+            copy_s = self._engine("hostmem:hostbridge:", hb_s, bw)
             if hb_s == hb_d:
                 got = (copy_s,), False
             else:
-                hops = self.topo.path_hops(host_bridge(hb_s), host_bridge(hb_d))
-                across, nic = self._path(hops)
-                got = (copy_s, across, (self._engine("hostmem:hostbridge:", hb_d, bw),)), nic
+                across = self.topo._path_route(host_bridge(hb_s), host_bridge(hb_d))
+                got = (copy_s, across, self._engine("hostmem:hostbridge:", hb_d, bw)), across[1]
             self._between_bridges[(hb_s, hb_d)] = got
         return got
-
-    def _path(self, hops) -> tuple[tuple[int, ...], bool]:
-        """Link resources along ``hops`` and whether the walk enters a NIC."""
-        table, enters_nic = self._link_res, self.enters_nic
-        res = []
-        nic = False
-        for li, fwd in hops:
-            k = 2 * li + fwd
-            r = table[k]
-            if r < 0:
-                ln = self.topo.links[li]
-                a, b = (ln.a, ln.b) if fwd else (ln.b, ln.a)
-                r = table[k] = self._resource(ln.capacity, f"{a}->{b}", b.kind is NodeKind.NIC)
-            res.append(r)
-            nic = nic or enters_nic[r]
-        return tuple(res), nic
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +467,7 @@ def _run_phase(
         """Start fluid leg ``k`` of the flow in slot ``s``."""
         leg_idx[s] = k
         remaining[s] = float(size[s])
-        res[s] = lr = legs[s][k]
+        res[s] = lr = legs[s][k][0]
         # the getter lists the first resource once more, so that a leg of one
         # resource also gets a tuple; it changes no minimum
         get[s] = itemgetter(*lr, lr[0])
@@ -592,12 +572,16 @@ def _run_phase(
 def _validate_flows(topo: Topology, devs: tuple[int, ...],
                     flows: Sequence[Flow]) -> list[list[Flow]]:
     """Check ids, ranks, devices, sizes and phase numbering; returns flows
-    grouped by phase.  ``devs`` is the rank map as a tuple.  A plain ``int``
-    in range passes with one comparison; any other value takes the general
-    check, which names the flow when it fails."""
+    grouped by phase, each group in flow-id order.  ``devs`` is the rank map
+    as a tuple.  A plain ``int`` in range passes with one comparison; any
+    other value takes the general check, which names the flow when it fails.
+    The checking pass also collects the phases; a flow's devices are looked
+    up only if some rank maps to a device absent from the topology."""
     nranks = len(devs)
     known = frozenset(topo.devices)
+    absent = not known.issuperset(devs)
     ids = set()
+    phases = set()
     try:
         for f in flows:
             fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
@@ -611,12 +595,13 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
                     if not 0 <= _integer(fid, "rank", rank) < nranks:
                         raise ConfigurationError(f"rank {rank} outside rank map of size {nranks}")
                 src, dst = index(src), index(dst)
-            if devs[src] not in known or devs[dst] not in known:
+            if absent and (devs[src] not in known or devs[dst] not in known):
                 raise SimulationError(
                     f"flow {fid} maps to device {devs[src]} or {devs[dst]} absent from the topology"
                 )
             if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
                 raise SimulationError(f"flow {fid} has negative phase")
+            phases.add(phase)
             if not (type(size) is int and 0 <= size < _EXACT_SIZE):
                 try:
                     if size < 0:
@@ -630,9 +615,9 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
                     raise SimulationError(f"flow {fid} has non-finite size {size!r}")
     except AttributeError:  # the fields are read first, so only a non-Flow gets here
         raise SimulationError(f"flows must hold Flow objects, not {type(f).__name__}") from None
-    phases = sorted({f.phase for f in flows})
-    if phases and phases != list(range(phases[-1] + 1)):
-        raise SimulationError(f"phases must form a contiguous 0..k range, got {phases}")
+    # distinct and non-negative, so contiguous from 0 unless one is too large
+    if phases and max(phases) >= len(phases):
+        raise SimulationError(f"phases must form a contiguous 0..k range, got {sorted(phases)}")
     grouped: list[list[Flow]] = [[] for _ in phases]
     for f in sorted(flows, key=_FLOW_ID):
         grouped[f.phase].append(f)
@@ -667,6 +652,10 @@ def simulate(
     trace = Trace(net.name)
     record = trace if cfg.collect_events else None
     route, alone = net._route, net.alone
+    cap, peak, first_use = net.cap, net.peak, net.first_use
+    # every derived route lists each link direction once; only a given one
+    # may list one k times, and then gets cap / k from it
+    revisits = topo._revisits
     completion: dict[int, float] = {}
     phase_completion: list[float] = []
 
@@ -675,16 +664,25 @@ def simulate(
     for phase_flows in grouped:
         if len(phase_flows) == 1:
             # the event loop would end one leg of a lone flow per step, at its
-            # ``alone`` rate; consecutive legs share no resource (link paths and
-            # memory engines alternate), so ``alone`` raises peaks in its order
+            # rate alone, and raise the leg's peaks to ``rate / cap``;
+            # consecutive legs share no resource (link paths and memory
+            # engines alternate), so the peaks rise in its order
             (f,) = phase_flows
             src, dst = f.src_rank, f.dst_rank
             alpha, fluid = route(devs[src], devs[dst])
             end = t + alpha
             if f.bytes > 0:
                 nbytes = float(f.bytes)
-                for res in fluid:
-                    rate = alone(res)
+                for res, _nic, rate in fluid:
+                    if revisits:
+                        rate = alone(res)
+                    else:
+                        for r in res:
+                            util = rate / cap[r]
+                            if util > peak[r]:
+                                if peak[r] == 0.0:
+                                    first_use.append(r)
+                                peak[r] = util
                     dt = nbytes / rate
                     t_end = end + dt
                     if record is not None and dt > 0.0:

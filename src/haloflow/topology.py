@@ -12,7 +12,7 @@ lexicographically smallest node sequence, lowest link index first) from
 the lower-numbered endpoint, and the opposite direction is the exact
 reversal, so ``route(i, j)`` and ``route(j, i)`` always mirror each other.
 One breadth-first search per source device yields its routes to every
-higher-numbered device.
+higher-numbered device, each compiled once as a ``Route``.
 
 Presets
 -------
@@ -140,11 +140,16 @@ class Link:
 
 # A hop is (link index, forward?) where forward means traversal a -> b.
 Hop = tuple[int, bool]
+# A compiled route: the ids ``2 * link + forward`` of the link directions it
+# crosses (its reverse lists them reversed, each ``^ 1``), whether it enters
+# a NIC, and its bottleneck capacity (inf for an empty route).
+Route = tuple[tuple[int, ...], bool, float]
+_NO_HOPS: Route = ((), False, math.inf)
+_Tree = tuple[list[tuple[int, ...] | None], list[bool], list[float]]  # Route fields by node
 
 
-def _reverse(hops: Sequence[Hop]) -> tuple[Hop, ...]:
-    """The same walk in the opposite direction."""
-    return tuple((li, not fwd) for li, fwd in reversed(hops))
+def _hops(ids: Iterable[int]) -> tuple[Hop, ...]:
+    return tuple([(d >> 1, bool(d & 1)) for d in ids])
 
 
 class RankMap:
@@ -208,32 +213,38 @@ class Topology:
 
         if not self.nodes:
             raise TopologyError("topology needs at least one node")
-        for ln in self.links:
-            if ln.a not in self.nodes or ln.b not in self.nodes:
-                raise TopologyError(f"link {ln.a}--{ln.b} references a node not in the topology")
-
-        self._devices = tuple(sorted((n.index for n in self.nodes if n.kind is NodeKind.DEVICE)))
-        if not self._devices:
-            raise TopologyError("topology needs at least one device node")
-        self._device_set = frozenset(self._devices)
 
         # nodes interned as ints in sort-key order (devices first, by index);
-        # adjacency sorted by (neighbour, link index), so a breadth-first
+        # each node's neighbours as (neighbour, link-direction id), sorted,
+        # which orders them by (neighbour, link index), so a breadth-first
         # search discovers nodes in lexicographic path order, which makes the
         # chosen shortest path deterministic
         self._node_list = sorted(self.nodes, key=NodeId.sort_key)
-        self._node_ids = {n: k for k, n in enumerate(self._node_list)}
-        adj: list[list[tuple[int, int, Hop]]] = [[] for _ in self._node_list]
+        self._node_ids = ids = {n: k for k, n in enumerate(self._node_list)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in self._node_list]
+        # per link direction: its capacity, and whether its head is a NIC
+        self._capacity: list[float] = []
+        self._enters_nic: list[bool] = []
         for li, ln in enumerate(self.links):
-            a, b = self._node_ids[ln.a], self._node_ids[ln.b]
-            adj[a].append((b, li, (li, True)))
-            adj[b].append((a, li, (li, False)))
-        self._adj = [[(v, hop) for v, _li, hop in sorted(row)] for row in adj]
-        self._trees: dict[int, list[tuple[Hop, ...] | None]] = {}
+            a, b = ids.get(ln.a), ids.get(ln.b)
+            if a is None or b is None:
+                raise TopologyError(f"link {ln.a}--{ln.b} references a node not in the topology")
+            adj[a].append((b, 2 * li + 1))
+            adj[b].append((a, 2 * li))
+            self._capacity += (ln.capacity,) * 2
+            self._enters_nic += (ln.a.kind is NodeKind.NIC, ln.b.kind is NodeKind.NIC)
+        self._adj = [sorted(row) for row in adj]
+
+        self._devices = tuple(n.index for n in self._node_list if n.kind is NodeKind.DEVICE)
+        if not self._devices:
+            raise TopologyError("topology needs at least one device node")
+        self._device_set = frozenset(self._devices)
+        self._trees: dict[int, _Tree] = {}
         self._bridge_ids = [k for k, n in enumerate(self._node_list)
                             if n.kind is NodeKind.HOST_BRIDGE]
-        # device -> what bridge_path returns for it, or None where no bridge is reachable
-        self._bridges: dict[int, tuple[NodeId, tuple[Hop, ...]] | None] = {}
+        # device -> what _bridge_route returns for it, or None where no bridge is reachable
+        self._bridges: dict[int, tuple[NodeId, Route] | None] = {}
+        self._revisits = False  # whether a given route lists a link direction twice
 
         if routes is None:
             self._routes = self._derive_routes()
@@ -243,89 +254,101 @@ class Topology:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _paths_from(self, src: int) -> list[tuple[Hop, ...] | None]:
-        """Shortest-hop path from node ``src`` to every node (None where unreachable).
+    def _paths_from(self, src: int) -> _Tree:
+        """Shortest-hop path from node ``src`` to every node, compiled, as
+        three lists of ``Route`` fields by node (ids None where unreachable).
 
         One breadth-first search over the sorted adjacency: each path is the
         lexicographically smallest shortest one, lowest link index first.
         A search for one target that stops after the level where the target
         appears assigns the same parents, so every path equals its own.
         """
-        paths: list[tuple[Hop, ...] | None] = [None] * len(self._adj)
+        cap, enters_nic = self._capacity, self._enters_nic
+        n = len(self._adj)
+        paths: list[tuple[int, ...] | None] = [None] * n
+        nics, lows = [False] * n, [math.inf] * n
         paths[src] = ()
         queue = [src]
         for u in queue:
-            to_u = paths[u]
-            for v, hop in self._adj[u]:
+            to_u, nic, low = paths[u], nics[u], lows[u]
+            for v, d in self._adj[u]:
                 if paths[v] is None:
-                    paths[v] = to_u + (hop,)
+                    paths[v] = to_u + (d,)
+                    nics[v] = nic or enters_nic[d]
+                    lows[v] = cap[d] if cap[d] < low else low
                     queue.append(v)
-        return paths
+        return paths, nics, lows
 
-    def _tree(self, src: NodeId) -> list[tuple[Hop, ...] | None]:
+    def _tree(self, src: NodeId) -> _Tree:
         """``_paths_from`` of node ``src``, searched once per source and kept."""
         k = self._node_ids[src]
-        paths = self._trees.get(k)
-        if paths is None:
-            paths = self._trees[k] = self._paths_from(k)
-        return paths
+        tree = self._trees.get(k)
+        if tree is None:
+            tree = self._trees[k] = self._paths_from(k)
+        return tree
 
-    def _nearest_bridge(self, paths) -> tuple[NodeId, tuple[Hop, ...]] | None:
+    def _nearest_bridge(self, tree: _Tree) -> tuple[NodeId, Route] | None:
         """The host bridge fewest hops away in a search tree (lowest index on
         ties) and the path to it, or None if the tree reaches none."""
-        got = min(((len(paths[k]), k) for k in self._bridge_ids if paths[k] is not None),
-                  default=None)
-        return None if got is None else (self._node_list[got[1]], paths[got[1]])
+        paths, nics, lows = tree
+        _, k = min(((len(paths[b]), b) for b in self._bridge_ids if paths[b] is not None),
+                   default=(0, None))
+        return None if k is None else (self._node_list[k], (paths[k], nics[k], lows[k]))
 
-    def _derive_routes(self) -> dict[tuple[int, int], tuple[Hop, ...]]:
+    def _derive_routes(self) -> dict[tuple[int, int], Route]:
         """Routes from each device's search tree to the higher-numbered devices.
 
         Device ``devs[k]`` is node ``k``, since devices sort first.  Each
-        tree is dropped once its device's ``bridge_path`` is recorded.
+        tree is dropped once its device's bridge path is recorded.  A reverse
+        route shares the NIC flag (only its device ends differ) and the
+        bottleneck (links carry one capacity both ways).
         """
-        routes: dict[tuple[int, int], tuple[Hop, ...]] = {}
+        routes: dict[tuple[int, int], Route] = {}
         devs = self._devices
         for ai, i in enumerate(devs[:-1]):
-            paths = self._paths_from(ai)
-            self._bridges[i] = self._nearest_bridge(paths)
+            tree = paths, nics, lows = self._paths_from(ai)
+            self._bridges[i] = self._nearest_bridge(tree)
             for bi in range(ai + 1, len(devs)):
-                j, hops = devs[bi], paths[bi]
-                if hops is None:
+                j, ids = devs[bi], paths[bi]
+                if ids is None:
                     raise TopologyError(f"no path between device:{i} and device:{j}")
-                routes[(i, j)] = hops
-                routes[(j, i)] = _reverse(hops)
+                nic, low = nics[bi], lows[bi]
+                routes[(i, j)] = (ids, nic, low)
+                routes[(j, i)] = (tuple([d ^ 1 for d in reversed(ids)]), nic, low)
         for i in devs:
-            routes[(i, i)] = ()
+            routes[(i, i)] = _NO_HOPS
         return routes
 
-    def _check_routes(self, given) -> dict[tuple[int, int], tuple[Hop, ...]]:
-        routes = {k: tuple(v) for k, v in given.items()}
-        for i in self._devices:
-            routes.setdefault((i, i), ())
-        for ai, i in enumerate(self._devices):
-            for j in self._devices[ai + 1 :]:
-                if (i, j) not in routes and (j, i) not in routes:
+    def _check_routes(self, given) -> dict[tuple[int, int], Route]:
+        devs = self._devices
+        for ai, i in enumerate(devs):
+            for j in devs[ai + 1 :]:
+                if (i, j) not in given and (j, i) not in given:
                     raise TopologyError(f"route missing for device pair ({i}, {j})")
-                if (i, j) in routes and (j, i) not in routes:
-                    routes[(j, i)] = _reverse(routes[(i, j)])
-                if (j, i) in routes and (i, j) not in routes:
-                    routes[(i, j)] = _reverse(routes[(j, i)])
-        for (i, j), hops in routes.items():
-            self._validate_walk(device(i), device(j), hops)
+        routes = {(i, i): _NO_HOPS for i in devs}
+        routes.update({(i, j): self._compile_walk(device(i), device(j), hops)
+                       for (i, j), hops in given.items()})
+        for (i, j), (ids, nic, low) in list(routes.items()):
+            routes.setdefault((j, i), (tuple([d ^ 1 for d in reversed(ids)]), nic, low))
         return routes
 
-    def _validate_walk(self, src: NodeId, dst: NodeId, hops: Sequence[Hop]) -> None:
+    def _compile_walk(self, src: NodeId, dst: NodeId, hops: Sequence[Hop]) -> Route:
+        ids = []
         cur = src
         for li, fwd in hops:
             if not 0 <= li < len(self.links):
                 raise TopologyError(f"route {src}->{dst} references unknown link {li}")
             ln = self.links[li]
-            head, tail = (ln.a, ln.b) if fwd else (ln.b, ln.a)
-            if head != cur:
+            tail, head = (ln.a, ln.b) if fwd else (ln.b, ln.a)
+            if tail != cur:
                 raise TopologyError(f"route {src}->{dst} is not a connected walk at {cur}")
-            cur = tail
+            ids.append(2 * li + (1 if fwd else 0))
+            cur = head
         if cur != dst:
             raise TopologyError(f"route {src}->{dst} ends at {cur}")
+        self._revisits = self._revisits or len(set(ids)) < len(ids)
+        return (tuple(ids), any([self._enters_nic[d] for d in ids]),
+                min([self._capacity[d] for d in ids], default=math.inf))
 
     # ------------------------------------------------------------------
     # queries
@@ -343,7 +366,7 @@ class Topology:
 
     def route_hops(self, src: int, dst: int) -> tuple[Hop, ...]:
         try:
-            return self._routes[(src, dst)]
+            return _hops(self._routes[(src, dst)][0])
         except KeyError:
             raise TopologyError(f"no route between device:{src} and device:{dst}") from None
 
@@ -353,11 +376,8 @@ class Topology:
 
     def route_nodes(self, src: int, dst: int) -> tuple[NodeId, ...]:
         """Node sequence visited by route(src, dst), endpoints included."""
-        return self._walk_nodes(device(src), self.route_hops(src, dst))
-
-    def _walk_nodes(self, start: NodeId, hops: Sequence[Hop]) -> tuple[NodeId, ...]:
-        seq = [start]
-        for li, fwd in hops:
+        seq = [device(src)]
+        for li, fwd in self.route_hops(src, dst):
             ln = self.links[li]
             seq.append(ln.b if fwd else ln.a)
         return tuple(seq)
@@ -374,8 +394,7 @@ class Topology:
             raise TopologyError(f"unknown device {dst}")
         if src == dst:
             return self.device_mem_bw
-        hops = self.route_hops(src, dst)
-        return min(self.links[li].capacity for li, _ in hops)
+        return self._routes[(src, dst)][2]
 
     def path_hops(self, a: NodeId, b: NodeId) -> tuple[Hop, ...]:
         """Deterministic shortest-hop path between two arbitrary nodes.
@@ -385,19 +404,29 @@ class Topology:
         search tree, which is built once and kept.  ``bridge_path`` gives a
         device's path up to its nearest bridge without that device's tree.
         """
+        return _hops(self._path_route(a, b)[0])
+
+    def _path_route(self, a: NodeId, b: NodeId) -> Route:
+        """``path_hops(a, b)`` compiled."""
         for n in (a, b):
             if n not in self._node_ids:
                 raise TopologyError(f"unknown node {n}")
-        hops = self._tree(a)[self._node_ids[b]]
-        if hops is None:
+        paths, nics, lows = self._tree(a)
+        k = self._node_ids[b]
+        if paths[k] is None:
             raise TopologyError(f"no path between {a} and {b}")
-        return hops
+        return paths[k], nics[k], lows[k]
 
     def bridge_path(self, dev: int) -> tuple[NodeId, tuple[Hop, ...]]:
         """A device's closest host bridge (fewest hops, lowest index on ties)
         and ``path_hops`` up to it, recorded from the device's route search.
         The last device, and all of a topology given its routes, are searched
         on first use."""
+        hb, path = self._bridge_route(dev)
+        return hb, _hops(path[0])
+
+    def _bridge_route(self, dev: int) -> tuple[NodeId, Route]:
+        """``bridge_path(dev)`` with the path compiled."""
         if dev not in self._bridges:
             if not self.has_device(dev):
                 raise TopologyError(f"unknown device {dev}")
@@ -579,7 +608,7 @@ _INLINE_KEYS = ("nodes", "links", "device_mem_bw_gbps", "routes", "name")
 _INLINE_ENTRIES = {"links": {"a": None, "b": None, "gbps_per_dir": False, "lanes": True},
                    "routes": {"src": True, "dst": True, "links": None}}
 # Most devices a preset spec may imply; a spec is checked against it before
-# anything is built.  512 devices (dgx1v with 64 servers) build in about 1 s.
+# anything is built.  512 devices (dgx1v with 64 servers) build in about 0.8 s.
 MAX_PRESET_DEVICES = 512
 
 
@@ -710,36 +739,29 @@ def from_spec(doc: Mapping) -> Topology:
                 kwargs[keyword] = doc[key] if scale is None else float(doc[key]) * scale
         return preset(doc["preset"], **kwargs)
 
+    node_ids = [parse_node(s) for s in doc["nodes"]]
+    links = [
+        Link(parse_node(ld["a"]), parse_node(ld["b"]), float(ld["gbps_per_dir"]) * 1e9,
+             ld.get("lanes", 1))
+        for ld in doc["links"]
+    ]
+    mem = float(doc.get("device_mem_bw_gbps", 800.0)) * 1e9
     routes = None
-    try:
-        node_ids = [parse_node(s) for s in doc["nodes"]]
-        links = [
-            Link(
-                parse_node(ld["a"]),
-                parse_node(ld["b"]),
-                float(ld["gbps_per_dir"]) * 1e9,
-                ld.get("lanes", 1),
-            )
-            for ld in doc["links"]
-        ]
-        mem = float(doc.get("device_mem_bw_gbps", 800.0)) * 1e9
-        if "routes" in doc:
-            routes = {}
-            for rd in doc["routes"]:
-                src, dst = rd["src"], rd["dst"]
-                hops: list[Hop] = []
-                cur = device(src)
-                for li in rd["links"]:
-                    ln = links[li]
-                    if ln.a == cur:
-                        hops.append((li, True))
-                        cur = ln.b
-                    elif ln.b == cur:
-                        hops.append((li, False))
-                        cur = ln.a
-                    else:
-                        raise TopologyError(f"route {src}->{dst} is not a connected walk")
-                routes[(src, dst)] = tuple(hops)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise TopologyError(f"malformed inline topology: {exc}") from exc
+    if "routes" in doc:
+        routes = {}
+        for rd in doc["routes"]:
+            src, dst = rd["src"], rd["dst"]
+            hops: list[Hop] = []
+            cur = device(src)
+            for li in rd["links"]:
+                ln = links[li]
+                if ln.a == cur:
+                    hops.append((li, True))
+                    cur = ln.b
+                elif ln.b == cur:
+                    hops.append((li, False))
+                    cur = ln.a
+                else:
+                    raise TopologyError(f"route {src}->{dst} is not a connected walk")
+            routes[(src, dst)] = tuple(hops)
     return Topology(node_ids, links, mem, routes=routes, name=str(doc.get("name", "inline")))

@@ -236,6 +236,32 @@ class TestDeterminism:
             again = simulate(island_topo, RankMap.identity(4), flows)
             assert again.flow_completion == base.flow_completion
 
+    @pytest.mark.parametrize("staging", list(Staging))
+    def test_a_used_topology_runs_as_a_fresh_one(self, staging):
+        """Route queries and a run in the other staging fill the topology's
+        search trees and bridge paths; a later run reads the same routes and
+        names the same resources as on a fresh topology."""
+        rm = RankMap.identity(16)
+        sizes = [[(7 * i + 3 * j) % 5 * 10**5 for j in range(16)] for i in range(16)]
+        flows = build_alltoall(ScheduleKind.ROTATED_CONCURRENT, sizes)
+        flows += [Flow(len(flows) + k, k, 15 - k, 10**6, phase=flows[-1].phase + 1 + k)
+                  for k in range(16)]
+        used = preset("dgx1v", servers=2)
+        for i in used.devices:
+            used.bridge_path(i)
+            for j in used.devices:
+                used.route_hops(i, j)
+                used.route_bandwidth(i, j)
+                used.path_hops(used.bridge_path(j)[0], device(i))
+        other = next(s for s in Staging if s is not staging)
+        simulate(used, rm, flows, SimConfig(staging=other))
+        got = simulate(used, rm, flows, SimConfig(staging=staging))
+        want = simulate(preset("dgx1v", servers=2), rm, flows, SimConfig(staging=staging))
+        assert got.flow_completion == want.flow_completion
+        assert (list(got.link_peak_utilization.items())
+                == list(want.link_peak_utilization.items()))
+        assert list(got.events) == list(want.events)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=12), st.randoms())
     def test_order_invariance(self, sizes, rnd):

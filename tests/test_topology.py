@@ -1,5 +1,8 @@
 """Machine graphs, presets, and route derivation."""
 
+import copy
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +149,57 @@ class TestPresets:
         assert len(topo.route_hops(0, 511)) == 6
 
 
+# A well-formed inline spec with a given route, and malformed ones: each
+# inline spec the check_spec tests here and in test_cli.py reject.
+INLINE = {
+    "nodes": ["device:0", "device:1", "switch:0"],
+    "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": 10},
+              {"a": "device:1", "b": "switch:0", "gbps_per_dir": 10}],
+    "routes": [{"src": 0, "dst": 1, "links": [0, 1]}],
+}
+
+
+def _edited(edit):
+    doc = copy.deepcopy(INLINE)
+    edit(doc)
+    return doc
+
+
+MALFORMED_INLINE = [
+    {"nodes": [5], "links": []},
+    {"nodes": ["device:0", "switch:0"],
+     "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": "x"}]},
+    {"nodes": ["device:0", "switch:0"], "links": [5]},
+    {"nodes": ["device:0", "device:1"],
+     "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
+     "routes": [{"src": 0, "dst": 1, "links": [7]}]},
+    {"nodes": ["device:0", "device:1"],
+     "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
+     "routes": [{"src": "x", "dst": 1, "links": [0]}]},
+    {"nodes": ["device:0"], "links": [], "preset_name": "dgx1v"},
+    {"nodes": ["device:0"], "links": [], "name": ["inline"]},
+    {"nodes": "device:0", "links": []},
+    {"nodes": ["device:0"], "links": {}},
+    {"nodes": ["device:0"], "links": [], "routes": 5},
+    {"nodes": ["device:0"], "links": [], "routes": [None]},
+    *(_edited(lambda t, e=e, k=k, v=v: (t[e][0] if e else t).update({k: v})) for e, k, v in [
+        ("links", "lanes", 2.5), ("links", "lanes", "2"), ("links", "gbps_per_dir", "10"),
+        ("links", "gbps_per_dir", True), ("routes", "src", 0.7), ("routes", "links", [0.9, 1]),
+        ("routes", "links", [False, 1]), (None, "device_mem_bw_gbps", "800"),
+        ("links", "lane", 2), ("routes", "via", 1), ("routes", "links", 1),
+        ("links", "lanes", 0), ("links", "a", 5), ("links", "a", "device:x"),
+        ("links", "b", "switch:1"), (None, "device_mem_bw_gbps", float("nan")),
+    ]),
+    *(_edited(edit) for edit in [
+        lambda t: t["links"][0].pop("gbps_per_dir"), lambda t: t["links"][1].pop("b"),
+        lambda t: t["links"][0].pop("a"), lambda t: t["routes"][0].pop("links"),
+        lambda t: t["routes"][0].pop("src"), lambda t: t["nodes"].append("device:0"),
+        lambda t: t["nodes"].insert(1, "switch:00"), lambda t: t["nodes"].append("device:x"),
+        lambda t: t.pop("links"), lambda t: t.pop("nodes"),
+    ]),
+]
+
+
 class TestFromSpec:
     def test_preset_with_unit_conversion(self):
         topo = from_spec({"preset": "dgx1v", "nvlink_gbps": 20})
@@ -176,18 +230,7 @@ class TestFromSpec:
         with pytest.raises(TopologyError):
             from_spec(doc)
 
-    @pytest.mark.parametrize("doc", [
-        {"nodes": [5], "links": []},
-        {"nodes": ["device:0", "switch:0"],
-         "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": "x"}]},
-        {"nodes": ["device:0", "switch:0"], "links": [5]},
-        {"nodes": ["device:0", "device:1"],
-         "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
-         "routes": [{"src": 0, "dst": 1, "links": [7]}]},
-        {"nodes": ["device:0", "device:1"],
-         "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 1}],
-         "routes": [{"src": "x", "dst": 1, "links": [0]}]},
-    ])
+    @pytest.mark.parametrize("doc", MALFORMED_INLINE[:5])
     def test_malformed_inline_graph_is_a_topology_error(self, doc):
         with pytest.raises(TopologyError):
             from_spec(doc)
@@ -250,6 +293,43 @@ class TestCheckSpec:
         check_spec({"preset": "fat_tree_edr", "nodes": 2, "devices_per_node": 4})
         check_spec({"nodes": [], "links": [], "device_mem_bw_gbps": 1, "routes": [],
                     "name": "x"})
+
+
+class TestFromSpecErrors:
+    """``from_spec`` lets only its named errors escape: ``check_spec`` rejects
+    every input the build could not take."""
+
+    @pytest.mark.parametrize("doc", MALFORMED_INLINE)
+    def test_malformed_inline_specs(self, doc):
+        with pytest.raises((ScenarioError, TopologyError)):
+            from_spec(doc)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_one_value_replaced_or_dropped(self, data):
+        doc = copy.deepcopy(INLINE)
+        places = []  # (container, key) of every value in the spec
+
+        def walk(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                places.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    walk(node[key])
+
+        walk(doc)
+        node, key = data.draw(st.sampled_from(places))
+        value = data.draw(st.sampled_from(
+            [None, "dropped", -1, 0, 1, 2, 2.5, 10**400, float("nan"), True, "device:1",
+             "nic:0", [], [0], [7], {}, {"a": "device:0"}]))
+        if value == "dropped":
+            del node[key]
+        else:
+            node[key] = value
+        try:
+            from_spec(doc)
+        except (ScenarioError, TopologyError):
+            pass
 
 
 class TestRankMap:
@@ -331,6 +411,36 @@ class TestRoutesMatchReference:
                 for t in topos:
                     assert _outcome(t.path_hops, a, b) == (
                         f"TopologyError: no path between {a} and {b}" if hops is None else hops)
+
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(inline_topologies(), st.data())
+    def test_route_records(self, graph, data):
+        """Each ordered device pair's compiled route, derived or given one way:
+        its link-direction ids, NIC flag and bottleneck match ``route_hops``,
+        and ``(j, i)`` is the exact reversal of ``(i, j)``."""
+        nodes, links = graph
+        links = [Link(ln.a, ln.b, data.draw(st.sampled_from([1e9, 2.5e9, 4e9])))
+                 for ln in links]
+        derived = _outcome(Topology, nodes, links, 1e9)
+        if isinstance(derived, str):
+            return
+        devs = derived.devices
+        one_way = {(i, j): derived.route_hops(i, j) for i in devs for j in devs if i < j}
+        for topo in (derived, Topology(nodes, links, 1e9, routes=one_way)):
+            for i in devs:
+                for j in devs:
+                    ids, enters_nic, bottleneck = topo._routes[(i, j)]
+                    hops = topo.route_hops(i, j)
+                    assert ids == tuple(2 * li + fwd for li, fwd in hops)
+                    assert enters_nic == any(n.kind is NodeKind.NIC
+                                             for n in topo.route_nodes(i, j)[1:])
+                    assert bottleneck == min((links[li].capacity for li, _ in hops),
+                                             default=math.inf)
+                    if i != j:
+                        assert bottleneck == topo.route_bandwidth(i, j)
+                    assert topo._routes[(j, i)] == (tuple(d ^ 1 for d in reversed(ids)),
+                                                    enters_nic, bottleneck)
 
 
 class TestSearchReuse:
