@@ -17,7 +17,6 @@ from .engine import (
     OverlapMode,
     StepWorkspace,
     exchange,
-    gather_global,
     global_checksum,
     make_fields,
     run_stencil,
@@ -46,7 +45,6 @@ __all__ = [
     "step_workspace",
     "stencil_step",
     "run_stencil",
-    "gather_global",
     "global_checksum",
     "staged_vs_direct_cost",
 ]

@@ -77,7 +77,6 @@ __all__ = [
     "step_workspace",
     "stencil_step",
     "run_stencil",
-    "gather_global",
     "global_checksum",
     "staged_vs_direct_cost",
 ]
@@ -338,12 +337,6 @@ def run_stencil(
     return fields, part, workspace.plan, checksums
 
 
-def gather_global(fields: Fields, part: Partition) -> np.ndarray:
-    """Owned values of all ranks assembled into a new array in global element order."""
-    owned = fields.arena[: len(part.owner)]
-    return owned.copy() if part.rank_ordered else owned[part.position]
-
-
 def global_checksum(fields: Fields, part: Partition) -> float:
     """Sum of all owned values accumulated in global element order.
 
@@ -398,9 +391,7 @@ def staged_vs_direct_cost(
 
     copy_wall = 0.0
     for r in range(part.nranks):
-        dev = rm.device_of(r)
-        _hb, hops = topo.bridge_path(dev)
-        bw = min(topo.links[li].capacity for li, _fwd in hops)
+        bw = topo._bridge_route(rm.device_of(r))[1][2]  # the bridge path's bottleneck
         field_bytes = (part.n_owned(r) + part.n_ghosts(r)) * bytes_per_element
         copy_wall = max(copy_wall, field_bytes / bw)
     staged = copy_wall + staged_exchange + copy_wall

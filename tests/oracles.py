@@ -9,6 +9,8 @@ grid), look up each neighbour of each owned element in turn (the arena
 rows), cut each side's row blocks in a pass of their own (the plan), search
 once per node pair (the routes) and re-evaluate every rate and utilisation
 sum on every step (the simulator), so use them only on small inputs.
+``gather_global`` is no reference: it reads a run's owned values back in
+global element order.
 """
 
 from __future__ import annotations
@@ -110,6 +112,12 @@ def reference_ghosts(grid: GlobalGrid, owner, rank: int) -> list[tuple[int, int]
                 if owner[j] != rank:
                     found.add((j, owner[j]))
     return sorted(found, key=lambda pair: (pair[1], pair[0]))
+
+
+def gather_global(fields, part) -> np.ndarray:
+    """Owned values of all ranks assembled into a new array in global element order."""
+    owned = fields.arena[: len(part.owner)]
+    return owned.copy() if part.rank_ordered else owned[part.position]
 
 
 def reference_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:

@@ -16,7 +16,6 @@ from haloflow.halo import (
     Router,
     build_plan,
     exchange,
-    gather_global,
     global_checksum,
     make_fields,
     partition_block,
@@ -32,7 +31,7 @@ from haloflow.halo import engine
 from haloflow.halo.engine import _exchange_rounds
 from haloflow.halo.partition import _derive_ghosts
 
-from oracles import reference_arena_rows
+from oracles import gather_global, reference_arena_rows
 
 
 def reference_step(grid, values):

@@ -1,6 +1,7 @@
 """Exchange-plan construction over the rank router."""
 
 import re
+import threading
 from dataclasses import replace
 from itertools import count
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haloflow import ProtocolError
+from haloflow import ProtocolError, ScheduleKind
 from haloflow.halo import (
     Partition,
     Router,
@@ -19,6 +20,7 @@ from haloflow.halo import (
     quad_mesh,
     random_grid,
     ring,
+    run_stencil,
     step_workspace,
 )
 from haloflow.halo.engine import _rank_sends
@@ -26,13 +28,50 @@ from haloflow.halo.engine import _rank_sends
 from oracles import reference_blocks
 
 
+MODES = ("rounds", "threads")
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _one_round_program(rank):
+    yield {}
+    return rank
+
+
+def _desync_program(rank):
+    yield {}
+    if rank == 0:
+        yield {}  # one rank runs an extra round
+    return rank
+
+
+def _rank_1_fails_program(rank):
+    yield {}
+    if rank == 1:
+        raise Boom("rank 1 failed")
+    yield {}
+    return rank
+
+
 class TestRouter:
-    def test_round_count_is_two_for_plan_build(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_round_count_is_two_for_plan_build(self, mode):
         part = partition_block(ring(8), 2)
-        router = Router(2)
+        router = Router(2, mode)
         before = router.rounds_executed
         build_plan(part, router)
         assert router.rounds_executed - before == 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_exchange_counts_its_schedule_rounds(self, mode):
+        part = partition_block(quad_mesh(6, 6), 4)
+        ws = step_workspace(part, build_plan(part, Router(4)),
+                            schedule=ScheduleKind.PAIRWISE_XOR)
+        router = Router(4, mode)
+        exchange(make_fields(part, np.arange(36.0)), ws, router)
+        assert router.rounds_executed == len(ws.sends[0]) > 1
 
     def test_modes_agree(self):
         nranks = 4
@@ -48,35 +87,44 @@ class TestRouter:
         b = Router(nranks, "threads").run(factory)
         assert a == b
 
-    def test_desync_detected(self):
-        def factory(rank):
-            def program():
-                yield {}
-                if rank == 0:
-                    yield {}  # one rank runs an extra round
-                return rank
-            return program()
+    @pytest.mark.parametrize("mode", MODES)
+    def test_desync_detected(self, mode):
+        text = "desynchronized rank programs: [1] finished while [0] still exchange"
+        with pytest.raises(ProtocolError, match=re.escape(text)):
+            Router(2, mode).run(_desync_program)
 
-        for mode in ("rounds", "threads"):
-            with pytest.raises(ProtocolError):
-                Router(2, mode).run(factory)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_peer_error_propagates(self, mode):
+        with pytest.raises(Boom):
+            Router(3, mode).run(_rank_1_fails_program)
 
-    def test_peer_error_propagates(self):
-        class Boom(RuntimeError):
-            pass
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lowest_failing_rank_wins_a_round(self, mode):
+        rank_2_failed = threading.Event()
 
-        def factory(rank):
-            def program():
-                yield {}
-                if rank == 1:
-                    raise Boom("rank 1 failed")
-                yield {}
-                return rank
-            return program()
+        def program(rank):
+            yield {}
+            if rank == 1:
+                if mode == "threads":  # let rank 2 fail first in time
+                    rank_2_failed.wait(0.2)
+                raise Boom("rank 1 failed")
+            if rank == 2:
+                rank_2_failed.set()
+                raise Boom("rank 2 failed")
+            yield {}
 
-        for mode in ("rounds", "threads"):
-            with pytest.raises(Boom):
-                Router(3, mode).run(factory)
+        with pytest.raises(Boom, match="rank 1 failed"):
+            Router(3, mode).run(program)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_error_before_the_first_yield_propagates(self, mode):
+        def program(rank):
+            if rank == 1:
+                raise Boom("rank 1 failed before its first yield")
+            yield {}
+
+        with pytest.raises(Boom, match="before its first yield"):
+            Router(2, mode).run(program)
 
     def test_send_to_missing_rank_rejected(self):
         def factory(rank):
@@ -93,6 +141,32 @@ class TestRouter:
             Router(0)
         with pytest.raises(ProtocolError):
             Router(2, "fibers")
+
+
+class TestThreadsModeLeavesNoThread:
+    """After a ``threads``-mode run returns or raises, no rank thread is left."""
+
+    def test_run_that_returns(self):
+        before = threading.active_count()
+        assert Router(3, "threads").run(_one_round_program) == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_run_that_raises_a_peer_error(self):
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            Router(3, "threads").run(_rank_1_fails_program)
+        assert threading.active_count() == before
+
+    def test_run_that_desyncs(self):
+        before = threading.active_count()
+        with pytest.raises(ProtocolError, match="desynchronized"):
+            Router(2, "threads").run(_desync_program)
+        assert threading.active_count() == before
+
+    def test_run_stencil(self):
+        before = threading.active_count()
+        run_stencil(quad_mesh(6, 6), 4, 3, np.arange(36.0), router=Router(4, "threads"))
+        assert threading.active_count() == before
 
 
 class TestPlanOracles:
