@@ -19,7 +19,11 @@ instant every flow of phase ``p`` has finished.
 Routes are read as the topology compiled them, once per machine: a link
 direction is the resource numbered by its id in the route, so a run interns
 nothing per flow, and a flow alone on a derived route runs at the route's
-compiled bottleneck.
+compiled bottleneck.  A run picks one route function for its staging when
+it starts, so no flow tests the staging; a host-staged run keeps each
+device's legs up to and down from its nearest bridge, and the legs between
+two bridges, from the first flow that needs them.  Before any phase runs,
+one pass checks every flow and groups it by phase.
 
 Self transfers (both ranks on one device) never touch the network; they
 share the device's memory engine at ``device_mem_bw``.  In host-staged
@@ -64,7 +68,7 @@ import sys
 from array import array
 from bisect import insort
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
@@ -73,7 +77,7 @@ from operator import add, attrgetter, index, itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError
-from .topology import RankMap, Topology, device, host_bridge
+from .topology import RankMap, Topology, device
 
 __all__ = [
     "Flow",
@@ -110,7 +114,9 @@ class SimConfig:
 
     ``alpha_intra`` applies to paths that stay inside one server,
     ``alpha_inter`` to paths crossing a NIC.  ``host_mem_bw`` is the
-    per-bridge copy-engine bandwidth used by host-staged transfers.
+    per-bridge copy-engine bandwidth used by host-staged transfers.  A
+    value of the wrong type raises :class:`SimulationError` naming its
+    field; the latencies and bandwidth are kept as floats.
     """
 
     alpha_intra: float = 1e-6
@@ -120,6 +126,18 @@ class SimConfig:
     collect_events: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.staging, Staging):
+            raise SimulationError(f"staging must be a Staging member, not {self.staging!r}")
+        for name in ("alpha_intra", "alpha_inter", "host_mem_bw"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise SimulationError(f"{name} must be a real number, not {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise SimulationError(f"{name} is beyond double range") from None
+        if type(self.collect_events) is not bool:
+            raise SimulationError(f"collect_events must be a bool, not {self.collect_events!r}")
         if not (self.alpha_intra >= 0 and self.alpha_inter >= 0):  # nan too
             raise SimulationError("latencies must be non-negative")
         if not (self.host_mem_bw > 0) or not math.isfinite(self.host_mem_bw):
@@ -281,12 +299,15 @@ class _Network:
     engines are appended after them, once each, so the parallel lists the
     event loop indexes (``cap``, ``members``, ``share`` and ``peak``) start
     as the topology's per-direction capacities.  A resource is named only
-    where a result reports it.  Device-direct legs are the topology's routes
-    as compiled; host-staged ones are found once per device (up to its
-    nearest bridge as ``Topology.bridge_path`` kept it, down from the
-    bridge's own search) and once per pair of bridges.  Flows reach it
-    already checked: their ranks mapped to devices of the topology and their
-    sizes finite (``_validate_flows``).
+    where a result reports it.
+
+    ``route`` is picked once, for the run's staging: device-direct legs are
+    the topology's routes as compiled; host-staged ones come from a table
+    by device of its nearest bridge and its legs up to it (as
+    ``Topology.bridge_path`` kept it) and down from it (the bridge's own
+    search), and from a dict of the legs between two bridges, each filled
+    on first use.  Flows reach it already checked: their ranks mapped to
+    devices of the topology and their sizes finite (``_validate_flows``).
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
@@ -301,8 +322,14 @@ class _Network:
         self.first_use: list[int] = []    # resources in the order their peak was first set
         self._engines: dict[tuple[str, int], tuple] = {}
         self._engine_names: list[str] = []
-        self._bridge_paths: dict[tuple[int, bool], tuple] = {}
-        self._between_bridges: dict[tuple[int, int], tuple] = {}
+        self._alpha = (cfg.alpha_intra, cfg.alpha_inter)  # by whether a route enters a NIC
+        # by device: None, or (bridge index, leg up to it, leg down from it)
+        self._bridge_legs: dict[int, tuple | None] = dict.fromkeys(topo.devices)
+        # by (bridge, bridge): the legs from the host copy at one to the copy
+        # at the other (one copy if they are the same), and whether they enter a NIC
+        self._between: dict[tuple[int, int], tuple] = {}
+        self.route: Callable[[int, int], tuple[float, tuple]] = {
+            Staging.DEVICE_DIRECT: self._direct, Staging.HOST_STAGED: self._staged}[cfg.staging]
 
     def _engine(self, prefix: str, index: int, capacity: float) -> tuple:
         """The leg of the memory engine named ``prefix`` + ``index``."""
@@ -354,47 +381,45 @@ class _Network:
                 peak[r] = util
         return rate
 
-    def _route(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
-        """Latency and fluid legs of any flow from ``src_dev`` to ``dst_dev``."""
-        topo, cfg = self.topo, self.cfg
+    # ``route(src_dev, dst_dev)``: latency and fluid legs of any flow between two devices
+
+    def _on_device(self, dev: int) -> tuple[float, tuple]:
+        return self.cfg.alpha_intra, (self._engine("devmem:device:", dev, self.topo.device_mem_bw),)
+
+    def _direct(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
         if src_dev == dst_dev:
-            return cfg.alpha_intra, (self._engine("devmem:device:", src_dev, topo.device_mem_bw),)
-        if cfg.staging is Staging.DEVICE_DIRECT:
-            leg = topo._routes[(src_dev, dst_dev)]
-            return (cfg.alpha_inter if leg[1] else cfg.alpha_intra), (leg,)
+            return self._on_device(src_dev)
+        leg = self.topo._routes[(src_dev, dst_dev)]
+        return self._alpha[leg[1]], (leg,)
 
-        # host-staged: up to the source bridge, a host copy there, across to
-        # the destination bridge and a copy there, then down to the device;
-        # no leg is empty, since a device is never a bridge
-        hb_s, up = self._bridge_path(src_dev, True)
-        hb_d, down = self._bridge_path(dst_dev, False)
-        between, nic_between = self._between(hb_s, hb_d)
-        inter_node = up[1] or down[1] or nic_between
-        return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (up, *between, down)
+    def _staged(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
+        """Up to the source bridge, a host copy there, across to the
+        destination bridge and a copy there, then down to the device; no leg
+        is empty, since a device is never a bridge."""
+        if src_dev == dst_dev:
+            return self._on_device(src_dev)
+        hb_s, up, _ = self._bridge_legs[src_dev] or self._find_bridge_legs(src_dev)
+        hb_d, _, down = self._bridge_legs[dst_dev] or self._find_bridge_legs(dst_dev)
+        between, nic = self._between.get((hb_s, hb_d)) or self._find_between(src_dev, dst_dev)
+        return self._alpha[up[1] or down[1] or nic], (up, *between, down)
 
-    def _bridge_path(self, dev: int, up: bool) -> tuple[int, tuple]:
-        """A device's nearest bridge index and the leg up to it (or down from it)."""
-        got = self._bridge_paths.get((dev, up))
-        if got is None:
-            hb, leg = self.topo._bridge_route(dev)
-            if not up:  # the bridge's own search, which may tie-break differently
-                leg = self.topo._path_route(hb, device(dev))
-            got = self._bridge_paths[(dev, up)] = (hb.index, leg)
-        return got
+    def _find_bridge_legs(self, dev: int) -> tuple:
+        hb, up = self.topo._bridge_route(dev)
+        # down by the bridge's own search, which may tie-break differently
+        legs = self._bridge_legs[dev] = (hb.index, up, self.topo._path_route(hb, device(dev)))
+        return legs
 
-    def _between(self, hb_s: int, hb_d: int) -> tuple[tuple[tuple, ...], bool]:
-        """The legs from the host copy at one bridge to the copy at another
-        (one copy if they are the same), and whether they enter a NIC."""
-        got = self._between_bridges.get((hb_s, hb_d))
-        if got is None:
-            bw = self.cfg.host_mem_bw
-            copy_s = self._engine("hostmem:hostbridge:", hb_s, bw)
-            if hb_s == hb_d:
-                got = (copy_s,), False
-            else:
-                across = self.topo._path_route(host_bridge(hb_s), host_bridge(hb_d))
-                got = (copy_s, across, self._engine("hostmem:hostbridge:", hb_d, bw)), across[1]
-            self._between_bridges[(hb_s, hb_d)] = got
+    def _find_between(self, src_dev: int, dst_dev: int) -> tuple:
+        """The ``_between`` entry of two devices' bridges, found from their nodes."""
+        bw = self.cfg.host_mem_bw
+        a, b = self.topo._bridge_route(src_dev)[0], self.topo._bridge_route(dst_dev)[0]
+        copy_s = self._engine("hostmem:hostbridge:", a.index, bw)
+        if a == b:
+            got = (copy_s,), False
+        else:
+            across = self.topo._path_route(a, b)
+            got = (copy_s, across, self._engine("hostmem:hostbridge:", b.index, bw)), across[1]
+        self._between[(a.index, b.index)] = got
         return got
 
 
@@ -570,26 +595,33 @@ def _run_phase(
 
 
 def _validate_flows(topo: Topology, devs: tuple[int, ...],
-                    flows: Sequence[Flow]) -> list[list[Flow]]:
+                    flows: Iterable[Flow]) -> list[list[Flow]]:
     """Check ids, ranks, devices, sizes and phase numbering; returns flows
     grouped by phase, each group in flow-id order.  ``devs`` is the rank map
     as a tuple.  A plain ``int`` in range passes with one comparison; any
     other value takes the general check, which names the flow when it fails.
-    The checking pass also collects the phases; a flow's devices are looked
-    up only if some rank maps to a device absent from the topology."""
+    One pass checks each flow and appends it to its phase's group, so the
+    groups are sorted by id only if the ids did not arrive ascending; while
+    they ascend, none can repeat.  A flow's devices are looked up only if
+    some rank maps to a device absent from the topology."""
     nranks = len(devs)
     known = frozenset(topo.devices)
     absent = not known.issuperset(devs)
-    ids = set()
-    phases = set()
+    groups: dict[int, list[Flow]] = {}
+    last = -math.inf  # the largest id so far, while the ids ascend: then none repeats
+    ids: set | None = None  # every id so far, once they have stopped ascending
     try:
         for f in flows:
             fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
-            if type(fid) is not int:
-                _integer(fid, "id", fid)
-            if fid in ids:
-                raise SimulationError(f"duplicate flow id {fid}")
-            ids.add(fid)
+            key = fid if type(fid) is int else _integer(fid, "id", fid)
+            if ids is None and key > last:
+                last = key
+            else:
+                if ids is None:
+                    ids = {g.id for group in groups.values() for g in group}
+                if fid in ids:
+                    raise SimulationError(f"duplicate flow id {fid}")
+                ids.add(fid)
             if not (type(src) is type(dst) is int and 0 <= src < nranks and 0 <= dst < nranks):
                 for rank in (src, dst):
                     if not 0 <= _integer(fid, "rank", rank) < nranks:
@@ -601,7 +633,6 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
                 )
             if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
                 raise SimulationError(f"flow {fid} has negative phase")
-            phases.add(phase)
             if not (type(size) is int and 0 <= size < _EXACT_SIZE):
                 try:
                     if size < 0:
@@ -613,14 +644,16 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
                     raise SimulationError(f"flow {fid} has a size beyond double range") from None
                 if not finite:
                     raise SimulationError(f"flow {fid} has non-finite size {size!r}")
+            groups.setdefault(phase, []).append(f)
     except AttributeError:  # the fields are read first, so only a non-Flow gets here
         raise SimulationError(f"flows must hold Flow objects, not {type(f).__name__}") from None
     # distinct and non-negative, so contiguous from 0 unless one is too large
-    if phases and max(phases) >= len(phases):
-        raise SimulationError(f"phases must form a contiguous 0..k range, got {sorted(phases)}")
-    grouped: list[list[Flow]] = [[] for _ in phases]
-    for f in sorted(flows, key=_FLOW_ID):
-        grouped[f.phase].append(f)
+    if groups and max(groups) >= len(groups):
+        raise SimulationError(f"phases must form a contiguous 0..k range, got {sorted(groups)}")
+    grouped = [groups[p] for p in range(len(groups))]
+    if ids is not None:
+        for group in grouped:
+            group.sort(key=_FLOW_ID)
     return grouped
 
 
@@ -634,10 +667,12 @@ def _integer(fid, field: str, value) -> int:
 def simulate(
     topo: Topology,
     rank_map: RankMap | Sequence[int],
-    flows: Sequence[Flow],
+    flows: Iterable[Flow],
     cfg: SimConfig | None = None,
 ) -> SimResult:
     """Run all phases of ``flows`` and return completion times and load stats.
+
+    ``flows`` is read once, so any iterable of ``Flow`` will do.
 
     Busy seconds for a rank count every instant at which the rank has at
     least one of its own flows (as source or destination) still in flight;
@@ -651,7 +686,7 @@ def simulate(
     net = _Network(topo, cfg)
     trace = Trace(net.name)
     record = trace if cfg.collect_events else None
-    route, alone = net._route, net.alone
+    route, alone = net.route, net.alone
     cap, peak, first_use = net.cap, net.peak, net.first_use
     # every derived route lists each link direction once; only a given one
     # may list one k times, and then gets cap / k from it

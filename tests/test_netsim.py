@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from haloflow import (
     simulate_timestep,
 )
 from haloflow import netsim
-from haloflow.topology import device, switch
+from haloflow.topology import device, host_bridge, nic, switch
 from trace_replay import check_trace
 
 ALPHA_INTRA = 1e-6
@@ -116,6 +117,18 @@ class TestPhases:
         assert res.phase_completion == pytest.approx((one, 2 * one), rel=1e-12)
         assert res.makespan == pytest.approx(2 * one, rel=1e-12)
 
+    @pytest.mark.parametrize("ids", [(0, 1, 2, 3), (3, 1, 2, 0)], ids=["ascending", "shuffled"])
+    def test_flows_read_once_from_an_iterator(self, island_topo, ids):
+        # the flows are checked and grouped in one pass, so a one-shot
+        # iterable runs exactly as the list does
+        flows = [Flow(ids[0], 0, 1, 10**6), Flow(ids[1], 1, 0, 10**6, phase=1),
+                 Flow(ids[2], 0, 2, 10**6, phase=1), Flow(ids[3], 2, 2, 10**6)]
+        want = simulate(island_topo, RankMap.identity(3), flows)
+        got = simulate(island_topo, RankMap.identity(3), iter(flows))
+        assert len(got.flow_completion) == 4
+        assert got.flow_completion == want.flow_completion
+        assert got.phase_completion == want.phase_completion
+
     def test_phase_gap_rejected(self, island_topo):
         with pytest.raises(SimulationError):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 1, phase=1)])
@@ -191,6 +204,18 @@ class TestHostStaging:
         assert res.flow_completion[0] == pytest.approx(expect, rel=1e-12)
         assert res.flow_completion[1] == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("src, dst", [(0, 1), (1, 0)], ids=["nic-on-the-way-up",
+                                                               "nic-on-the-way-down"])
+    def test_a_nic_on_a_bridge_leg_costs_the_inter_node_latency(self, src, dst):
+        # device 0 reaches the only bridge through a NIC; device 1 hangs off it
+        topo = Topology([device(0), device(1), nic(0), host_bridge(0)],
+                        [Link(device(0), nic(0), 1e10), Link(nic(0), host_bridge(0), 1e10),
+                         Link(device(1), host_bridge(0), 1e10)], device_mem_bw=1e12)
+        for staging in Staging:
+            res = simulate(topo, RankMap.identity(2), [Flow(0, src, dst, 0)],
+                           SimConfig(staging=staging))
+            assert res.flow_completion[0] == ALPHA_INTER
+
     def test_staging_needs_a_host_bridge(self, switch_topo):
         cfg = SimConfig(staging=Staging.HOST_STAGED)
         with pytest.raises(TopologyError):
@@ -260,6 +285,35 @@ class TestDeterminism:
         assert got.flow_completion == want.flow_completion
         assert (list(got.link_peak_utilization.items())
                 == list(want.link_peak_utilization.items()))
+
+    @pytest.mark.parametrize("order", [
+        (Staging.DEVICE_DIRECT, Staging.HOST_STAGED, Staging.DEVICE_DIRECT),
+        (Staging.HOST_STAGED, Staging.DEVICE_DIRECT, Staging.HOST_STAGED),
+    ], ids=["direct-first", "staged-first"])
+    @pytest.mark.parametrize("collect_events", [False, True])
+    def test_runs_in_turn_on_one_topology_equal_fresh_runs(self, order, collect_events):
+        """Each run fills its own route tables, legs and engines; nothing of
+        one run is read by the next on the same topology."""
+        rm = RankMap([0, 3, 3, 9, 12, 14])  # ranks 1 and 2 share device 3
+        flows = [
+            Flow(0, 1, 2, 10**6), Flow(1, 0, 5, 3 * 10**5), Flow(2, 4, 4, 0), Flow(3, 3, 1, 10**6),
+            Flow(4, 2, 1, 2 * 10**6, phase=1),                            # self, walked
+            Flow(5, 5, 0, 0, phase=2),                                    # zero bytes, walked
+            Flow(6, 3, 4, 10**6, phase=3),
+            Flow(7, 2, 2, 10**5, phase=4), Flow(8, 0, 0, 0, phase=4), Flow(9, 4, 1, 10**6, phase=4),
+        ]
+        topo = preset("dgx1v", servers=2)
+        for staging in order:
+            cfg = SimConfig(staging=staging, collect_events=collect_events)
+            got = simulate(topo, rm, flows, cfg)
+            want = simulate(preset("dgx1v", servers=2), rm, flows, cfg)
+            assert got.flow_completion == want.flow_completion
+            assert got.phase_completion == want.phase_completion
+            assert got.busy_seconds == want.busy_seconds
+            assert (list(got.link_peak_utilization.items())
+                    == list(want.link_peak_utilization.items()))
+            assert len(got.events) == len(want.events) and (len(got.events) > 0) == collect_events
+            assert got.events == want.events
         assert list(got.events) == list(want.events)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -301,20 +355,23 @@ class TestNonFiniteSizes:
         with pytest.raises(SimulationError, match="flow 0"):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 10**400)])
 
-    # one-flow phases (walked by _simulate) and two-flow phases (event loop)
+    # one-flow phases (walked by simulate) and two-flow phases (event loop)
     @pytest.mark.parametrize("flows", [
         [Flow(0, 0, 1, 1), Flow(1, 0, 1, -1, phase=1)],
         [Flow(0, 0, 1, 1), Flow(2, 1, 0, 1), Flow(1, 0, 1, -1, phase=1), Flow(3, 1, 0, 1, phase=1)],
     ], ids=["one-flow-phases", "two-flow-phases"])
-    def test_checked_before_the_first_phase_runs(self, island_topo, monkeypatch, flows):
+    @pytest.mark.parametrize("staging", list(Staging))
+    def test_checked_before_the_first_phase_runs(self, island_topo, monkeypatch, flows, staging):
         def no_phase(*_args):
             raise AssertionError("a phase ran before every flow was checked")
 
-        # every phase, walked or looped, reads its flows' routes first
+        # every phase, walked or looped, reads its flows' routes first, from
+        # the route function its run picked for its staging
         monkeypatch.setattr(netsim, "_run_phase", no_phase)
-        monkeypatch.setattr(netsim._Network, "_route", no_phase)
+        monkeypatch.setattr(netsim._Network, "_direct", no_phase)
+        monkeypatch.setattr(netsim._Network, "_staged", no_phase)
         with pytest.raises(SimulationError, match="flow 1 has negative size"):
-            simulate(island_topo, RankMap.identity(2), flows)
+            simulate(island_topo, RankMap.identity(2), flows, SimConfig(staging=staging))
 
     # a nan latency would be added by a one-flow phase but skipped by the event loop
     @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter"])
@@ -325,6 +382,57 @@ class TestNonFiniteSizes:
     def test_fractional_finite_size_is_legal(self, island_topo):
         res = simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 2.5)])
         assert res.flow_completion[0] == pytest.approx(ALPHA_INTRA + 2.5 / 25e9, rel=1e-12)
+
+
+class TestConfigChecks:
+    """A config value that would silently change the result, or fail deep
+    inside a run, is refused up front with the field's name."""
+
+    @pytest.mark.parametrize("staging", ["device_direct", "host_staged", None, 0, 1])
+    def test_staging_must_be_a_member(self, staging):
+        with pytest.raises(SimulationError, match="staging must be a Staging member"):
+            SimConfig(staging=staging)
+
+    def test_a_staging_name_is_refused_not_run_host_staged(self, island_topo):
+        # one 1 MB flow, device 0 to 5: 1.26e-4 s direct, 3.33e-4 s host-staged
+        flow = [Flow(0, 0, 5, 10**6)]
+        direct = simulate(island_topo, RankMap.identity(8), flow, SimConfig())
+        staged = simulate(island_topo, RankMap.identity(8), flow,
+                          SimConfig(staging=Staging.HOST_STAGED))
+        assert direct.flow_completion[0] == pytest.approx(1.26e-4, rel=1e-12)
+        assert staged.flow_completion[0] == pytest.approx(3.3266666666666666e-4, rel=1e-12)
+        with pytest.raises(SimulationError, match="staging"):
+            SimConfig(staging="device_direct")
+
+    @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter", "host_mem_bw"])
+    @pytest.mark.parametrize("value", ["1", True, False, np.bool_(True), None, 1j, [1.0]],
+                             ids=repr)
+    def test_latencies_and_bandwidth_must_be_real_numbers(self, field, value):
+        with pytest.raises(SimulationError, match=f"{field} must be a real number"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter", "host_mem_bw"])
+    def test_beyond_double_range(self, field):
+        with pytest.raises(SimulationError, match=f"{field} is beyond double range"):
+            SimConfig(**{field: 10**400})
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(False)], ids=repr)
+    def test_collect_events_must_be_a_bool(self, value):
+        with pytest.raises(SimulationError, match="collect_events must be a bool"):
+            SimConfig(collect_events=value)
+
+    def test_other_real_numbers_run_as_their_floats(self):
+        flows = [Flow(0, 0, 1, 10**6), Flow(1, 1, 0, 10**6), Flow(2, 0, 9, 10**6, phase=1)]
+        rm = RankMap.identity(16)
+        topo = preset("dgx1v", servers=2)
+        for staging in Staging:
+            cfg = SimConfig(alpha_intra=1, alpha_inter=Fraction(1, 10**5), staging=staging,
+                            host_mem_bw=np.float64(50e9))
+            assert all(type(v) is float for v in (cfg.alpha_intra, cfg.alpha_inter,
+                                                   cfg.host_mem_bw))
+            want = simulate(topo, rm, flows, SimConfig(alpha_intra=1.0, alpha_inter=1e-5,
+                                                       staging=staging))
+            assert simulate(topo, rm, flows, cfg).flow_completion == want.flow_completion
 
 
 class TestBandwidthBeyondDoubleRange:
