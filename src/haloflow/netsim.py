@@ -77,7 +77,7 @@ from operator import add, attrgetter, index, itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError
-from .topology import RankMap, Topology, device
+from .topology import NodeId, RankMap, Topology, device
 
 __all__ = [
     "Flow",
@@ -302,11 +302,11 @@ class _Network:
     where a result reports it.
 
     ``route`` is picked once, for the run's staging: device-direct legs are
-    the topology's routes as compiled; host-staged ones come from a table
-    by device of its nearest bridge and its legs up to it (as
-    ``Topology.bridge_path`` kept it) and down from it (the bridge's own
-    search), and from a dict of the legs between two bridges, each filled
-    on first use.  Flows reach it already checked: their ranks mapped to
+    the topology's routes as compiled; host-staged ones come from tables
+    only a host-staged run builds, a table by device of its nearest bridge
+    and its legs up to it (as ``Topology.bridge_path`` kept it) and down
+    from it (the bridge's own search), and a dict of the legs between two
+    bridges, each filled on first use.  Flows reach it already checked: their ranks mapped to
     devices of the topology and their sizes finite (``_validate_flows``).
     """
 
@@ -323,11 +323,13 @@ class _Network:
         self._engines: dict[tuple[str, int], tuple] = {}
         self._engine_names: list[str] = []
         self._alpha = (cfg.alpha_intra, cfg.alpha_inter)  # by whether a route enters a NIC
-        # by device: None, or (bridge index, leg up to it, leg down from it)
-        self._bridge_legs: dict[int, tuple | None] = dict.fromkeys(topo.devices)
-        # by (bridge, bridge): the legs from the host copy at one to the copy
-        # at the other (one copy if they are the same), and whether they enter a NIC
-        self._between: dict[tuple[int, int], tuple] = {}
+        if cfg.staging is Staging.HOST_STAGED:
+            # by device: None, or (bridge index, leg up to it, leg down from it,
+            # bridge node); the index keys _between, the node finds its legs
+            self._bridge_legs: dict[int, tuple | None] = dict.fromkeys(topo.devices)
+            # by (bridge, bridge) index: the legs from the host copy at one to the
+            # copy at the other (one copy if they are the same), and whether they enter a NIC
+            self._between: dict[tuple[int, int], tuple] = {}
         self.route: Callable[[int, int], tuple[float, tuple]] = {
             Staging.DEVICE_DIRECT: self._direct, Staging.HOST_STAGED: self._staged}[cfg.staging]
 
@@ -398,21 +400,20 @@ class _Network:
         is empty, since a device is never a bridge."""
         if src_dev == dst_dev:
             return self._on_device(src_dev)
-        hb_s, up, _ = self._bridge_legs[src_dev] or self._find_bridge_legs(src_dev)
-        hb_d, _, down = self._bridge_legs[dst_dev] or self._find_bridge_legs(dst_dev)
-        between, nic = self._between.get((hb_s, hb_d)) or self._find_between(src_dev, dst_dev)
+        hb_s, up, _, node_s = self._bridge_legs[src_dev] or self._find_bridge_legs(src_dev)
+        hb_d, _, down, node_d = self._bridge_legs[dst_dev] or self._find_bridge_legs(dst_dev)
+        between, nic = self._between.get((hb_s, hb_d)) or self._find_between(node_s, node_d)
         return self._alpha[up[1] or down[1] or nic], (up, *between, down)
 
     def _find_bridge_legs(self, dev: int) -> tuple:
         hb, up = self.topo._bridge_route(dev)
         # down by the bridge's own search, which may tie-break differently
-        legs = self._bridge_legs[dev] = (hb.index, up, self.topo._path_route(hb, device(dev)))
+        legs = self._bridge_legs[dev] = (hb.index, up, self.topo._path_route(hb, device(dev)), hb)
         return legs
 
-    def _find_between(self, src_dev: int, dst_dev: int) -> tuple:
-        """The ``_between`` entry of two devices' bridges, found from their nodes."""
+    def _find_between(self, a: NodeId, b: NodeId) -> tuple:
+        """The ``_between`` entry of bridges ``a`` and ``b``."""
         bw = self.cfg.host_mem_bw
-        a, b = self.topo._bridge_route(src_dev)[0], self.topo._bridge_route(dst_dev)[0]
         copy_s = self._engine("hostmem:hostbridge:", a.index, bw)
         if a == b:
             got = (copy_s,), False

@@ -285,6 +285,7 @@ class TestDeterminism:
         assert got.flow_completion == want.flow_completion
         assert (list(got.link_peak_utilization.items())
                 == list(want.link_peak_utilization.items()))
+        assert list(got.events) == list(want.events)
 
     @pytest.mark.parametrize("order", [
         (Staging.DEVICE_DIRECT, Staging.HOST_STAGED, Staging.DEVICE_DIRECT),
@@ -314,7 +315,6 @@ class TestDeterminism:
                     == list(want.link_peak_utilization.items()))
             assert len(got.events) == len(want.events) and (len(got.events) > 0) == collect_events
             assert got.events == want.events
-        assert list(got.events) == list(want.events)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=12), st.randoms())
