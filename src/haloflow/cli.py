@@ -43,6 +43,7 @@ from .errors import (
     ProtocolError,
     ScenarioError,
     SimulationError,
+    number,
 )
 from .halo import OverlapMode, run_stencil, staged_vs_direct_cost
 from .netsim import SimConfig, simulate, simulate_timestep
@@ -80,9 +81,7 @@ def resolve_seed(flag_value: int | None, scenario_value: int = 0) -> int:
             raise ConfigurationError(f"{SEED_ENV} must be >= 0, got {env!r}")
         return seed
     if flag_value is not None:
-        if flag_value < 0:
-            raise ScenarioError("seed must be >= 0", "seed")
-        return flag_value
+        return number(flag_value, "seed", integer=True, low=0)
     return scenario_value
 
 

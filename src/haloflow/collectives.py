@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, number
 from .netsim import Flow, SimConfig, SimResult, simulate
 from .topology import RankMap, Topology
 
@@ -51,10 +51,9 @@ class ScheduleKind(enum.Enum):
 
 def uniform_sizes(nranks: int, bytes_per_pair: int) -> list[list[int]]:
     """Size matrix with the same payload for every ordered pair, self included."""
-    if nranks < 1:
-        raise ConfigurationError("nranks must be >= 1")
-    if bytes_per_pair < 0:
-        raise ConfigurationError("bytes_per_pair must be >= 0")
+    nranks = number(nranks, "nranks", integer=True, low=1, error=ConfigurationError)
+    bytes_per_pair = number(bytes_per_pair, "bytes_per_pair", integer=True, low=0,
+                            error=ConfigurationError)
     return [[bytes_per_pair] * nranks for _ in range(nranks)]
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, number
 
 __all__ = [
     "PowerSample",
@@ -34,14 +34,15 @@ DEFAULT_MAX_WATTS = 300.0
 
 @dataclass(frozen=True)
 class PowerSample:
-    """One reading from a power meter at time ``t`` seconds."""
+    """One reading from a power meter at time ``t`` seconds; ``watts`` is >= 0."""
 
     t: float
     watts: float
 
     def __post_init__(self) -> None:
-        if self.watts < 0.0:
-            raise ConfigurationError(f"power cannot be negative, got {self.watts}")
+        object.__setattr__(self, "t", number(self.t, "t", error=ConfigurationError))
+        object.__setattr__(self, "watts",
+                           number(self.watts, "watts", low=0, error=ConfigurationError))
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,9 @@ class PowerModel:
     p_max: float = DEFAULT_MAX_WATTS
 
     def __post_init__(self) -> None:
-        if self.p_idle < 0.0:
-            raise ConfigurationError(f"p_idle must be >= 0, got {self.p_idle}")
+        object.__setattr__(self, "p_idle",
+                           number(self.p_idle, "p_idle", low=0, error=ConfigurationError))
+        object.__setattr__(self, "p_max", number(self.p_max, "p_max", error=ConfigurationError))
         if self.p_max < self.p_idle:
             raise ConfigurationError(
                 f"p_max ({self.p_max}) must be >= p_idle ({self.p_idle})"
@@ -61,10 +63,8 @@ class PowerModel:
 
     def predict(self, busy_fraction: float) -> float:
         """Watts drawn at the given busy fraction in [0, 1]."""
-        if not 0.0 <= busy_fraction <= 1.0:
-            raise ConfigurationError(
-                f"busy_fraction must be in [0, 1], got {busy_fraction}"
-            )
+        busy_fraction = number(busy_fraction, "busy_fraction", low=0, high=1,
+                               error=ConfigurationError)
         return self.p_idle + busy_fraction * (self.p_max - self.p_idle)
 
 
@@ -110,12 +110,9 @@ def window_average(samples: Sequence[PowerSample], t0: float, t1: float) -> floa
 
 def energy_per_step(watts: float, step_seconds: float, devices: int = 1) -> float:
     """Joules one timestep costs across ``devices`` devices at mean ``watts`` each."""
-    if watts < 0.0:
-        raise ConfigurationError(f"watts must be >= 0, got {watts}")
-    if step_seconds < 0.0:
-        raise ConfigurationError(f"step_seconds must be >= 0, got {step_seconds}")
-    if devices < 1:
-        raise ConfigurationError(f"devices must be >= 1, got {devices}")
+    watts = number(watts, "watts", low=0, error=ConfigurationError)
+    step_seconds = number(step_seconds, "step_seconds", low=0, error=ConfigurationError)
+    devices = number(devices, "devices", integer=True, low=1, error=ConfigurationError)
     return watts * step_seconds * devices
 
 
@@ -125,12 +122,10 @@ def fit_power_model(points: Iterable[tuple[float, float]]) -> PowerModel:
     Needs at least two distinct busy fractions; with exactly two points the
     fit passes through both.
     """
-    pts = [(float(u), float(w)) for u, w in points]
+    pts = [(number(u, "busy_fraction", low=0, high=1, error=ConfigurationError),
+            number(w, "watts", error=ConfigurationError)) for u, w in points]
     if len(pts) < 2:
         raise ConfigurationError("need at least two (busy_fraction, watts) points")
-    for u, _ in pts:
-        if not 0.0 <= u <= 1.0:
-            raise ConfigurationError(f"busy_fraction must be in [0, 1], got {u}")
     n = len(pts)
     mean_u = sum(u for u, _ in pts) / n
     mean_w = sum(w for _, w in pts) / n

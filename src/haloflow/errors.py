@@ -1,13 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of a number.
 
 Every error raised on purpose by this package derives from HaloflowError so
 callers can catch one base class at the CLI boundary and map it to an exit
-code.
+code.  An error may carry a ``path`` naming the offending field, such as
+``workload.ranks``; its text is then ``"path: message"``.  Every number the
+scenario parser reads and every numeric field of a public constructor goes
+through :func:`number`, so the Python API refuses what a scenario file does;
+each caller names the error class, and so the exit code, it raises.
 """
+
+import math
+import sys
+from numbers import Real
+from operator import index
 
 
 class HaloflowError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.message = message
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 class ConfigurationError(HaloflowError):
@@ -34,11 +48,48 @@ class UndefinedIntensityError(HaloflowError):
 class ScenarioError(HaloflowError):
     """A scenario document failed validation. ``path`` names the offending field."""
 
-    def __init__(self, message: str, path: str = ""):
-        self.message = message
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
-
 
 class TopologySpecError(ScenarioError, TopologyError):
     """A malformed inline topology entry; ``path`` names it, such as ``links[0].lanes``."""
+
+
+def number(value: object, path: str, *, integer: bool = False, low: float | None = None,
+           high: float | None = None, low_open: bool = False,
+           error: type[HaloflowError] = ScenarioError) -> int | float:
+    """``value`` as a canonical ``int`` (with ``integer``) or ``float``.
+
+    Raises ``error`` at ``path`` for a bool or a non-``Real`` ("expected a
+    number, got str"), a value ``operator.index`` refuses where an integer
+    is required ("expected an integer, got float"; numpy ints pass), NaN,
+    an infinity or an int a double cannot hold ("expected a finite
+    number"), and a value below ``low``, at it with ``low_open``, or above
+    ``high``, given only with ``low`` ("ranks must be >= 1", naming the
+    last dotted part of ``path``).  A bounded float field says "must be
+    finite and >= 0" for every value it refuses but a non-number.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        kind = "an integer" if integer else "a number"
+        raise error(f"expected {kind}, got {type(value).__name__}", path)
+    if integer:
+        try:
+            value = index(value)
+        except TypeError:
+            raise error(f"expected an integer, got {type(value).__name__}", path) from None
+        finite = abs(value) <= sys.float_info.max
+    else:
+        try:
+            value = float(value)
+        except OverflowError:  # an int or a fraction beyond double range
+            value = math.inf
+        finite = math.isfinite(value)
+    if not finite and (integer or low is None):
+        raise error("expected a finite number", path)
+    if finite and (low is None or value > low or value == low and not low_open) and (
+            high is None or value <= high):
+        return value
+    if high is not None:
+        bound = f"in [{low}, {high}]"
+    else:
+        bound = ("positive" if low == 0 else f"> {low}") if low_open else f">= {low}"
+        bound = bound if integer else f"finite and {bound}"
+    raise error(f"{path.rpartition('.')[2]} must be {bound}", path)

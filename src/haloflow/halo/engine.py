@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError
+from ..errors import ConfigurationError, ProtocolError, number
 from ..collectives import ScheduleKind, _pair_phases
 from ..netsim import Flow, SimConfig, Staging, simulate
 from ..topology import RankMap, Topology
@@ -323,11 +323,13 @@ def run_stencil(
 ) -> tuple[Fields, Partition, HaloPlan, list[float]]:
     """Partition, plan, run ``steps`` stencil steps; returns per-step checksums.
 
-    ``init`` holds one value per grid element; any other shape raises
-    ``ConfigurationError``.
+    ``init`` holds one value per grid element; any other shape, a rank
+    count that is not an integer >= 1 or a step count that is not an
+    integer >= 0 raises ``ConfigurationError``.
     """
-    router = router or Router(nranks)
+    steps = number(steps, "steps", integer=True, low=0, error=ConfigurationError)
     part = partition.partition_block(grid, nranks)
+    router = router or Router(part.nranks)
     workspace = ensure_plan(part, router, mode, schedule)
     fields = make_fields(part, init)
     checksums = []
@@ -377,8 +379,8 @@ def staged_vs_direct_cost(
         raise ConfigurationError(
             f"rank map has {rm.nranks} ranks but the partition has {part.nranks}"
         )
-    if bytes_per_element <= 0:
-        raise ConfigurationError("bytes_per_element must be positive")
+    bytes_per_element = number(bytes_per_element, "bytes_per_element", low=0, low_open=True,
+                               error=ConfigurationError)
 
     pairs = [(r, peer, len(idx)) for r in range(part.nranks)
              for peer, idx in sorted(plan.ranks[r].send_index.items()) if len(idx)]

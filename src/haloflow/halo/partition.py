@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError
+from ..errors import ConfigurationError, ProtocolError, number
 from .grid import GlobalGrid, _read_only_int64
 
 
@@ -183,8 +183,7 @@ def partition_block(grid: GlobalGrid, nranks: int) -> Partition:
     Trailing ranks may own fewer (or zero) elements when N is not a
     multiple of P; such ranks still take part in every collective step.
     """
-    if nranks < 1:
-        raise ConfigurationError("nranks must be >= 1")
+    nranks = number(nranks, "nranks", integer=True, low=1, error=ConfigurationError)
     if nranks > grid.n:
         raise ConfigurationError(f"cannot split {grid.n} elements across {nranks} ranks")
     block = -(-grid.n // nranks)

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from array import array
 from bisect import insort
 from collections import Counter
@@ -72,11 +71,11 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
-from operator import add, attrgetter, index, itemgetter
+from operator import add, attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, ScenarioError, SimulationError
+from .errors import ConfigurationError, ScenarioError, SimulationError, number
 from .topology import NodeId, RankMap, Topology, device
 
 __all__ = [
@@ -115,8 +114,9 @@ class SimConfig:
     ``alpha_intra`` applies to paths that stay inside one server,
     ``alpha_inter`` to paths crossing a NIC.  ``host_mem_bw`` is the
     per-bridge copy-engine bandwidth used by host-staged transfers.  A
-    value of the wrong type raises :class:`SimulationError` naming its
-    field; the latencies and bandwidth are kept as floats.
+    latency must be finite and >= 0 and the bandwidth finite and positive;
+    any other value, or one of the wrong type, raises
+    :class:`SimulationError` naming its field.  They are kept as floats.
     """
 
     alpha_intra: float = 1e-6
@@ -128,20 +128,12 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.staging, Staging):
             raise SimulationError(f"staging must be a Staging member, not {self.staging!r}")
-        for name in ("alpha_intra", "alpha_inter", "host_mem_bw"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise SimulationError(f"{name} must be a real number, not {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise SimulationError(f"{name} is beyond double range") from None
+        for name, low_open in (("alpha_intra", False), ("alpha_inter", False),
+                               ("host_mem_bw", True)):
+            object.__setattr__(self, name, number(getattr(self, name), name, low=0,
+                                                  low_open=low_open, error=SimulationError))
         if type(self.collect_events) is not bool:
             raise SimulationError(f"collect_events must be a bool, not {self.collect_events!r}")
-        if not (self.alpha_intra >= 0 and self.alpha_inter >= 0):  # nan too
-            raise SimulationError("latencies must be non-negative")
-        if not (self.host_mem_bw > 0) or not math.isfinite(self.host_mem_bw):
-            raise SimulationError("host_mem_bw must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -248,14 +240,9 @@ class TimestepScenario:
     barrier_at_end: bool = True
 
     def __post_init__(self):
-        compute = []
-        try:  # each value is checked before it is compared: only iteration raises these
-            for i, c in enumerate(self.compute_seconds):
-                # booleans are ints, but never numbers here; nan fails the comparison
-                if (isinstance(c, bool) or not isinstance(c, Real)
-                        or not 0 <= c <= sys.float_info.max):
-                    raise ScenarioError("expected a non-negative number", f"compute_seconds[{i}]")
-                compute.append(float(c))
+        try:  # the checker raises no TypeError: only iteration does
+            compute = [number(c, f"compute_seconds[{i}]", low=0)
+                       for i, c in enumerate(self.compute_seconds)]
         except TypeError:
             raise ScenarioError("expected a list of numbers", "compute_seconds") from None
         if not compute:
@@ -600,7 +587,8 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
     """Check ids, ranks, devices, sizes and phase numbering; returns flows
     grouped by phase, each group in flow-id order.  ``devs`` is the rank map
     as a tuple.  A plain ``int`` in range passes with one comparison; any
-    other value takes the general check, which names the flow when it fails.
+    other value goes through ``errors.number`` at a path such as
+    ``flow 3.bytes``, so a size may be any finite real >= 0 but not a bool.
     One pass checks each flow and appends it to its phase's group, so the
     groups are sorted by id only if the ids did not arrive ascending; while
     they ascend, none can repeat.  A flow's devices are looked up only if
@@ -614,7 +602,8 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
     try:
         for f in flows:
             fid, src, dst, size, phase = f.id, f.src_rank, f.dst_rank, f.bytes, f.phase
-            key = fid if type(fid) is int else _integer(fid, "id", fid)
+            key = fid if type(fid) is int else number(fid, f"flow {fid}.id", integer=True,
+                                                      error=SimulationError)
             if ids is None and key > last:
                 last = key
             else:
@@ -624,27 +613,19 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
                     raise SimulationError(f"duplicate flow id {fid}")
                 ids.add(fid)
             if not (type(src) is type(dst) is int and 0 <= src < nranks and 0 <= dst < nranks):
+                src, dst = [number(rank, f"flow {fid}.{name}", integer=True, error=SimulationError)
+                            for rank, name in ((src, "src_rank"), (dst, "dst_rank"))]
                 for rank in (src, dst):
-                    if not 0 <= _integer(fid, "rank", rank) < nranks:
+                    if not 0 <= rank < nranks:
                         raise ConfigurationError(f"rank {rank} outside rank map of size {nranks}")
-                src, dst = index(src), index(dst)
             if absent and (devs[src] not in known or devs[dst] not in known):
                 raise SimulationError(
                     f"flow {fid} maps to device {devs[src]} or {devs[dst]} absent from the topology"
                 )
-            if not (type(phase) is int and phase >= 0) and _integer(fid, "phase", phase) < 0:
-                raise SimulationError(f"flow {fid} has negative phase")
+            if not (type(phase) is int and phase >= 0):
+                number(phase, f"flow {fid}.phase", integer=True, low=0, error=SimulationError)
             if not (type(size) is int and 0 <= size < _EXACT_SIZE):
-                try:
-                    if size < 0:
-                        raise SimulationError(f"flow {fid} has negative size")
-                    finite = math.isfinite(size)
-                except TypeError:
-                    raise SimulationError(f"flow {fid} has non-real size {size!r}") from None
-                except OverflowError:
-                    raise SimulationError(f"flow {fid} has a size beyond double range") from None
-                if not finite:
-                    raise SimulationError(f"flow {fid} has non-finite size {size!r}")
+                number(size, f"flow {fid}.bytes", low=0, error=SimulationError)
             groups.setdefault(phase, []).append(f)
     except AttributeError:  # the fields are read first, so only a non-Flow gets here
         raise SimulationError(f"flows must hold Flow objects, not {type(f).__name__}") from None
@@ -656,13 +637,6 @@ def _validate_flows(topo: Topology, devs: tuple[int, ...],
         for group in grouped:
             group.sort(key=_FLOW_ID)
     return grouped
-
-
-def _integer(fid, field: str, value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise SimulationError(f"flow {fid} has non-integer {field} {value!r}") from None
 
 
 def simulate(

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigurationError, UndefinedIntensityError
+from .errors import ConfigurationError, UndefinedIntensityError, number
 
 __all__ = [
     "MachineModel",
@@ -38,18 +38,15 @@ class RooflineConsistencyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MachineModel:
-    """Two-ceiling roofline machine description."""
+    """Two-ceiling roofline machine description; both ceilings finite and positive."""
 
     peak_flops: float = PEAK_FLOPS
     stream_bandwidth: float = STREAM_BANDWIDTH
 
     def __post_init__(self) -> None:
-        if self.peak_flops <= 0.0:
-            raise ConfigurationError(f"peak_flops must be positive, got {self.peak_flops}")
-        if self.stream_bandwidth <= 0.0:
-            raise ConfigurationError(
-                f"stream_bandwidth must be positive, got {self.stream_bandwidth}"
-            )
+        for name in ("peak_flops", "stream_bandwidth"):
+            object.__setattr__(self, name, number(getattr(self, name), name, low=0,
+                                                  low_open=True, error=ConfigurationError))
 
     @property
     def ridge_intensity(self) -> float:
@@ -59,7 +56,10 @@ class MachineModel:
 
 @dataclass(frozen=True)
 class KernelSample:
-    """Measured execution of one kernel: work done and time taken."""
+    """Measured execution of one kernel: work done and time taken.
+
+    ``flops`` and ``bytes_moved`` are finite and >= 0, ``seconds`` finite and positive.
+    """
 
     name: str
     flops: float
@@ -67,12 +67,9 @@ class KernelSample:
     seconds: float
 
     def __post_init__(self) -> None:
-        if self.flops < 0.0:
-            raise ConfigurationError(f"kernel {self.name!r}: flops must be >= 0")
-        if self.bytes_moved < 0.0:
-            raise ConfigurationError(f"kernel {self.name!r}: bytes_moved must be >= 0")
-        if self.seconds <= 0.0:
-            raise ConfigurationError(f"kernel {self.name!r}: seconds must be positive")
+        for name, low_open in (("flops", False), ("bytes_moved", False), ("seconds", True)):
+            object.__setattr__(self, name, number(getattr(self, name), name, low=0,
+                                                  low_open=low_open, error=ConfigurationError))
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,25 @@ A scenario bundles a topology, one workload, and optional sweep, roofline
 and energy sections.  Validation is strict: unknown keys (topology keys
 too), a NaN or infinity anywhere, a string UTF-8 cannot encode and a name
 XML cannot carry are rejected, and every complaint carries the dotted path
-of the offending field.  The parser checks the JSON shape and types; the
-typed sections' constructors check the values, so a job built from CLI
-flags or in Python gets the same checks, and the parser prefixes their
-field paths with the section's path.
+of the offending field.  The parser checks the document's shape: its keys,
+which value is an object, a list or a string, and that a number is a
+number.  The typed sections' constructors check each numeric field's type
+and value through the one checker, ``errors.number``, so a job built from
+CLI flags or in Python is refused exactly where a document would be, and
+the parser prefixes their field paths with the section's path.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-import sys
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .collectives import ScheduleKind
-from .errors import ConfigurationError, ScenarioError, UndefinedIntensityError
+from .errors import ConfigurationError, ScenarioError, UndefinedIntensityError, number
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow, TimestepScenario
@@ -68,15 +69,8 @@ def _get(doc: Mapping, key: str, kind: type | tuple, path: str, default: object 
             raise ScenarioError(f"missing required key {key!r}", path or key)
         return default
     value = doc[key]
-    if kind is float:
-        # ints serve as numbers, but booleans never do
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"expected a number, got {type(value).__name__}", sub)
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"expected an integer, got {type(value).__name__}", sub)
-        return value
+    if kind is float or kind is int:
+        return number(value, sub, integer=kind is int)
     if not isinstance(value, kind):
         kname = kind.__name__ if isinstance(kind, type) else "value"
         raise ScenarioError(f"expected {kname}, got {type(value).__name__}", sub)
@@ -92,11 +86,12 @@ def _at(prefix: str, build, *args):
 
 
 def _checked(path: str, build, *args):
-    """``build(*args)``, re-raising a model check's error as a ScenarioError at ``path``."""
+    """``build(*args)``, re-raising a model check's error as a ScenarioError at ``path``;
+    the model's own field names are in its message, not in the document."""
     try:
         return build(*args)
     except (ConfigurationError, UndefinedIntensityError) as exc:
-        raise ScenarioError(str(exc), path) from None
+        raise ScenarioError(exc.message, path) from None
 
 
 def _kernel(name: str, flops: float, bytes_moved: float, seconds: float) -> KernelSample:
@@ -120,15 +115,15 @@ def _check_values(doc: object) -> None:
     beyond float range, strings UTF-8 cannot encode, and a ``name`` holding
     a character XML 1.0 cannot carry.  The walk keeps its own stack, so no
     nesting depth that ``json`` decodes can exhaust Python's recursion
-    limit; the first bad value in document order is reported.
+    limit; the first bad value in document order is reported.  A bool is
+    no number, but a document may hold one, so it is not checked here.
     """
     stack = [(doc, "")]
     while stack:
         value, path = stack.pop()
-        if (isinstance(value, float) and not math.isfinite(value)
-                or isinstance(value, int) and abs(value) > sys.float_info.max):
-            raise ScenarioError("expected a finite number", path)
-        if isinstance(value, str):
+        if isinstance(value, float) or type(value) is int:
+            number(value, path)
+        elif isinstance(value, str):
             if _SURROGATE.search(value):
                 raise ScenarioError("expected text UTF-8 can encode, got a lone surrogate", path)
             bad = (path == "name" or path.endswith(".name")) and _NOT_XML.search(value)
@@ -211,14 +206,13 @@ class AlltoallJob:
     schedules: tuple[ScheduleKind, ...] = tuple(ScheduleKind)
 
     def __post_init__(self):
-        if self.ranks < 1:
-            raise ScenarioError("ranks must be >= 1", "ranks")
-        msg = self.msg_bytes
-        if isinstance(msg, float) and not (math.isfinite(msg) and msg.is_integer()) or msg < 0:
+        object.__setattr__(self, "ranks", number(self.ranks, "ranks", integer=True, low=1))
+        msg = number(self.msg_bytes, "msg_bytes")
+        if not (msg >= 0 and msg.is_integer()):
             raise ScenarioError("msg_bytes must be a non-negative integer", "msg_bytes")
-        if msg > sys.float_info.max:
-            raise ScenarioError("expected a finite number", "msg_bytes")
-        object.__setattr__(self, "msg_bytes", int(msg))
+        # an int stays exact; a whole float becomes its int
+        whole = int(self.msg_bytes) if isinstance(self.msg_bytes, Integral) else int(msg)
+        object.__setattr__(self, "msg_bytes", whole)
 
 
 @dataclass(frozen=True)
@@ -241,15 +235,12 @@ class HaloJob:
     def __post_init__(self):
         _build, check_args, args = _grid_recipe(self.grid)
         check_args(*args)
-        if self.ranks < 1:
-            raise ScenarioError("ranks must be >= 1", "ranks")
-        if self.steps < 0:
-            raise ScenarioError("steps must be >= 0", "steps")
-        if not (math.isfinite(self.bytes_per_element) and self.bytes_per_element > 0):
-            raise ScenarioError("bytes_per_element must be finite and positive",
-                                "bytes_per_element")
-        if not (math.isfinite(self.compute_seconds) and self.compute_seconds >= 0):
-            raise ScenarioError("compute_seconds must be finite and >= 0", "compute_seconds")
+        object.__setattr__(self, "ranks", number(self.ranks, "ranks", integer=True, low=1))
+        object.__setattr__(self, "steps", number(self.steps, "steps", integer=True, low=0))
+        object.__setattr__(self, "bytes_per_element", number(
+            self.bytes_per_element, "bytes_per_element", low=0, low_open=True))
+        object.__setattr__(self, "compute_seconds",
+                           number(self.compute_seconds, "compute_seconds", low=0))
 
 
 @dataclass(frozen=True)
@@ -260,10 +251,8 @@ class SweepPoint:
     imbalance: float
 
     def __post_init__(self):
-        if self.ranks < 1:
-            raise ScenarioError("ranks must be >= 1", "ranks")
-        if not self.imbalance >= 1.0:
-            raise ScenarioError("imbalance must be >= 1", "imbalance")
+        object.__setattr__(self, "ranks", number(self.ranks, "ranks", integer=True, low=1))
+        object.__setattr__(self, "imbalance", number(self.imbalance, "imbalance", low=1))
         _at("topology", check_spec, self.topology)
 
 
@@ -282,10 +271,10 @@ class SweepSpec:
     points: tuple[SweepPoint, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_bytes) and self.total_bytes > 0):
-            raise ScenarioError("total_bytes must be finite and positive", "total_bytes")
-        if not self.compute_seconds_total >= 0:
-            raise ScenarioError("compute_seconds_total must be >= 0", "compute_seconds_total")
+        object.__setattr__(self, "total_bytes",
+                           number(self.total_bytes, "total_bytes", low=0, low_open=True))
+        object.__setattr__(self, "compute_seconds_total",
+                           number(self.compute_seconds_total, "compute_seconds_total", low=0))
         if not self.points:
             raise ScenarioError("points must not be empty", "points")
         names = [p.name for p in self.points]
@@ -334,8 +323,7 @@ class Scenario:
     energy: EnergySpec | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ScenarioError("seed must be >= 0", "seed")
+        object.__setattr__(self, "seed", number(self.seed, "seed", integer=True, low=0))
         _at("topology", check_spec, self.topology)
 
 
@@ -423,10 +411,9 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
         pts = []
         for i, pair in enumerate(fit_raw):
             fp = f"{path}.fit[{i}]"
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ScenarioError("expected [busy_fraction, watts]", fp)
-            pts.append((float(pair[0]), float(pair[1])))
+            pts.append((number(pair[0], f"{fp}[0]"), number(pair[1], f"{fp}[1]")))
         model = _checked(f"{path}.fit", fit_power_model, pts)
     else:
         model = _checked(path, PowerModel,

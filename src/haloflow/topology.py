@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, ScenarioError, TopologyError, TopologySpecError
+from .errors import ConfigurationError, ScenarioError, TopologyError, TopologySpecError, number
 
 # Default per-direction capacities, bytes/s.  Overridable per preset call.
 NVLINK_LANE_PASCAL = 20e9
@@ -98,18 +97,23 @@ def nic(i: int) -> NodeId:
 
 
 def parse_node(text: str) -> NodeId:
-    """Parse ``"device:0"`` style node names used in scenario documents."""
+    """Parse ``"device:0"`` style node names used in scenario documents.
+
+    Only a node's own name parses: ``"device:01"``, ``"device: 1"`` and
+    ``"device:1_0"`` are refused, since each would name a node it is not.
+    """
     if not isinstance(text, str):
         raise TopologyError(f"node name must be a string, got {type(text).__name__}")
+    kind_text, _, index_text = text.partition(":")
     try:
-        kind_text, index_text = text.split(":")
-        kind = NodeKind(kind_text)
-        index = int(index_text)
-    except (ValueError, KeyError) as exc:
-        raise TopologyError(f"malformed node name {text!r}") from exc
-    if index < 0:
+        node = NodeId(NodeKind(kind_text), int(index_text))
+    except ValueError:
+        node = None
+    if node is None or str(node) != text:
+        raise TopologyError(f"malformed node name {text!r}")
+    if node.index < 0:
         raise TopologyError(f"negative node index in {text!r}")
-    return NodeId(kind, index)
+    return node
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,13 @@ class Link:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError(f"link endpoints must differ, got {self.a}")
-        if not (self.bw_per_dir > 0) or not math.isfinite(self.bw_per_dir):
-            raise TopologyError(f"link {self.a}--{self.b} needs positive finite bandwidth")
-        if self.lane_count < 1:
-            raise TopologyError(f"link {self.a}--{self.b} needs lane_count >= 1")
+        bw, lanes = self.bw_per_dir, self.lane_count
+        # presets build most links from one lane at a finite positive float: no call
+        if not (type(bw) is float and 0.0 < bw < math.inf and type(lanes) is int and lanes == 1):
+            object.__setattr__(self, "bw_per_dir", number(
+                bw, "bw_per_dir", low=0, low_open=True, error=TopologyError))
+            object.__setattr__(self, "lane_count", number(
+                lanes, "lane_count", integer=True, low=1, error=TopologyError))
 
     @property
     def capacity(self) -> float:
@@ -160,11 +167,10 @@ class RankMap:
     """
 
     def __init__(self, devices: Sequence[int]):
-        devs = tuple(int(d) for d in devices)
+        devs = tuple([number(d, f"devices[{i}]", integer=True, low=0, error=ConfigurationError)
+                      for i, d in enumerate(devices)])
         if not devs:
             raise ConfigurationError("rank map must place at least one rank")
-        if any(d < 0 for d in devs):
-            raise ConfigurationError("rank map device indices must be non-negative")
         self._devices = devs
 
     @classmethod
@@ -207,9 +213,8 @@ class Topology:
         self.name = name
         self.nodes = frozenset(nodes)
         self.links = tuple(links)
-        if not (device_mem_bw > 0) or not math.isfinite(device_mem_bw):
-            raise TopologyError("device_mem_bw must be positive and finite")
-        self.device_mem_bw = float(device_mem_bw)
+        self.device_mem_bw = number(device_mem_bw, "device_mem_bw", low=0, low_open=True,
+                                    error=TopologyError)
 
         if not self.nodes:
             raise TopologyError("topology needs at least one node")
@@ -465,8 +470,6 @@ def _dgx1(
     ib_bw: float,
     device_mem_bw: float | None,
 ) -> Topology:
-    if servers < 1:
-        raise ConfigurationError("servers must be >= 1")
     if generation == "p":
         lane = NVLINK_LANE_PASCAL if nvlink_bw is None else nvlink_bw
         mem = DEVICE_MEM_BW_PASCAL if device_mem_bw is None else device_mem_bw
@@ -522,8 +525,6 @@ def _fat_tree_edr(
     ib_bw: float,
     device_mem_bw: float | None,
 ) -> Topology:
-    if nodes_count < 1 or devices_per_node < 1:
-        raise ConfigurationError("fat_tree_edr needs nodes >= 1 and devices_per_node >= 1")
     mem = DEVICE_MEM_BW_VOLTA if device_mem_bw is None else device_mem_bw
     nodes: list[NodeId] = []
     links: list[Link] = []
@@ -576,10 +577,14 @@ def preset(
     """Build a named machine preset.
 
     ``servers`` applies to the dgx1 generations, ``nodes``/``devices_per_node``
-    to ``fat_tree_edr``.  Bandwidth arguments override the per-direction
-    defaults; ``None`` keeps the generation default.
+    to ``fat_tree_edr``; each count is an integer >= 1.  Bandwidth arguments
+    override the per-direction defaults; ``None`` keeps the generation default.
     """
     key = _preset_key(name)
+    servers, nodes, devices_per_node = [
+        number(value, path, integer=True, low=1, error=ConfigurationError)
+        for value, path in ((servers, "servers"), (nodes, "nodes"),
+                            (devices_per_node, "devices_per_node"))]
     if key == "dgx1p":
         return _dgx1("p", servers, nvlink_bw, pcie_bw, cpu_interconnect_bw, ib_bw, device_mem_bw)
     if key == "dgx1v":
@@ -639,7 +644,7 @@ def check_spec(doc: Mapping) -> None:
     for key in sorted(set(doc) - {"preset"}):
         if key not in _PRESET_KEYS:
             raise ScenarioError(f"unknown key {key!r}", key)
-        _check_number(doc[key], _PRESET_KEYS[key][1] is None, key, ScenarioError)
+        number(doc[key], key, integer=_PRESET_KEYS[key][1] is None)
     if preset_key in ("dgx1p", "dgx1v") and doc.get("servers", 1) > MAX_PRESET_DEVICES // 8:
         raise ScenarioError(f"servers must be <= {MAX_PRESET_DEVICES // 8} "
                             f"(8 devices each, {MAX_PRESET_DEVICES} at most)", "servers")
@@ -648,17 +653,6 @@ def check_spec(doc: Mapping) -> None:
         if min(nodes, per_node) >= 1 and nodes * per_node > MAX_PRESET_DEVICES:
             raise ScenarioError(f"nodes x devices_per_node must be <= {MAX_PRESET_DEVICES}",
                                 "devices_per_node" if per_node > MAX_PRESET_DEVICES else "nodes")
-
-
-def _check_number(value, integer: bool, path: str, error: type[ScenarioError]) -> None:
-    """Raise ``error`` at ``path`` unless ``value`` is an int (a float too, unless
-    ``integer``) that a double can hold."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise error(f"expected {kind}, got {type(value).__name__}", path)
-    # NaN, infinities and ints a double cannot hold, as a scenario file rejects them
-    if not abs(value) <= sys.float_info.max:
-        raise error("expected a finite number", path)
 
 
 def _check_inline(doc: Mapping) -> None:
@@ -682,7 +676,7 @@ def _check_inline(doc: Mapping) -> None:
             raise TopologySpecError(f"{node} repeats nodes[{first[node]}]", f"nodes[{i}]")
         first[node] = i
     if "device_mem_bw_gbps" in doc:
-        _check_number(doc["device_mem_bw_gbps"], False, "device_mem_bw_gbps", TopologySpecError)
+        number(doc["device_mem_bw_gbps"], "device_mem_bw_gbps", error=TopologySpecError)
     for key, fields in _INLINE_ENTRIES.items():
         entries = doc.get(key, [])
         if not isinstance(entries, (list, tuple)):
@@ -698,9 +692,8 @@ def _check_inline(doc: Mapping) -> None:
                 if name not in fields:
                     raise TopologySpecError(f"unknown key {name!r}", f"{at}.{name}")
                 if fields[name] is not None:
-                    _check_number(value, fields[name], f"{at}.{name}", TopologySpecError)
-                    if name == "lanes" and value < 1:
-                        raise TopologySpecError("lanes must be >= 1", f"{at}.lanes")
+                    number(value, f"{at}.{name}", integer=fields[name],
+                           low=1 if name == "lanes" else None, error=TopologySpecError)
                 elif key == "links":  # an endpoint, one of the nodes
                     try:
                         node = parse_node(value)
@@ -712,7 +705,7 @@ def _check_inline(doc: Mapping) -> None:
                     if not isinstance(value, (list, tuple)):
                         raise TopologySpecError("expected a list", f"{at}.links")
                     for j, li in enumerate(value):
-                        _check_number(li, True, f"{at}.links[{j}]", TopologySpecError)
+                        number(li, f"{at}.links[{j}]", integer=True, error=TopologySpecError)
                         if not 0 <= li < len(doc.get("links", ())):
                             raise TopologySpecError(f"no link {li}", f"{at}.links[{j}]")
 

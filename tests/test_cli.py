@@ -614,7 +614,7 @@ class TestInlineTopologyEntries:
         (lambda t: t["links"][1].update(lanes=-2), "links[1].lanes"),
         (lambda t: t["routes"][0].pop("links"), "routes[0].links"),
         (lambda t: t["nodes"].append("device:0"), "nodes[3]"),
-        (lambda t: t["nodes"].insert(1, "switch:00"), "nodes[3]"),
+        (lambda t: t["nodes"].insert(1, "switch:00"), "nodes[1]"),
         (lambda t: t["nodes"].append("device:x"), "nodes[3]"),
         (lambda t: t["links"][0].update(a=5), "links[0].a"),
         (lambda t: t["links"][0].update(a="device:x"), "links[0].a"),

@@ -1,4 +1,5 @@
-"""Source hygiene: no dead module-level import, no ``__all__`` entry that names nothing."""
+"""Source hygiene: no dead module-level import, no ``__all__`` entry that names nothing,
+no copy of the numeric check outside ``errors.number``."""
 
 import ast
 import importlib
@@ -51,3 +52,39 @@ def test_every_all_entry_resolves(path):
     module = importlib.import_module(_module_name(path))
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names {missing}, which it does not define"
+
+
+# the one numeric checker, and the CSV formatter, which writes a bool cell as
+# true or false and checks no field
+NUMBER_CHECKER = PACKAGE / "errors.py"
+ALLOWED_FUNCTIONS = {PACKAGE / "reporting.py": "format_value"}
+
+
+def _numeric_rule_copies(tree: ast.Module, allowed: str | None) -> list[str]:
+    """Each ``isinstance(x, bool)`` call and ``float_info.max`` read, as
+    ``line: source``, outside the function named ``allowed``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            hit = any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+        else:
+            hit = isinstance(node, ast.Attribute) and ast.unparse(node).endswith("float_info.max")
+        if hit and node.lineno not in skip:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p != NUMBER_CHECKER],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_numeric_check_outside_the_checker(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    copies = _numeric_rule_copies(tree, ALLOWED_FUNCTIONS.get(path))
+    assert not copies, (f"{path.relative_to(PACKAGE)} tests a bool or the double range itself; "
+                        f"call errors.number instead: {copies}")

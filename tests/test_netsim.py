@@ -151,15 +151,15 @@ class TestPhases:
             simulate(island_topo, RankMap.identity(2), flows)
 
     def test_non_integer_rank_rejected(self, island_topo):
-        with pytest.raises(SimulationError, match="flow 0 has non-integer rank 0.5"):
+        with pytest.raises(SimulationError, match=r"flow 0\.src_rank: expected an integer, got float"):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0.5, 1, 1)])
 
     def test_non_real_size_rejected(self, island_topo):
-        with pytest.raises(SimulationError, match="flow 0 has non-real size '10'"):
+        with pytest.raises(SimulationError, match=r"flow 0\.bytes: expected a number, got str"):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, "10")])
 
     def test_unhashable_id_rejected(self, island_topo):
-        with pytest.raises(SimulationError, match=r"flow \[1\] has non-integer id"):
+        with pytest.raises(SimulationError, match=r"flow \[1\]\.id: expected an integer, got list"):
             simulate(island_topo, RankMap.identity(2), [Flow([1], 0, 1, 1)])
 
     @pytest.mark.parametrize("flow", [(0, 0, 1, 1), None, {"id": 0}])
@@ -175,10 +175,17 @@ class TestPhases:
 
     def test_integer_like_fields_accepted(self, island_topo):
         plain = [Flow(0, 0, 1, 10**6), Flow(1, 1, 0, 10**6, phase=1)]
-        like = [Flow(np.int64(0), np.int64(0), True, np.int64(10**6)),
-                Flow(True, 1, np.int64(0), 10**6, phase=np.int64(1))]
+        like = [Flow(np.int64(0), np.int64(0), np.int8(1), np.int64(10**6)),
+                Flow(np.int32(1), 1, np.int64(0), 10**6, phase=np.int64(1))]
         rm = RankMap.identity(2)
         assert simulate(island_topo, rm, like) == simulate(island_topo, rm, plain)
+
+    # a scenario file refuses a bool where a number goes, and so does simulate
+    @pytest.mark.parametrize("field", ["id", "src_rank", "dst_rank", "bytes", "phase"])
+    def test_bool_fields_rejected(self, island_topo, field):
+        flow = Flow(**{"id": 1, "src_rank": 1, "dst_rank": 0, "bytes": 1, "phase": 1, field: True})
+        with pytest.raises(SimulationError, match=rf"flow \S+\.{field}: expected an? \w+, got bool"):
+            simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 1), flow])
 
 
 class TestHostStaging:
@@ -370,13 +377,13 @@ class TestNonFiniteSizes:
         monkeypatch.setattr(netsim, "_run_phase", no_phase)
         monkeypatch.setattr(netsim._Network, "_direct", no_phase)
         monkeypatch.setattr(netsim._Network, "_staged", no_phase)
-        with pytest.raises(SimulationError, match="flow 1 has negative size"):
+        with pytest.raises(SimulationError, match=r"flow 1\.bytes: bytes must be finite and >= 0"):
             simulate(island_topo, RankMap.identity(2), flows, SimConfig(staging=staging))
 
     # a nan latency would be added by a one-flow phase but skipped by the event loop
     @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter"])
     def test_nan_latency_rejected(self, field):
-        with pytest.raises(SimulationError, match="latencies must be non-negative"):
+        with pytest.raises(SimulationError, match=f"{field}: {field} must be finite and >= 0"):
             SimConfig(**{field: math.nan})
 
     def test_fractional_finite_size_is_legal(self, island_topo):
@@ -408,13 +415,20 @@ class TestConfigChecks:
     @pytest.mark.parametrize("value", ["1", True, False, np.bool_(True), None, 1j, [1.0]],
                              ids=repr)
     def test_latencies_and_bandwidth_must_be_real_numbers(self, field, value):
-        with pytest.raises(SimulationError, match=f"{field} must be a real number"):
+        with pytest.raises(SimulationError, match=f"{field}: expected a number, got "):
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter", "host_mem_bw"])
     def test_beyond_double_range(self, field):
-        with pytest.raises(SimulationError, match=f"{field} is beyond double range"):
+        with pytest.raises(SimulationError, match=f"{field}: {field} must be finite and "):
             SimConfig(**{field: 10**400})
+
+    # an infinite latency made every time inf, and each busy fraction inf / inf = nan
+    @pytest.mark.parametrize("field", ["alpha_intra", "alpha_inter"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_latency_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=f"{field}: {field} must be finite and >= 0"):
+            SimConfig(**{field: value})
 
     @pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(False)], ids=repr)
     def test_collect_events_must_be_a_bool(self, value):

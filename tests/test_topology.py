@@ -35,11 +35,13 @@ class TestNodes:
         for text in ("device:0", "hostbridge:3", "switch:1", "nic:2"):
             assert str(parse_node(text)) == text
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(TopologyError):
-            parse_node("gadget:1")
-        with pytest.raises(TopologyError):
-            parse_node("device:x")
+    # a name parses only if it is the node's own name: no leading zero, space,
+    # non-ASCII digit or underscore can make another node's name
+    @pytest.mark.parametrize("text", ["gadget:1", "device:x", "device:01", "device: 1",
+                                      "device:\u0661", "device:1_0"])
+    def test_parse_rejects_garbage(self, text):
+        with pytest.raises(TopologyError, match="malformed node name"):
+            parse_node(text)
 
     @pytest.mark.parametrize("value", [5, None, ["device:0"], {"device": 0}])
     def test_parse_rejects_non_strings_by_type(self, value):
