@@ -31,7 +31,7 @@ import enum
 from typing import Sequence
 
 from .errors import ConfigurationError, number
-from .netsim import Flow, SimConfig, SimResult, simulate
+from .netsim import _EXACT_SIZE, Flow, SimConfig, SimResult, simulate
 from .topology import RankMap, Topology
 
 __all__ = [
@@ -58,6 +58,8 @@ def uniform_sizes(nranks: int, bytes_per_pair: int) -> list[list[int]]:
 
 
 def _check_sizes(sizes: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The matrix with each entry a finite non-negative integral real,
+    checked by ``errors.number`` at ``size[i][j]``, as an ``int``."""
     p = len(sizes)
     if p < 1:
         raise ConfigurationError("size matrix must be at least 1x1")
@@ -67,9 +69,12 @@ def _check_sizes(sizes: Sequence[Sequence[int]]) -> list[list[int]]:
         if len(row) != p:
             raise ConfigurationError(f"size matrix row {i} has {len(row)} entries, expected {p}")
         for j, v in enumerate(row):
-            if int(v) != v or v < 0:
-                raise ConfigurationError(f"size[{i}][{j}] must be a non-negative integer")
-        out.append([int(v) for v in row])
+            if not (type(v) is int and 0 <= v < _EXACT_SIZE):
+                at = f"size[{i}][{j}]"
+                if number(v, at, error=ConfigurationError) < 0 or int(v) != v:
+                    raise ConfigurationError(f"{at} must be a non-negative integer")
+                row[j] = int(v)
+        out.append(row)
     return out
 
 

@@ -393,7 +393,7 @@ def staged_vs_direct_cost(
 
     copy_wall = 0.0
     for r in range(part.nranks):
-        bw = topo._bridge_route(rm.device_of(r))[1][2]  # the bridge path's bottleneck
+        bw = topo._bridge_legs(rm.device_of(r))[1][2]  # the path up's bottleneck
         field_bytes = (part.n_owned(r) + part.n_ghosts(r)) * bytes_per_element
         copy_wall = max(copy_wall, field_bytes / bw)
     staged = copy_wall + staged_exchange + copy_wall

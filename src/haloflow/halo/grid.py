@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, ScenarioError
+from ..errors import ConfigurationError, ScenarioError, number
 
 # Most elements a random grid may have.  Building one holds an n x n float64
 # array and, briefly, its finite half: about 0.26 GB of peak memory at this
@@ -133,20 +133,25 @@ def _check_mesh_size(n: int) -> None:
                             f"got {n}", "grid")
 
 
-def check_ring(n: int) -> None:
-    """Raise what :func:`ring` raises for ``n``, without building anything.
+_count = functools.partial(number, integer=True, error=ConfigurationError)
+
+
+def check_ring(n: int) -> int:
+    """Raise what :func:`ring` raises for ``n``, without building; return ``n`` as an int.
 
     An ``n`` above ``MAX_MESH_ELEMENTS`` raises :class:`ScenarioError` at
     path ``grid``.
     """
+    n = _count(n, "n")
     if n < 2:
         raise ConfigurationError("ring needs n >= 2")
     _check_mesh_size(n)
+    return n
 
 
 def ring(n: int) -> GlobalGrid:
     """Cycle of ``n`` elements; each neighbours its two cyclic adjacents."""
-    check_ring(n)
+    n = check_ring(n)
     i = np.arange(n, dtype=np.int64)
     left, right = (i - 1) % n, (i + 1) % n
     # the lower first; with two elements both are the same element, listed once
@@ -154,15 +159,17 @@ def ring(n: int) -> GlobalGrid:
     return _uniform(np.stack(cols, axis=1))
 
 
-def check_quad_mesh(nx: int, ny: int) -> None:
-    """Raise what :func:`quad_mesh` raises for its arguments, without building anything.
+def check_quad_mesh(nx: int, ny: int) -> tuple[int, int]:
+    """Raise what :func:`quad_mesh` raises, without building; return ``nx, ny`` as ints.
 
     More than ``MAX_MESH_ELEMENTS`` elements (``nx * ny``) raise
     :class:`ScenarioError` at path ``grid``.
     """
+    nx, ny = _count(nx, "nx"), _count(ny, "ny")
     if nx < 2 or ny < 2:
         raise ConfigurationError("quad_mesh needs nx >= 2 and ny >= 2")
     _check_mesh_size(nx * ny)
+    return nx, ny
 
 
 def quad_mesh(nx: int, ny: int) -> GlobalGrid:
@@ -178,7 +185,7 @@ def quad_mesh(nx: int, ny: int) -> GlobalGrid:
     2``) ``lo`` and ``hi`` (or ``down`` and ``up``) coincide and are listed
     once.
     """
-    check_quad_mesh(nx, ny)
+    nx, ny = check_quad_mesh(nx, ny)
     x = np.arange(nx, dtype=np.int64)
     row = np.arange(0, nx * ny, nx, dtype=np.int64)  # first element of each row
     left, right = (x - 1) % nx, (x + 1) % nx
@@ -199,12 +206,13 @@ def quad_mesh(nx: int, ny: int) -> GlobalGrid:
     return _uniform(out.reshape(nx * ny, -1))
 
 
-def check_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> None:
-    """Raise what :func:`random_grid` raises for its arguments, without building anything.
+def check_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> tuple[int, int, int]:
+    """Raise what :func:`random_grid` raises, without building; return its arguments as ints.
 
     An ``n`` above ``MAX_RANDOM_GRID_ELEMENTS`` raises :class:`ScenarioError`
     at path ``grid``, before anything is allocated.
     """
+    n, max_degree, seed = _count(n, "n"), _count(max_degree, "max_degree"), _count(seed, "seed")
     if n < 2:
         raise ConfigurationError("random_grid needs n >= 2")
     if n > MAX_RANDOM_GRID_ELEMENTS:
@@ -212,6 +220,7 @@ def check_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> None:
                             f"got {n}", "grid")
     if max_degree < 2:
         raise ConfigurationError("random_grid needs max_degree >= 2")
+    return n, max_degree, seed
 
 
 def random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:
@@ -234,7 +243,7 @@ def random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalGrid:
     0.03 s on one core of a 2-core Xeon virtual machine.  ``n`` is capped at
     ``MAX_RANDOM_GRID_ELEMENTS``.
     """
-    check_random_grid(n, max_degree, seed)
+    n, max_degree, seed = check_random_grid(n, max_degree, seed)
     rng = random.Random(seed)
     x, y = np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2).T
     # dist[i, j] = dx*dx + dy*dy, exactly symmetric, since x[j] - x[i] ==

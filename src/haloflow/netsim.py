@@ -16,14 +16,13 @@ fluid transfer time, so a flow alone on its route finishes at exactly
 Phases run strictly one after the other: phase ``p + 1`` starts at the
 instant every flow of phase ``p`` has finished.
 
-Routes are read as the topology compiled them, once per machine: a link
-direction is the resource numbered by its id in the route, so a run interns
-nothing per flow, and a flow alone on a derived route runs at the route's
-compiled bottleneck.  A run picks one route function for its staging when
-it starts, so no flow tests the staging; a host-staged run keeps each
-device's legs up to and down from its nearest bridge, and the legs between
-two bridges, from the first flow that needs them.  Before any phase runs,
-one pass checks every flow and groups it by phase.
+The topology owns every resource a run reads: it numbers them (its
+compiled routes list link directions by id, and each node's memory engine
+follows them), names them, and keeps each device's legs to and from its
+nearest bridge, all made once per machine.  A run owns only its solver
+state, and picks one route function for its staging when it starts, so
+no flow tests the staging.  Before any phase runs, one pass checks every
+flow and groups it by phase.
 
 Self transfers (both ranks on one device) never touch the network; they
 share the device's memory engine at ``device_mem_bw``.  In host-staged
@@ -76,7 +75,7 @@ from operator import add, attrgetter, itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError, number
-from .topology import NodeId, RankMap, Topology, device
+from .topology import RankMap, Topology
 
 __all__ = [
     "Flow",
@@ -157,8 +156,8 @@ class Trace(Sequence):
     once, and a trace compares equal to that list.
     """
 
-    def __init__(self, name: Callable[[int], str] | None = None):
-        self._name = name  # resource int -> its name
+    def __init__(self, names: Sequence[str] = ()):
+        self._names = names  # by resource id
         self._t0 = array("d")
         self._t1 = array("d")
         self._flow: list[int] = []
@@ -185,7 +184,7 @@ class Trace(Sequence):
 
     def _built(self) -> list[FlowInterval]:
         if self._intervals is None:
-            names = {r: self._name(r) for r in set().union(*self._res)}
+            names = self._names
             self._intervals = [
                 FlowInterval(t0, t1, fid, names[r], rate)
                 for t0, t1, fid, res, rate in zip(self._t0, self._t1, self._flow, self._res,
@@ -278,73 +277,40 @@ class TimestepScenario:
 
 
 class _Network:
-    """The resources one simulate() call touches, as ints, and its legs.
+    """One simulate() call's solver state, and what depends on its config.
 
-    A resource is a link direction, a device's memory engine or a bridge's
-    host-memory engine.  Link directions keep the ids the topology's
-    compiled routes list them by (``2 * link + forward``), and memory
-    engines are appended after them, once each, so the parallel lists the
-    event loop indexes (``cap``, ``members``, ``share`` and ``peak``) start
-    as the topology's per-direction capacities.  A resource is named only
-    where a result reports it.
-
-    ``route`` is picked once, for the run's staging: device-direct legs are
-    the topology's routes as compiled; host-staged ones come from tables
-    only a host-staged run builds, a table by device of its nearest bridge
-    and its legs up to it (as ``Topology.bridge_path`` kept it) and down
-    from it (the bridge's own search), and a dict of the legs between two
-    bridges, each filled on first use.  Flows reach it already checked: their ranks mapped to
-    devices of the topology and their sizes finite (``_validate_flows``).
+    The topology owns the resource ids, their names and each device's
+    bridge legs.  A run keeps the lists the event loop indexes by id
+    (``cap``: the topology's capacities, then ``host_mem_bw`` for each
+    bridge's engine; ``members``, ``share``, ``peak``), ``first_use``, and
+    the legs between two bridges' host copies.  ``route`` is picked once,
+    for the run's staging.  Flows reach it already checked: their ranks
+    mapped to devices of the topology and their sizes finite.
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
         self.topo = topo
         self.cfg = cfg
-        self.directions = len(topo._capacity)  # resources below this are link directions
-        self.cap: list[float] = list(topo._capacity)
+        self.engine0 = 2 * len(topo.links)  # the memory engine of node k is engine0 + k
+        self.cap: list[float] = topo._capacity + [cfg.host_mem_bw] * len(topo._bridge_ids)
         # the slots of the fluid legs crossing it now, in slot (flow id) order
         self.members: list[list[int]] = [[] for _ in self.cap]
         self.share = [0.0] * len(self.cap)  # cap / len(members), set when members change
         self.peak = [0.0] * len(self.cap)   # peak utilization so far
         self.first_use: list[int] = []    # resources in the order their peak was first set
-        self._engines: dict[tuple[str, int], tuple] = {}
-        self._engine_names: list[str] = []
         self._alpha = (cfg.alpha_intra, cfg.alpha_inter)  # by whether a route enters a NIC
         if cfg.staging is Staging.HOST_STAGED:
-            # by device: None, or (bridge index, leg up to it, leg down from it,
-            # bridge node); the index keys _between, the node finds its legs
-            self._bridge_legs: dict[int, tuple | None] = dict.fromkeys(topo.devices)
-            # by (bridge, bridge) index: the legs from the host copy at one to the
-            # copy at the other (one copy if they are the same), and whether they enter a NIC
+            # by (bridge, bridge) node number: the legs from the host copy at one to
+            # the copy at the other (one copy if they are the same), and whether they enter a NIC
             self._between: dict[tuple[int, int], tuple] = {}
         self.route: Callable[[int, int], tuple[float, tuple]] = {
             Staging.DEVICE_DIRECT: self._direct, Staging.HOST_STAGED: self._staged}[cfg.staging]
 
-    def _engine(self, prefix: str, index: int, capacity: float) -> tuple:
-        """The leg of the memory engine named ``prefix`` + ``index``."""
-        leg = self._engines.get((prefix, index))
-        if leg is None:
-            leg = self._engines[(prefix, index)] = ((len(self.cap),), False, capacity)
-            self.cap.append(capacity)
-            self.members.append([])
-            self.share.append(0.0)
-            self.peak.append(0.0)
-            self._engine_names.append(f"{prefix}{index}")
-        return leg
-
-    def name(self, r: int) -> str:
-        if r >= self.directions:
-            return self._engine_names[r - self.directions]
-        ln = self.topo.links[r >> 1]
-        a, b = (ln.a, ln.b) if r & 1 else (ln.b, ln.a)
-        return f"{a}->{b}"
-
     def peak_by_name(self) -> dict[str, float]:
         # two parallel links between the same nodes share one name
-        out: dict[str, float] = {}
+        names, out = self.topo._names(), {}
         for r in self.first_use:
-            name = self.name(r)
-            out[name] = max(out.get(name, 0.0), self.peak[r])
+            out[names[r]] = max(out.get(names[r], 0.0), self.peak[r])
         return out
 
     def alone(self, res: tuple[int, ...]) -> float:
@@ -373,7 +339,9 @@ class _Network:
     # ``route(src_dev, dst_dev)``: latency and fluid legs of any flow between two devices
 
     def _on_device(self, dev: int) -> tuple[float, tuple]:
-        return self.cfg.alpha_intra, (self._engine("devmem:device:", dev, self.topo.device_mem_bw),)
+        topo = self.topo
+        return self.cfg.alpha_intra, (
+            ((self.engine0 + topo._device_nodes[dev],), False, topo.device_mem_bw),)
 
     def _direct(self, src_dev: int, dst_dev: int) -> tuple[float, tuple]:
         if src_dev == dst_dev:
@@ -387,27 +355,21 @@ class _Network:
         is empty, since a device is never a bridge."""
         if src_dev == dst_dev:
             return self._on_device(src_dev)
-        hb_s, up, _, node_s = self._bridge_legs[src_dev] or self._find_bridge_legs(src_dev)
-        hb_d, _, down, node_d = self._bridge_legs[dst_dev] or self._find_bridge_legs(dst_dev)
-        between, nic = self._between.get((hb_s, hb_d)) or self._find_between(node_s, node_d)
+        hb_s, up, _ = self.topo._bridge_legs(src_dev)
+        hb_d, _, down = self.topo._bridge_legs(dst_dev)
+        between, nic = self._between.get((hb_s, hb_d)) or self._find_between(hb_s, hb_d)
         return self._alpha[up[1] or down[1] or nic], (up, *between, down)
 
-    def _find_bridge_legs(self, dev: int) -> tuple:
-        hb, up = self.topo._bridge_route(dev)
-        # down by the bridge's own search, which may tie-break differently
-        legs = self._bridge_legs[dev] = (hb.index, up, self.topo._path_route(hb, device(dev)), hb)
-        return legs
-
-    def _find_between(self, a: NodeId, b: NodeId) -> tuple:
-        """The ``_between`` entry of bridges ``a`` and ``b``."""
+    def _find_between(self, a: int, b: int) -> tuple:
+        """The ``_between`` entry of the bridges numbered ``a`` and ``b``."""
         bw = self.cfg.host_mem_bw
-        copy_s = self._engine("hostmem:hostbridge:", a.index, bw)
+        copy_a = ((self.engine0 + a,), False, bw)
         if a == b:
-            got = (copy_s,), False
+            got = (copy_a,), False
         else:
-            across = self.topo._path_route(a, b)
-            got = (copy_s, across, self._engine("hostmem:hostbridge:", b.index, bw)), across[1]
-        self._between[(a.index, b.index)] = got
+            across = self.topo._path(a, b)
+            got = (copy_a, across, ((self.engine0 + b,), False, bw)), across[1]
+        self._between[(a, b)] = got
         return got
 
 
@@ -659,7 +621,7 @@ def simulate(
     grouped = _validate_flows(topo, devs, flows)
 
     net = _Network(topo, cfg)
-    trace = Trace(net.name)
+    trace = Trace(topo._names())
     record = trace if cfg.collect_events else None
     route, alone = net.route, net.alone
     cap, peak, first_use = net.cap, net.peak, net.first_use

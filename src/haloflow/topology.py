@@ -10,9 +10,16 @@ Routes between device pairs are single fixed paths.  They are derived
 automatically by shortest-hop search with a deterministic tie-break (the
 lexicographically smallest node sequence, lowest link index first) from
 the lower-numbered endpoint, and the opposite direction is the exact
-reversal, so ``route(i, j)`` and ``route(j, i)`` always mirror each other.
-One breadth-first search per source device yields its routes to every
-higher-numbered device, each compiled once as a ``Route``.
+reversal, so ``route_nodes(i, j)`` and ``route_nodes(j, i)`` always mirror
+each other.  One breadth-first search per source device yields its routes
+to every higher-numbered device, each compiled once as a ``Route``.  Given
+routes list each pair's link indices, and one walk compiles each.
+
+A topology also owns every resource a simulation reads, by fixed id: link
+direction ``2 * link + forward``, then one memory engine per node in the
+node order (each device's, then each host bridge's), so the engine of
+node ``k`` is ``2 * len(links) + k``.  Their names, and each device's legs
+to and from its nearest host bridge, are made the first time a run asks.
 
 Presets
 -------
@@ -145,18 +152,13 @@ class Link:
         return self.bw_per_dir * self.lane_count
 
 
-# A hop is (link index, forward?) where forward means traversal a -> b.
-Hop = tuple[int, bool]
 # A compiled route: the ids ``2 * link + forward`` of the link directions it
-# crosses (its reverse lists them reversed, each ``^ 1``), whether it enters
-# a NIC, and its bottleneck capacity (inf for an empty route).
+# crosses, forward meaning a -> b (its reverse lists them reversed, each
+# ``^ 1``), whether it enters a NIC, and its bottleneck capacity (inf for an
+# empty route).
 Route = tuple[tuple[int, ...], bool, float]
 _NO_HOPS: Route = ((), False, math.inf)
 _Tree = tuple[list[tuple[int, ...] | None], list[bool], list[float]]  # Route fields by node
-
-
-def _hops(ids: Iterable[int]) -> tuple[Hop, ...]:
-    return tuple([(d >> 1, bool(d & 1)) for d in ids])
 
 
 class RankMap:
@@ -200,14 +202,19 @@ class RankMap:
 
 
 class Topology:
-    """Immutable interconnect graph with one fixed route per device pair."""
+    """Immutable interconnect graph with one fixed route per device pair.
+
+    ``routes``, if given, maps ordered device pairs to the indices of the
+    links each route crosses, in order; a pair given one way only gets the
+    reversal the other way.  Without it every route is derived.
+    """
 
     def __init__(
         self,
         nodes: Iterable[NodeId],
         links: Sequence[Link],
         device_mem_bw: float,
-        routes: Mapping[tuple[int, int], Sequence[Hop]] | None = None,
+        routes: Mapping[tuple[int, int], Sequence[int]] | None = None,
         name: str = "",
     ):
         self.name = name
@@ -219,15 +226,16 @@ class Topology:
         if not self.nodes:
             raise TopologyError("topology needs at least one node")
 
-        # nodes interned as ints in sort-key order (devices first, by index);
-        # each node's neighbours as (neighbour, link-direction id), sorted,
-        # which orders them by (neighbour, link index), so a breadth-first
-        # search discovers nodes in lexicographic path order, which makes the
-        # chosen shortest path deterministic
+        # nodes numbered in sort-key order (devices first, by index, then host
+        # bridges); each node's neighbours as (neighbour, link-direction id),
+        # sorted, which orders them by (neighbour, link index), so a breadth-
+        # first search discovers nodes in lexicographic path order, which
+        # makes the chosen shortest path deterministic
         self._node_list = sorted(self.nodes, key=NodeId.sort_key)
         self._node_ids = ids = {n: k for k, n in enumerate(self._node_list)}
         adj: list[list[tuple[int, int]]] = [[] for _ in self._node_list]
-        # per link direction: its capacity, and whether its head is a NIC
+        # by resource id: its capacity (the link directions, then the device
+        # engines); by link direction: whether its head is a NIC
         self._capacity: list[float] = []
         self._enters_nic: list[bool] = []
         for li, ln in enumerate(self.links):
@@ -243,12 +251,17 @@ class Topology:
         self._devices = tuple(n.index for n in self._node_list if n.kind is NodeKind.DEVICE)
         if not self._devices:
             raise TopologyError("topology needs at least one device node")
-        self._device_set = frozenset(self._devices)
+        self._device_nodes = {d: k for k, d in enumerate(self._devices)}  # device -> node number
+        self._capacity += [self.device_mem_bw] * len(self._devices)
         self._trees: dict[int, _Tree] = {}
         self._bridge_ids = [k for k, n in enumerate(self._node_list)
                             if n.kind is NodeKind.HOST_BRIDGE]
-        # device -> what _bridge_route returns for it, or None where no bridge is reachable
-        self._bridges: dict[int, tuple[NodeId, Route] | None] = {}
+        # device -> (nearest bridge, path up to it) as the device's route
+        # search found it, or None where it reaches no bridge
+        self._up: dict[int, tuple[int, Route] | None] = {}
+        # made on first use: device -> what _bridge_legs returns, and _names
+        self._legs: dict[int, tuple[int, Route, Route]] = {}
+        self._name_table: list[str] | None = None
         self._revisits = False  # whether a given route lists a link direction twice
 
         if routes is None:
@@ -284,35 +297,34 @@ class Topology:
                     queue.append(v)
         return paths, nics, lows
 
-    def _tree(self, src: NodeId) -> _Tree:
-        """``_paths_from`` of node ``src``, searched once per source and kept."""
-        k = self._node_ids[src]
+    def _tree(self, k: int) -> _Tree:
+        """``_paths_from`` of node ``k``, searched once per source and kept."""
         tree = self._trees.get(k)
         if tree is None:
             tree = self._trees[k] = self._paths_from(k)
         return tree
 
-    def _nearest_bridge(self, tree: _Tree) -> tuple[NodeId, Route] | None:
+    def _nearest_bridge(self, tree: _Tree) -> tuple[int, Route] | None:
         """The host bridge fewest hops away in a search tree (lowest index on
         ties) and the path to it, or None if the tree reaches none."""
         paths, nics, lows = tree
         _, k = min(((len(paths[b]), b) for b in self._bridge_ids if paths[b] is not None),
                    default=(0, None))
-        return None if k is None else (self._node_list[k], (paths[k], nics[k], lows[k]))
+        return None if k is None else (k, (paths[k], nics[k], lows[k]))
 
     def _derive_routes(self) -> dict[tuple[int, int], Route]:
         """Routes from each device's search tree to the higher-numbered devices.
 
         Device ``devs[k]`` is node ``k``, since devices sort first.  Each
-        tree is dropped once its device's bridge path is recorded.  A reverse
-        route shares the NIC flag (only its device ends differ) and the
-        bottleneck (links carry one capacity both ways).
+        tree is dropped once its device's path up to a bridge is recorded.
+        A reverse route shares the NIC flag (only its device ends differ)
+        and the bottleneck (links carry one capacity both ways).
         """
         routes: dict[tuple[int, int], Route] = {}
         devs = self._devices
         for ai, i in enumerate(devs[:-1]):
             tree = paths, nics, lows = self._paths_from(ai)
-            self._bridges[i] = self._nearest_bridge(tree)
+            self._up[i] = self._nearest_bridge(tree)
             for bi in range(ai + 1, len(devs)):
                 j, ids = devs[bi], paths[bi]
                 if ids is None:
@@ -325,35 +337,35 @@ class Topology:
         return routes
 
     def _check_routes(self, given) -> dict[tuple[int, int], Route]:
+        """Each given route compiled by one walk over its link indices, each
+        link crossed in the direction that leaves the node the walk is at."""
         devs = self._devices
         for ai, i in enumerate(devs):
             for j in devs[ai + 1 :]:
                 if (i, j) not in given and (j, i) not in given:
                     raise TopologyError(f"route missing for device pair ({i}, {j})")
         routes = {(i, i): _NO_HOPS for i in devs}
-        routes.update({(i, j): self._compile_walk(device(i), device(j), hops)
-                       for (i, j), hops in given.items()})
+        for (i, j), links in given.items():
+            src = cur = device(i)
+            dst, ids = device(j), []
+            for li in links:
+                li = number(li, f"route {src}->{dst}", integer=True, error=TopologyError)
+                if not 0 <= li < len(self.links):
+                    raise TopologyError(f"route {src}->{dst} references unknown link {li}")
+                ln = self.links[li]
+                forward = ln.a == cur
+                if not forward and ln.b != cur:
+                    raise TopologyError(f"route {src}->{dst} is not a connected walk at {cur}")
+                ids.append(2 * li + forward)
+                cur = ln.b if forward else ln.a
+            if cur != dst:
+                raise TopologyError(f"route {src}->{dst} ends at {cur}")
+            self._revisits = self._revisits or len(set(ids)) < len(ids)
+            routes[(i, j)] = (tuple(ids), any([self._enters_nic[d] for d in ids]),
+                              min([self._capacity[d] for d in ids], default=math.inf))
         for (i, j), (ids, nic, low) in list(routes.items()):
             routes.setdefault((j, i), (tuple([d ^ 1 for d in reversed(ids)]), nic, low))
         return routes
-
-    def _compile_walk(self, src: NodeId, dst: NodeId, hops: Sequence[Hop]) -> Route:
-        ids = []
-        cur = src
-        for li, fwd in hops:
-            if not 0 <= li < len(self.links):
-                raise TopologyError(f"route {src}->{dst} references unknown link {li}")
-            ln = self.links[li]
-            tail, head = (ln.a, ln.b) if fwd else (ln.b, ln.a)
-            if tail != cur:
-                raise TopologyError(f"route {src}->{dst} is not a connected walk at {cur}")
-            ids.append(2 * li + (1 if fwd else 0))
-            cur = head
-        if cur != dst:
-            raise TopologyError(f"route {src}->{dst} ends at {cur}")
-        self._revisits = self._revisits or len(set(ids)) < len(ids)
-        return (tuple(ids), any([self._enters_nic[d] for d in ids]),
-                min([self._capacity[d] for d in ids], default=math.inf))
 
     # ------------------------------------------------------------------
     # queries
@@ -366,80 +378,70 @@ class Topology:
     def n_devices(self) -> int:
         return len(self._devices)
 
-    def has_device(self, i: int) -> bool:
-        return i in self._device_set
-
-    def route_hops(self, src: int, dst: int) -> tuple[Hop, ...]:
+    def route_nodes(self, src: int, dst: int) -> tuple[NodeId, ...]:
+        """Node sequence visited by the route from ``src`` to ``dst``, endpoints included."""
         try:
-            return _hops(self._routes[(src, dst)][0])
+            ids = self._routes[(src, dst)][0]
         except KeyError:
             raise TopologyError(f"no route between device:{src} and device:{dst}") from None
-
-    def route(self, src: int, dst: int) -> tuple[Link, ...]:
-        """The links along the fixed path from ``src`` to ``dst`` (empty for src == dst)."""
-        return tuple(self.links[li] for li, _ in self.route_hops(src, dst))
-
-    def route_nodes(self, src: int, dst: int) -> tuple[NodeId, ...]:
-        """Node sequence visited by route(src, dst), endpoints included."""
-        seq = [device(src)]
-        for li, fwd in self.route_hops(src, dst):
-            ln = self.links[li]
-            seq.append(ln.b if fwd else ln.a)
-        return tuple(seq)
+        links = self.links
+        return (device(src), *[links[d >> 1].b if d & 1 else links[d >> 1].a for d in ids])
 
     def route_bandwidth(self, src: int, dst: int) -> float:
-        """Bottleneck per-direction capacity along route(src, dst).
+        """Bottleneck per-direction capacity along the route from ``src`` to ``dst``.
 
         For ``src == dst`` the transfer never leaves the device, so this is
         the device memory bandwidth.
         """
-        if not self.has_device(src):
-            raise TopologyError(f"unknown device {src}")
-        if not self.has_device(dst):
-            raise TopologyError(f"unknown device {dst}")
+        for d in (src, dst):
+            if d not in self._device_nodes:
+                raise TopologyError(f"unknown device {d}")
         if src == dst:
             return self.device_mem_bw
         return self._routes[(src, dst)][2]
 
-    def path_hops(self, a: NodeId, b: NodeId) -> tuple[Hop, ...]:
-        """Deterministic shortest-hop path between two arbitrary nodes.
+    # ------------------------------------------------------------------
+    # what a simulation reads beyond the routes, made on first use and kept
 
-        Used for staged transfers whose segments start or end at non-device
-        nodes; unlike device routes these are read, on demand, from ``a``'s
-        search tree, which is built once and kept.  ``bridge_path`` gives a
-        device's path up to its nearest bridge without that device's tree.
-        """
-        return _hops(self._path_route(a, b)[0])
-
-    def _path_route(self, a: NodeId, b: NodeId) -> Route:
-        """``path_hops(a, b)`` compiled."""
-        for n in (a, b):
-            if n not in self._node_ids:
-                raise TopologyError(f"unknown node {n}")
+    def _path(self, a: int, b: int) -> Route:
+        """The compiled shortest-hop path from node number ``a`` to ``b``,
+        read off ``a``'s search tree."""
         paths, nics, lows = self._tree(a)
-        k = self._node_ids[b]
-        if paths[k] is None:
-            raise TopologyError(f"no path between {a} and {b}")
-        return paths[k], nics[k], lows[k]
+        if paths[b] is None:
+            raise TopologyError(f"no path between {self._node_list[a]} and {self._node_list[b]}")
+        return paths[b], nics[b], lows[b]
 
-    def bridge_path(self, dev: int) -> tuple[NodeId, tuple[Hop, ...]]:
-        """A device's closest host bridge (fewest hops, lowest index on ties)
-        and ``path_hops`` up to it, recorded from the device's route search.
-        The last device, and all of a topology given its routes, are searched
-        on first use."""
-        hb, path = self._bridge_route(dev)
-        return hb, _hops(path[0])
-
-    def _bridge_route(self, dev: int) -> tuple[NodeId, Route]:
-        """``bridge_path(dev)`` with the path compiled."""
-        if dev not in self._bridges:
-            if not self.has_device(dev):
+    def _bridge_legs(self, dev: int) -> tuple[int, Route, Route]:
+        """Device ``dev``'s nearest host bridge (fewest hops, lowest index on
+        ties) as a node number, the path up to it as the device's search
+        found it, and the path down by the bridge's own search."""
+        legs = self._legs.get(dev)
+        if legs is None:
+            k = self._device_nodes.get(dev)
+            if k is None:
                 raise TopologyError(f"unknown device {dev}")
-            self._bridges[dev] = self._nearest_bridge(self._tree(device(dev)))
-        got = self._bridges[dev]
-        if got is None:
-            raise TopologyError(f"device:{dev} has no host bridge on its topology")
-        return got
+            if dev not in self._up:
+                self._up[dev] = self._nearest_bridge(self._tree(k))
+            up = self._up[dev]
+            if up is None:
+                raise TopologyError(f"device:{dev} has no host bridge on its topology")
+            legs = self._legs[dev] = (*up, self._path(up[0], k))
+        return legs
+
+    def _names(self) -> list[str]:
+        """Every resource's name by id: ``a->b`` for a link direction (shared
+        by parallel links), then ``devmem:device:i`` and ``hostmem:hostbridge:j``
+        for the engines, as bridges follow the devices in the node order."""
+        if self._name_table is None:
+            text = [str(n) for n in self._node_list]
+            names = [""] * (2 * len(self.links))
+            for u, row in enumerate(self._adj):
+                for v, d in row:
+                    names[d] = f"{text[u]}->{text[v]}"
+            names += [f"devmem:{t}" for t in text[:len(self._devices)]]
+            names += [f"hostmem:{text[k]}" for k in self._bridge_ids]
+            self._name_table = names
+        return self._name_table
 
     def __eq__(self, other) -> bool:
         return (
@@ -451,10 +453,7 @@ class Topology:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"Topology(name={self.name!r}, devices={self.n_devices}, "
-            f"links={len(self.links)})"
-        )
+        return f"Topology(name={self.name!r}, devices={self.n_devices}, links={len(self.links)})"
 
 
 # ----------------------------------------------------------------------
@@ -462,21 +461,14 @@ class Topology:
 
 
 def _dgx1(
-    generation: str,
+    name: str,
     servers: int,
-    nvlink_bw: float | None,
+    lane: float,
     pcie_bw: float,
     cpu_bw: float,
     ib_bw: float,
-    device_mem_bw: float | None,
+    mem: float,
 ) -> Topology:
-    if generation == "p":
-        lane = NVLINK_LANE_PASCAL if nvlink_bw is None else nvlink_bw
-        mem = DEVICE_MEM_BW_PASCAL if device_mem_bw is None else device_mem_bw
-    else:
-        lane = NVLINK_LANE_VOLTA if nvlink_bw is None else nvlink_bw
-        mem = DEVICE_MEM_BW_VOLTA if device_mem_bw is None else device_mem_bw
-
     nodes: list[NodeId] = []
     links: list[Link] = []
     for s in range(servers):
@@ -506,13 +498,10 @@ def _dgx1(
         for s in range(servers):
             for island in range(2):
                 links.append(Link(nic(2 * s + island), fabric, ib_bw))
-    name = f"dgx1{generation}" + (f"x{servers}" if servers > 1 else "")
-    return Topology(nodes, links, mem, name=name)
+    return Topology(nodes, links, mem, name=name + (f"x{servers}" if servers > 1 else ""))
 
 
-def _dgx2(nvlink_bw: float | None, device_mem_bw: float | None) -> Topology:
-    lane = NVLINK_LANE_VOLTA if nvlink_bw is None else nvlink_bw
-    mem = DEVICE_MEM_BW_VOLTA if device_mem_bw is None else device_mem_bw
+def _dgx2(lane: float, mem: float) -> Topology:
     nodes = [device(i) for i in range(16)] + [switch(0)]
     links = [Link(device(i), switch(0), lane, lane_count=6) for i in range(16)]
     return Topology(nodes, links, mem, name="dgx2")
@@ -523,9 +512,8 @@ def _fat_tree_edr(
     devices_per_node: int,
     pcie_bw: float,
     ib_bw: float,
-    device_mem_bw: float | None,
+    mem: float,
 ) -> Topology:
-    mem = DEVICE_MEM_BW_VOLTA if device_mem_bw is None else device_mem_bw
     nodes: list[NodeId] = []
     links: list[Link] = []
     multi_node = nodes_count > 1
@@ -578,22 +566,33 @@ def preset(
 
     ``servers`` applies to the dgx1 generations, ``nodes``/``devices_per_node``
     to ``fat_tree_edr``; each count is an integer >= 1.  Bandwidth arguments
-    override the per-direction defaults; ``None`` keeps the generation default.
+    override the per-direction defaults; each is a finite number > 0, or
+    ``None`` for ``nvlink_bw`` and ``device_mem_bw`` to keep the generation
+    default.  A bad value raises :class:`TopologyError` at the argument's name.
     """
     key = _preset_key(name)
     servers, nodes, devices_per_node = [
         number(value, path, integer=True, low=1, error=ConfigurationError)
         for value, path in ((servers, "servers"), (nodes, "nodes"),
                             (devices_per_node, "devices_per_node"))]
-    if key == "dgx1p":
-        return _dgx1("p", servers, nvlink_bw, pcie_bw, cpu_interconnect_bw, ib_bw, device_mem_bw)
-    if key == "dgx1v":
-        return _dgx1("v", servers, nvlink_bw, pcie_bw, cpu_interconnect_bw, ib_bw, device_mem_bw)
+    pascal = key == "dgx1p"
+    if nvlink_bw is None:
+        nvlink_bw = NVLINK_LANE_PASCAL if pascal else NVLINK_LANE_VOLTA
+    if device_mem_bw is None:
+        device_mem_bw = DEVICE_MEM_BW_PASCAL if pascal else DEVICE_MEM_BW_VOLTA
+    # every bandwidth is checked, whether or not the machine has a link it sets
+    lane, pcie_bw, cpu_bw, ib_bw, mem = [
+        number(value, path, low=0, low_open=True, error=TopologyError)
+        for value, path in ((nvlink_bw, "nvlink_bw"), (pcie_bw, "pcie_bw"),
+                            (cpu_interconnect_bw, "cpu_interconnect_bw"), (ib_bw, "ib_bw"),
+                            (device_mem_bw, "device_mem_bw"))]
     if key == "dgx2":
         if servers != 1:
             raise ConfigurationError("dgx2 preset is a single box; servers must be 1")
-        return _dgx2(nvlink_bw, device_mem_bw)
-    return _fat_tree_edr(nodes, devices_per_node, pcie_bw, ib_bw, device_mem_bw)
+        return _dgx2(lane, mem)
+    if key == "fat_tree_edr":
+        return _fat_tree_edr(nodes, devices_per_node, pcie_bw, ib_bw, mem)
+    return _dgx1(key, servers, lane, pcie_bw, cpu_bw, ib_bw, mem)
 
 
 # Preset spec key -> (preset() keyword, GB/s scale, or None for an integer count).
@@ -739,22 +738,6 @@ def from_spec(doc: Mapping) -> Topology:
         for ld in doc["links"]
     ]
     mem = float(doc.get("device_mem_bw_gbps", 800.0)) * 1e9
-    routes = None
-    if "routes" in doc:
-        routes = {}
-        for rd in doc["routes"]:
-            src, dst = rd["src"], rd["dst"]
-            hops: list[Hop] = []
-            cur = device(src)
-            for li in rd["links"]:
-                ln = links[li]
-                if ln.a == cur:
-                    hops.append((li, True))
-                    cur = ln.b
-                elif ln.b == cur:
-                    hops.append((li, False))
-                    cur = ln.a
-                else:
-                    raise TopologyError(f"route {src}->{dst} is not a connected walk")
-            routes[(src, dst)] = tuple(hops)
+    routes = ({(rd["src"], rd["dst"]): rd["links"] for rd in doc["routes"]}
+              if "routes" in doc else None)
     return Topology(node_ids, links, mem, routes=routes, name=str(doc.get("name", "inline")))

@@ -10,7 +10,10 @@ rows), cut each side's row blocks in a pass of their own (the plan), search
 once per node pair (the routes) and re-evaluate every rate and utilisation
 sum on every step (the simulator), so use them only on small inputs.
 ``gather_global`` is no reference: it reads a run's owned values back in
-global element order.
+global element order.  ``route_hops``, ``route_links``, ``path_hops`` and
+``bridge_path`` are no references either: they read a topology's compiled
+records back as hops ``(link index, forward?)``, the form the reference
+searches return.
 """
 
 from __future__ import annotations
@@ -162,6 +165,39 @@ def reference_random_grid(n: int, max_degree: int = 8, seed: int = 0) -> GlobalG
     return GlobalGrid(indptr, indices)
 
 
+def _hops(ids) -> tuple[tuple[int, bool], ...]:
+    """Link-direction ids ``2 * link + forward`` as hops ``(link, forward?)``."""
+    return tuple((d >> 1, bool(d & 1)) for d in ids)
+
+
+def route_hops(topo, src: int, dst: int) -> tuple[tuple[int, bool], ...]:
+    """The hops of ``topo``'s compiled route from device ``src`` to ``dst``."""
+    try:
+        return _hops(topo._routes[(src, dst)][0])
+    except KeyError:
+        raise TopologyError(f"no route between device:{src} and device:{dst}") from None
+
+
+def route_links(topo, src: int, dst: int) -> tuple:
+    """The links along the route from ``src`` to ``dst`` (empty for src == dst)."""
+    return tuple(topo.links[li] for li, _ in route_hops(topo, src, dst))
+
+
+def path_hops(topo, a: NodeId, b: NodeId) -> tuple[tuple[int, bool], ...]:
+    """The hops of ``topo``'s shortest-hop path between two nodes, from ``a``'s kept search."""
+    for n in (a, b):
+        if n not in topo._node_ids:
+            raise TopologyError(f"unknown node {n}")
+    return _hops(topo._path(topo._node_ids[a], topo._node_ids[b])[0])
+
+
+def bridge_path(topo, dev: int) -> tuple[NodeId, tuple[tuple[int, bool], ...]]:
+    """Device ``dev``'s nearest host bridge and the hops of its path up to it,
+    from ``topo``'s bridge-leg record."""
+    k, up, _down = topo._bridge_legs(dev)
+    return topo._node_list[k], _hops(up[0])
+
+
 def adjacency(nodes, links) -> dict[NodeId, list[tuple[NodeId, int, bool]]]:
     """Neighbours of each node sorted by (neighbour sort key, link index)."""
     adj: dict[NodeId, list[tuple[NodeId, int, bool]]] = {n: [] for n in nodes}
@@ -296,14 +332,14 @@ class _ReferenceNetwork:
         if src_dev == dst_dev:
             return cfg.alpha_intra, ((self.resource(("devmem", src_dev), topo.device_mem_bw),),)
         if cfg.staging is Staging.DEVICE_DIRECT:
-            res, inter_node = self._path(device(src_dev), topo.route_hops(src_dev, dst_dev))
+            res, inter_node = self._path(device(src_dev), route_hops(topo, src_dev, dst_dev))
             return (cfg.alpha_inter if inter_node else cfg.alpha_intra), (res,)
         hb_s, up, nic_up = self._bridge_path(src_dev, True)
         hb_d, down, nic_down = self._bridge_path(dst_dev, False)
         inter_node = nic_up or nic_down
         legs = [up, (self.resource(("hostmem", hb_s.index), cfg.host_mem_bw),)]
         if hb_s != hb_d:
-            across, nic_across = self._path(hb_s, topo.path_hops(hb_s, hb_d))
+            across, nic_across = self._path(hb_s, path_hops(topo, hb_s, hb_d))
             inter_node = inter_node or nic_across
             legs.append(across)
             legs.append((self.resource(("hostmem", hb_d.index), cfg.host_mem_bw),))
@@ -313,9 +349,9 @@ class _ReferenceNetwork:
     def _bridge_path(self, dev: int, up: bool):
         got = self._bridge_paths.get((dev, up))
         if got is None:
-            hb = self.topo.bridge_path(dev)[0]
+            hb = bridge_path(self.topo, dev)[0]
             a, b = (device(dev), hb) if up else (hb, device(dev))
-            got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, self.topo.path_hops(a, b)))
+            got = self._bridge_paths[(dev, up)] = (hb, *self._path(a, path_hops(self.topo, a, b)))
         return got
 
     def _path(self, start: NodeId, hops):

@@ -21,10 +21,10 @@ from haloflow import (
     SimulationError,
     TopologyError,
 )
-from haloflow.collectives import ScheduleKind
+from haloflow.collectives import ScheduleKind, build_alltoall
 from haloflow.energy import PowerModel, PowerSample, energy_per_step, fit_power_model
 from haloflow.errors import TopologySpecError
-from haloflow.halo import ring, run_stencil
+from haloflow.halo import quad_mesh, random_grid, ring, run_stencil
 from haloflow.netsim import Flow, SimConfig, TimestepScenario, simulate
 from haloflow.perfmodel import KernelSample, MachineModel
 from haloflow.scenario import AlltoallJob, HaloJob, Scenario, SweepPoint, SweepSpec
@@ -83,6 +83,17 @@ CASES = {
     "preset.pcie_bw": (lambda v: preset("dgx1v", pcie_bw=v), TopologyError),
     "preset.cpu_interconnect_bw": (lambda v: preset("dgx1v", cpu_interconnect_bw=v),
                                    TopologyError),
+    # one server has no NIC, so no link is built from ib_bw
+    "preset.ib_bw": (lambda v: preset("dgx1v", ib_bw=v), TopologyError),
+    "preset.nvlink_bw": (lambda v: preset("dgx1v", nvlink_bw=v), TopologyError),
+    "preset.device_mem_bw": (lambda v: preset("dgx1v", device_mem_bw=v), TopologyError),
+    "build_alltoall.sizes": (lambda v: build_alltoall(SCHED, [[0, v], [1, 0]]),
+                             ConfigurationError),
+    # a grid compares by identity, so its neighbour lists stand for it
+    "ring.n": (lambda v: ring(v).indices.tolist(), ConfigurationError),
+    "quad_mesh.ny": (lambda v: quad_mesh(4, v).indices.tolist(), ConfigurationError),
+    "random_grid.seed": (lambda v: random_grid(8, 3, seed=v).indices.tolist(),
+                         ConfigurationError),
     "MachineModel.peak_flops": (lambda v: MachineModel(v, 1e9), ConfigurationError),
     "MachineModel.stream_bandwidth": (lambda v: MachineModel(1e12, v), ConfigurationError),
     "KernelSample.flops": (lambda v: KernelSample("k", v, 1.0, 1.0), ConfigurationError),
@@ -112,6 +123,8 @@ CASES = {
 # a flow id is a label, not a number: any int is its own canonical form,
 # and the result names the flow by the id it was given
 LABELS = {"simulate.id"}
+# None keeps the preset's default here
+DEFAULTED = {"preset.nvlink_bw", "preset.device_mem_bw"}
 
 
 def _same(got, want, label: bool) -> bool:
@@ -126,6 +139,9 @@ def test_a_value_is_refused_or_runs_as_its_canonical_form(case):
     for value, canonical in VALUES:
         if label and type(value) is int:
             canonical = value
+        if value is None and case in DEFAULTED:
+            assert call(None) == DGX1V
+            continue
         try:
             got = call(value)
         except HaloflowError as exc:
@@ -153,6 +169,23 @@ REPROS = {
     "AlltoallJob(2, '1')": (lambda: AlltoallJob(2, "1"), ScenarioError),
     "preset servers True": (lambda: preset("dgx1v", servers=True), ConfigurationError),
     "preset servers 2.0": (lambda: preset("dgx1v", servers=2.0), ConfigurationError),
+    # each was accepted, or ended in a raw ValueError or TypeError
+    "preset ib_bw 'x' (one server)": (lambda: preset("dgx1v", ib_bw="x"), TopologyError),
+    "preset dgx2 pcie_bw nan": (lambda: preset("dgx2", pcie_bw=math.nan), TopologyError),
+    "build_alltoall size nan": (lambda: build_alltoall(SCHED, [[math.nan]]), ConfigurationError),
+    "build_alltoall size True": (lambda: build_alltoall(SCHED, [[True]]), ConfigurationError),
+    "ring(8.0)": (lambda: ring(8.0), ConfigurationError),
+    "quad_mesh(4, 4.0)": (lambda: quad_mesh(4, 4.0), ConfigurationError),
+    "random_grid seed 1.5": (lambda: random_grid(8, 3, seed=1.5), ConfigurationError),
+    # a given route's link index went straight to a tuple index or a comparison
+    "Topology route link 1.0": (
+        lambda: Topology([device(0), device(1), switch(0)],
+                         [Link(device(0), switch(0), 1e9), Link(switch(0), device(1), 1e9)],
+                         1e9, routes={(0, 1): [0, 1.0]}), TopologyError),
+    "Topology route link False": (
+        lambda: Topology([device(0), device(1), switch(0)],
+                         [Link(device(0), switch(0), 1e9), Link(switch(0), device(1), 1e9)],
+                         1e9, routes={(0, 1): [False, 1]}), TopologyError),
     "Link bandwidth '1'": (lambda: Link(device(0), switch(0), "1"), TopologyError),
     "Link lane_count 1.5": (lambda: Link(device(0), switch(0), 25e9, 1.5), TopologyError),
     "MachineModel(nan, 1e9)": (lambda: MachineModel(math.nan, 1e9), ConfigurationError),

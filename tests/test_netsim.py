@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from haloflow import (
 )
 from haloflow import netsim
 from haloflow.topology import device, host_bridge, nic, switch
+from oracles import bridge_path, path_hops, route_hops, route_links
 from trace_replay import check_trace
 
 ALPHA_INTRA = 1e-6
@@ -100,7 +102,7 @@ class TestSharing:
             [d0, d1, d2],
             [Link(d0, d1, 10e9), Link(d0, d1, 20e9), Link(d2, d0, 5e9)],
             device_mem_bw=800e9,
-            routes={(0, 1): [(0, True)], (2, 1): [(2, True), (1, True)], (0, 2): [(2, False)]},
+            routes={(0, 1): [0], (2, 1): [2, 1], (0, 2): [2]},
         )
         res = simulate(topo, RankMap.identity(3), [Flow(0, 0, 1, 10**8), Flow(1, 2, 1, 10**8)])
         assert list(res.link_peak_utilization.items()) == [
@@ -280,11 +282,11 @@ class TestDeterminism:
                   for k in range(16)]
         used = preset("dgx1v", servers=2)
         for i in used.devices:
-            used.bridge_path(i)
+            bridge_path(used, i)
             for j in used.devices:
-                used.route_hops(i, j)
+                route_hops(used, i, j)
                 used.route_bandwidth(i, j)
-                used.path_hops(used.bridge_path(j)[0], device(i))
+                path_hops(used, bridge_path(used, j)[0], device(i))
         other = next(s for s in Staging if s is not staging)
         simulate(used, rm, flows, SimConfig(staging=other))
         got = simulate(used, rm, flows, SimConfig(staging=staging))
@@ -300,8 +302,8 @@ class TestDeterminism:
     ], ids=["direct-first", "staged-first"])
     @pytest.mark.parametrize("collect_events", [False, True])
     def test_runs_in_turn_on_one_topology_equal_fresh_runs(self, order, collect_events):
-        """Each run fills its own route tables, legs and engines; nothing of
-        one run is read by the next on the same topology."""
+        """Runs in turn share the topology's names and bridge legs and keep
+        their own solver state; nothing one run leaves changes the next."""
         rm = RankMap([0, 3, 3, 9, 12, 14])  # ranks 1 and 2 share device 3
         flows = [
             Flow(0, 1, 2, 10**6), Flow(1, 0, 5, 3 * 10**5), Flow(2, 4, 4, 0), Flow(3, 3, 1, 10**6),
@@ -322,6 +324,28 @@ class TestDeterminism:
                     == list(want.link_peak_utilization.items()))
             assert len(got.events) == len(want.events) and (len(got.events) > 0) == collect_events
             assert got.events == want.events
+
+    def test_each_topology_table_is_made_once(self):
+        """A fresh topology holds no resource names and no bridge legs; the
+        first run makes the names and the first host-staged run the legs,
+        and later runs in either staging read those same objects."""
+        topo = preset("dgx1v", servers=4)
+        assert topo._name_table is None and topo._legs == {}
+        rm = RankMap.identity(topo.n_devices)
+        flows = build_alltoall(ScheduleKind.STAGE_SERIALIZED,
+                               [[(i + j) % 3 * 10**5 for j in range(32)] for i in range(32)])
+        names, legs = None, {}
+        for staging in (Staging.DEVICE_DIRECT, Staging.HOST_STAGED):
+            for _ in range(3):
+                simulate(topo, rm, flows, SimConfig(staging=staging, collect_events=False))
+                names = names or topo._name_table
+                assert names is not None and topo._name_table is names
+                legs = legs or dict(topo._legs)
+                assert topo._legs.keys() == legs.keys()
+                assert all(topo._legs[d] is legs[d] for d in legs)
+            if staging is Staging.DEVICE_DIRECT:
+                assert legs == {}
+        assert sorted(legs) == list(topo.devices)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=12), st.randoms())
@@ -480,7 +504,7 @@ class TestConservation:
         check_trace(island_topo, SimConfig(), flows, res)
         for f in flows:
             crossed = {ev.resource for ev in res.events if ev.flow_id == f.id}
-            assert len(crossed) == len(island_topo.route(f.src_rank, f.dst_rank))
+            assert len(crossed) == len(route_links(island_topo, f.src_rank, f.dst_rank))
 
 
 class TestTraceReplay:
@@ -504,3 +528,101 @@ class TestTraceReplay:
         )
         check_trace(island_topo, SimConfig(), flows, res)
         assert min(ev.t0 for ev in res.events) >= max(compute)
+
+
+# machines the relations draw from: presets with one and two host bridges
+# per island, and small inline graphs whose links each get their own bandwidth
+RELATION_PRESETS = [preset("dgx1v"), preset("dgx1p"), preset("dgx1v", servers=2),
+                    preset("fat_tree_edr", nodes=2, devices_per_node=2)]
+BANDWIDTHS = [3e9, 7.5e9, 1e10 / 3, 12e9, 25e9]
+
+
+@st.composite
+def relation_cases(draw):
+    """A machine, a rank map, an all-to-all of every schedule and a config."""
+    if draw(st.booleans()):
+        topo = draw(st.sampled_from(RELATION_PRESETS))
+    else:
+        # devices on one or two host bridges; two bridges are joined directly
+        # or through a NIC path, and some device pairs get a direct link
+        bw = st.sampled_from(BANDWIDTHS)
+        n, bridges = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+        links = [Link(device(d), host_bridge(draw(st.integers(0, bridges - 1))), draw(bw))
+                 for d in range(n)]
+        nodes = [device(d) for d in range(n)] + [host_bridge(b) for b in range(bridges)]
+        if bridges == 2 and draw(st.booleans()):
+            nodes += [nic(0), nic(1), switch(0)]
+            links += [Link(host_bridge(0), nic(0), draw(bw)), Link(nic(0), switch(0), draw(bw)),
+                      Link(switch(0), nic(1), draw(bw)), Link(nic(1), host_bridge(1), draw(bw))]
+        elif bridges == 2:
+            links.append(Link(host_bridge(0), host_bridge(1), draw(bw)))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1])
+        links += [Link(device(a), device(b), draw(bw)) for a, b in draw(st.lists(pair, max_size=3))]
+        topo = Topology(nodes, links, draw(st.sampled_from([800e9, 1e12 / 3])))
+    kind = draw(st.sampled_from(list(ScheduleKind)))
+    p = draw(st.sampled_from([2, 4] if kind is ScheduleKind.PAIRWISE_XOR else [2, 3, 4]))
+    # ranks may share a device, so self copies also run between distinct ranks
+    rm = RankMap(draw(st.lists(st.sampled_from(topo.devices), min_size=p, max_size=p)))
+    size = st.one_of(st.just(0), st.sampled_from([1, 1000, 10**6]), st.integers(1, 2**20))
+    flows = build_alltoall(kind, draw(st.lists(st.lists(size, min_size=p, max_size=p),
+                                               min_size=p, max_size=p)))
+    cfg = SimConfig(staging=draw(st.sampled_from(list(Staging))),
+                    host_mem_bw=draw(st.sampled_from([50e9, 9e9, 1e11 / 3])))
+    return topo, rm, flows, cfg
+
+
+def _scaled(topo, s):
+    """``topo`` with every link and its ``device_mem_bw`` ``s`` times as fast;
+    the routes are the same, since the route search reads no capacity."""
+    links = [Link(ln.a, ln.b, ln.bw_per_dir * s, ln.lane_count) for ln in topo.links]
+    return Topology(topo.nodes, links, topo.device_mem_bw * s, name=topo.name)
+
+
+class TestExactRelations:
+    """Two exact metamorphic relations of the simulator, held with ``==``.
+
+    A multiply by a power of two is exact while every value stays a normal
+    double.  Unscaled, a byte count is 0 or in [1, 2^20], a capacity, share
+    or rate is in [2^27, 2^40] B/s, and what is left of a leg is 0 or at
+    least about 2^-53 of its bytes.  So with |k| <= 64 every byte count,
+    remainder, capacity and rate that (a) scales stays in [2^-117, 2^104],
+    and (b) moves times, byte counts and latencies by 2^6 only: both far
+    inside the normal range [2^-1022, 2^1024).
+    """
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(relation_cases(), st.integers(-64, 64).filter(bool))
+    def test_bytes_and_bandwidths_times_2_to_the_k(self, case, k):
+        """(a) Every byte count and every capacity (links, device and host
+        memory) times 2^k: every time and peak is the same, each trace rate
+        is 2^k times as large."""
+        topo, rm, flows, cfg = case
+        s = 2.0**k
+        base = simulate(topo, rm, flows, cfg)
+        got = simulate(_scaled(topo, s), rm, [replace(f, bytes=f.bytes * s) for f in flows],
+                       replace(cfg, host_mem_bw=cfg.host_mem_bw * s))
+        assert got.flow_completion == base.flow_completion
+        assert got.phase_completion == base.phase_completion
+        assert got.busy_seconds == base.busy_seconds
+        assert (list(got.link_peak_utilization.items())
+                == list(base.link_peak_utilization.items()))
+        assert [(e.t0, e.t1, e.flow_id, e.resource, e.rate) for e in got.events] == [
+            (e.t0, e.t1, e.flow_id, e.resource, e.rate * s) for e in base.events]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(relation_cases())
+    def test_bytes_and_latencies_times_64(self, case):
+        """(b) Every byte count and both latencies times 2^6: every time and
+        busy second is 2^6 times as large, every peak and rate the same."""
+        topo, rm, flows, cfg = case
+        base = simulate(topo, rm, flows, cfg)
+        got = simulate(topo, rm, [replace(f, bytes=f.bytes * 64) for f in flows],
+                       replace(cfg, alpha_intra=cfg.alpha_intra * 64,
+                               alpha_inter=cfg.alpha_inter * 64))
+        assert got.flow_completion == {fid: t * 64 for fid, t in base.flow_completion.items()}
+        assert got.phase_completion == [t * 64 for t in base.phase_completion]
+        assert got.busy_seconds == [b * 64 for b in base.busy_seconds]
+        assert (list(got.link_peak_utilization.items())
+                == list(base.link_peak_utilization.items()))
+        assert [(e.t0, e.t1, e.flow_id, e.resource, e.rate) for e in got.events] == [
+            (e.t0 * 64, e.t1 * 64, e.flow_id, e.resource, e.rate) for e in base.events]

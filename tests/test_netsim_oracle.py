@@ -109,7 +109,7 @@ def test_route_revisiting_a_link_direction_matches_reference(collect_events, alp
         [device(0), device(1), switch(0)],
         [Link(device(0), switch(0), 10e9), Link(switch(0), device(1), 10e9)],
         device_mem_bw=800e9,
-        routes={(0, 1): [(0, True), (0, False), (0, True), (1, True)]},
+        routes={(0, 1): [0, 0, 0, 1]},
     )
     rm = RankMap.identity(2)
     cfg = SimConfig(collect_events=collect_events, **alphas)

@@ -25,6 +25,8 @@ import pytest
 from haloflow import TopologyError, preset
 from haloflow.topology import NodeId
 
+from oracles import bridge_path, path_hops, route_hops
+
 GOLDEN = Path(__file__).with_name("topology_golden.json")
 
 # every preset shape the tests, the bundled scenarios and the benchmark build
@@ -55,7 +57,7 @@ def _hops(hops) -> str:
 
 def _host_bridge(topo, dev) -> str:
     try:
-        return str(topo.bridge_path(dev)[0])
+        return str(bridge_path(topo, dev)[0])
     except TopologyError:
         return "none"
 
@@ -67,9 +69,9 @@ def fingerprint(topo) -> dict:
         "nodes": len(nodes),
         "devices": len(devs),
         "links": len(topo.links),
-        "routes": _sha(f"{i} {j} {topo.route_bandwidth(i, j):.17g}: {_hops(topo.route_hops(i, j))}"
+        "routes": _sha(f"{i} {j} {topo.route_bandwidth(i, j):.17g}: {_hops(route_hops(topo, i, j))}"
                        for i in devs for j in devs),
-        "path_hops": _sha(f"{a} {b}: {_hops(topo.path_hops(a, b))}"
+        "path_hops": _sha(f"{a} {b}: {_hops(path_hops(topo, a, b))}"
                           for a in nodes for b in nodes),
         "nearest_host_bridge": _sha(f"{d} {_host_bridge(topo, d)}" for d in devs),
     }
