@@ -10,7 +10,7 @@ other flows on that link, so the rule is neither max-min fair nor
 work-conserving: a link can sit partly idle while flows crossing it wait.
 
 A flow's completion time is its per-message latency (``alpha``) plus the
-fluid transfer time, so a flow alone on its route finishes at exactly
+fluid transfer time, so a flow with its route to itself finishes at exactly
 ``alpha + bytes / route_bandwidth``.  Zero-byte flows cost only latency.
 
 Phases run strictly one after the other: phase ``p + 1`` starts at the
@@ -46,9 +46,11 @@ are numpy operations over all the phase's flows, each doing the float
 operation a loop over the flows would; Python visits only the flows whose
 rate changed or whose leg ended, which is also where trace segments close.
 A phase of one flow shares nothing, so each step of that loop would end
-exactly one leg; ``simulate`` walks its route's legs in order instead,
-with the loop's float operations in the loop's order, so the numbers and
-the trace are the same bits.
+exactly one leg, at the leg's smallest capacity; ``simulate`` walks its
+route's legs in order instead, with the loop's float operations in the
+loop's order, so the numbers and the trace are the same bits.  A given
+route listing a link direction ``k`` times gets ``cap / k`` from it, so a
+topology holding one runs every phase in the loop.
 
 With ``collect_events`` the result carries a trace: one ``FlowInterval``
 per resource of a leg for every maximal run at constant rate of one flow
@@ -65,12 +67,10 @@ import enum
 import math
 from array import array
 from bisect import insort
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from numbers import Real
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -271,7 +271,7 @@ class TimestepScenario:
 # leg compilation
 #
 # A fluid leg is a compiled route (resource ints, whether it enters a NIC,
-# its rate alone): a route of link directions as the topology compiled it,
+# its rate unshared): a route of link directions as the topology compiled it,
 # or one memory engine at its capacity.  A flow has an optional latency leg,
 # then its route's fluid legs if it carries bytes.
 
@@ -312,29 +312,6 @@ class _Network:
         for r in self.first_use:
             out[names[r]] = max(out.get(names[r], 0.0), self.peak[r])
         return out
-
-    def alone(self, res: tuple[int, ...]) -> float:
-        """The rate of a flow alone on fluid leg ``res`` when some resource
-        may be listed more than once; raises the leg's peaks.
-
-        As in the event loop, a resource the leg lists ``k`` times gives it
-        ``cap / k`` and the rate is the smallest of those.  A resource's
-        utilization is ``k`` copies of the rate summed from 0.0, over its
-        capacity, and its peak is raised to that in the order the leg first
-        lists the resources.  On a leg listing each resource once this is
-        the leg's compiled rate, its smallest capacity, and ``rate / cap``,
-        as ``cap / 1`` and ``0.0 + rate`` are exact.
-        """
-        cap, peak, first_use = self.cap, self.peak, self.first_use
-        counts = Counter(res)  # in first-listing order
-        rate = min([cap[r] / k for r, k in counts.items()])
-        for r, k in counts.items():
-            util = reduce(add, [rate] * k, 0.0) / cap[r]
-            if util > peak[r]:
-                if peak[r] == 0.0:
-                    first_use.append(r)
-                peak[r] = util
-        return rate
 
     # ``route(src_dev, dst_dev)``: latency and fluid legs of any flow between two devices
 
@@ -412,8 +389,8 @@ def _run_phase(
     and opens one at the new rate; a step of ``dt == 0`` opens none.  A leg
     end closes its flow's segment at the step's end.  Within a step the
     closes run in slot order, a flow's rate-change close before its leg-end
-    close.  ``simulate`` runs only phases of two or more flows here; it
-    walks a phase of one flow itself.
+    close.  ``simulate`` walks a phase of one flow itself unless a given
+    route of the topology lists a link direction twice.
     """
     cap, members, share, peak, first_use = net.cap, net.members, net.share, net.peak, net.first_use
     n = len(flows)
@@ -623,22 +600,21 @@ def simulate(
     net = _Network(topo, cfg)
     trace = Trace(topo._names())
     record = trace if cfg.collect_events else None
-    route, alone = net.route, net.alone
-    cap, peak, first_use = net.cap, net.peak, net.first_use
-    # every derived route lists each link direction once; only a given one
-    # may list one k times, and then gets cap / k from it
-    revisits = topo._revisits
+    route, cap, peak, first_use = net.route, net.cap, net.peak, net.first_use
+    # a given route listing a link direction k times gets cap / k from it,
+    # which only the event loop works out: such a machine walks no phase
+    walk = not topo._revisits
     completion: dict[int, float] = {}
     phase_completion: list[float] = []
 
     t = 0.0
     rank_busy = [0.0] * len(devs)
     for phase_flows in grouped:
-        if len(phase_flows) == 1:
+        if walk and len(phase_flows) == 1:
             # the event loop would end one leg of a lone flow per step, at its
-            # rate alone, and raise the leg's peaks to ``rate / cap``;
-            # consecutive legs share no resource (link paths and memory
-            # engines alternate), so the peaks rise in its order
+            # unshared rate, its smallest capacity, and raise the leg's peaks to
+            # ``rate / cap``; consecutive legs share no resource (link paths
+            # and memory engines alternate), so the peaks rise in its order
             (f,) = phase_flows
             src, dst = f.src_rank, f.dst_rank
             alpha, fluid = route(devs[src], devs[dst])
@@ -646,15 +622,12 @@ def simulate(
             if f.bytes > 0:
                 nbytes = float(f.bytes)
                 for res, _nic, rate in fluid:
-                    if revisits:
-                        rate = alone(res)
-                    else:
-                        for r in res:
-                            util = rate / cap[r]
-                            if util > peak[r]:
-                                if peak[r] == 0.0:
-                                    first_use.append(r)
-                                peak[r] = util
+                    for r in res:
+                        util = rate / cap[r]
+                        if util > peak[r]:
+                            if peak[r] == 0.0:
+                                first_use.append(r)
+                            peak[r] = util
                     dt = nbytes / rate
                     t_end = end + dt
                     if record is not None and dt > 0.0:

@@ -4,12 +4,14 @@ A scenario bundles a topology, one workload, and optional sweep, roofline
 and energy sections.  Validation is strict: unknown keys (topology keys
 too), a NaN or infinity anywhere, a string UTF-8 cannot encode and a name
 XML cannot carry are rejected, and every complaint carries the dotted path
-of the offending field.  The parser checks the document's shape: its keys,
-which value is an object, a list or a string, and that a number is a
-number.  The typed sections' constructors check each numeric field's type
-and value through the one checker, ``errors.number``, so a job built from
-CLI flags or in Python is refused exactly where a document would be, and
-the parser prefixes their field paths with the section's path.
+of the offending field, a missing key's own path included.  The parser
+checks the document's shape (its keys, which value is an object, a list or
+a string, and that a number is a number) with the checks ``errors`` keeps,
+the ones the topology spec check uses too.  The typed sections'
+constructors check each numeric field's type and value through
+``errors.number``, so a job built from CLI flags or in Python is refused
+exactly where a document would be, and the parser prefixes their field
+paths with the section's path.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import re
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .collectives import ScheduleKind
-from .errors import ConfigurationError, ScenarioError, UndefinedIntensityError, number
+from .errors import (ConfigurationError, ScenarioError, UndefinedIntensityError, check_keys, get,
+                     mapping, number, objects)
 from .halo import GlobalGrid, OverlapMode, quad_mesh, random_grid, ring
 from .halo.grid import check_quad_mesh, check_random_grid, check_ring
 from .netsim import Flow, TimestepScenario
@@ -45,36 +48,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_MISSING = object()
-
-
-def _expect_mapping(value: object, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ScenarioError(f"expected an object, got {type(value).__name__}", path)
-    return value
-
-
-def _check_keys(doc: Mapping, allowed: Sequence[str], path: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ScenarioError(f"unknown key {unknown[0]!r}", where)
-
-
-def _get(doc: Mapping, key: str, kind: type | tuple, path: str, default: object = _MISSING):
-    sub = f"{path}.{key}" if path else key
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(f"missing required key {key!r}", path or key)
-        return default
-    value = doc[key]
-    if kind is float or kind is int:
-        return number(value, sub, integer=kind is int)
-    if not isinstance(value, kind):
-        kname = kind.__name__ if isinstance(kind, type) else "value"
-        raise ScenarioError(f"expected {kname}, got {type(value).__name__}", sub)
-    return value
 
 
 def _at(prefix: str, build, *args):
@@ -138,14 +111,6 @@ def _check_values(doc: object) -> None:
         else:
             continue
         stack.extend(reversed(subs))
-
-
-def _objects(doc: Mapping, key: str, allowed: Sequence[str], path: str):
-    """``(entry, path)`` per entry of the list ``doc[key]``; entries are objects of ``allowed``."""
-    for i, entry in enumerate(_get(doc, key, list, path)):
-        entry_path = f"{path}.{key}[{i}]"
-        _check_keys(_expect_mapping(entry, entry_path), allowed, entry_path)
-        yield entry, entry_path
 
 
 def _enum(value: str, enum_cls, path: str):
@@ -330,7 +295,7 @@ class Scenario:
 # --- parsers ----------------------------------------------------------------
 
 def _parse_schedule_list(doc: Mapping, path: str) -> tuple[ScheduleKind, ...]:
-    raw = _get(doc, "schedules", list, path, default=None)
+    raw = get(doc, "schedules", list, path, default=None)
     if raw is None:
         return AlltoallJob.schedules
     out = []
@@ -344,70 +309,70 @@ def _parse_schedule_list(doc: Mapping, path: str) -> tuple[ScheduleKind, ...]:
 
 
 def _parse_workload(doc: Mapping, path: str):
-    kind = _get(doc, "kind", str, path)
+    kind = get(doc, "kind", str, path)
     if kind == "alltoall":
-        _check_keys(doc, ("kind", "ranks", "msg_bytes", "schedules"), path)
-        return _at(path, AlltoallJob, _get(doc, "ranks", int, path),
-                   _get(doc, "msg_bytes", float, path), _parse_schedule_list(doc, path))
+        check_keys(doc, ("kind", "ranks", "msg_bytes", "schedules"), path)
+        return _at(path, AlltoallJob, get(doc, "ranks", int, path),
+                   get(doc, "msg_bytes", float, path), _parse_schedule_list(doc, path))
     if kind == "halo":
-        _check_keys(doc, ("kind", "grid", "ranks", "steps", "mode", "schedule",
-                          "bytes_per_element", "compute_seconds"), path)
-        grid = _get(doc, "grid", str, path)
-        ranks = _get(doc, "ranks", int, path)
-        steps = _get(doc, "steps", int, path)
-        mode = _enum(_get(doc, "mode", str, path, default=HaloJob.mode.value),
+        check_keys(doc, ("kind", "grid", "ranks", "steps", "mode", "schedule",
+                         "bytes_per_element", "compute_seconds"), path)
+        grid = get(doc, "grid", str, path)
+        ranks = get(doc, "ranks", int, path)
+        steps = get(doc, "steps", int, path)
+        mode = _enum(get(doc, "mode", str, path, default=HaloJob.mode.value),
                      OverlapMode, f"{path}.mode")
-        sched = _enum(_get(doc, "schedule", str, path, default=HaloJob.schedule.value),
+        sched = _enum(get(doc, "schedule", str, path, default=HaloJob.schedule.value),
                       ScheduleKind, f"{path}.schedule")
-        bpe = _get(doc, "bytes_per_element", float, path, default=HaloJob.bytes_per_element)
-        comp = _get(doc, "compute_seconds", float, path, default=HaloJob.compute_seconds)
+        bpe = get(doc, "bytes_per_element", float, path, default=HaloJob.bytes_per_element)
+        comp = get(doc, "compute_seconds", float, path, default=HaloJob.compute_seconds)
         return _at(path, HaloJob, grid, ranks, steps, mode, sched, bpe, comp)
     if kind == "timestep":
-        _check_keys(doc, ("kind", "compute_seconds", "flows", "barrier"), path)
-        comp = _get(doc, "compute_seconds", list, path)
-        flows = [Flow(i, _get(fd, "src", int, fp), _get(fd, "dst", int, fp),
-                      _get(fd, "bytes", int, fp), _get(fd, "phase", int, fp, default=0))
+        check_keys(doc, ("kind", "compute_seconds", "flows", "barrier"), path)
+        comp = get(doc, "compute_seconds", list, path)
+        flows = [Flow(i, get(fd, "src", int, fp), get(fd, "dst", int, fp),
+                      get(fd, "bytes", int, fp), get(fd, "phase", int, fp, default=0))
                  for i, (fd, fp) in enumerate(
-                     _objects(doc, "flows", ("src", "dst", "bytes", "phase"), path))]
+                     objects(doc, "flows", ("src", "dst", "bytes", "phase"), path))]
         return _at(path, TimestepScenario, comp, flows,
-                   _get(doc, "barrier", bool, path, default=True))
+                   get(doc, "barrier", bool, path, default=True))
     raise ScenarioError(f"unknown workload kind {kind!r}", f"{path}.kind")
 
 
 def _parse_sweep(doc: Mapping, path: str) -> SweepSpec:
-    _check_keys(doc, ("total_bytes", "compute_seconds_total", "schedule", "points"), path)
-    total = _get(doc, "total_bytes", float, path)
-    comp = _get(doc, "compute_seconds_total", float, path)
+    check_keys(doc, ("total_bytes", "compute_seconds_total", "schedule", "points"), path)
+    total = get(doc, "total_bytes", float, path)
+    comp = get(doc, "compute_seconds_total", float, path)
     sched = _enum(
-        _get(doc, "schedule", str, path, default=ScheduleKind.ROTATED_CONCURRENT.value),
+        get(doc, "schedule", str, path, default=ScheduleKind.ROTATED_CONCURRENT.value),
         ScheduleKind, f"{path}.schedule")
-    points = [_at(pp, SweepPoint, _get(pd, "name", str, pp), _get(pd, "topology", Mapping, pp),
-                  _get(pd, "ranks", int, pp), _get(pd, "imbalance", float, pp, default=1.0))
-              for pd, pp in _objects(doc, "points", ("name", "topology", "ranks", "imbalance"),
-                                     path)]
+    points = [_at(pp, SweepPoint, get(pd, "name", str, pp), get(pd, "topology", Mapping, pp),
+                  get(pd, "ranks", int, pp), get(pd, "imbalance", float, pp, default=1.0))
+              for pd, pp in objects(doc, "points", ("name", "topology", "ranks", "imbalance"),
+                                    path)]
     return _at(path, SweepSpec, total, comp, sched, tuple(points))
 
 
 def _parse_roofline(doc: Mapping, path: str) -> RooflineSpec:
-    _check_keys(doc, ("peak_gflops", "stream_gbps", "kernels"), path)
+    check_keys(doc, ("peak_gflops", "stream_gbps", "kernels"), path)
     default = MachineModel()
     machine = _checked(
         path, MachineModel,
-        _get(doc, "peak_gflops", float, path, default=default.peak_flops / 1e9) * 1e9,
-        _get(doc, "stream_gbps", float, path, default=default.stream_bandwidth / 1e9) * 1e9)
-    kernels = [_checked(kp, _kernel, _get(kd, "name", str, kp), _get(kd, "flops", float, kp),
-                        _get(kd, "bytes", float, kp), _get(kd, "seconds", float, kp))
-               for kd, kp in _objects(doc, "kernels", ("name", "flops", "bytes", "seconds"), path)]
+        get(doc, "peak_gflops", float, path, default=default.peak_flops / 1e9) * 1e9,
+        get(doc, "stream_gbps", float, path, default=default.stream_bandwidth / 1e9) * 1e9)
+    kernels = [_checked(kp, _kernel, get(kd, "name", str, kp), get(kd, "flops", float, kp),
+                        get(kd, "bytes", float, kp), get(kd, "seconds", float, kp))
+               for kd, kp in objects(doc, "kernels", ("name", "flops", "bytes", "seconds"), path)]
     return _at(path, RooflineSpec, machine, tuple(kernels))
 
 
 def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
-    _check_keys(doc, ("fit", "p_idle", "p_max", "configurations"), path)
+    check_keys(doc, ("fit", "p_idle", "p_max", "configurations"), path)
     if "fit" in doc:
         if "p_idle" in doc or "p_max" in doc:
             raise ScenarioError("give either fit points or p_idle/p_max, not both",
                                 f"{path}.fit")
-        fit_raw = _get(doc, "fit", list, path)
+        fit_raw = get(doc, "fit", list, path)
         pts = []
         for i, pair in enumerate(fit_raw):
             fp = f"{path}.fit[{i}]"
@@ -417,36 +382,35 @@ def _parse_energy(doc: Mapping, path: str) -> EnergySpec:
         model = _checked(f"{path}.fit", fit_power_model, pts)
     else:
         model = _checked(path, PowerModel,
-                         _get(doc, "p_idle", float, path, default=PowerModel().p_idle),
-                         _get(doc, "p_max", float, path, default=PowerModel().p_max))
-    confs = [(_get(cd, "name", str, cp), _get(cd, "step_seconds", float, cp),
-              _get(cd, "busy_fraction", float, cp), _get(cd, "devices", int, cp, default=1))
-             for cd, cp in _objects(doc, "configurations",
-                                    ("name", "step_seconds", "busy_fraction", "devices"), path)]
+                         get(doc, "p_idle", float, path, default=PowerModel().p_idle),
+                         get(doc, "p_max", float, path, default=PowerModel().p_max))
+    confs = [(get(cd, "name", str, cp), get(cd, "step_seconds", float, cp),
+              get(cd, "busy_fraction", float, cp), get(cd, "devices", int, cp, default=1))
+             for cd, cp in objects(doc, "configurations",
+                                   ("name", "step_seconds", "busy_fraction", "devices"), path)]
     return _at(path, EnergySpec, model, tuple(confs))
 
 
 def parse_scenario(doc: object) -> Scenario:
     """Validate a decoded scenario document and build the typed form."""
     _check_values(doc)
-    doc = _expect_mapping(doc, "")
-    _check_keys(doc, ("schema", "name", "seed", "topology", "workload", "sweep", "roofline",
+    doc = mapping(doc, "")
+    check_keys(doc, ("schema", "name", "seed", "topology", "workload", "sweep", "roofline",
                       "energy"), "")
-    schema = _get(doc, "schema", int, "")
+    schema = get(doc, "schema", int, "")
     if schema != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {schema}", "schema")
-    name = _get(doc, "name", str, "", default="scenario")
-    seed = _get(doc, "seed", int, "", default=0)
-    topology = _get(doc, "topology", Mapping, "")
-    workload = _parse_workload(
-        _expect_mapping(_get(doc, "workload", Mapping, ""), "workload"), "workload")
+    name = get(doc, "name", str, "", default="scenario")
+    seed = get(doc, "seed", int, "", default=0)
+    topology = get(doc, "topology", Mapping, "")
+    workload = _parse_workload(get(doc, "workload", Mapping, ""), "workload")
     sweep = roofline = energy = None
     if "sweep" in doc:
-        sweep = _parse_sweep(_expect_mapping(doc["sweep"], "sweep"), "sweep")
+        sweep = _parse_sweep(mapping(doc["sweep"], "sweep"), "sweep")
     if "roofline" in doc:
-        roofline = _parse_roofline(_expect_mapping(doc["roofline"], "roofline"), "roofline")
+        roofline = _parse_roofline(mapping(doc["roofline"], "roofline"), "roofline")
     if "energy" in doc:
-        energy = _parse_energy(_expect_mapping(doc["energy"], "energy"), "energy")
+        energy = _parse_energy(mapping(doc["energy"], "energy"), "energy")
     return Scenario(name, seed, topology, workload, sweep, roofline, energy)
 
 

@@ -48,7 +48,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, ScenarioError, TopologyError, TopologySpecError, number
+from .errors import (ConfigurationError, ScenarioError, TopologyError, TopologySpecError,
+                     check_keys, get, number, objects)
 
 # Default per-direction capacities, bytes/s.  Overridable per preset call.
 NVLINK_LANE_PASCAL = 20e9
@@ -348,6 +349,11 @@ class Topology:
         for (i, j), links in given.items():
             src = cur = device(i)
             dst, ids = device(j), []
+            if any(number(d, f"route {src}->{dst}", integer=True, error=TopologyError)
+                   not in self._device_nodes for d in (i, j)):
+                raise TopologyError(f"route {src}->{dst} names a device not in the topology")
+            if i == j and links:
+                raise TopologyError(f"route {src}->{dst} must list no links")
             for li in links:
                 li = number(li, f"route {src}->{dst}", integer=True, error=TopologyError)
                 if not 0 <= li < len(self.links):
@@ -606,11 +612,6 @@ _PRESET_KEYS = {
     "ib_gbps": ("ib_bw", 1e9),
     "device_mem_bw_gbps": ("device_mem_bw", 1e9),
 }
-_INLINE_KEYS = ("nodes", "links", "device_mem_bw_gbps", "routes", "name")
-# Inline list -> its entries' keys -> True for an integer, False for a number,
-# None for a node name (checked by parse_node) or a route's link indices.
-_INLINE_ENTRIES = {"links": {"a": None, "b": None, "gbps_per_dir": False, "lanes": True},
-                   "routes": {"src": True, "dst": True, "links": None}}
 # Most devices a preset spec may imply; a spec is checked against it before
 # anything is built.  512 devices (dgx1v with 64 servers) build in about 0.8 s.
 MAX_PRESET_DEVICES = 512
@@ -619,30 +620,26 @@ MAX_PRESET_DEVICES = 512
 def check_spec(doc: Mapping) -> None:
     """Check a topology spec's keys and values without building it.
 
-    A bad key or value raises :class:`ScenarioError` whose ``path`` is the
-    key; so does a preset with more than ``MAX_PRESET_DEVICES`` devices.
-    A bad or repeated inline node name, figure, or link or route entry
-    raises :class:`TopologySpecError`, a ScenarioError at its path (such as
-    ``nodes[1]`` or ``links[0].lanes``) that is also a TopologyError; so do
-    a missing ``nodes`` or ``links`` list and a link endpoint that is not
-    one of the nodes (at ``links[0].a``).  An
-    unknown preset name raises :class:`ConfigurationError`.
+    A bad key or value raises :class:`ScenarioError` at its path, and so does
+    a preset of more than ``MAX_PRESET_DEVICES`` devices; an unknown preset
+    name raises :class:`ConfigurationError`.  An inline spec is read by the
+    checks of ``errors``.  Each fault that would stop its graph being built
+    raises :class:`TopologySpecError`, also a TopologyError, at its path: a
+    missing key (``links[0].gbps_per_dir``), a bad or repeated node name, a
+    link endpoint not in ``nodes`` or equal to the other (``links[0].b``), a
+    bandwidth that is not positive, and a route of a device not in ``nodes``
+    (``routes[0].src``), across a link not in ``links``, repeating a pair
+    (``routes[1]``) or from a device to itself across links.
     """
     if "preset" not in doc:
-        unknown = sorted(set(doc) - set(_INLINE_KEYS))
-        if unknown:
-            raise ScenarioError(f"unknown key {unknown[0]!r}", unknown[0])
-        if not isinstance(doc.get("name", ""), str):
-            raise ScenarioError(f"expected a name, got {type(doc['name']).__name__}", "name")
         _check_inline(doc)
         return
     if not isinstance(doc["preset"], str):
         raise ScenarioError(f"expected a preset name, got {type(doc['preset']).__name__}",
                             "preset")
     preset_key = _preset_key(doc["preset"])
+    check_keys(doc, ("preset", *_PRESET_KEYS), "")
     for key in sorted(set(doc) - {"preset"}):
-        if key not in _PRESET_KEYS:
-            raise ScenarioError(f"unknown key {key!r}", key)
         number(doc[key], key, integer=_PRESET_KEYS[key][1] is None)
     if preset_key in ("dgx1p", "dgx1v") and doc.get("servers", 1) > MAX_PRESET_DEVICES // 8:
         raise ScenarioError(f"servers must be <= {MAX_PRESET_DEVICES // 8} "
@@ -654,59 +651,53 @@ def check_spec(doc: Mapping) -> None:
                                 "devices_per_node" if per_node > MAX_PRESET_DEVICES else "nodes")
 
 
+def _node_at(name: object, path: str, known: Mapping | None = None) -> NodeId:
+    """The node ``name`` names, one of ``known`` if given, or a fault at ``path``."""
+    try:
+        node = parse_node(name)
+    except TopologyError as exc:
+        raise TopologySpecError(str(exc), path) from None
+    if known is not None and node not in known:
+        raise TopologySpecError(f"{node} is not in nodes", path)
+    return node
+
+
 def _check_inline(doc: Mapping) -> None:
-    """Check an inline graph's node names (each parses and names a node once),
-    its memory bandwidth and the keys and values of its link and route
-    entries (each key present but ``lanes``, which is at least 1; each link
-    endpoint a node of ``nodes``).  ``nodes`` and ``links`` are required."""
-    for key in ("nodes", "links"):
-        if key not in doc:
-            raise TopologySpecError("missing key", key)
-    nodes = doc["nodes"]
-    if not isinstance(nodes, (list, tuple)):
-        raise TopologySpecError("expected a list", "nodes")
+    """The inline half of :func:`check_spec`, which lists its faults."""
+    fault = TopologySpecError
+    check_keys(doc, ("nodes", "links", "device_mem_bw_gbps", "routes", "name"), "", error=fault)
+    get(doc, "name", str, "", "", error=fault)
     first: dict[NodeId, int] = {}
-    for i, name in enumerate(nodes):
-        try:
-            node = parse_node(name)
-        except TopologyError as exc:
-            raise TopologySpecError(str(exc), f"nodes[{i}]") from None
+    for i, name in enumerate(get(doc, "nodes", list, "", error=fault)):
+        node = _node_at(name, f"nodes[{i}]")
         if node in first:
-            raise TopologySpecError(f"{node} repeats nodes[{first[node]}]", f"nodes[{i}]")
+            raise fault(f"{node} repeats nodes[{first[node]}]", f"nodes[{i}]")
         first[node] = i
-    if "device_mem_bw_gbps" in doc:
-        number(doc["device_mem_bw_gbps"], "device_mem_bw_gbps", error=TopologySpecError)
-    for key, fields in _INLINE_ENTRIES.items():
-        entries = doc.get(key, [])
-        if not isinstance(entries, (list, tuple)):
-            raise TopologySpecError("expected a list", key)
-        for i, entry in enumerate(entries):
-            at = f"{key}[{i}]"
-            if not isinstance(entry, Mapping):
-                raise TopologySpecError("expected an object", at)
-            for name in fields:
-                if name not in entry and name != "lanes":  # lanes defaults to 1
-                    raise TopologySpecError("missing key", f"{at}.{name}")
-            for name, value in entry.items():
-                if name not in fields:
-                    raise TopologySpecError(f"unknown key {name!r}", f"{at}.{name}")
-                if fields[name] is not None:
-                    number(value, f"{at}.{name}", integer=fields[name],
-                           low=1 if name == "lanes" else None, error=TopologySpecError)
-                elif key == "links":  # an endpoint, one of the nodes
-                    try:
-                        node = parse_node(value)
-                    except TopologyError as exc:
-                        raise TopologySpecError(str(exc), f"{at}.{name}") from None
-                    if node not in first:
-                        raise TopologySpecError(f"{node} is not in nodes", f"{at}.{name}")
-                else:  # a route's indices into the links list
-                    if not isinstance(value, (list, tuple)):
-                        raise TopologySpecError("expected a list", f"{at}.links")
-                    for j, li in enumerate(value):
-                        number(li, f"{at}.links[{j}]", integer=True, error=TopologySpecError)
-                        if not 0 <= li < len(doc.get("links", ())):
-                            raise TopologySpecError(f"no link {li}", f"{at}.links[{j}]")
+    get(doc, "device_mem_bw_gbps", float, "", None, error=fault, low=0, low_open=True)
+    links = list(objects(doc, "links", ("a", "b", "gbps_per_dir", "lanes"), "", error=fault))
+    for entry, at in links:
+        a = _node_at(get(entry, "a", object, at, error=fault), f"{at}.a", first)
+        if _node_at(get(entry, "b", object, at, error=fault), f"{at}.b", first) == a:
+            raise fault(f"link endpoints must differ, got {a}", f"{at}.b")
+        get(entry, "gbps_per_dir", float, at, error=fault, low=0, low_open=True)
+        get(entry, "lanes", int, at, 1, error=fault, low=1)
+    pairs: dict[tuple[NodeId, NodeId], int] = {}
+    routes = objects(doc, "routes", ("src", "dst", "links"), "", error=fault)
+    for i, (entry, at) in enumerate(routes if "routes" in doc else ()):
+        src, dst = ends = [device(get(entry, end, int, at, error=fault)) for end in ("src", "dst")]
+        for end, node in zip(("src", "dst"), ends):
+            if node not in first:
+                raise fault(f"{node} is not in nodes", f"{at}.{end}")
+        if (src, dst) in pairs:
+            raise fault(f"route {src}->{dst} repeats routes[{pairs[src, dst]}]", at)
+        pairs[src, dst] = i
+        hops = get(entry, "links", list, at, error=fault)
+        if src == dst and hops:
+            raise fault("a route from a device to itself lists no links", f"{at}.links")
+        for j, li in enumerate(hops):
+            number(li, f"{at}.links[{j}]", integer=True, error=fault)
+            if not 0 <= li < len(links):
+                raise fault(f"no link {li}", f"{at}.links[{j}]")
 
 
 def from_spec(doc: Mapping) -> Topology:

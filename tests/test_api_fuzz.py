@@ -75,6 +75,14 @@ CASES = {
     "Link.bw_per_dir": (lambda v: Link(device(0), switch(0), v), TopologyError),
     "Link.lane_count": (lambda v: Link(device(0), switch(0), 25e9, v), TopologyError),
     "Topology.device_mem_bw": (lambda v: Topology([device(0)], [], v), TopologyError),
+    "from_spec route src": (
+        lambda v: from_spec({"nodes": ["device:0", "device:1", "device:2", "switch:0"],
+                             "links": [{"a": f"device:{d}", "b": "switch:0", "gbps_per_dir": 1}
+                                       for d in range(3)],
+                             "routes": [{"src": 0, "dst": 1, "links": [0, 1]},
+                                        {"src": 1, "dst": 2, "links": [1, 2]},
+                                        {"src": v, "dst": 0, "links": [2, 0]}]}),
+        TopologySpecError),
     "RankMap.devices": (lambda v: RankMap([0, v]), ConfigurationError),
     "preset.servers": (lambda v: preset("dgx1v", servers=v), ConfigurationError),
     "preset.nodes": (lambda v: preset("fat_tree_edr", nodes=v), ConfigurationError),
@@ -186,6 +194,25 @@ REPROS = {
         lambda: Topology([device(0), device(1), switch(0)],
                          [Link(device(0), switch(0), 1e9), Link(switch(0), device(1), 1e9)],
                          1e9, routes={(0, 1): [False, 1]}), TopologyError),
+    # a route of an absent device or a device's route to itself across links
+    # was built, and a pair an inline spec repeats kept the later route
+    "Topology route (5, 5)": (
+        lambda: Topology([device(0), device(1)], [Link(device(0), device(1), 1e9)], 1e9,
+                         routes={(0, 1): [0], (5, 5): []}), TopologyError),
+    "Topology route (0, 0) across links": (
+        lambda: Topology([device(0), device(1)], [Link(device(0), device(1), 1e9)], 1e9,
+                         routes={(0, 1): [0], (0, 0): [0, 0]}), TopologyError),
+    "inline route pair repeated": (
+        lambda: from_spec({"nodes": ["device:0", "device:1"],
+                           "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 25}],
+                           "routes": [{"src": 0, "dst": 1, "links": [0]},
+                                      {"src": 0, "dst": 1, "links": [0]}]}),
+        TopologySpecError),
+    "inline route src 5": (
+        lambda: from_spec({"nodes": ["device:0", "device:1"],
+                           "links": [{"a": "device:0", "b": "device:1", "gbps_per_dir": 25}],
+                           "routes": [{"src": 5, "dst": 5, "links": []}]}),
+        TopologySpecError),
     "Link bandwidth '1'": (lambda: Link(device(0), switch(0), "1"), TopologyError),
     "Link lane_count 1.5": (lambda: Link(device(0), switch(0), 25e9, 1.5), TopologyError),
     "MachineModel(nan, 1e9)": (lambda: MachineModel(math.nan, 1e9), ConfigurationError),

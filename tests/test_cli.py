@@ -553,6 +553,29 @@ class TestRejectedBeforeAnyWork:
         assert one_json_line(err)["path"] == "sweep.points[0].topology.links[0].a"
         assert not out.exists()
 
+    def test_sweep_point_link_bandwidth_before_the_workload_runs(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """A bandwidth of no more than 0 failed only when the point's machine
+        was built, after the workload had run, at the constructor's path ``bw_per_dir``."""
+        import haloflow.cli as cli
+
+        def refuse(*_args):
+            raise AssertionError("simulated before the sweep point's topology was checked")
+
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "simulate", refuse)
+        topo = json.loads(json.dumps(INLINE_TOPOLOGY))
+        topo["links"][0]["gbps_per_dir"] = -5
+        doc = dict(ALLTOALL_DOC, sweep={"total_bytes": 1e6, "compute_seconds_total": 0.01,
+                                        "points": [{"name": "p", "topology": topo,
+                                                    "ranks": 2}]})
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, doc), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == "sweep.points[0].topology.links[0].gbps_per_dir"
+        assert not out.exists()
+
     def test_unrenderable_csv_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         doc = dict(ALLTOALL_DOC, energy={
@@ -621,10 +644,20 @@ class TestInlineTopologyEntries:
         (lambda t: t["links"][1].update(b="switch:1"), "links[1].b"),
         (lambda t: t.pop("links"), "links"),
         (lambda t: t.pop("nodes"), "nodes"),
+        (lambda t: t["routes"][0].pop("src"), "routes[0].src"),
+        (lambda t: t["routes"][0].update(src=3), "routes[0].src"),
+        (lambda t: t["routes"][0].update(dst=-1), "routes[0].dst"),
+        (lambda t: t["routes"].append({"src": 0, "dst": 1, "links": [0, 1]}), "routes[1]"),
+        (lambda t: t["routes"].append({"src": 0, "dst": 0, "links": [0, 0]}), "routes[1].links"),
+        (lambda t: t["links"][0].update(gbps_per_dir=-5), "links[0].gbps_per_dir"),
+        (lambda t: t.update(device_mem_bw_gbps=0), "device_mem_bw_gbps"),
+        (lambda t: t["links"][1].update(b="device:1"), "links[1].b"),
     ], ids=["no_gbps_per_dir", "no_b", "no_a", "lanes_0", "lanes_negative", "route_no_links",
             "node_repeated", "node_repeated_as_switch_00", "node_malformed",
             "endpoint_not_a_string", "endpoint_malformed", "endpoint_not_a_node",
-            "no_links", "no_nodes"])
+            "no_links", "no_nodes", "route_no_src", "route_src_not_a_device",
+            "route_dst_not_a_device", "route_pair_repeated", "self_route_with_links",
+            "gbps_per_dir_negative", "device_mem_bw_zero", "link_to_its_own_node"])
     def test_missing_keys_zero_lanes_and_repeated_nodes(self, tmp_path, capsys, monkeypatch,
                                                          edit, path):
         """Each exited 3 without a path before these checks, or (a repeated

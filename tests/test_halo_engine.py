@@ -489,6 +489,44 @@ class TestArena:
                 assert sums == ref_sums, (router_mode, mode)
 
 
+class TestScaledInit:
+    """An exact metamorphic relation of the stencil, held with ``==``."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(_owned_grids(), st.integers(0, 2**32 - 1))
+    def test_init_times_2_to_the_40_scales_every_checksum(self, case, seed):
+        """The ``init`` times 2^40: every per-step checksum is 2^40 times as
+        large, in every overlap mode and both router modes.
+
+        A multiply by 2^40 is exact while every value stays a normal double.
+        ``init`` is drawn from [1, 2), so every mean, which lies between its
+        smallest and its largest term, stays in [1, 2), a mean's partial sums
+        over at most 8 neighbours in [1, 16) and a checksum's over at most
+        100 elements in [1, 200).  Scaled, every value lies in [2^40, 2^48):
+        far inside the normal range [2^-1022, 2^1024).
+        """
+        grid, nranks, layout = case
+        owner = _owners(layout, grid.n, nranks)
+        part = _derive_ghosts(grid, owner, [np.flatnonzero(owner == r) for r in range(nranks)],
+                              nranks)
+        init = np.random.default_rng(seed).uniform(1.0, 2.0, grid.n)
+        for router_mode in ("rounds", "threads"):
+            for mode in OverlapMode:
+                router = Router(nranks, router_mode)
+                workspace = step_workspace(part, build_plan(part, router), mode)
+                sums = []
+                # both runs share the workspace, as the steps of one run do: a
+                # step that reads what the other run left in it breaks the relation
+                for scaled in (init, init * 2.0**40):
+                    fields = make_fields(part, scaled)
+                    steps = []
+                    for _ in range(3):
+                        stencil_step(fields, workspace, router)
+                        steps.append(global_checksum(fields, part))
+                    sums.append(steps)
+                assert sums[1] == [s * 2.0**40 for s in sums[0]], (router_mode, mode)
+
+
 class TestGather:
     def test_round_trip(self):
         g = quad_mesh(5, 5)

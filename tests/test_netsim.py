@@ -131,6 +131,14 @@ class TestPhases:
         assert got.flow_completion == want.flow_completion
         assert got.phase_completion == want.phase_completion
 
+    def test_flows_that_end_together_are_recorded_in_id_order(self, island_topo):
+        """A phase's flows take their slots in id order however they arrive,
+        so flows ending in one step complete lowest id first."""
+        flows = [Flow(2, 0, 1, 10**6), Flow(1, 1, 0, 10**6), Flow(0, 2, 3, 10**6)]
+        res = simulate(island_topo, RankMap.identity(4), flows)
+        assert len(set(res.flow_completion.values())) == 1
+        assert list(res.flow_completion) == [0, 1, 2]
+
     def test_phase_gap_rejected(self, island_topo):
         with pytest.raises(SimulationError):
             simulate(island_topo, RankMap.identity(2), [Flow(0, 0, 1, 1, phase=1)])

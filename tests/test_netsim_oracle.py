@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from haloflow import (Flow, Link, RankMap, SimConfig, Staging, TimestepScenario, Topology, preset,
                       simulate, simulate_timestep)
-from haloflow.topology import device, switch
+from haloflow.topology import device, host_bridge, switch
 from oracles import reference_simulate
 from trace_replay import check_trace
 
@@ -103,23 +103,34 @@ def test_simulate_matches_reference(case):
 
 @pytest.mark.parametrize("collect_events", [True, False])
 @pytest.mark.parametrize("alphas", [{}, {"alpha_intra": 0.0, "alpha_inter": 0.0}])
-def test_route_revisiting_a_link_direction_matches_reference(collect_events, alphas):
-    """A route may list a link direction k times; a flow alone on it then gets cap / k."""
+@pytest.mark.parametrize("staging", list(Staging), ids=[s.value for s in Staging])
+def test_route_revisiting_a_link_direction_matches_reference(staging, collect_events, alphas):
+    """A route may list a link direction k times; a flow alone on it then gets cap / k.
+
+    Such a topology runs its one-flow phases in the event loop, host-staged
+    ones (whose legs are searched paths) too, among them a leg too short to
+    move the clock and a zero-byte flow.
+    """
     topo = Topology(
-        [device(0), device(1), switch(0)],
-        [Link(device(0), switch(0), 10e9), Link(switch(0), device(1), 10e9)],
+        [device(0), device(1), switch(0), host_bridge(0)],
+        [Link(device(0), switch(0), 10e9), Link(switch(0), device(1), 10e9),
+         Link(device(0), host_bridge(0), 12e9), Link(device(1), host_bridge(0), 12e9)],
         device_mem_bw=800e9,
         routes={(0, 1): [0, 0, 0, 1]},
     )
     rm = RankMap.identity(2)
-    cfg = SimConfig(collect_events=collect_events, **alphas)
+    cfg = SimConfig(staging=staging, collect_events=collect_events, **alphas)
     lone = [Flow(0, 0, 1, 10**6)]
     for flows in (
         lone,
         lone + [Flow(1, 1, 0, 10**6, phase=1), Flow(2, 0, 1, 0, phase=2)],
         lone + [Flow(1, 0, 1, 4 * 10**5), Flow(2, 1, 0, 10**6, phase=1)],
+        lone + [Flow(1, 0, 1, 5e-324, phase=1), Flow(2, 1, 0, 0, phase=2),
+                Flow(3, 1, 1, 5e-324, phase=3), Flow(4, 1, 0, 10**6, phase=4)],
     ):
         assert_same(simulate(topo, rm, flows, cfg), reference_simulate(topo, rm, flows, cfg))
+    if staging is Staging.HOST_STAGED:
+        return
     res = simulate(topo, rm, lone, cfg)
     assert res.makespan == pytest.approx(cfg.alpha_intra + 1e6 / 5e9, rel=1e-12)
     assert list(res.link_peak_utilization.items()) == [

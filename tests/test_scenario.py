@@ -102,8 +102,9 @@ class TestValidationPaths:
     def test_missing_required_key(self):
         doc = minimal()
         del doc["workload"]["ranks"]
-        with pytest.raises(ScenarioError, match="ranks"):
+        with pytest.raises(ScenarioError, match="ranks") as err:
             parse_scenario(doc)
+        assert err.value.path == "workload.ranks"
 
     def test_schema_version_checked(self):
         with pytest.raises(ScenarioError) as err:

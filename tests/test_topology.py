@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from haloflow import (
 )
 import haloflow.topology as topology_mod
 from haloflow import ScenarioError
+from haloflow.errors import TopologySpecError
 from haloflow.topology import check_spec, device, from_spec, host_bridge, nic, parse_node, switch
 
 from oracles import (adjacency, bridge_path, path_hops, reference_host_bridge, reference_path,
@@ -202,6 +204,26 @@ MALFORMED_INLINE = [
     ]),
 ]
 
+# (edit of INLINE, path): each passed check_spec before it checked them, and
+# failed only when built (a bandwidth, a link to its own node), at a path of
+# the constructor's or none, or was built (the routes: a repeated pair kept the
+# later route, and the simulator ignored a self route's links)
+REFUSED_AT_PATH = {
+    "route_src_not_a_device": (lambda t: t["routes"][0].update(src=5), "routes[0].src"),
+    "route_dst_not_a_device": (lambda t: t["routes"][0].update(dst=2), "routes[0].dst"),
+    "route_pair_repeated": (
+        lambda t: t["routes"].append({"src": 0, "dst": 1, "links": [0, 1]}), "routes[1]"),
+    "self_route_with_links": (
+        lambda t: t["routes"].append({"src": 1, "dst": 1, "links": [1, 1]}), "routes[1].links"),
+    "gbps_per_dir_negative": (lambda t: t["links"][0].update(gbps_per_dir=-5),
+                              "links[0].gbps_per_dir"),
+    "gbps_per_dir_zero": (lambda t: t["links"][1].update(gbps_per_dir=0), "links[1].gbps_per_dir"),
+    "device_mem_bw_zero": (lambda t: t.update(device_mem_bw_gbps=0), "device_mem_bw_gbps"),
+    "device_mem_bw_negative": (lambda t: t.update(device_mem_bw_gbps=-1.5), "device_mem_bw_gbps"),
+    "link_to_its_own_node": (lambda t: t["links"][0].update(b="device:0"), "links[0].b"),
+}
+MALFORMED_INLINE += [_edited(edit) for edit, _path in REFUSED_AT_PATH.values()]
+
 
 class TestFromSpec:
     def test_preset_with_unit_conversion(self):
@@ -232,6 +254,19 @@ class TestFromSpec:
         }
         with pytest.raises(TopologyError):
             from_spec(doc)
+
+    @pytest.mark.parametrize("routes, message", [
+        ({(0, 1): [0, 1], (5, 5): []}, "route device:5->device:5 names a device not"),
+        ({(0, 1): [0, 1], (1, 2): [1]}, "route device:1->device:2 names a device not"),
+        ({(0, 1): [0, 1], (1, 1): [1, 1]}, "route device:1->device:1 must list no links"),
+        ({(0, 1): [0, 1], (True, 0): [0, 1]}, "route device:True->device:0: expected an integer"),
+    ], ids=["self_route_of_an_absent_device", "absent_dst", "self_route_with_links", "bool_src"])
+    def test_given_route_names_a_device_with_no_links_to_itself(self, routes, message):
+        """Each was built: the simulator never reads a self route's links."""
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            Topology([device(0), device(1), switch(0)],
+                     [Link(device(0), switch(0), 1e9), Link(switch(0), device(1), 1e9)], 1e9,
+                     routes=routes)
 
     @pytest.mark.parametrize("doc", MALFORMED_INLINE[:5])
     def test_malformed_inline_graph_is_a_topology_error(self, doc):
@@ -271,6 +306,18 @@ class TestCheckSpec:
         assert err.value.path == path
         with pytest.raises(ScenarioError):
             from_spec(doc)
+
+    @pytest.mark.parametrize("case", REFUSED_AT_PATH)
+    def test_inline_value_refused_at_its_path(self, case):
+        edit, path = REFUSED_AT_PATH[case]
+        with pytest.raises(TopologySpecError) as err:
+            check_spec(_edited(edit))
+        assert err.value.path == path
+
+    def test_missing_key_at_its_own_path(self):
+        doc = _edited(lambda t: t["routes"][0].pop("dst"))
+        with pytest.raises(TopologySpecError, match=r"^routes\[0\]\.dst: missing required key$"):
+            check_spec(doc)
 
     @pytest.mark.parametrize("doc", [
         {"preset": "dgx1v", "servers": 64},
