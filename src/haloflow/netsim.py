@@ -75,7 +75,7 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, SimulationError, number
-from .topology import RankMap, Topology
+from .topology import RankMap, Topology, slot_init
 
 __all__ = [
     "Flow",
@@ -90,7 +90,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Flow:
     """One point-to-point transfer of ``bytes`` payload in a given phase."""
 
@@ -135,7 +136,8 @@ class SimConfig:
             raise SimulationError(f"collect_events must be a bool, not {self.collect_events!r}")
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class FlowInterval:
     """A maximal constant-rate run of one flow on one resource, for replay checks."""
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (ConfigurationError, ScenarioError, TopologyError, TopologySpecError,
@@ -61,11 +61,57 @@ DEVICE_MEM_BW_PASCAL = 720e9
 DEVICE_MEM_BW_VOLTA = 800e9
 
 
+def slot_init(cls=None, /, *, check=None):
+    """Give a ``@dataclass(frozen=True, slots=True)`` class an ``__init__``
+    that stores each field through its slot descriptor, in place of the one
+    ``object.__setattr__`` call per field that a frozen dataclass makes.
+
+    The new ``__init__`` keeps the dataclass one's signature: positional and
+    keyword arguments, defaults, annotations and the ``TypeError`` for a
+    missing or extra argument.  ``check``, if given, takes the arguments in
+    field order and returns the values to store, or raises.  Setting or
+    deleting any attribute raises ``FrozenInstanceError``, as on a frozen class
+    without slots (the slotted class's own methods raise ``TypeError`` for a
+    name that is not a field).
+    """
+    if cls is None:
+        return lambda cls: slot_init(cls, check=check)
+    made, own = cls.__init__, fields(cls)
+    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in own):
+        raise TypeError(f"{cls.__name__}: slot_init takes plain positional fields only")
+    names = [f.name for f in own]
+    args = ", ".join(names)
+    body = [f"    {args}, = _check({args})"] if check else []
+    body += [f"    _set_{name}(self, {name})" for name in names]
+    scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    scope["_check"] = check
+    exec(f"def __init__(self, {args}):\n" + "\n".join(body), scope)
+    init = scope["__init__"]
+    init.__defaults__, init.__annotations__ = made.__defaults__, made.__annotations__
+    init.__qualname__ = made.__qualname__
+    cls.__init__ = init
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 class NodeKind(enum.Enum):
     DEVICE = "device"
     HOST_BRIDGE = "hostbridge"
     SWITCH = "switch"
     NIC = "nic"
+
+    # each member is a singleton, so identity is equality: hashing needs no
+    # Python-level Enum.__hash__ (the hash of the member's name)
+    __hash__ = object.__hash__
 
 
 _KIND_ORDER = {
@@ -76,7 +122,8 @@ _KIND_ORDER = {
 }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class NodeId:
     kind: NodeKind
     index: int
@@ -124,7 +171,21 @@ def parse_node(text: str) -> NodeId:
     return node
 
 
-@dataclass(frozen=True)
+def _link_fields(a: NodeId, b: NodeId, bw_per_dir: float, lane_count: int) -> tuple:
+    """A ``Link``'s fields as it stores them: distinct endpoints, a finite
+    positive float capacity and an int lane count >= 1."""
+    if a == b:
+        raise TopologyError(f"link endpoints must differ, got {a}")
+    # presets build most links from one lane at a finite positive float: no call
+    if not (type(bw_per_dir) is float and 0.0 < bw_per_dir < math.inf
+            and type(lane_count) is int and lane_count == 1):
+        bw_per_dir = number(bw_per_dir, "bw_per_dir", low=0, low_open=True, error=TopologyError)
+        lane_count = number(lane_count, "lane_count", integer=True, low=1, error=TopologyError)
+    return a, b, bw_per_dir, lane_count
+
+
+@slot_init(check=_link_fields)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Undirected edge with equal capacity in both directions.
 
@@ -137,17 +198,6 @@ class Link:
     bw_per_dir: float
     lane_count: int = 1
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise TopologyError(f"link endpoints must differ, got {self.a}")
-        bw, lanes = self.bw_per_dir, self.lane_count
-        # presets build most links from one lane at a finite positive float: no call
-        if not (type(bw) is float and 0.0 < bw < math.inf and type(lanes) is int and lanes == 1):
-            object.__setattr__(self, "bw_per_dir", number(
-                bw, "bw_per_dir", low=0, low_open=True, error=TopologyError))
-            object.__setattr__(self, "lane_count", number(
-                lanes, "lane_count", integer=True, low=1, error=TopologyError))
-
     @property
     def capacity(self) -> float:
         return self.bw_per_dir * self.lane_count
@@ -159,7 +209,9 @@ class Link:
 # empty route).
 Route = tuple[tuple[int, ...], bool, float]
 _NO_HOPS: Route = ((), False, math.inf)
-_Tree = tuple[list[tuple[int, ...] | None], list[bool], list[float]]  # Route fields by node
+# Route fields by node, then each path's reverse, the ids of the way back to the source
+# (None where the search starts from a node that is not a device)
+_Tree = tuple[list[tuple[int, ...] | None], list[bool], list[float], list[tuple[int, ...] | None]]
 
 
 class RankMap:
@@ -275,28 +327,34 @@ class Topology:
 
     def _paths_from(self, src: int) -> _Tree:
         """Shortest-hop path from node ``src`` to every node, compiled, as
-        three lists of ``Route`` fields by node (ids None where unreachable).
+        three lists of ``Route`` fields by node (ids None where unreachable),
+        and a fourth of each path's reverse (its ids reversed, each ``^ 1``),
+        made only by a search from a device: the route derivation reads
+        them, and a host-staged run's bridge searches need none.
 
         One breadth-first search over the sorted adjacency: each path is the
         lexicographically smallest shortest one, lowest link index first.
         A search for one target that stops after the level where the target
         appears assigns the same parents, so every path equals its own.
         """
-        cap, enters_nic = self._capacity, self._enters_nic
-        n = len(self._adj)
+        cap, enters_nic, adj = self._capacity, self._enters_nic, self._adj
+        n = len(adj)
+        reverse = src < len(self._devices)  # devices sort first
         paths: list[tuple[int, ...] | None] = [None] * n
-        nics, lows = [False] * n, [math.inf] * n
-        paths[src] = ()
+        backs, nics, lows = [None] * n, [False] * n, [math.inf] * n
+        paths[src] = backs[src] = ()
         queue = [src]
         for u in queue:
-            to_u, nic, low = paths[u], nics[u], lows[u]
-            for v, d in self._adj[u]:
+            to_u, from_u, nic, low = paths[u], backs[u], nics[u], lows[u]
+            for v, d in adj[u]:
                 if paths[v] is None:
                     paths[v] = to_u + (d,)
+                    if reverse:
+                        backs[v] = (d ^ 1,) + from_u
                     nics[v] = nic or enters_nic[d]
                     lows[v] = cap[d] if cap[d] < low else low
                     queue.append(v)
-        return paths, nics, lows
+        return paths, nics, lows, backs
 
     def _tree(self, k: int) -> _Tree:
         """``_paths_from`` of node ``k``, searched once per source and kept."""
@@ -308,7 +366,7 @@ class Topology:
     def _nearest_bridge(self, tree: _Tree) -> tuple[int, Route] | None:
         """The host bridge fewest hops away in a search tree (lowest index on
         ties) and the path to it, or None if the tree reaches none."""
-        paths, nics, lows = tree
+        paths, nics, lows, _ = tree
         _, k = min(((len(paths[b]), b) for b in self._bridge_ids if paths[b] is not None),
                    default=(0, None))
         return None if k is None else (k, (paths[k], nics[k], lows[k]))
@@ -318,13 +376,14 @@ class Topology:
 
         Device ``devs[k]`` is node ``k``, since devices sort first.  Each
         tree is dropped once its device's path up to a bridge is recorded.
-        A reverse route shares the NIC flag (only its device ends differ)
-        and the bottleneck (links carry one capacity both ways).
+        A reverse route is the tree's path back, and shares the NIC flag
+        (only its device ends differ) and the bottleneck (links carry one
+        capacity both ways).
         """
         routes: dict[tuple[int, int], Route] = {}
         devs = self._devices
         for ai, i in enumerate(devs[:-1]):
-            tree = paths, nics, lows = self._paths_from(ai)
+            tree = paths, nics, lows, backs = self._paths_from(ai)
             self._up[i] = self._nearest_bridge(tree)
             for bi in range(ai + 1, len(devs)):
                 j, ids = devs[bi], paths[bi]
@@ -332,7 +391,7 @@ class Topology:
                     raise TopologyError(f"no path between device:{i} and device:{j}")
                 nic, low = nics[bi], lows[bi]
                 routes[(i, j)] = (ids, nic, low)
-                routes[(j, i)] = (tuple([d ^ 1 for d in reversed(ids)]), nic, low)
+                routes[(j, i)] = (backs[bi], nic, low)
         for i in devs:
             routes[(i, i)] = _NO_HOPS
         return routes
@@ -412,7 +471,7 @@ class Topology:
     def _path(self, a: int, b: int) -> Route:
         """The compiled shortest-hop path from node number ``a`` to ``b``,
         read off ``a``'s search tree."""
-        paths, nics, lows = self._tree(a)
+        paths, nics, lows, _ = self._tree(a)
         if paths[b] is None:
             raise TopologyError(f"no path between {self._node_list[a]} and {self._node_list[b]}")
         return paths[b], nics[b], lows[b]
@@ -629,7 +688,11 @@ def check_spec(doc: Mapping) -> None:
     link endpoint not in ``nodes`` or equal to the other (``links[0].b``), a
     bandwidth that is not positive, and a route of a device not in ``nodes``
     (``routes[0].src``), across a link not in ``links``, repeating a pair
-    (``routes[1]``) or from a device to itself across links.
+    (``routes[1]``) or from a device to itself across links.  A given route
+    is walked: one that is not a connected walk, or ends at another node, is
+    refused at ``routes[0].links``, and a device pair with no route either
+    way at ``routes``.  A preset's counts must be >= 1 and its bandwidths
+    positive; every GB/s figure must also be finite once scaled to bytes/s.
     """
     if "preset" not in doc:
         _check_inline(doc)
@@ -640,15 +703,27 @@ def check_spec(doc: Mapping) -> None:
     preset_key = _preset_key(doc["preset"])
     check_keys(doc, ("preset", *_PRESET_KEYS), "")
     for key in sorted(set(doc) - {"preset"}):
-        number(doc[key], key, integer=_PRESET_KEYS[key][1] is None)
+        if _PRESET_KEYS[key][1] is None:
+            number(doc[key], key, integer=True, low=1)
+        else:
+            _check_scaled(number(doc[key], key, low=0, low_open=True), key, ScenarioError)
+    if preset_key == "dgx2" and doc.get("servers", 1) != 1:
+        raise ScenarioError("dgx2 preset is a single box; servers must be 1", "servers")
     if preset_key in ("dgx1p", "dgx1v") and doc.get("servers", 1) > MAX_PRESET_DEVICES // 8:
         raise ScenarioError(f"servers must be <= {MAX_PRESET_DEVICES // 8} "
                             f"(8 devices each, {MAX_PRESET_DEVICES} at most)", "servers")
     if preset_key == "fat_tree_edr":
         nodes, per_node = doc.get("nodes", 1), doc.get("devices_per_node", 1)
-        if min(nodes, per_node) >= 1 and nodes * per_node > MAX_PRESET_DEVICES:
+        if nodes * per_node > MAX_PRESET_DEVICES:
             raise ScenarioError(f"nodes x devices_per_node must be <= {MAX_PRESET_DEVICES}",
                                 "devices_per_node" if per_node > MAX_PRESET_DEVICES else "nodes")
+
+
+def _check_scaled(gbps: float, path: str, error: type[ScenarioError]) -> None:
+    """Refuse a checked GB/s figure at ``path`` if it overflows once
+    ``from_spec`` scales it to bytes/s."""
+    if gbps * 1e9 == math.inf:
+        raise error(f"{path.rpartition('.')[2]} of {gbps!r} GB/s overflows in bytes/s", path)
 
 
 def _node_at(name: object, path: str, known: Mapping | None = None) -> NodeId:
@@ -673,14 +748,19 @@ def _check_inline(doc: Mapping) -> None:
         if node in first:
             raise fault(f"{node} repeats nodes[{first[node]}]", f"nodes[{i}]")
         first[node] = i
-    get(doc, "device_mem_bw_gbps", float, "", None, error=fault, low=0, low_open=True)
-    links = list(objects(doc, "links", ("a", "b", "gbps_per_dir", "lanes"), "", error=fault))
-    for entry, at in links:
+    mem = get(doc, "device_mem_bw_gbps", float, "", None, error=fault, low=0, low_open=True)
+    if mem is not None:
+        _check_scaled(mem, "device_mem_bw_gbps", fault)
+    link_ends: list[tuple[NodeId, NodeId]] = []  # by link index
+    for entry, at in objects(doc, "links", ("a", "b", "gbps_per_dir", "lanes"), "", error=fault):
         a = _node_at(get(entry, "a", object, at, error=fault), f"{at}.a", first)
-        if _node_at(get(entry, "b", object, at, error=fault), f"{at}.b", first) == a:
+        b = _node_at(get(entry, "b", object, at, error=fault), f"{at}.b", first)
+        if b == a:
             raise fault(f"link endpoints must differ, got {a}", f"{at}.b")
-        get(entry, "gbps_per_dir", float, at, error=fault, low=0, low_open=True)
+        _check_scaled(get(entry, "gbps_per_dir", float, at, error=fault, low=0, low_open=True),
+                     f"{at}.gbps_per_dir", fault)
         get(entry, "lanes", int, at, 1, error=fault, low=1)
+        link_ends.append((a, b))
     pairs: dict[tuple[NodeId, NodeId], int] = {}
     routes = objects(doc, "routes", ("src", "dst", "links"), "", error=fault)
     for i, (entry, at) in enumerate(routes if "routes" in doc else ()):
@@ -694,10 +774,22 @@ def _check_inline(doc: Mapping) -> None:
         hops = get(entry, "links", list, at, error=fault)
         if src == dst and hops:
             raise fault("a route from a device to itself lists no links", f"{at}.links")
+        cur = src  # the node the walk is at, as Topology walks a given route
         for j, li in enumerate(hops):
             number(li, f"{at}.links[{j}]", integer=True, error=fault)
-            if not 0 <= li < len(links):
+            if not 0 <= li < len(link_ends):
                 raise fault(f"no link {li}", f"{at}.links[{j}]")
+            a, b = link_ends[li]
+            if cur != a and cur != b:
+                raise fault(f"route {src}->{dst} is not a connected walk at {cur}", f"{at}.links")
+            cur = b if cur == a else a
+        if cur != dst:
+            raise fault(f"route {src}->{dst} ends at {cur}", f"{at}.links")
+    devs = sorted(n.index for n in first if n.kind is NodeKind.DEVICE)
+    for ai, i in enumerate(devs if "routes" in doc else ()):
+        for j in devs[ai + 1 :]:
+            if (device(i), device(j)) not in pairs and (device(j), device(i)) not in pairs:
+                raise fault(f"route missing for device pair ({i}, {j})", "routes")
 
 
 def from_spec(doc: Mapping) -> Topology:

@@ -61,6 +61,20 @@ CLI_INLINE = ("tests/test_cli.py::TestInlineTopologyEntries"
 CHECK_SPEC = "tests/test_topology.py::TestCheckSpec::test_inline_value_refused_at_its_path"
 GIVEN_ROUTE = ("tests/test_topology.py::TestFromSpec"
                "::test_given_route_names_a_device_with_no_links_to_itself")
+CHECK_SPEC_KEY = "tests/test_topology.py::TestCheckSpec::test_rejected_with_key_path"
+BEFORE_ANY_SECTION = ("tests/test_cli.py::TestRejectedBeforeAnyWork"
+                      "::test_sweep_point_topology_value_before_any_section_runs")
+# a traced step's two closes of one flow: its rate change, then its leg end
+CLOSES = ("""\
+                    if s in check and seg_rate[s] != rates[s]:
+                        if seg_rate[s]:
+                            trace._add(seg_t0[s], t, ids[s], res[s], seg_rate[s])
+                        seg_t0[s], seg_rate[s] = t, rates[s]
+""", """\
+                    if s in closing and seg_rate[s]:
+                        trace._add(seg_t0[s], t_end, ids[s], res[s], seg_rate[s])
+                        seg_rate[s] = 0.0
+""")
 
 MUTANTS = [
     # a one-flow phase walked on a machine whose given route lists a direction twice
@@ -91,7 +105,7 @@ MUTANTS = [
            "        if src == dst and hops:\n", "        if False:\n",
            (f"{CLI_INLINE}[self_route_with_links]", f"{CHECK_SPEC}[self_route_with_links]")),
     Mutant("link to its own node accepted", "topology.py",
-           'f"{at}.b", first) == a:\n', 'f"{at}.b", first) is None:\n',
+           "        if b == a:\n", "        if b is None:\n",
            (f"{CLI_INLINE}[link_to_its_own_node]", f"{CHECK_SPEC}[link_to_its_own_node]")),
     Mutant("device_mem_bw_gbps lower bound dropped", "topology.py",
            'get(doc, "device_mem_bw_gbps", float, "", None, error=fault, low=0, low_open=True)',
@@ -107,6 +121,50 @@ MUTANTS = [
     Mutant("given self route with links built", "topology.py",
            "            if i == j and links:\n", "            if False:\n",
            (f"{GIVEN_ROUTE}[self_route_with_links]",)),
+    # the earlier refusals of a topology spec: preset values, scaled GB/s, given route walks
+    Mutant("preset count lower bound dropped", "topology.py",
+           "            number(doc[key], key, integer=True, low=1)\n",
+           "            number(doc[key], key, integer=True)\n",
+           (f"{CHECK_SPEC_KEY}[doc17-servers]", f"{BEFORE_ANY_SECTION}[servers_zero]")),
+    Mutant("GB/s overflow accepted", "topology.py",
+           "    if gbps * 1e9 == math.inf:\n", "    if False:\n",
+           (f"{CHECK_SPEC}[gbps_per_dir_overflows]", f"{BEFORE_ANY_SECTION}[pcie_overflows]")),
+    Mutant("given route walk not checked", "topology.py",
+           "            if cur != a and cur != b:\n", "            if False:\n",
+           (f"{CHECK_SPEC}[route_not_a_walk]", f"{BEFORE_ANY_SECTION}[route_not_a_walk]")),
+    Mutant("given route end not checked", "topology.py",
+           "        if cur != dst:\n            raise fault(", "        if False:\n            raise fault(",
+           (f"{CHECK_SPEC}[route_ends_at_a_switch]",
+            f"{BEFORE_ANY_SECTION}[route_ends_at_its_source]")),
+    Mutant("device pair without a given route accepted", "topology.py",
+           "            if (device(i), device(j)) not in pairs and", "            if False and",
+           (f"{CHECK_SPEC}[pair_without_a_route]", f"{BEFORE_ANY_SECTION}[pair_without_a_route]")),
+    # the value types' own checks, in the init slot_init gives Link
+    Mutant("Link fast path without lane_count == 1", "topology.py",
+           "            and type(lane_count) is int and lane_count == 1):\n",
+           "            and type(lane_count) is int):\n",
+           ("tests/test_value_types.py::TestLinkChecks::test_zero_lanes_at_a_float_refused",
+            "tests/test_topology.py::TestLink::test_rejects_nonpositive_figures")),
+    Mutant("Link endpoint check dropped", "topology.py",
+           "    if a == b:\n", "    if False:\n",
+           ("tests/test_value_types.py::TestLinkChecks::test_endpoints_must_differ",
+            "tests/test_topology.py::TestLink::test_rejects_self_link")),
+    # the one-flow walk, the route search and the event loop's trace closes
+    Mutant("reversed peak order in the one-flow walk", "netsim.py",
+           "                    for r in res:\n                        util = rate / cap[r]\n",
+           "                    for r in reversed(res):\n"
+           "                        util = rate / cap[r]\n",
+           ("tests/test_netsim_golden.py"
+            "::test_simulation_matches_golden[netsim/cross_bridge/direct]",)),
+    Mutant("the route search's NIC flag dropped", "topology.py",
+           "                    nics[v] = nic or enters_nic[d]\n",
+           "                    nics[v] = enters_nic[d]\n",
+           ("tests/test_netsim.py::TestSingleFlow::test_cross_machine_latency",
+            "tests/test_topology.py::TestRoutesMatchReference::test_route_records")),
+    Mutant("the two closes of one flow swapped", "netsim.py",
+           CLOSES[0] + CLOSES[1], CLOSES[1] + CLOSES[0],
+           ("tests/test_netsim.py::TestConservation::test_event_intervals_transfer_exact_bytes",
+            "tests/test_netsim_golden.py::test_trace_replays[netsim/cross_machine]")),
     # the timestep shift of simulate's result
     Mutant("no trace shift", "netsim.py",
            "    comm.events._shift(start)\n", "",
@@ -145,8 +203,8 @@ MUTANTS = [
            ("tests/test_netsim.py::TestPhases::test_duplicate_flow_id_rejected",)),
     # route compilation
     Mutant("d for d ^ 1 in a derived reverse route", "topology.py",
-           "                routes[(j, i)] = (tuple([d ^ 1 for d in reversed(ids)]), nic, low)\n",
-           "                routes[(j, i)] = (tuple([d for d in reversed(ids)]), nic, low)\n",
+           "                    backs[v] = (d ^ 1,) + from_u\n",
+           "                    backs[v] = (d,) + from_u\n",
            ("tests/test_netsim.py::TestSharing::test_opposite_directions_do_not_share",)),
     Mutant("d for d ^ 1 in a given reverse route", "topology.py",
            "routes.setdefault((j, i), (tuple([d ^ 1 for d in reversed(ids)]), nic, low))",

@@ -281,6 +281,14 @@ ALLTOALL_DOC = {
 }
 
 
+INLINE_TOPOLOGY = {
+    "nodes": ["device:0", "device:1", "switch:0"],
+    "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": 10},
+              {"a": "device:1", "b": "switch:0", "gbps_per_dir": 10}],
+    "routes": [{"src": 0, "dst": 1, "links": [0, 1]}],
+}
+
+
 class TestRejectedBeforeAnyWork:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_msg_bytes(self, tmp_path, capsys, monkeypatch, literal):
@@ -576,6 +584,45 @@ class TestRejectedBeforeAnyWork:
         assert one_json_line(err)["path"] == "sweep.points[0].topology.links[0].gbps_per_dir"
         assert not out.exists()
 
+    @pytest.mark.parametrize("topo, path", [
+        ({"preset": "dgx1v", "nvlink_gbps": -5}, "nvlink_gbps"),
+        ({"preset": "dgx1v", "ib_gbps": 0}, "ib_gbps"),
+        ({"preset": "dgx1v", "pcie_gbps": 1e300}, "pcie_gbps"),
+        ({"preset": "dgx1v", "servers": 0}, "servers"),
+        ({"preset": "fat_tree_edr", "devices_per_node": -2}, "devices_per_node"),
+        ({"preset": "dgx2", "servers": 2}, "servers"),
+        ({**INLINE_TOPOLOGY, "links": [dict(INLINE_TOPOLOGY["links"][0], gbps_per_dir=1e300),
+                                       INLINE_TOPOLOGY["links"][1]]}, "links[0].gbps_per_dir"),
+        ({**INLINE_TOPOLOGY, "device_mem_bw_gbps": 1e300}, "device_mem_bw_gbps"),
+        ({**INLINE_TOPOLOGY, "routes": [{"src": 0, "dst": 1, "links": []}]}, "routes[0].links"),
+        ({**INLINE_TOPOLOGY, "routes": [{"src": 0, "dst": 1, "links": [1]}]}, "routes[0].links"),
+        ({**INLINE_TOPOLOGY, "routes": [{"src": 0, "dst": 1, "links": [0]}]}, "routes[0].links"),
+        ({**INLINE_TOPOLOGY, "routes": [{"src": 0, "dst": 0, "links": []}]}, "routes"),
+    ], ids=["nvlink_negative", "ib_zero", "pcie_overflows", "servers_zero",
+            "devices_per_node_negative", "dgx2_servers", "gbps_per_dir_overflows",
+            "device_mem_bw_overflows", "route_ends_at_its_source", "route_not_a_walk",
+            "route_ends_at_a_switch", "pair_without_a_route"])
+    def test_sweep_point_topology_value_before_any_section_runs(self, tmp_path, capsys,
+                                                                 monkeypatch, topo, path):
+        """Each failed only once the point's machine was built or its routes
+        compiled, after the workload had been simulated, at the constructor's path."""
+        import haloflow.cli as cli
+
+        calls = []
+        simulate = cli.simulate
+        monkeypatch.delenv("HALOFLOW_SEED", raising=False)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        doc = dict(ALLTOALL_DOC, sweep={"total_bytes": 1e6, "compute_seconds_total": 0.01,
+                                        "points": [{"name": "p", "topology": topo,
+                                                    "ranks": 2}]})
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, "report", "--scenario",
+                                     write_scenario(tmp_path, doc), "--output", str(out))
+        assert code == 3 and stdout == ""
+        assert one_json_line(err)["path"] == f"sweep.points[0].topology.{path}"
+        assert calls == []
+        assert not out.exists()
+
     def test_unrenderable_csv_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HALOFLOW_SEED", raising=False)
         doc = dict(ALLTOALL_DOC, energy={
@@ -587,14 +634,6 @@ class TestRejectedBeforeAnyWork:
         assert code == 3
         assert "quoting" in one_json_line(err)["message"]
         assert not out.exists()
-
-
-INLINE_TOPOLOGY = {
-    "nodes": ["device:0", "device:1", "switch:0"],
-    "links": [{"a": "device:0", "b": "switch:0", "gbps_per_dir": 10},
-              {"a": "device:1", "b": "switch:0", "gbps_per_dir": 10}],
-    "routes": [{"src": 0, "dst": 1, "links": [0, 1]}],
-}
 
 
 class TestInlineTopologyEntries:

@@ -221,6 +221,15 @@ REFUSED_AT_PATH = {
     "device_mem_bw_zero": (lambda t: t.update(device_mem_bw_gbps=0), "device_mem_bw_gbps"),
     "device_mem_bw_negative": (lambda t: t.update(device_mem_bw_gbps=-1.5), "device_mem_bw_gbps"),
     "link_to_its_own_node": (lambda t: t["links"][0].update(b="device:0"), "links[0].b"),
+    "gbps_per_dir_overflows": (lambda t: t["links"][0].update(gbps_per_dir=1e300),
+                               "links[0].gbps_per_dir"),
+    "device_mem_bw_overflows": (lambda t: t.update(device_mem_bw_gbps=1e300),
+                                "device_mem_bw_gbps"),
+    "route_ends_at_its_source": (lambda t: t["routes"][0].update(links=[]), "routes[0].links"),
+    "route_not_a_walk": (lambda t: t["routes"][0].update(links=[1]), "routes[0].links"),
+    "route_ends_at_a_switch": (lambda t: t["routes"][0].update(links=[0]), "routes[0].links"),
+    "pair_without_a_route": (lambda t: t.update(routes=[{"src": 1, "dst": 1, "links": []}]),
+                             "routes"),
 }
 MALFORMED_INLINE += [_edited(edit) for edit, _path in REFUSED_AT_PATH.values()]
 
@@ -297,6 +306,14 @@ class TestCheckSpec:
         ({"preset": "dgx1v", "nvlink_gbps": float("nan")}, "nvlink_gbps"),
         ({"preset": "dgx1v", "ib_gbps": float("inf")}, "ib_gbps"),
         ({"preset": "dgx1v", "pcie_gbps": 10 ** 400}, "pcie_gbps"),
+        ({"preset": "dgx1v", "pcie_gbps": 1e300}, "pcie_gbps"),
+        ({"preset": "dgx1v", "nvlink_gbps": -5}, "nvlink_gbps"),
+        ({"preset": "dgx1v", "ib_gbps": 0}, "ib_gbps"),
+        ({"preset": "dgx1v", "device_mem_bw_gbps": -0.0}, "device_mem_bw_gbps"),
+        ({"preset": "dgx1v", "servers": 0}, "servers"),
+        ({"preset": "dgx1v", "nodes": 0}, "nodes"),
+        ({"preset": "fat_tree_edr", "devices_per_node": -1}, "devices_per_node"),
+        ({"preset": "dgx2", "servers": 2}, "servers"),
         ({"nodes": ["device:0"], "links": [], "preset_name": "dgx1v"}, "preset_name"),
         ({"nodes": ["device:0"], "links": [], "name": ["inline"]}, "name"),
     ])
